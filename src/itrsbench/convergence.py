@@ -25,6 +25,7 @@ from .rewriting import (
     ITRS,
     RedexOccurrence,
     Rule,
+    bfs_path,
     indirect,
     match,
     redexes,
@@ -41,6 +42,7 @@ from .terms import (
     node_at,
     replace,
     subterm,
+    subterm_at_node,
     topequ,
 )
 
@@ -246,30 +248,13 @@ class ReductionGraph:
 
     def path(self, target: RationalTerm) -> Optional[list[RedexOccurrence]]:
         """Shortest step list from start to target, if recorded."""
-        from collections import deque
-
         if target == self.start:
             return []
-        parent = {}
-        queue = deque([self.start])
-        while queue:
-            t = queue.popleft()
-            for occ, u in self.edges.get(t, ()):
-                if u not in parent and u != self.start:
-                    parent[u] = (t, occ)
-                    if u == target:
-                        queue.clear()
-                        break
-                    queue.append(u)
-        if target not in parent:
-            return None
-        steps = []
-        node = target
-        while node != self.start:
-            node, occ = parent[node]
-            steps.append(occ)
-        steps.reverse()
-        return steps
+        return self.steps(self.start, target)
+
+    def steps(self, a, b) -> Optional[list[RedexOccurrence]]:
+        """Shortest nonempty step list a ->+ b within the recorded edges."""
+        return bfs_path(a, b, lambda t: self.edges.get(t, ()))
 
 
 def reduction_graph(
@@ -348,41 +333,13 @@ def _sccs(edges: dict) -> list[list]:
     return out
 
 
-def _cycle_through(edges: dict, base, via) -> Optional[list[RedexOccurrence]]:
+def _cycle_through(graph: ReductionGraph, base, via) -> Optional[list[RedexOccurrence]]:
     """Steps base ->+ via ->+ base within the explored graph."""
-    first = _graph_path(edges, base, via)
-    second = _graph_path(edges, via, base)
+    first = graph.steps(base, via)
+    second = graph.steps(via, base)
     if first is None or second is None:
         return None
     return first + second
-
-
-def _graph_path(edges: dict, a, b) -> Optional[list[RedexOccurrence]]:
-    from collections import deque
-
-    parent = {}
-    queue = deque([a])
-    seen = {a}
-    while queue:
-        t = queue.popleft()
-        for occ, u in edges.get(t, ()):
-            if u not in seen:
-                seen.add(u)
-                parent[u] = (t, occ)
-                queue.append(u)
-            if u == b:
-                steps = []
-                node = b
-                # walk back; b == a means we want the nonempty cycle just found
-                if b == a:
-                    steps.append(occ)
-                    node = t
-                while node != a:
-                    node, o = parent[node]
-                    steps.append(o)
-                steps.reverse()
-                return steps
-    return None
 
 
 def find_loop(
@@ -406,7 +363,7 @@ def find_loop(
             continue
         # the shortest nonempty cycle through the base usually already
         # visits a separated term; fall back to steering through one
-        cycle = _graph_path(graph.edges, base, base)
+        cycle = graph.steps(base, base)
         witness = cycle and _distinct_on_cycle(system, base, cycle, tol)
         if witness is not None:
             other, sep = witness
@@ -417,7 +374,7 @@ def find_loop(
             sep = distance(system.metric, base, other, tol=tol)
             if float(sep) <= tol:
                 continue
-            cycle = _cycle_through(graph.edges, base, other)
+            cycle = _cycle_through(graph, base, other)
             if cycle is None:
                 continue
             return LoopWitness(t0, tuple(prefix), tuple(cycle), base, other, sep)
@@ -449,7 +406,7 @@ def find_root_recurrence(
             for occ, u in graph.edges.get(t, ()):
                 if occ.position != () or u not in members:
                     continue
-                back = [] if u == t else _graph_path(graph.edges, u, t)
+                back = [] if u == t else graph.steps(u, t)
                 if back is None:
                     continue
                 prefix = graph.path(t)
@@ -770,8 +727,6 @@ def xi_trace(
 
     def fills(t: RationalTerm, beta: tuple):
         """The fill choice per cut edge at time beta."""
-        from .metrics import subterm_at_node
-
         cut = ppos(t, coloring)
         choices = {}
         for edge in sorted(cut.edges):

@@ -25,6 +25,7 @@ from .terms import (
     TermError,
     _canonical,
     iter_positions,
+    subterm_at_node,
     var,
     variables,
 )
@@ -228,8 +229,6 @@ def principal_cycles(
 def rank(t: RationalTerm, coloring: Coloring):
     """Nesting depth of alternating layers; math.inf when a color-crossing
     cycle is reachable."""
-    from .metrics import subterm_at_node
-
     memo: dict[RationalTerm, object] = {}
 
     def go(term: RationalTerm):
@@ -254,8 +253,6 @@ def cutoff(
     t: RationalTerm, n: int, u: RationalTerm, coloring: Coloring
 ) -> RationalTerm:
     """Keep the outermost n layers of t, replacing everything deeper by u."""
-    from .metrics import subterm_at_node
-
     memo: dict = {}
 
     def go(term: RationalTerm, depth: int) -> RationalTerm:

@@ -4,15 +4,19 @@ A term metric assigns each function symbol one monotone component per
 argument; the induced n-ary map is the max of the components applied
 argument-wise.  Distances between rational terms are computed on the
 product graph: exact shortest-path for granular metrics, monotone
-downward iteration of the distance equations otherwise.
+downward iteration of the distance equations otherwise.  The iteration
+pins clash pairs at 1 and equal pairs at 0, where a matched pair is equal
+(its two subterms denote the same tree) iff it reaches no clash in the
+product graph; one backward pass from the clashes finds them.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, Union
 
 from .terms import (
     APP,
@@ -21,7 +25,6 @@ from .terms import (
     RationalTerm,
     Signature,
     TermError,
-    bisimilar,
     node_at,
     subterm,
 )
@@ -306,10 +309,12 @@ def _distance_finite(m: TermMetric, t: RationalTerm, u: RationalTerm) -> Number:
 
 
 def _product_nodes(t: RationalTerm, u: RationalTerm):
-    """Reachable product pairs, split into clash pairs and matched pairs."""
+    """Reachable product pairs, split into clash pairs and matched pairs,
+    and the matched pairs that reach no clash (the equal ones)."""
     seen: set[tuple[int, int]] = set()
     clashes: set[tuple[int, int]] = set()
     matched: list[tuple[int, int]] = []
+    parents: dict[tuple[int, int], list[tuple[int, int]]] = {}
     stack = [(0, 0)]
     seen.add((0, 0))
     while stack:
@@ -319,35 +324,58 @@ def _product_nodes(t: RationalTerm, u: RationalTerm):
             continue
         matched.append((a, b))
         for pair in zip(t.children_of(a), u.children_of(b)):
+            parents.setdefault(pair, []).append((a, b))
             if pair not in seen:
                 seen.add(pair)
                 stack.append(pair)
-    return matched, clashes
+    unequal = set(clashes)
+    stack = list(clashes)
+    while stack:
+        for pair in parents.get(stack.pop(), ()):
+            if pair not in unequal:
+                unequal.add(pair)
+                stack.append(pair)
+    equal = {pair for pair in matched if pair not in unequal}
+    return matched, clashes, equal
+
+
+def _lightest_path(
+    start: Hashable,
+    is_goal: Callable[[Hashable], bool],
+    edges: Callable[[Hashable], Iterable[tuple[Component, Hashable]]],
+) -> Optional[int]:
+    """Least total lazy_weight of a path from start to a goal node.
+
+    edges(node) yields (component, next) pairs; every weight is 0 or
+    more, so Dijkstra applies.  None when no goal node is reachable.
+    """
+    dist = {start: 0}
+    heap = [(0, start)]
+    while heap:
+        w, node = heapq.heappop(heap)
+        if w > dist[node]:
+            continue
+        if is_goal(node):
+            return w
+        for comp, nxt in edges(node):
+            nw = w + lazy_weight(comp)
+            if nw < dist.get(nxt, nw + 1):
+                dist[nxt] = nw
+                heapq.heappush(heap, (nw, nxt))
+    return None
 
 
 def _distance_granular(m: TermMetric, t: RationalTerm, u: RationalTerm) -> Fraction:
-    # Dijkstra on the product graph: edge weight = lazy-edge count,
-    # distance = 2^(-w) for w = cheapest path to a root-symbol clash.
-    import heapq
+    # on the product graph, distance = 2^(-w) for w = the fewest lazy
+    # edges on a path to a root-symbol clash
+    def edges(pair):
+        a, b = pair
+        for i, nxt in enumerate(zip(t.children_of(a), u.children_of(b)), start=1):
+            yield m.component(t.nodes[a][1], i), nxt
 
-    dist: dict[tuple[int, int], int] = {(0, 0): 0}
-    heap: list[tuple[int, int, int]] = [(0, 0, 0)]
-    best: Optional[int] = None
-    while heap:
-        w, a, b = heapq.heappop(heap)
-        if w > dist.get((a, b), w):
-            continue
-        if t.label_of(a) != u.label_of(b):
-            best = w
-            break
-        ea = t.nodes[a]
-        if ea[0] == APP:
-            for i, pair in enumerate(zip(ea[2], u.children_of(b)), start=1):
-                step = lazy_weight(m.component(ea[1], i))
-                nw = w + step
-                if nw < dist.get(pair, nw + 1):
-                    dist[pair] = nw
-                    heapq.heappush(heap, (nw, pair[0], pair[1]))
+    best = _lightest_path(
+        (0, 0), lambda pair: t.label_of(pair[0]) != u.label_of(pair[1]), edges
+    )
     if best is None:
         return Fraction(0)
     return Fraction(1, 2**best)
@@ -356,17 +384,14 @@ def _distance_granular(m: TermMetric, t: RationalTerm, u: RationalTerm) -> Fract
 def _distance_iterate(
     m: TermMetric, t: RationalTerm, u: RationalTerm, tol: float
 ) -> Number:
-    matched, clashes = _product_nodes(t, u)
+    matched, clashes, equal = _product_nodes(t, u)
     exact = all(_is_exact(c) for comps in m.components.values() for c in comps)
     value: dict[tuple[int, int], Number] = {}
     for pair in clashes:
         value[pair] = Fraction(1)
     for pair in matched:
-        if bisimilar(subterm_at_node(t, pair[0]), subterm_at_node(u, pair[1])):
-            value[pair] = Fraction(0)
-        else:
-            value[pair] = Fraction(1)
-    pinned = set(clashes) | {p for p, v in value.items() if v == 0}
+        value[pair] = Fraction(0) if pair in equal else Fraction(1)
+    pinned = clashes | equal
 
     def sweep() -> float:
         delta = 0.0
@@ -396,12 +421,6 @@ def _distance_iterate(
         if sweep() < tol:
             break
     return float(value[(0, 0)])
-
-
-def subterm_at_node(t: RationalTerm, idx: int) -> RationalTerm:
-    from .terms import _canonical
-
-    return _canonical(t.nodes, idx)
 
 
 # --- positional umms and epsilon-positions ---------------------------------
@@ -486,7 +505,7 @@ def simple_cycles(t: RationalTerm) -> list[list[tuple[int, int]]]:
     for start in range(n):
         dfs(start, start, [], {start})
         if len(cycles) > ITER_BUDGET:
-            raise TermError("cycle enumeration cap exceeded")
+            raise TermError(f"cycle enumeration cap of {ITER_BUDGET} cycles exceeded")
     return cycles
 
 
@@ -504,7 +523,10 @@ def is_member(
     m.check_term(t)
     if t.is_finite:
         return MemberVerdict("member", detail="finite term")
-    cycles = simple_cycles(t)
+    try:
+        cycles = simple_cycles(t)
+    except TermError as exc:
+        return MemberVerdict("unknown", detail=str(exc))
     if m.is_granular:
         for cycle in cycles:
             comp = cycle_component(m, t, cycle)
@@ -596,27 +618,13 @@ class VariableDepth:
         if not self.metric.is_granular:
             raise TermError("granular level of a non-granular metric")
         t = self.term
-        import heapq
 
-        dist = {0: 0}
-        heap = [(0, 0)]
-        best = None
-        while heap:
-            w, idx = heapq.heappop(heap)
-            if w > dist.get(idx, w):
-                continue
+        def edges(idx):
             entry = t.nodes[idx]
-            if entry[0] == VAR:
-                if entry[1] == self.variable:
-                    best = w
-                    break
-                continue
-            for i, child in enumerate(entry[2], start=1):
-                nw = w + lazy_weight(self.metric.component(entry[1], i))
-                if nw < dist.get(child, nw + 1):
-                    dist[child] = nw
-                    heapq.heappush(heap, (nw, child))
-        return best
+            for i, child in enumerate(t.children_of(idx), start=1):
+                yield self.metric.component(entry[1], i), child
+
+        return _lightest_path(0, lambda idx: t.nodes[idx] == (VAR, self.variable), edges)
 
 
 def vdepth(m: TermMetric, t: RationalTerm, x: str) -> VariableDepth:

@@ -6,7 +6,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 from .metrics import (
     IDENTITY,
@@ -29,6 +29,7 @@ from .terms import (
     replace,
     subterm,
     substitute,
+    subterm_at_node,
     variables,
 )
 
@@ -152,7 +153,7 @@ def match(lhs: RationalTerm, t: RationalTerm, p: Position) -> Optional[Substitut
     def go(pat_idx: int, sub_idx: int) -> bool:
         entry = lhs.nodes[pat_idx]
         if entry[0] == VAR:
-            bound = subterm_at(t, sub_idx)
+            bound = subterm_at_node(t, sub_idx)
             prior = binding.get(entry[1])
             if prior is None:
                 binding[entry[1]] = bound
@@ -168,12 +169,6 @@ def match(lhs: RationalTerm, t: RationalTerm, p: Position) -> Optional[Substitut
     if go(0, root):
         return binding
     return None
-
-
-def subterm_at(t: RationalTerm, idx: int) -> RationalTerm:
-    from .terms import _canonical
-
-    return _canonical(t.nodes, idx)
 
 
 @dataclass(frozen=True)
@@ -221,6 +216,42 @@ def successors(
     return out
 
 
+def bfs_path(
+    start: Hashable,
+    goal: Hashable,
+    step: Callable[[Hashable], Iterable[tuple[object, Hashable]]],
+    budget: Optional[int] = None,
+) -> Optional[list]:
+    """Labels of a shortest path of at least one step from start to goal.
+
+    step(node) yields (label, next) pairs.  Nodes are discovered in
+    successor order and keep their first-discovery parent, so the path
+    found is the same on every run; goal == start asks for the shortest
+    nonempty cycle.  At most budget nodes are expanded when one is given.
+    None means no path was found.
+    """
+    parent: dict = {}
+    seen = {start}
+    queue = deque([start])
+    expansions = 0
+    while queue and (budget is None or expansions < budget):
+        node = queue.popleft()
+        expansions += 1
+        for label, nxt in step(node):
+            if nxt == goal:
+                path = [label]
+                while node != start:
+                    node, label = parent[node]
+                    path.append(label)
+                path.reverse()
+                return path
+            if nxt not in seen:
+                seen.add(nxt)
+                parent[nxt] = (node, label)
+                queue.append(nxt)
+    return None
+
+
 def weak_reach(
     system: ITRS,
     t: RationalTerm,
@@ -232,21 +263,7 @@ def weak_reach(
 
     False means "not found within the budget", never a refutation.
     """
-    if t == u:
-        return True
-    seen = {t}
-    queue = deque([t])
-    expansions = 0
-    while queue and expansions < budget:
-        current = queue.popleft()
-        expansions += 1
-        for _occ, nxt in successors(system, current, depth_bound):
-            if nxt == u:
-                return True
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return False
+    return weak_reach_path(system, t, u, budget, depth_bound) is not None
 
 
 def weak_reach_path(
@@ -259,31 +276,7 @@ def weak_reach_path(
     """Like weak_reach but returns the step list when found."""
     if t == u:
         return []
-    parent: dict[RationalTerm, tuple[RationalTerm, RedexOccurrence]] = {}
-    seen = {t}
-    queue = deque([t])
-    expansions = 0
-    found = None
-    while queue and expansions < budget and found is None:
-        current = queue.popleft()
-        expansions += 1
-        for occ, nxt in successors(system, current, depth_bound):
-            if nxt not in seen:
-                seen.add(nxt)
-                parent[nxt] = (current, occ)
-                if nxt == u:
-                    found = nxt
-                    break
-                queue.append(nxt)
-    if found is None:
-        return None
-    steps = []
-    node = found
-    while node != t:
-        node, occ = parent[node]
-        steps.append(occ)
-    steps.reverse()
-    return steps
+    return bfs_path(t, u, lambda s: successors(system, s, depth_bound), budget)
 
 
 # --- rule-level metric checks ------------------------------------------------

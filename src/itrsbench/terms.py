@@ -253,12 +253,17 @@ def node_at(t: RationalTerm, p: Position) -> Optional[int]:
     return idx
 
 
+def subterm_at_node(t: RationalTerm, idx: int) -> RationalTerm:
+    """The subterm rooted at graph node idx of t."""
+    return _canonical(t.nodes, idx)
+
+
 def subterm(t: RationalTerm, p: Position) -> RationalTerm:
     """Subterm at p; the reserved fallback variable when p is not a position."""
     idx = node_at(t, p)
     if idx is None:
         return FALLBACK_VAR
-    return _canonical(t.nodes, idx)
+    return subterm_at_node(t, idx)
 
 
 def replace(t: RationalTerm, p: Position, u: RationalTerm) -> RationalTerm:
@@ -293,18 +298,7 @@ def replace(t: RationalTerm, p: Position, u: RationalTerm) -> RationalTerm:
 
 def positions(t: RationalTerm, depth_bound: int) -> set[Position]:
     """All positions of length <= depth_bound (by bounded unfolding)."""
-    out: set[Position] = set()
-    frontier: list[tuple[Position, int]] = [(ROOT, 0)]
-    while frontier:
-        p, idx = frontier.pop()
-        out.add(p)
-        if len(p) == depth_bound:
-            continue
-        entry = t.nodes[idx]
-        if entry[0] == APP:
-            for i, child in enumerate(entry[2], start=1):
-                frontier.append((p + (i,), child))
-    return out
+    return {p for p, _idx in iter_positions(t, depth_bound)}
 
 
 def iter_positions(t: RationalTerm, depth_bound: int) -> Iterator[tuple[Position, int]]:
@@ -341,8 +335,9 @@ def topequ(t: RationalTerm, p: Position, u: RationalTerm) -> bool:
 def bisimilar(t: RationalTerm, u: RationalTerm) -> bool:
     """Do t and u denote the same infinite tree?
 
-    Decided by a coinductive product-graph search; canonical forms make
-    `t == u` equivalent, which the test suite cross-checks.
+    Decided by a coinductive product-graph search.  Canonical forms make
+    `t == u` equivalent, so no library code calls this: it is the test
+    oracle that `==` is checked against.
     """
     assumed: set[tuple[int, int]] = set()
     stack = [(0, 0)]

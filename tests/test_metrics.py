@@ -17,9 +17,12 @@ from itrsbench import (
     Pow,
     Scale,
     Signature,
+    TermMetric,
+    bisimilar,
     compose,
     distance,
     epos,
+    graph_term,
     is_member,
     metric_id,
     metric_infty,
@@ -30,13 +33,15 @@ from itrsbench import (
     vdepth,
 )
 from itrsbench.metrics import (
+    _product_nodes,
     component_problems,
     cycle_component,
     lazy_weight,
     position_umm,
     simple_cycles,
 )
-from itrsbench.corpus import load
+from itrsbench.corpus import load, load_union
+from itrsbench.terms import subterm_at_node
 from conftest import (
     GENERIC_SIG,
     mutate,
@@ -133,6 +138,30 @@ def test_ltree_left_spine_contracts(ltree_metric):
     assert distance(ltree_metric, a, b) == Fraction(1, 4)
 
 
+@pytest.mark.parametrize("name", ["exa-layers", "exa-layers2", "binary"])
+def test_distance_pins_exactly_the_bisimilar_pairs(name):
+    """Cyclic pairs under non-granular metrics: the product pairs pinned
+    at 0 are the bisimilar ones, and d = 0 iff the terms are bisimilar."""
+    if name == "binary":  # a branching symbol, so unequal terms share subterms
+        sig = GENERIC_SIG
+        m = TermMetric(sig, {"F": (Pow(Fraction(2)), Cap(HALF)), "G": (Scale(Fraction(2)),),
+                             "H": (HALVE,), "c": (), "d": ()})
+    else:
+        system, _ = load_union(f"{name}-r", f"{name}-s")
+        sig, m = system.sig, system.metric
+    assert not m.is_granular
+    rng = rng_for(f"metrics-pinning-{name}")
+    for _ in range(60):
+        t = random_rational_term(rng, sig, rng.randint(2, 6))
+        u = mutate(rng, t, sig) if rng.random() < 0.5 else random_rational_term(rng, sig, 4)
+        assert (distance(m, t, u) == 0) == bisimilar(t, u)
+        matched, _clashes, equal = _product_nodes(t, u)
+        assert equal == {
+            (a, b) for a, b in matched
+            if bisimilar(subterm_at_node(t, a), subterm_at_node(u, b))
+        }
+
+
 # --- epsilon-positions -----------------------------------------------------------
 
 
@@ -185,6 +214,16 @@ def test_member_granular_needs_lazy_cycle_edge(ltree_metric):
     verdict = is_member(ltree_metric, strict_spine)
     assert verdict.kind == "non_member"
     assert verdict.witness_cycle
+
+
+def test_member_cycle_cap_is_unknown():
+    """Node i points at i+1 and i+2: too many simple cycles to enumerate."""
+    n = 20
+    sig = Signature({f"S{i}": 2 for i in range(n)})
+    spec = {f"n{i}": (f"S{i}", [f"n{(i + 1) % n}", f"n{(i + 2) % n}"]) for i in range(n)}
+    verdict = is_member(metric_infty(sig), graph_term(spec, "n0"))
+    assert verdict.kind == "unknown"
+    assert "cycle enumeration cap" in verdict.detail
 
 
 # --- variable depth --------------------------------------------------------------

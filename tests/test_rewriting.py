@@ -36,7 +36,7 @@ from itrsbench import (
     weak_reach_path,
 )
 from itrsbench.corpus import load, load_union
-from itrsbench.rewriting import rename_symbols
+from itrsbench.rewriting import bfs_path, rename_symbols
 from conftest import GENERIC_SIG, random_finite_term, rng_for
 
 
@@ -291,3 +291,43 @@ def test_weak_reach_and_path_agree():
     for occ in path:
         current = rewrite_step(system, current, occ)
     assert current == u
+
+
+# --- the shared breadth-first path search --------------------------------------------
+
+DIAMOND = {
+    "a": [("ab", "b"), ("ac", "c")],
+    "b": [("bd", "d")],
+    "c": [("cd", "d")],
+    "d": [("da", "a")],
+    "e": [],
+}
+
+
+def test_bfs_path_shortest_first_discovered():
+    step = DIAMOND.__getitem__
+    assert bfs_path("a", "d", step) == ["ab", "bd"]
+    assert bfs_path("b", "c", step) == ["bd", "da", "ac"]
+
+
+def test_bfs_path_goal_is_start_gives_nonempty_cycle():
+    step = DIAMOND.__getitem__
+    assert bfs_path("a", "a", step) == ["ab", "bd", "da"]
+    assert bfs_path("e", "e", step) is None
+
+
+def test_bfs_path_unreachable_goal_is_none():
+    assert bfs_path("a", "e", DIAMOND.__getitem__) is None
+
+
+def test_bfs_path_budget_bounds_expansions():
+    expanded = []
+
+    def chain(n):
+        expanded.append(n)
+        return [(n + 1, n + 1)]
+
+    assert bfs_path(0, 3, chain, budget=3) == [1, 2, 3]
+    expanded.clear()
+    assert bfs_path(0, 3, chain, budget=2) is None
+    assert expanded == [0, 1]
