@@ -22,7 +22,6 @@ from .convergence import (
     Trace,
     classify_convergence,
     cutoff_trace,
-    find_loop,
     replay_loop,
     simulate,
     strong_convergence_probe,
@@ -31,7 +30,7 @@ from .convergence import (
     Kt,
 )
 from .itrsfile import ItrsFile, parse_itrs, print_itrs
-from .layers import cut_positions, ppos, principal_cycles, rank, step_fn
+from .layers import ppos, principal_cycles, rank, step_fn
 from .metrics import (
     GuardExceeded,
     distance,

@@ -4,8 +4,7 @@ probes, and the predicate-guided top-layer simulation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .layers import (

@@ -3,13 +3,12 @@ checks, and reports pass/fail.  Test suites and the CLI both drive these."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 from .convergence import (
     Budgets,
-    Segment,
     Trace,
     classify_convergence,
     cutoff_trace,
@@ -19,22 +18,19 @@ from .convergence import (
     replay_loop,
     simulate,
     sliding_diameter,
-    strong_convergence_probe,
     xi_trace,
     Fp,
 )
-from .itrsfile import ItrsFile, parse_itrs, print_itrs
+from .itrsfile import ItrsFile, parse_itrs
 from .metrics import distance, is_member
 from .rewriting import (
-    ITRS,
     RedexOccurrence,
-    Rule,
     disjoint_union,
     match,
     rewrite_step,
     weak_reach,
 )
-from .terms import RationalTerm, app, parse, var
+from .terms import app, parse, var
 
 
 @dataclass

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Optional
 
 from .metrics import (
     Cap,
@@ -30,7 +30,7 @@ from .metrics import (
     validate_metric,
 )
 from .rewriting import ITRS, Rule
-from .terms import ParseError, RationalTerm, Signature, parse, to_text
+from .terms import ParseError, Signature, parse, to_text
 
 HEADERS = ("infty", "id", "custom")
 

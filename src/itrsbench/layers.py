@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 from .metrics import (
@@ -25,6 +24,7 @@ from .terms import (
     TermError,
     _canonical,
     iter_positions,
+    node_at,
     subterm_at_node,
     var,
     variables,
@@ -94,13 +94,6 @@ class PrincipalCut:
             if hits[-1] and not any(hits[:-1]):
                 out.add(p)
         return out
-
-
-def _node_at_prefix(t: RationalTerm, p: Position) -> int:
-    idx = 0
-    for i in p:
-        idx = t.nodes[idx][2][i - 1]
-    return idx
 
 
 def _top_layer_nodes(t: RationalTerm, coloring: Coloring) -> set[int]:
@@ -291,11 +284,9 @@ def step_fn(
         p, q = path[k], path[k + 1]
         if len(q) != len(p) + 1 or q[: len(p)] != p:
             raise TermError(f"not a chain at step {k}: {p} then {q}")
-        idx = _node_at_prefix(t, p)
-        entry = t.nodes[idx]
-        if entry[0] != APP:
-            raise TermError(f"chain leaves the term at {p}")
-        comp = g.component(entry[1], q[-1])
+        if node_at(t, q) is None:
+            raise TermError(f"chain leaves the term at {q}")
+        comp = g.component(t.nodes[node_at(t, p)][1], q[-1])
         if lazy_weight(comp) > 0:
             count += 1
     return count

@@ -3,17 +3,18 @@
 A term metric assigns each function symbol one monotone component per
 argument; the induced n-ary map is the max of the components applied
 argument-wise.  Distances between rational terms are computed on the
-product graph: exact shortest-path for granular metrics, monotone
-downward iteration of the distance equations otherwise.  The iteration
-pins clash pairs at 1 and equal pairs at 0, where a matched pair is equal
-(its two subterms denote the same tree) iff it reaches no clash in the
-product graph; one backward pass from the clashes finds them.
+product graph: exact shortest-path for granular metrics, otherwise the
+greatest solution of the distance equations, with clash pairs at 1.
+Variable depths solve the same equations on the term graph, with the
+variable at y and other variables at 0.  One solver does both: a node
+that reaches no nonzero leaf is 0 (for distance, a matched pair whose
+two subterms denote the same tree), the others are swept down from 1,
+and the answer is exact whenever the exact sweep settles.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, Union
@@ -25,8 +26,6 @@ from .terms import (
     RationalTerm,
     Signature,
     TermError,
-    node_at,
-    subterm,
 )
 
 Number = Union[Fraction, float]
@@ -189,14 +188,6 @@ def _one_like(x: Number) -> Number:
     return Fraction(1) if isinstance(x, Fraction) else 1.0
 
 
-def _is_exact(comp: Component) -> bool:
-    if isinstance(comp, (Scale, Cap)):
-        return True
-    if isinstance(comp, Pow):
-        return comp.exponent.denominator == 1
-    return all(_is_exact(p) for p in comp.parts)
-
-
 # --- term metrics ----------------------------------------------------------
 
 
@@ -279,64 +270,33 @@ def distance(
     m.check_term(u)
     if t == u:
         return Fraction(0)
-    if t.is_finite and u.is_finite:
-        return _distance_finite(m, t, u)
+    clash, edges = _product(m, t, u)
     if m.is_granular:
-        return _distance_granular(m, t, u)
-    return _distance_iterate(m, t, u, tol)
+        # distance = 2^(-w) for w = the fewest lazy edges on a product-graph
+        # path to a root-symbol clash
+        best = _lightest_path((0, 0), clash, edges)
+        return Fraction(0) if best is None else Fraction(1, 2**best)
+    return _fixpoint((0, 0), edges, lambda pair: Fraction(clash(pair)), tol)
 
 
-def _distance_finite(m: TermMetric, t: RationalTerm, u: RationalTerm) -> Number:
-    memo: dict[tuple[int, int], Number] = {}
+def _product(m: TermMetric, t: RationalTerm, u: RationalTerm):
+    """The product graph of t and u, rooted at (0, 0): the clash test on
+    node pairs, and the edges of a pair to its paired children (none from a
+    clash), each under the component of its argument."""
 
-    def go(a: int, b: int) -> Number:
-        key = (a, b)
-        if key in memo:
-            return memo[key]
-        ea, eb = t.nodes[a], u.nodes[b]
-        if t.label_of(a) != u.label_of(b):
-            val: Number = Fraction(1)
-        elif ea[0] == VAR:
-            val = Fraction(0)
-        else:
-            val = Fraction(0)
-            for i, (ca, cb) in enumerate(zip(ea[2], eb[2]), start=1):
-                val = max(val, m.component(ea[1], i)(go(ca, cb)))
-        memo[key] = val
-        return val
+    def clash(pair) -> bool:
+        return t.label_of(pair[0]) != u.label_of(pair[1])
 
-    return go(0, 0)
+    def edges(pair):
+        if clash(pair):
+            return ()
+        a, b = pair
+        return [
+            (m.component(t.nodes[a][1], i), nxt)
+            for i, nxt in enumerate(zip(t.children_of(a), u.children_of(b)), start=1)
+        ]
 
-
-def _product_nodes(t: RationalTerm, u: RationalTerm):
-    """Reachable product pairs, split into clash pairs and matched pairs,
-    and the matched pairs that reach no clash (the equal ones)."""
-    seen: set[tuple[int, int]] = set()
-    clashes: set[tuple[int, int]] = set()
-    matched: list[tuple[int, int]] = []
-    parents: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    stack = [(0, 0)]
-    seen.add((0, 0))
-    while stack:
-        a, b = stack.pop()
-        if t.label_of(a) != u.label_of(b):
-            clashes.add((a, b))
-            continue
-        matched.append((a, b))
-        for pair in zip(t.children_of(a), u.children_of(b)):
-            parents.setdefault(pair, []).append((a, b))
-            if pair not in seen:
-                seen.add(pair)
-                stack.append(pair)
-    unequal = set(clashes)
-    stack = list(clashes)
-    while stack:
-        for pair in parents.get(stack.pop(), ()):
-            if pair not in unequal:
-                unequal.add(pair)
-                stack.append(pair)
-    equal = {pair for pair in matched if pair not in unequal}
-    return matched, clashes, equal
+    return clash, edges
 
 
 def _lightest_path(
@@ -365,62 +325,73 @@ def _lightest_path(
     return None
 
 
-def _distance_granular(m: TermMetric, t: RationalTerm, u: RationalTerm) -> Fraction:
-    # on the product graph, distance = 2^(-w) for w = the fewest lazy
-    # edges on a path to a root-symbol clash
-    def edges(pair):
-        a, b = pair
-        for i, nxt in enumerate(zip(t.children_of(a), u.children_of(b)), start=1):
-            yield m.component(t.nodes[a][1], i), nxt
-
-    best = _lightest_path(
-        (0, 0), lambda pair: t.label_of(pair[0]) != u.label_of(pair[1]), edges
-    )
-    if best is None:
-        return Fraction(0)
-    return Fraction(1, 2**best)
-
-
-def _distance_iterate(
-    m: TermMetric, t: RationalTerm, u: RationalTerm, tol: float
+def _fixpoint(
+    root: Hashable,
+    edges: Callable[[Hashable], Sequence[tuple[Component, Hashable]]],
+    leaf: Callable[[Hashable], Number],
+    tol: float,
 ) -> Number:
-    matched, clashes, equal = _product_nodes(t, u)
-    exact = all(_is_exact(c) for comps in m.components.values() for c in comps)
-    value: dict[tuple[int, int], Number] = {}
-    for pair in clashes:
-        value[pair] = Fraction(1)
-    for pair in matched:
-        value[pair] = Fraction(0) if pair in equal else Fraction(1)
-    pinned = clashes | equal
+    """Value at root of the greatest solution of v(n) = leaf(n) at nodes
+    without edges and v(n) = max(c(v(k)) for c, k in edges(n)) elsewhere.
 
-    def sweep() -> float:
+    Nodes that reach no nonzero leaf are 0.  The others start at 1 and are
+    swept children first, so one sweep solves an acyclic graph exactly.
+    On a cyclic one the values stay exact until a sweep changes nothing,
+    and the answer is then exact; a value that changes while its float
+    image does not (the values have underflowed a float), or 4 sweeps per
+    swept node plus 64, move them to floats, swept until the largest
+    change is below tol.
+    """
+    succ = {root: edges(root)}
+    parents: dict[Hashable, list] = {}
+    order = []  # postorder: a node after the nodes it reaches, cycles aside
+    on_stack, cyclic = {root}, False
+    stack = [(root, iter(succ[root]))]
+    while stack:
+        node, todo = stack[-1]
+        for _comp, kid in todo:
+            parents.setdefault(kid, []).append(node)
+            if kid not in succ:
+                succ[kid] = edges(kid)
+                on_stack.add(kid)
+                stack.append((kid, iter(succ[kid])))
+                break
+            cyclic = cyclic or kid in on_stack
+        else:
+            stack.pop()
+            on_stack.discard(node)
+            order.append(node)
+    value = {n: leaf(n) for n in order if not succ[n]}
+    live = {n for n, v in value.items() if v}
+    stack = list(live)
+    while stack:
+        for node in parents.get(stack.pop(), ()):
+            if node not in live:
+                live.add(node)
+                stack.append(node)
+    if root not in live:
+        return Fraction(0)
+    inner = [n for n in order if succ[n] and n in live]
+    for n in inner:
+        value[n] = Fraction(1)
+        succ[n] = [(c, k) for c, k in succ[n] if k in live]
+    limit: Optional[int] = 4 * len(inner) + 64  # exact sweeps; None once floats
+    sweeps = 0
+    while True:
+        sweeps += 1
+        changed = blurred = False
         delta = 0.0
-        for a, b in matched:
-            if (a, b) in pinned:
-                continue
-            ea = t.nodes[a]
-            if ea[0] == VAR:
-                continue
-            new: Number = Fraction(0) if isinstance(value[(a, b)], Fraction) else 0.0
-            for i, pair in enumerate(zip(ea[2], u.children_of(b)), start=1):
-                new = max(new, m.component(ea[1], i)(value[pair]))
-            if new != value[(a, b)]:
-                delta = max(delta, abs(float(new) - float(value[(a, b)])))
-                value[(a, b)] = new
-        return delta
-
-    if exact:
-        # hope for an exact fixed point within a few rounds of sweeps
-        for _ in range(4 * len(matched) + 64):
-            if sweep() == 0.0:
-                return value[(0, 0)]
-        # no exact stabilization; fall through to float iteration
-    for pair in list(value):
-        value[pair] = float(value[pair])
-    for _ in range(ITER_BUDGET):
-        if sweep() < tol:
-            break
-    return float(value[(0, 0)])
+        for n in inner:
+            new = max(c(value[k]) for c, k in succ[n])
+            if new != value[n]:
+                step = abs(float(new) - float(value[n]))
+                changed, blurred, delta = True, blurred or not step, max(delta, step)
+                value[n] = new
+        if not (changed and cyclic) or (limit is None and (delta < tol or sweeps >= ITER_BUDGET)):
+            return value[root]
+        if limit is not None and (blurred or sweeps >= limit):
+            value = {n: float(v) for n, v in value.items()}
+            limit, sweeps = None, 0
 
 
 # --- positional umms and epsilon-positions ---------------------------------
@@ -487,23 +458,29 @@ def simple_cycles(t: RationalTerm) -> list[list[tuple[int, int]]]:
     """All simple cycles of the term graph as edge lists (node, arg index)."""
     cycles: list[list[tuple[int, int]]] = []
     seen_keys: set[tuple] = set()
-    n = len(t.nodes)
-
-    def dfs(start: int, idx: int, path: list[tuple[int, int]], on_path: set[int]):
-        for i, child in enumerate(t.children_of(idx), start=1):
-            if child == start:
-                cycle = path + [(idx, i)]
-                nodes_key = frozenset(cycle)
-                if nodes_key not in seen_keys:
-                    seen_keys.add(nodes_key)
-                    cycles.append(cycle)
-            elif child > start and child not in on_path:
-                on_path.add(child)
-                dfs(start, child, path + [(idx, i)], on_path)
-                on_path.discard(child)
-
-    for start in range(n):
-        dfs(start, start, [], {start})
+    for start in range(len(t.nodes)):
+        on_path = {start}
+        path: list[tuple[int, int]] = []  # the edges down to the top of stack
+        stack = [(start, enumerate(t.children_of(start), start=1))]
+        while stack:
+            idx, kids = stack[-1]
+            for i, child in kids:
+                if child == start:
+                    cycle = path + [(idx, i)]
+                    nodes_key = frozenset(cycle)
+                    if nodes_key not in seen_keys:
+                        seen_keys.add(nodes_key)
+                        cycles.append(cycle)
+                elif child > start and child not in on_path:
+                    on_path.add(child)
+                    path.append((idx, i))
+                    stack.append((child, enumerate(t.children_of(child), start=1)))
+                    break
+            else:
+                stack.pop()
+                on_path.discard(idx)
+                if path:
+                    path.pop()
         if len(cycles) > ITER_BUDGET:
             raise TermError(f"cycle enumeration cap of {ITER_BUDGET} cycles exceeded")
     return cycles
@@ -566,65 +543,39 @@ def is_member(
 
 @dataclass(frozen=True)
 class VariableDepth:
-    """The map y -> [[t]] under the valuation sending x to y, others to 0."""
+    """The map y -> [[t]] under the valuation sending x to y, others to 0.
+
+    Computed by the same solver as non-granular distances: nodes of t that
+    reach no occurrence of x are 0, the others take the greatest solution
+    of their equations, exact whenever the exact sweep settles.
+    """
 
     metric: TermMetric
     term: RationalTerm
     variable: str
 
     def __call__(self, y: Number) -> Number:
-        t = self.term
-        if t.is_finite:
-            memo: dict[int, Number] = {}
-
-            def go(idx: int) -> Number:
-                if idx in memo:
-                    return memo[idx]
-                entry = t.nodes[idx]
-                if entry[0] == VAR:
-                    val = y if entry[1] == self.variable else Fraction(0)
-                else:
-                    val = Fraction(0)
-                    for i, child in enumerate(entry[2], start=1):
-                        val = max(val, self.metric.component(entry[1], i)(go(child)))
-                memo[idx] = val
-                return val
-
-            return go(0)
-        # cyclic right-hand sides: monotone downward iteration from 1
-        vals: dict[int, Number] = {}
-        for idx, entry in enumerate(t.nodes):
-            if entry[0] == VAR:
-                vals[idx] = y if entry[1] == self.variable else Fraction(0)
-            else:
-                vals[idx] = Fraction(1)
-        for _ in range(ITER_BUDGET):
-            changed = False
-            for idx, entry in enumerate(t.nodes):
-                if entry[0] == VAR:
-                    continue
-                new: Number = Fraction(0)
-                for i, child in enumerate(entry[2], start=1):
-                    new = max(new, self.metric.component(entry[1], i)(vals[child]))
-                if new != vals[idx]:
-                    vals[idx] = new
-                    changed = True
-            if not changed:
-                break
-        return vals[0]
+        return _fixpoint(
+            0,
+            self._edges,
+            lambda idx: y if self.term.nodes[idx] == (VAR, self.variable) else Fraction(0),
+            DEFAULT_TOL,
+        )
 
     def granular_level(self) -> Optional[int]:
         """Minimum lazy-edge count over occurrences of the variable, if any."""
         if not self.metric.is_granular:
             raise TermError("granular level of a non-granular metric")
-        t = self.term
+        return _lightest_path(
+            0, lambda idx: self.term.nodes[idx] == (VAR, self.variable), self._edges
+        )
 
-        def edges(idx):
-            entry = t.nodes[idx]
-            for i, child in enumerate(t.children_of(idx), start=1):
-                yield self.metric.component(entry[1], i), child
-
-        return _lightest_path(0, lambda idx: t.nodes[idx] == (VAR, self.variable), edges)
+    def _edges(self, idx: int) -> list[tuple[Component, int]]:
+        entry = self.term.nodes[idx]
+        return [
+            (self.metric.component(entry[1], i), child)
+            for i, child in enumerate(self.term.children_of(idx), start=1)
+        ]
 
 
 def vdepth(m: TermMetric, t: RationalTerm, x: str) -> VariableDepth:

@@ -4,14 +4,12 @@ terms, rule classification, the indirection transform, and disjoint union."""
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Optional
 
 from .metrics import (
     IDENTITY,
-    Component,
-    MemberVerdict,
     TermMetric,
     is_member,
     vdepth,
@@ -27,7 +25,6 @@ from .terms import (
     iter_positions,
     node_at,
     replace,
-    subterm,
     substitute,
     subterm_at_node,
     variables,

@@ -10,8 +10,8 @@ forms are equal, which makes equality, hashing and sharing cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Mapping, Optional, Sequence
 
 Position = tuple[int, ...]  # 1-based child indices; () is the root
 ROOT: Position = ()

@@ -1,0 +1,54 @@
+"""Every module-level import of the itrsbench modules is used.
+
+`__init__.py` is exempt: it imports names to re-export them.  A name
+counts as used when it appears as a name in the module's code, including
+annotations, which `from __future__ import annotations` leaves unevaluated
+but still parsed, and quoted annotations.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "itrsbench"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Names bound by the module's top-level imports, with their lines."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def used_names(tree: ast.AST) -> set[str]:
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            for part in ast.walk(annotation) if annotation else ():
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    used |= used_names(ast.parse(part.value, mode="eval"))
+    return used
+
+
+def test_the_package_has_modules():
+    assert MODULES
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = used_names(tree)
+    unused = {name: line for name, line in imported_names(tree).items() if name not in used}
+    assert not unused, f"{path.name}: imported but never used: {unused}"

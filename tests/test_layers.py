@@ -247,6 +247,14 @@ def test_step_fn_rejects_broken_chain():
         step_fn(g, t, [(), (1, 1)], 1)
 
 
+@pytest.mark.parametrize("index", [0, 3])
+def test_step_fn_rejects_an_argument_outside_the_arity(index):
+    sig = Signature({"F": 2, "A": 0})
+    g = metric_granular(sig, {"F": ["strict", "lazy"], "A": []})
+    with pytest.raises(TermError):
+        step_fn(g, parse("F(A, A)", sig), [(), (index,)], 1)
+
+
 # --- trace-level principal positions ----------------------------------------------
 
 

@@ -4,6 +4,7 @@ component algebra."""
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,9 @@ from itrsbench import (
     vdepth,
 )
 from itrsbench.metrics import (
-    _product_nodes,
+    DEFAULT_TOL,
+    _fixpoint,
+    _product,
     component_problems,
     cycle_component,
     lazy_weight,
@@ -140,8 +143,9 @@ def test_ltree_left_spine_contracts(ltree_metric):
 
 @pytest.mark.parametrize("name", ["exa-layers", "exa-layers2", "binary"])
 def test_distance_pins_exactly_the_bisimilar_pairs(name):
-    """Cyclic pairs under non-granular metrics: the product pairs pinned
-    at 0 are the bisimilar ones, and d = 0 iff the terms are bisimilar."""
+    """Cyclic pairs under non-granular metrics: the product pairs the
+    solver fixes at 0 are the bisimilar ones, and d = 0 iff the terms are
+    bisimilar."""
     if name == "binary":  # a branching symbol, so unequal terms share subterms
         sig = GENERIC_SIG
         m = TermMetric(sig, {"F": (Pow(Fraction(2)), Cap(HALF)), "G": (Scale(Fraction(2)),),
@@ -155,9 +159,19 @@ def test_distance_pins_exactly_the_bisimilar_pairs(name):
         t = random_rational_term(rng, sig, rng.randint(2, 6))
         u = mutate(rng, t, sig) if rng.random() < 0.5 else random_rational_term(rng, sig, 4)
         assert (distance(m, t, u) == 0) == bisimilar(t, u)
-        matched, _clashes, equal = _product_nodes(t, u)
-        assert equal == {
-            (a, b) for a, b in matched
+        clash, edges = _product(m, t, u)
+        pairs, stack = {(0, 0)}, [(0, 0)]
+        while stack:
+            for _comp, pair in edges(stack.pop()):
+                if pair not in pairs:
+                    pairs.add(pair)
+                    stack.append(pair)
+        zero = {
+            pair for pair in pairs
+            if _fixpoint(pair, edges, lambda q: Fraction(clash(q)), DEFAULT_TOL) == 0
+        }
+        assert zero == {
+            (a, b) for a, b in pairs
             if bisimilar(subterm_at_node(t, a), subterm_at_node(u, b))
         }
 
@@ -250,6 +264,98 @@ def test_vdepth_absent_variable_is_zero(ltree_metric):
 def test_vdepth_lazy_occurrence(ltree_metric):
     t = parse("Bin(x, Null, Null)", ltree_metric.sig)
     assert vdepth(ltree_metric, t, "x")(Fraction(1)) == HALF
+
+
+@pytest.mark.parametrize("name", ["id", "infty", "ltree"])
+def test_vdepth_is_two_to_minus_the_granular_level(name, ltree_metric):
+    """On rational terms under a granular metric, vdepth(x)(1) is 2^-level,
+    level the fewest lazy edges above an occurrence of x, and 0 without one.
+    Under ltree only members of the completion are drawn: on a non-member,
+    a strict cycle above x keeps the greatest solution at 1 whatever the
+    level."""
+    m = {"id": metric_id(GENERIC_SIG), "infty": metric_infty(GENERIC_SIG),
+         "ltree": ltree_metric}[name]
+    rng = rng_for(f"metrics-vdepth-level-{name}")
+    checked = 0
+    while checked < 60:
+        t = random_rational_term(rng, m.sig, rng.randint(1, 6))
+        if name == "ltree" and not is_member(m, t):
+            continue
+        lvl = vdepth(m, t, "x").granular_level()
+        assert vdepth(m, t, "x")(Fraction(1)) == (0 if lvl is None else Fraction(1, 2**lvl))
+        checked += 1
+
+
+@pytest.mark.parametrize("name", ["exa-layers", "exa-layers2"])
+@pytest.mark.parametrize("text", [
+    "mu X. F(H(X))", "mu X. F(X)", "mu X. G(X)", "mu X. H(X)", "mu X. F(G(H(X)))",
+    "F(mu X. H(F(X)))",
+])
+def test_vdepth_is_zero_where_x_is_unreachable(name, text):
+    """Cycles that reach no x count for nothing, exactly, whatever their
+    components; under exa-layers2, F is pow(2) and H cap(1/2)."""
+    system, _ = load_union(f"{name}-r", f"{name}-s")
+    depth = vdepth(system.metric, parse(text, system.sig), "x")(Fraction(1))
+    assert depth == 0 and isinstance(depth, Fraction)
+
+
+def test_vdepth_ignores_a_cycle_that_reaches_no_x():
+    """The G-cycle (scale 2) would lift the first argument (pow 2) to 1."""
+    m = TermMetric(GENERIC_SIG, {"F": (Pow(Fraction(2)), Cap(HALF)), "G": (Scale(Fraction(2)),),
+                                 "H": (HALVE,), "c": (), "d": ()})
+    t = parse("F(mu X. G(X), H(H(x)))", GENERIC_SIG)
+    assert vdepth(m, t, "x")(Fraction(1)) == Fraction(1, 4)
+
+
+@pytest.mark.parametrize("a, b, c", [(2, 1, 3), (12, 4, 8), (10, 3, 20), (13, 1, 1)])
+def test_two_cap_ring_distance_is_the_composition_to_the_first_clash(a, b, c):
+    """Rings F^a H F^b H G^c and one more G first clash at depth n, the
+    first ring's length; under exa-layers2 the distance is 2^-2^(a+b),
+    which underflows a float from a + b = 11 on."""
+    system, _ = load_union("exa-layers2-r", "exa-layers2-s")
+    m = system.metric
+    word = "F" * a + "H" + "F" * b + "H" + "G" * c
+
+    def ring(w):
+        return parse("mu X. " + "".join(s + "(" for s in w) + "X" + ")" * len(w), system.sig)
+
+    want = Fraction(1)
+    for symbol in reversed(word):
+        want = m.component(symbol, 1)(want)
+    assert want == Fraction(1, 2 ** 2 ** (a + b))
+    got = distance(m, ring(word), ring(word + "G"))
+    assert isinstance(got, Fraction) and got == want
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_deep_finite_terms_need_no_recursion():
+    """Chains 400 deep, run with room for only 100 more stack frames."""
+    n = 400
+    exa, _ = load_union("exa-layers-r", "exa-layers-s")  # F halves, H scale(2)
+
+    def chain(symbol, leaf, sig):
+        spec = {f"n{i}": (symbol, [f"n{i + 1}"]) for i in range(n)}
+        spec[f"n{n}"] = ("var", leaf) if leaf in "xy" else (leaf, [])
+        return graph_term(spec, "n0")
+
+    gc, gd = chain("G", "c", GENERIC_SIG), chain("G", "d", GENERIC_SIG)
+    fx, fy = chain("F", "x", exa.sig), chain("F", "y", exa.sig)
+    assert not exa.metric.is_granular
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        granular = distance(metric_infty(GENERIC_SIG), gc, gd)
+        iterated = distance(exa.metric, fx, fy)
+        depth = vdepth(exa.metric, fx, "x")(Fraction(1))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert granular == iterated == depth == Fraction(1, 2**n)
 
 
 # --- cycles and components -------------------------------------------------------
