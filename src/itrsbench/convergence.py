@@ -24,7 +24,6 @@ from .rewriting import (
     ITRS,
     RedexOccurrence,
     Rule,
-    bfs_path,
     indirect,
     match,
     redexes,
@@ -37,9 +36,11 @@ from .terms import (
     Position,
     RationalTerm,
     TermError,
-    _canonical,
+    bfs_path,
+    from_nodes,
     node_at,
     replace,
+    sccs,
     subterm,
     subterm_at_node,
     topequ,
@@ -255,6 +256,10 @@ class ReductionGraph:
         """Shortest nonempty step list a ->+ b within the recorded edges."""
         return bfs_path(a, b, lambda t: self.edges.get(t, ()))
 
+    def components(self) -> list[list]:
+        """Strongly connected components of the explored terms, children first."""
+        return sccs(self.edges, lambda t: [u for _o, u in self.edges[t] if u in self.edges])
+
 
 def reduction_graph(
     system: ITRS, t0: RationalTerm, budget: int = 50_000, depth_bound: int = 8
@@ -282,56 +287,6 @@ def reduction_graph(
 # --- loop detection -----------------------------------------------------------
 
 
-def _sccs(edges: dict) -> list[list]:
-    """Iterative Tarjan over the explored part of a reduction graph."""
-    index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    out = []
-    counter = [0]
-
-    for root in list(edges):
-        if root in index:
-            continue
-        work = [(root, iter([u for _o, u in edges.get(root, ()) if u in edges]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for child in it:
-                if child not in index:
-                    index[child] = low[child] = counter[0]
-                    counter[0] += 1
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append(
-                        (child, iter([u for _o, u in edges.get(child, ()) if u in edges]))
-                    )
-                    advanced = True
-                    break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
-            if not advanced:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        comp.append(w)
-                        if w == node:
-                            break
-                    out.append(comp)
-    return out
-
-
 def _cycle_through(graph: ReductionGraph, base, via) -> Optional[list[RedexOccurrence]]:
     """Steps base ->+ via ->+ base within the explored graph."""
     first = graph.steps(base, via)
@@ -350,7 +305,7 @@ def find_loop(
 ) -> Optional[LoopWitness]:
     """A reduction cycle visiting two terms at positive distance."""
     graph = reduction_graph(system, t0, budget=budget, depth_bound=depth_bound)
-    components = _sccs(graph.edges)
+    components = graph.components()
     # prefer a loop through the start term itself when one exists
     components.sort(key=lambda comp: (t0 not in comp, min(map(str, comp))))
     for comp in components:
@@ -399,7 +354,7 @@ def find_root_recurrence(
     """A reduction cycle that contracts a root redex: a direct witness
     against top-termination."""
     graph = reduction_graph(system, t0, budget=budget, depth_bound=depth_bound)
-    for comp in _sccs(graph.edges):
+    for comp in graph.components():
         members = set(comp)
         for t in comp:
             for occ, u in graph.edges.get(t, ()):
@@ -459,7 +414,7 @@ def _knot(t: RationalTerm, p: Position, q: Position) -> RationalTerm:
         children = list(entry[2])
         children[q[k] - 1] = fresh[k + 1]
         nodes[fresh[k]] = (entry[0], entry[1], tuple(children))
-    return _canonical(tuple(nodes), fresh[0])
+    return from_nodes(tuple(nodes), fresh[0])
 
 
 def extrapolate_limit(

@@ -22,9 +22,10 @@ from .terms import (
     RationalTerm,
     Signature,
     TermError,
-    _canonical,
+    from_nodes,
     iter_positions,
     node_at,
+    sccs,
     subterm_at_node,
     var,
     variables,
@@ -162,7 +163,7 @@ def toplayer_fill(t: RationalTerm, cut: PrincipalCut, xi: Fill) -> RationalTerm:
         children = list(entry[2])
         children[arg] = fill_roots[(idx, arg)]
         nodes[idx] = (APP, entry[1], tuple(children))
-    return _canonical(tuple(nodes), 0)
+    return from_nodes(tuple(nodes), 0)
 
 
 def _fresh_fill_var(*terms: RationalTerm) -> RationalTerm:
@@ -195,14 +196,6 @@ def toplayer_distance(
 # --- rank, principal cycles, cutoff ------------------------------------------
 
 
-def _crossing(t: RationalTerm, coloring: Coloring, cycle) -> bool:
-    for idx, arg in cycle:  # arg is 1-based, matching cycle edge lists
-        child = t.nodes[idx][2][arg - 1]
-        if _node_color(t, idx, coloring) != _node_color(t, child, coloring):
-            return True
-    return False
-
-
 def principal_cycles(
     t: RationalTerm, coloring: Coloring, m: Optional[TermMetric] = None
 ) -> list[dict]:
@@ -210,7 +203,8 @@ def principal_cycles(
     with its composed ultra-metric component when a metric is given."""
     out = []
     for cycle in simple_cycles(t):
-        if not _crossing(t, coloring, cycle):
+        colors = {_node_color(t, idx, coloring) for idx, _arg in cycle}
+        if len(colors) == 1:
             continue
         entry = {"cycle": cycle, "length": len(cycle)}
         if m is not None:
@@ -220,26 +214,24 @@ def principal_cycles(
 
 
 def rank(t: RationalTerm, coloring: Coloring):
-    """Nesting depth of alternating layers; math.inf when a color-crossing
-    cycle is reachable."""
-    memo: dict[RationalTerm, object] = {}
-
-    def go(term: RationalTerm):
-        if term.is_var:
-            return 0
-        if term in memo:
-            return memo[term]
-        if any(_crossing(term, coloring, c) for c in simple_cycles(term)):
-            memo[term] = math.inf
-            return math.inf
-        cut = ppos(term, coloring)
-        value = 0 if cut.is_empty else 1 + max(
-            go(subterm_at_node(term, child)) for child in cut.targets()
-        )
-        memo[term] = value
-        return value
-
-    return go(t)
+    """Nesting depth of alternating layers: the most color changes between
+    application nodes along a path; math.inf when a cycle crosses colors.
+    A component with no crossing edge inside takes the best edge out."""
+    value: dict[int, int] = {}
+    for comp in sccs([0], t.children_of):
+        members = set(comp)
+        best = 0
+        for idx in comp:
+            color = _node_color(t, idx, coloring)
+            for child in t.children_of(idx):
+                changes = _node_color(t, child, coloring) not in (None, color)
+                if child not in members:
+                    best = max(best, value[child] + changes)
+                elif changes:
+                    return math.inf
+        for idx in comp:
+            value[idx] = best
+    return value[0]
 
 
 def cutoff(

@@ -26,6 +26,8 @@ from .terms import (
     RationalTerm,
     Signature,
     TermError,
+    bfs_path,
+    sccs,
 )
 
 Number = Union[Fraction, float]
@@ -496,22 +498,37 @@ def cycle_component(m: TermMetric, t: RationalTerm, cycle) -> Component:
 def is_member(
     m: TermMetric, t: RationalTerm, tol: float = DEFAULT_TOL
 ) -> MemberVerdict:
-    """Does the infinite tree denoted by t lie in the metric completion?"""
+    """Does the infinite tree denoted by t lie in the metric completion?
+
+    Granular metrics: iff the strict edges (lazy weight 0) of the graph,
+    from every node, form no cyclic strongly connected component; the
+    witness is a shortest strict cycle in one.  Other metrics enumerate
+    the simple cycles, and answer unknown past the enumeration cap.
+    """
     m.check_term(t)
     if t.is_finite:
         return MemberVerdict("member", detail="finite term")
+    if m.is_granular:
+
+        def strict(idx: int) -> list[tuple[tuple[int, int], int]]:
+            return [
+                ((idx, i), child)
+                for i, child in enumerate(t.children_of(idx), start=1)
+                if lazy_weight(m.component(t.nodes[idx][1], i)) == 0
+            ]
+
+        for comp in sccs(range(len(t.nodes)), lambda idx: [k for _e, k in strict(idx)]):
+            members = set(comp)
+            cycle = bfs_path(
+                comp[0], comp[0], lambda idx: [(e, k) for e, k in strict(idx) if k in members]
+            )
+            if cycle:
+                return MemberVerdict("non_member", tuple(cycle), "cycle with no lazy edge")
+        return MemberVerdict("member", detail="every cycle has a lazy edge")
     try:
         cycles = simple_cycles(t)
     except TermError as exc:
         return MemberVerdict("unknown", detail=str(exc))
-    if m.is_granular:
-        for cycle in cycles:
-            comp = cycle_component(m, t, cycle)
-            if lazy_weight(comp) == 0:
-                return MemberVerdict(
-                    "non_member", tuple(cycle), "cycle with no lazy edge"
-                )
-        return MemberVerdict("member", detail="every cycle has a lazy edge")
     contracted = []
     for cycle in cycles:
         comp = cycle_component(m, t, cycle)
@@ -563,7 +580,12 @@ class VariableDepth:
         )
 
     def granular_level(self) -> Optional[int]:
-        """Minimum lazy-edge count over occurrences of the variable, if any."""
+        """Minimum lazy-edge count over occurrences of the variable, if any.
+
+        2^-level equals self(1) only when the term is in the completion: on
+        a non-member, such as mu X. Bin(x, Null, X) under ltree, a strict
+        cycle keeps self(1) at 1 while the level counts the lazy edges.
+        """
         if not self.metric.is_granular:
             raise TermError("granular level of a non-granular metric")
         return _lightest_path(

@@ -3,10 +3,9 @@ terms, rule classification, the indirection transform, and disjoint union."""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .metrics import (
     IDENTITY,
@@ -22,11 +21,15 @@ from .terms import (
     Signature,
     Substitution,
     TermError,
+    app,
+    bfs_path,
+    from_nodes,
     iter_positions,
     node_at,
     replace,
     substitute,
     subterm_at_node,
+    var,
     variables,
 )
 
@@ -213,42 +216,6 @@ def successors(
     return out
 
 
-def bfs_path(
-    start: Hashable,
-    goal: Hashable,
-    step: Callable[[Hashable], Iterable[tuple[object, Hashable]]],
-    budget: Optional[int] = None,
-) -> Optional[list]:
-    """Labels of a shortest path of at least one step from start to goal.
-
-    step(node) yields (label, next) pairs.  Nodes are discovered in
-    successor order and keep their first-discovery parent, so the path
-    found is the same on every run; goal == start asks for the shortest
-    nonempty cycle.  At most budget nodes are expanded when one is given.
-    None means no path was found.
-    """
-    parent: dict = {}
-    seen = {start}
-    queue = deque([start])
-    expansions = 0
-    while queue and (budget is None or expansions < budget):
-        node = queue.popleft()
-        expansions += 1
-        for label, nxt in step(node):
-            if nxt == goal:
-                path = [label]
-                while node != start:
-                    node, label = parent[node]
-                    path.append(label)
-                path.reverse()
-                return path
-            if nxt not in seen:
-                seen.add(nxt)
-                parent[nxt] = (node, label)
-                queue.append(nxt)
-    return None
-
-
 def weak_reach(
     system: ITRS,
     t: RationalTerm,
@@ -336,8 +303,6 @@ class IndirectResult:
 def indirect(system: ITRS, report: bool = False):
     """Add a fresh unary identity-metric symbol I with rules l -> I(r)
     and I(x) -> x."""
-    from .terms import app, var
-
     symbol = INDIRECTION_SYMBOL
     renamed = False
     while symbol in system.sig:
@@ -359,8 +324,6 @@ def indirect(system: ITRS, report: bool = False):
 
 def erase_indirection(t: RationalTerm, symbol: str = INDIRECTION_SYMBOL) -> RationalTerm:
     """Homomorphically drop I(...) wrappers."""
-    from .terms import _canonical
-
     redirect = {}
     for idx, entry in enumerate(t.nodes):
         if entry[0] == APP and entry[1] == symbol:
@@ -381,7 +344,7 @@ def erase_indirection(t: RationalTerm, symbol: str = INDIRECTION_SYMBOL) -> Rati
             nodes.append((APP, entry[1], tuple(resolve(c) for c in entry[2])))
         else:
             nodes.append(entry)
-    return _canonical(nodes, resolve(0))
+    return from_nodes(nodes, resolve(0))
 
 
 @dataclass(frozen=True)
@@ -426,12 +389,10 @@ def disjoint_union(left: ITRS, right: ITRS) -> UnionResult:
 
 
 def rename_symbols(t: RationalTerm, renaming: Mapping[str, str]) -> RationalTerm:
-    from .terms import _canonical
-
     nodes = []
     for entry in t.nodes:
         if entry[0] == APP:
             nodes.append((APP, renaming.get(entry[1], entry[1]), entry[2]))
         else:
             nodes.append(entry)
-    return _canonical(nodes, 0)
+    return from_nodes(nodes, 0)

@@ -10,8 +10,9 @@ forms are equal, which makes equality, hashing and sharing cheap.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 Position = tuple[int, ...]  # 1-based child indices; () is the root
 ROOT: Position = ()
@@ -102,7 +103,10 @@ class RationalTerm:
 
     @property
     def is_finite(self) -> bool:
-        return not _has_cycle(self.nodes)
+        return not any(
+            len(comp) > 1 or comp[0] in self.children_of(comp[0])
+            for comp in sccs([0], self.children_of)
+        )
 
     def __str__(self) -> str:
         return to_text(self)
@@ -111,32 +115,9 @@ class RationalTerm:
         return f"RationalTerm({to_text(self)!r})"
 
 
-def _has_cycle(nodes) -> bool:
-    state = [0] * len(nodes)  # 0 new, 1 on stack, 2 done
-    for start in range(len(nodes)):
-        if state[start]:
-            continue
-        stack = [(start, iter(nodes[start][2] if nodes[start][0] == APP else ()))]
-        state[start] = 1
-        while stack:
-            idx, it = stack[-1]
-            advanced = False
-            for child in it:
-                if state[child] == 1:
-                    return True
-                if state[child] == 0:
-                    state[child] = 1
-                    entry = nodes[child]
-                    stack.append((child, iter(entry[2] if entry[0] == APP else ())))
-                    advanced = True
-                    break
-            if not advanced:
-                state[idx] = 2
-                stack.pop()
-    return False
-
-
-def _canonical(nodes: Sequence, root: int) -> RationalTerm:
+def from_nodes(nodes: Sequence, root: int) -> RationalTerm:
+    """The canonical term rooted at node root of a raw node list, whose
+    entries are as in RationalTerm.nodes; any node may be unreachable."""
     # reachability trim
     reachable = []
     seen = {root: 0}
@@ -205,7 +186,7 @@ def _canonical(nodes: Sequence, root: int) -> RationalTerm:
 
 
 def var(name: str) -> RationalTerm:
-    return _canonical([(VAR, name)], 0)
+    return from_nodes([(VAR, name)], 0)
 
 
 FALLBACK_VAR = var(FALLBACK_VAR_NAME)
@@ -223,7 +204,7 @@ def app(symbol: str, args: Sequence[RationalTerm] = ()) -> RationalTerm:
             else:
                 nodes.append((APP, entry[1], tuple(c + offset for c in entry[2])))
     nodes[0] = (APP, symbol, tuple(roots))
-    return _canonical(nodes, 0)
+    return from_nodes(nodes, 0)
 
 
 def graph_term(spec: Mapping[str, tuple], root: str) -> RationalTerm:
@@ -239,7 +220,7 @@ def graph_term(spec: Mapping[str, tuple], root: str) -> RationalTerm:
         else:
             symbol, children = entry
             nodes.append((APP, symbol, tuple(index[c] for c in children)))
-    return _canonical(nodes, index[root])
+    return from_nodes(nodes, index[root])
 
 
 def node_at(t: RationalTerm, p: Position) -> Optional[int]:
@@ -255,7 +236,7 @@ def node_at(t: RationalTerm, p: Position) -> Optional[int]:
 
 def subterm_at_node(t: RationalTerm, idx: int) -> RationalTerm:
     """The subterm rooted at graph node idx of t."""
-    return _canonical(t.nodes, idx)
+    return from_nodes(t.nodes, idx)
 
 
 def subterm(t: RationalTerm, p: Position) -> RationalTerm:
@@ -293,7 +274,7 @@ def replace(t: RationalTerm, p: Position, u: RationalTerm) -> RationalTerm:
         return len(nodes) - 1
 
     new_root = rebuild(0, p)
-    return _canonical(nodes, new_root)
+    return from_nodes(nodes, new_root)
 
 
 def positions(t: RationalTerm, depth_bound: int) -> set[Position]:
@@ -352,6 +333,93 @@ def bisimilar(t: RationalTerm, u: RationalTerm) -> bool:
     return True
 
 
+# --- graph search ----------------------------------------------------------
+
+
+def sccs(
+    roots: Iterable[Hashable], succ: Callable[[Hashable], Iterable[Hashable]]
+) -> list[list]:
+    """Strongly connected components of the nodes reachable from roots,
+    each listed after every component it reaches (children first).
+
+    Iterative Tarjan (SIAM J. Comput. 1972), visiting roots and successors
+    in the order given.  A component is cyclic iff it has two or more
+    nodes or its one node is its own successor.
+    """
+    index: dict = {}
+    low: dict = {}
+    stack: list = []
+    on_stack: set = set()
+    work: list = []
+    out = []
+
+    def push(node):
+        index[node] = low[node] = len(index)
+        stack.append(node)
+        on_stack.add(node)
+        work.append((node, iter(succ(node))))
+
+    for root in roots:
+        if root not in index:
+            push(root)
+        while work:
+            node, it = work[-1]
+            for child in it:
+                if child not in index:
+                    push(child)
+                    break
+                if child in on_stack:
+                    low[node] = min(low[node], index[child])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    comp = []
+                    while not comp or comp[-1] != node:
+                        comp.append(stack.pop())
+                    on_stack.difference_update(comp)
+                    out.append(comp)
+    return out
+
+
+def bfs_path(
+    start: Hashable,
+    goal: Hashable,
+    step: Callable[[Hashable], Iterable[tuple[object, Hashable]]],
+    budget: Optional[int] = None,
+) -> Optional[list]:
+    """Labels of a shortest path of at least one step from start to goal.
+
+    step(node) yields (label, next) pairs.  Nodes are discovered in
+    successor order and keep their first-discovery parent, so the path
+    found is the same on every run; goal == start asks for the shortest
+    nonempty cycle.  At most budget nodes are expanded when one is given.
+    None means no path was found.
+    """
+    parent: dict = {}
+    seen = {start}
+    queue = deque([start])
+    expansions = 0
+    while queue and (budget is None or expansions < budget):
+        node = queue.popleft()
+        expansions += 1
+        for label, nxt in step(node):
+            if nxt == goal:
+                path = [label]
+                while node != start:
+                    node, label = parent[node]
+                    path.append(label)
+                path.reverse()
+                return path
+            if nxt not in seen:
+                seen.add(nxt)
+                parent[nxt] = (node, label)
+                queue.append(nxt)
+    return None
+
+
 Substitution = Mapping[str, RationalTerm]
 
 
@@ -383,7 +451,7 @@ def substitute(sigma: Substitution, t: RationalTerm) -> RationalTerm:
                 entry[1],
                 tuple(redirect.get(c, c) for c in entry[2]),
             )
-    return _canonical(nodes, redirect.get(0, 0))
+    return from_nodes(nodes, redirect.get(0, 0))
 
 
 def variables(t: RationalTerm) -> set[str]:
@@ -398,19 +466,10 @@ def term_depth(t: RationalTerm) -> int:
     """Depth of a finite term (root = depth 0)."""
     if not t.is_finite:
         raise TermError("depth of an infinite term")
-    memo: dict[int, int] = {}
-
-    def go(idx: int) -> int:
-        if idx in memo:
-            return memo[idx]
-        entry = t.nodes[idx]
-        d = 0 if entry[0] == VAR else (
-            1 + max((go(c) for c in entry[2]), default=-1)
-        )
-        memo[idx] = d
-        return d
-
-    return go(0)
+    depth: dict[int, int] = {}
+    for (idx,) in sccs([0], t.children_of):
+        depth[idx] = max((depth[c] + 1 for c in t.children_of(idx)), default=0)
+    return depth[0]
 
 
 def prefix_of(p: Position, q: Position) -> bool:

@@ -1,9 +1,10 @@
-"""Every module-level import of the itrsbench modules is used.
+"""Every module-level import of the itrsbench modules is used, and no
+module imports a private (underscore) name from another.
 
-`__init__.py` is exempt: it imports names to re-export them.  A name
-counts as used when it appears as a name in the module's code, including
-annotations, which `from __future__ import annotations` leaves unevaluated
-but still parsed, and quoted annotations.
+`__init__.py` is exempt from the first check: it imports names to
+re-export them.  A name counts as used when it appears as a name in the
+module's code, including annotations, which `from __future__ import
+annotations` leaves unevaluated but still parsed, and quoted annotations.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "itrsbench"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -52,3 +54,18 @@ def test_every_import_is_used(path):
     used = used_names(tree)
     unused = {name: line for name, line in imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name}: imported but never used: {unused}"
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_private_name_crosses_modules(path):
+    """Function-local imports count too."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    private = {
+        (alias.name, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "itrsbench")
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert not private, f"{path.name}: imports private names {sorted(private)}"

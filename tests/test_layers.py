@@ -29,9 +29,9 @@ from itrsbench import (
     var,
 )
 from itrsbench.corpus import load_union, rearrange_trace
-from itrsbench.metrics import lazy_weight
+from itrsbench.metrics import lazy_weight, simple_cycles
 from itrsbench.terms import parallel, positions
-from conftest import random_finite_term, rng_for
+from conftest import GENERIC_SIG, random_finite_term, random_rational_term, rng_for
 
 
 def rearrange_setup():
@@ -146,6 +146,58 @@ def test_rank_infinite_on_crossing_cycle():
     system, coloring = rearrange_setup()
     t = parse("mu X. J(K(Z, H(X)))", system.sig)
     assert rank(t, coloring) == math.inf
+
+
+RANK_COLORINGS = [
+    {"F": 0, "G": 1, "H": 0, "c": 1, "d": 0},
+    {"F": 1, "G": 0, "H": 0, "c": 0, "d": 0},
+    {"F": 0, "G": 0, "H": 0, "c": 1, "d": 0},  # only constants cross: finite
+]
+
+
+def node_color(t, coloring, idx):
+    entry = t.nodes[idx]
+    return None if entry[0] == "var" else coloring[entry[1]]
+
+
+def unfolded_rank(t, coloring, idx, depth):
+    """Most color changes between application nodes along the paths of at
+    most depth edges from node idx, by plain unfolding."""
+    if depth == 0:
+        return 0
+    best = 0
+    for child in t.children_of(idx):
+        child_color = node_color(t, coloring, child)
+        changes = child_color is not None and child_color != node_color(t, coloring, idx)
+        best = max(best, unfolded_rank(t, coloring, child, depth - 1) + changes)
+    return best
+
+
+def test_rank_matches_cycle_enumeration_and_unfolding():
+    """Infinite iff some simple cycle crosses colors; otherwise the most
+    color changes along an unfolding as deep as the graph is large, which
+    no path needs to exceed once no cycle crosses."""
+    rng = rng_for("layers-rank-oracle")
+    seen = set()
+    for coloring in RANK_COLORINGS:
+        for k in range(80):
+            if k % 4:
+                t = random_rational_term(rng, GENERIC_SIG, rng.randint(2, 5))
+            else:
+                t = random_finite_term(rng, GENERIC_SIG, 4)
+            crossing = any(
+                node_color(t, coloring, node)
+                != node_color(t, coloring, t.children_of(node)[i - 1])
+                for cycle in simple_cycles(t)
+                for node, i in cycle
+            )
+            got = rank(t, coloring)
+            if crossing:
+                assert got == math.inf, t
+            else:
+                assert got == unfolded_rank(t, coloring, 0, len(t.nodes)), t
+            seen.add((crossing, t.is_finite))
+    assert seen == {(True, False), (False, False), (False, True)}
 
 
 def test_principal_cycles_annotated():

@@ -4,6 +4,7 @@ component algebra."""
 
 from __future__ import annotations
 
+import math
 import sys
 from fractions import Fraction
 
@@ -25,9 +26,11 @@ from itrsbench import (
     epos,
     graph_term,
     is_member,
+    metric_granular,
     metric_id,
     metric_infty,
     parse,
+    rank,
     substitute,
     validate_metric,
     var,
@@ -230,14 +233,62 @@ def test_member_granular_needs_lazy_cycle_edge(ltree_metric):
     assert verdict.witness_cycle
 
 
+def assert_strict_cycle(m, t, cycle):
+    """cycle is a closed walk of (node, arg index) edges, each of lazy weight 0."""
+    assert cycle
+    for (node, i), (nxt, _j) in zip(cycle, cycle[1:] + cycle[:1]):
+        assert t.children_of(node)[i - 1] == nxt
+        assert lazy_weight(m.component(t.nodes[node][1], i)) == 0
+
+
+def granular_metrics(ltree_metric):
+    """infty, id, ltree and a mixed metric over the generic signature."""
+    mixed = metric_granular(
+        GENERIC_SIG, {"F": ("lazy", "strict"), "G": ("strict",), "H": ("lazy",), "c": (), "d": ()}
+    )
+    return [metric_infty(GENERIC_SIG), metric_id(GENERIC_SIG), ltree_metric, mixed]
+
+
+def test_granular_member_matches_cycle_enumeration(ltree_metric):
+    """Non-member iff some enumerated simple cycle is all strict; the
+    witness is always a closed all-strict cycle."""
+    rng = rng_for("metrics-member-granular-oracle")
+    kinds = set()
+    for m in granular_metrics(ltree_metric):
+        for _ in range(120):
+            t = random_rational_term(rng, m.sig, rng.randint(2, 7))
+            verdict = is_member(m, t)
+            strict = any(
+                all(lazy_weight(m.component(t.nodes[node][1], i)) == 0 for node, i in cycle)
+                for cycle in simple_cycles(t)
+            )
+            assert verdict.kind == ("non_member" if strict else "member"), t
+            if strict:
+                assert_strict_cycle(m, t, list(verdict.witness_cycle))
+            kinds.add(verdict.kind)
+    assert kinds == {"member", "non_member"}
+
+
 def test_member_cycle_cap_is_unknown():
-    """Node i points at i+1 and i+2: too many simple cycles to enumerate."""
+    """Node i points at i+1 and i+2: too many simple cycles to enumerate.
+
+    Only non-granular membership enumerates them; granular membership and
+    rank answer from the strongly connected components.
+    """
     n = 20
     sig = Signature({f"S{i}": 2 for i in range(n)})
     spec = {f"n{i}": (f"S{i}", [f"n{(i + 1) % n}", f"n{(i + 2) % n}"]) for i in range(n)}
-    verdict = is_member(metric_infty(sig), graph_term(spec, "n0"))
+    t = graph_term(spec, "n0")
+    expanding = TermMetric(sig, {s: (Scale(Fraction(2)),) * 2 for s in sig.symbols})
+    verdict = is_member(expanding, t)
     assert verdict.kind == "unknown"
     assert "cycle enumeration cap" in verdict.detail
+    assert is_member(metric_infty(sig), t).kind == "member"
+    verdict = is_member(metric_id(sig), t)
+    assert verdict.kind == "non_member"
+    assert_strict_cycle(metric_id(sig), t, list(verdict.witness_cycle))
+    assert rank(t, {f"S{i}": i % 2 for i in range(n)}) == math.inf
+    assert rank(t, {s: 0 for s in sig.symbols}) == 0
 
 
 # --- variable depth --------------------------------------------------------------

@@ -21,6 +21,7 @@ from itrsbench import (
     erase_indirection,
     indirect,
     is_depth_preserving,
+    is_member,
     is_pseudo_collapsing,
     match,
     metric_granular,
@@ -36,7 +37,8 @@ from itrsbench import (
     weak_reach_path,
 )
 from itrsbench.corpus import load, load_union
-from itrsbench.rewriting import bfs_path, rename_symbols
+from itrsbench.rewriting import rename_symbols
+from itrsbench.terms import bfs_path, sccs
 from conftest import GENERIC_SIG, random_finite_term, rng_for
 
 
@@ -293,7 +295,7 @@ def test_weak_reach_and_path_agree():
     assert current == u
 
 
-# --- the shared breadth-first path search --------------------------------------------
+# --- the shared graph searches: breadth-first paths and SCCs -------------------------
 
 DIAMOND = {
     "a": [("ab", "b"), ("ac", "c")],
@@ -331,3 +333,19 @@ def test_bfs_path_budget_bounds_expansions():
     expanded.clear()
     assert bfs_path(0, 3, chain, budget=2) is None
     assert expanded == [0, 1]
+
+
+def test_sccs_children_first():
+    graph = {"a": ["b"], "b": ["c", "d"], "c": ["b"], "d": [], "e": ["a", "d"]}
+    assert sccs(["a", "e"], graph.__getitem__) == [["d"], ["c", "b"], ["a"], ["e"]]
+    assert sccs(["e"], graph.__getitem__) == [["d"], ["c", "b"], ["a"], ["e"]]
+    assert sccs(["d"], graph.__getitem__) == [["d"]]
+
+
+def test_sccs_self_loop_counts_as_cyclic():
+    """A self-loop is a one-node component, told apart by its own edge."""
+    assert sccs(["x"], {"x": ["x"]}.__getitem__) == [["x"]]
+    loop = parse("mu X. G(X)", GENERIC_SIG)
+    assert not loop.is_finite
+    assert parse("G(c)", GENERIC_SIG).is_finite
+    assert is_member(metric_id(GENERIC_SIG), loop).witness_cycle == ((0, 1),)

@@ -4,6 +4,8 @@ implementation on the finite fragment."""
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -70,6 +72,18 @@ def test_finite_oracle_agreement(seed):
     assert term_depth(t) == naive_depth(n)
     for p in sorted(naive_positions(n)):
         assert naive_of(subterm(t, p)) == naive_subterm(n, p)
+
+
+def test_term_depth_of_a_chain_deeper_than_the_recursion_limit():
+    n = 5000
+    assert sys.getrecursionlimit() < n
+    spec = {f"n{i}": (f"S{i}", [f"n{i + 1}"]) for i in range(n)}
+    spec[f"n{n}"] = ("var", "x")
+    t = graph_term(spec, "n0")
+    assert t.is_finite
+    assert term_depth(t) == n
+    with pytest.raises(TermError):
+        term_depth(parse("F(mu X. G(X), c)"))
 
 
 # --- canonical forms and bisimilarity ----------------------------------------------
