@@ -77,7 +77,6 @@ from .rewriting import (
 )
 from .layers import (
     Coloring,
-    LayeredSignature,
     PrincipalCut,
     cut_positions,
     cutoff,

@@ -44,6 +44,7 @@ from .rewriting import (
     disjoint_union,
     indirect,
     match,
+    rewrite_step,
 )
 from .terms import ParseError, TermError, parse, to_text
 
@@ -199,8 +200,7 @@ def _verdict_json(verdict) -> dict:
 def _budgets(args) -> Budgets:
     return Budgets(
         loop_states=args.budget,
-        weak_reach=args.budget,
-        max_steps=getattr(args, "max_steps", 24),
+        max_steps=args.max_steps,
         tol=args.tol,
     )
 
@@ -469,12 +469,12 @@ def cmd_replay(args) -> int:
     for data in w["prefix"]:
         occ = _occ_from_json(system, t, data)
         prefix.append(occ)
-        t = _apply(system, t, occ)
+        t = rewrite_step(system, t, occ)
     cycle = []
     for data in w["cycle"]:
         occ = _occ_from_json(system, t, data)
         cycle.append(occ)
-        t = _apply(system, t, occ)
+        t = rewrite_step(system, t, occ)
     witness = LoopWitness(
         start,
         tuple(prefix),
@@ -488,16 +488,15 @@ def cmd_replay(args) -> int:
     return 0 if ok else 1
 
 
-def _apply(system, t, occ):
-    from .rewriting import rewrite_step
-
-    return rewrite_step(system, t, occ)
-
-
 def cmd_corpus(args) -> int:
-    names = args.names or None
+    unknown = sorted(set(args.names) - set(corpus_mod.FIXTURES))
+    if unknown:
+        raise InputError(
+            f"unknown fixture(s): {', '.join(unknown)}; "
+            f"available: {', '.join(sorted(corpus_mod.FIXTURES))}"
+        )
     t0 = time.time()
-    reports = corpus_mod.corpus(names)
+    reports = corpus_mod.corpus(args.names or None)
     payload = {
         "fixtures": [
             {
@@ -525,6 +524,12 @@ def cmd_corpus(args) -> int:
 
 # --- dispatcher -------------------------------------------------------------------
 
+KNOBS = {
+    "tol": dict(type=float, default=1e-9),
+    "budget": dict(type=int, default=50_000),
+    "depth-guard": dict(type=int, default=256),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
@@ -533,11 +538,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, metric=True, term=False):
+    def common(p, metric=True, term=False, knobs=()):
+        """--json everywhere, plus the knobs (of KNOBS) the command reads."""
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--budget", type=int, default=50_000)
-        p.add_argument("--depth-guard", dest="depth_guard", type=int, default=256)
+        for name in knobs:
+            p.add_argument(f"--{name}", **KNOBS[name])
         if metric:
             p.add_argument(
                 "--metric",
@@ -554,16 +559,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("distance", help="distance between two terms")
-    common(p, term=True)
+    common(p, term=True, knobs=("tol",))
     p.add_argument("--term2", required=True)
     p.set_defaults(fn=cmd_distance)
 
     p = sub.add_parser("member", help="membership in the metric completion")
-    common(p, term=True)
+    common(p, term=True, knobs=("tol",))
     p.set_defaults(fn=cmd_member)
 
     p = sub.add_parser("epos", help="epsilon-positions of a term")
-    common(p, term=True)
+    common(p, term=True, knobs=("depth-guard",))
     p.add_argument("--epsilon", required=True)
     p.set_defaults(fn=cmd_epos)
 
@@ -591,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_indirect)
 
     p = sub.add_parser("layers", help="principal cut, rank, cycles, step table")
-    common(p, term=True)
+    common(p, term=True, knobs=("depth-guard",))
     p.set_defaults(fn=cmd_layers)
 
     p = sub.add_parser("simulate", help="run a reduction and record the trace")
@@ -607,18 +612,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("analyze", help="convergence verdict with witness")
-    common(p, term=True)
+    common(p, term=True, knobs=("tol", "budget"))
     p.add_argument("--max-steps", dest="max_steps", type=int, default=24)
     p.add_argument("--out", help="write a replayable witness script")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("strong", help="strong-convergence probe")
-    common(p, term=True)
+    common(p, term=True, knobs=("tol", "budget"))
     p.add_argument("--max-steps", dest="max_steps", type=int, default=24)
     p.set_defaults(fn=cmd_strong)
 
     p = sub.add_parser("xi", help="predicate-guided top-layer simulation")
-    common(p)
+    common(p, knobs=("tol", "budget"))
     p.add_argument("--trace", required=True)
     p.add_argument("--rule", required=True)
     p.add_argument("--predicate", required=True, help="fp:<p.q.r> or kt:<term>")
@@ -634,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("replay", help="replay a witness script")
     p.add_argument("witness")
-    common(p, metric=False)
+    common(p, metric=False, knobs=("tol",))
     p.set_defaults(fn=cmd_replay)
 
     p = sub.add_parser("corpus", help="run the example corpus")

@@ -50,7 +50,6 @@ from .terms import (
 @dataclass(frozen=True)
 class Budgets:
     loop_states: int = 50_000
-    weak_reach: int = 10_000
     max_steps: int = 24
     depth_bound: int = 8
     window: int = 4
@@ -103,10 +102,6 @@ class Trace:
                 got = rewrite_step(system, seg.terms[i], occ)
                 if got != seg.terms[i + 1]:
                     raise TermError(f"trace step {i} does not replay")
-
-
-def single_segment(terms, steps, limit=None, stuck=False) -> Trace:
-    return Trace([Segment(list(terms), list(steps), limit)], stuck=stuck)
 
 
 # --- verdicts ----------------------------------------------------------------
@@ -210,10 +205,8 @@ def simulate(
     max_steps: int = 24,
     depth_bound: int = 8,
     script: Optional[Sequence[tuple[Position, str]]] = None,
-):
-    """Run one reduction path (or, for 'exhaustive', build the graph)."""
-    if strategy == "exhaustive":
-        return reduction_graph(system, t0, budget=max_steps, depth_bound=depth_bound)
+) -> Trace:
+    """Run one reduction path."""
     terms = [t0]
     steps: list[RedexOccurrence] = []
     stuck = False
@@ -237,7 +230,7 @@ def simulate(
             occ = _pick(occs, strategy)
             steps.append(occ)
             terms.append(rewrite_step(system, terms[-1], occ))
-    return single_segment(terms, steps, stuck=stuck)
+    return Trace([Segment(terms, steps)], stuck=stuck)
 
 
 @dataclass

@@ -20,8 +20,8 @@ from .terms import (
     VAR,
     Position,
     RationalTerm,
-    Signature,
     TermError,
+    append_nodes,
     from_nodes,
     iter_positions,
     node_at,
@@ -33,20 +33,6 @@ from .terms import (
 
 Coloring = Mapping[str, int]
 FILL_VAR_BASE = "hole"
-
-
-@dataclass(frozen=True)
-class LayeredSignature:
-    sig: Signature
-    coloring: Coloring
-
-    def __post_init__(self):
-        missing = set(self.sig.symbols) - set(self.coloring)
-        if missing:
-            raise TermError(f"coloring not total: {sorted(missing)}")
-
-    def color(self, symbol: str) -> int:
-        return self.coloring[symbol]
 
 
 def _node_color(t: RationalTerm, idx: int, coloring: Coloring) -> Optional[int]:
@@ -73,9 +59,6 @@ class PrincipalCut:
     @property
     def is_empty(self) -> bool:
         return not self.edges
-
-    def targets(self) -> list[int]:
-        return sorted({self.term.nodes[i][2][a] for i, a in self.edges})
 
     def positions(self, depth_bound: int) -> set[Position]:
         """Explicit principal positions with length <= depth_bound.
@@ -148,16 +131,7 @@ def toplayer_fill(t: RationalTerm, cut: PrincipalCut, xi: Fill) -> RationalTerm:
         raise TermError("fill map must cover the cut exactly")
 
     nodes = list(t.nodes)
-    fill_roots = {}
-    for edge in sorted(cut.edges):
-        offset = len(nodes)
-        nodes.extend(
-            (entry[0], entry[1], tuple(c + offset for c in entry[2]))
-            if entry[0] == APP
-            else entry
-            for entry in xi[edge].nodes
-        )
-        fill_roots[edge] = offset
+    fill_roots = {edge: append_nodes(nodes, xi[edge]) for edge in sorted(cut.edges)}
     for idx, arg in cut.edges:
         entry = nodes[idx]
         children = list(entry[2])

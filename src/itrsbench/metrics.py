@@ -603,14 +603,3 @@ class VariableDepth:
 def vdepth(m: TermMetric, t: RationalTerm, x: str) -> VariableDepth:
     m.check_term(t)
     return VariableDepth(m, t, x)
-
-
-def d_infty_leq_check(
-    m: TermMetric, t: RationalTerm, u: RationalTerm
-) -> tuple[Number, Number, bool]:
-    """d_infty(t,u) <= d_m(t,u) for granular m; returns both distances."""
-    if not m.is_granular:
-        raise TermError("comparison check requires a granular metric")
-    d_inf = distance(metric_infty(m.sig), t, u)
-    d_m = distance(m, t, u)
-    return d_inf, d_m, d_inf <= d_m

@@ -19,7 +19,6 @@ from .terms import (
     Position,
     RationalTerm,
     Signature,
-    Substitution,
     TermError,
     app,
     bfs_path,
@@ -27,8 +26,6 @@ from .terms import (
     iter_positions,
     node_at,
     replace,
-    substitute,
-    subterm_at_node,
     var,
     variables,
 )
@@ -72,10 +69,6 @@ class Rule:
                     if sub[0] == VAR:
                         counts[sub[1]] = counts.get(sub[1], 0) + 1
         return all(c <= 1 for c in counts.values())
-
-
-def is_collapsing(rule: Rule) -> bool:
-    return rule.is_collapsing
 
 
 @dataclass
@@ -139,43 +132,48 @@ def classify_itrs(system: "ITRS") -> ClassificationReport:
 # --- matching and stepping --------------------------------------------------
 
 
-def match(lhs: RationalTerm, t: RationalTerm, p: Position) -> Optional[Substitution]:
-    """Match the finite pattern lhs against the subterm of t at p.
+def match(lhs: RationalTerm, t: RationalTerm, p: Position) -> Optional[dict[str, int]]:
+    """Match the pattern lhs against the subterm of t at p.
 
-    Repeated pattern variables require bisimilar (canonically equal)
-    bindings.  Returns the substitution or None.
+    Returns the binding of each pattern variable to a node of t, or None.
+    A repeated variable must meet one node twice, which in a canonical
+    graph means bisimilar subterms.  Pairs already checked are skipped,
+    so a cyclic pattern matches coinductively instead of looping.
     """
     root = node_at(t, p)
     if root is None:
         return None
-    binding: dict[str, RationalTerm] = {}
-
-    def go(pat_idx: int, sub_idx: int) -> bool:
+    binding: dict[str, int] = {}
+    seen = set()
+    stack = [(0, root)]
+    while stack:
+        pair = stack.pop()
+        if pair in seen:
+            continue
+        seen.add(pair)
+        pat_idx, idx = pair
         entry = lhs.nodes[pat_idx]
         if entry[0] == VAR:
-            bound = subterm_at_node(t, sub_idx)
-            prior = binding.get(entry[1])
-            if prior is None:
-                binding[entry[1]] = bound
-                return True
-            return prior == bound
-        sub_entry = t.nodes[sub_idx]
+            if binding.setdefault(entry[1], idx) != idx:
+                return None
+            continue
+        sub_entry = t.nodes[idx]
         if sub_entry[0] != APP or sub_entry[1] != entry[1]:
-            return False
+            return None
         if len(sub_entry[2]) != len(entry[2]):
-            return False
-        return all(go(pc, sc) for pc, sc in zip(entry[2], sub_entry[2]))
-
-    if go(0, root):
-        return binding
-    return None
+            return None
+        stack.extend(zip(entry[2], sub_entry[2]))
+    return binding
 
 
 @dataclass(frozen=True)
 class RedexOccurrence:
+    """rule applies at position; binding maps each variable of the rule's
+    lhs to a node of the term the occurrence was found in."""
+
     position: Position
     rule: Rule
-    binding: Mapping[str, RationalTerm]
+    binding: Mapping[str, int]
 
 
 def redexes(
@@ -197,7 +195,7 @@ def rewrite_step(system: ITRS, t: RationalTerm, occ: RedexOccurrence) -> Rationa
     sigma = match(occ.rule.lhs, t, occ.position)
     if sigma is None:
         raise StaleOccurrence(f"{occ.rule.name} no longer matches at {occ.position}")
-    return replace(t, occ.position, substitute(sigma, occ.rule.rhs))
+    return replace(t, occ.position, occ.rule.rhs, sigma)
 
 
 def successors(
@@ -208,7 +206,7 @@ def successors(
     seen = set()
     out = []
     for occ in redexes(system, t, depth_bound):
-        result = replace(t, occ.position, substitute(occ.binding, occ.rule.rhs))
+        result = replace(t, occ.position, occ.rule.rhs, occ.binding)
         key = (occ.position, occ.rule.name, result)
         if key not in seen:
             seen.add(key)

@@ -75,10 +75,6 @@ class RationalTerm:
     nodes: tuple  # entry i: ("var", name) or ("app", sym, (child, ...))
 
     @property
-    def root_entry(self):
-        return self.nodes[0]
-
-    @property
     def is_var(self) -> bool:
         return self.nodes[0][0] == VAR
 
@@ -86,9 +82,6 @@ class RationalTerm:
     def root_symbol(self) -> str:
         entry = self.nodes[0]
         return entry[1]
-
-    def entry(self, idx: int):
-        return self.nodes[idx]
 
     def children_of(self, idx: int) -> tuple[int, ...]:
         entry = self.nodes[idx]
@@ -194,17 +187,24 @@ FALLBACK_VAR = var(FALLBACK_VAR_NAME)
 
 def app(symbol: str, args: Sequence[RationalTerm] = ()) -> RationalTerm:
     nodes: list = [None]
-    roots = []
-    for arg in args:
-        offset = len(nodes)
-        roots.append(offset)
-        for entry in arg.nodes:
-            if entry[0] == VAR:
-                nodes.append(entry)
-            else:
-                nodes.append((APP, entry[1], tuple(c + offset for c in entry[2])))
-    nodes[0] = (APP, symbol, tuple(roots))
+    nodes[0] = (APP, symbol, tuple(append_nodes(nodes, arg) for arg in args))
     return from_nodes(nodes, 0)
+
+
+def append_nodes(nodes: list, t: RationalTerm, binding: Mapping[str, int] = {}) -> int:
+    """Copy t's graph onto the end of the raw node list nodes and return
+    the index of the copy's root.  A variable that binding maps to an
+    index of nodes stands for that node instead of itself."""
+    offset = len(nodes)
+    where = [
+        binding.get(entry[1], offset + i) if entry[0] == VAR else offset + i
+        for i, entry in enumerate(t.nodes)
+    ]
+    nodes.extend(
+        entry if entry[0] == VAR else (APP, entry[1], tuple(where[c] for c in entry[2]))
+        for entry in t.nodes
+    )
+    return where[0]
 
 
 def graph_term(spec: Mapping[str, tuple], root: str) -> RationalTerm:
@@ -247,34 +247,30 @@ def subterm(t: RationalTerm, p: Position) -> RationalTerm:
     return subterm_at_node(t, idx)
 
 
-def replace(t: RationalTerm, p: Position, u: RationalTerm) -> RationalTerm:
+def replace(
+    t: RationalTerm, p: Position, u: RationalTerm, binding: Mapping[str, int] = {}
+) -> RationalTerm:
     """t with the subterm at p replaced by u; t itself when p is invalid.
 
-    Rebuilds a fresh spine along p, so replacement inside a cycle cuts it.
+    A variable of u that binding maps to a node of t stands for the
+    subterm of t at that node, so replace(t, p, rhs, match(lhs, t, p)) is
+    one rewrite step.  A fresh spine is built along p, so replacement
+    inside a cycle cuts it.
     """
     if node_at(t, p) is None:
         return t
     nodes = list(t.nodes)
-    offset = len(nodes)
-    for entry in u.nodes:
-        if entry[0] == VAR:
-            nodes.append(entry)
-        else:
-            nodes.append((APP, entry[1], tuple(c + offset for c in entry[2])))
-
-    def rebuild(idx: int, rest: Position) -> int:
-        if not rest:
-            return offset
+    new = append_nodes(nodes, u, binding)
+    spine = [0]
+    for i in p[:-1]:
+        spine.append(nodes[spine[-1]][2][i - 1])
+    for idx, i in zip(reversed(spine), reversed(p)):
         entry = nodes[idx]
-        i = rest[0]
-        new_child = rebuild(entry[2][i - 1], rest[1:])
         children = list(entry[2])
-        children[i - 1] = new_child
+        children[i - 1] = new
         nodes.append((APP, entry[1], tuple(children)))
-        return len(nodes) - 1
-
-    new_root = rebuild(0, p)
-    return from_nodes(nodes, new_root)
+        new = len(nodes) - 1
+    return from_nodes(nodes, new)
 
 
 def positions(t: RationalTerm, depth_bound: int) -> set[Position]:
@@ -425,33 +421,11 @@ Substitution = Mapping[str, RationalTerm]
 
 def substitute(sigma: Substitution, t: RationalTerm) -> RationalTerm:
     """Homomorphic application; variables outside dom(sigma) unchanged."""
-    if not sigma:
+    nodes: list = []
+    binding = {x: append_nodes(nodes, sigma[x]) for x in variables(t) if x in sigma}
+    if not binding:
         return t
-    nodes = list(t.nodes)
-    redirect: dict[int, int] = {}
-    for idx, entry in enumerate(t.nodes):
-        if entry[0] == VAR and entry[1] in sigma:
-            image = sigma[entry[1]]
-            offset = len(nodes)
-            for sub_entry in image.nodes:
-                if sub_entry[0] == VAR:
-                    nodes.append(sub_entry)
-                else:
-                    nodes.append(
-                        (APP, sub_entry[1], tuple(c + offset for c in sub_entry[2]))
-                    )
-            redirect[idx] = offset
-    if not redirect:
-        return t
-    for idx in range(len(t.nodes)):
-        entry = nodes[idx]
-        if entry[0] == APP:
-            nodes[idx] = (
-                APP,
-                entry[1],
-                tuple(redirect.get(c, c) for c in entry[2]),
-            )
-    return from_nodes(nodes, redirect.get(0, 0))
+    return from_nodes(nodes, append_nodes(nodes, t, binding))
 
 
 def variables(t: RationalTerm) -> set[str]:
@@ -635,35 +609,53 @@ def to_text(t: RationalTerm) -> str:
         names[idx] = base
         used.add(base)
 
-    def render(idx: int, active: frozenset[int]) -> str:
+    pieces: list[str] = []
+    stack: list = [(0, frozenset())]  # pending (node, enclosing binders) or text
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            pieces.append(item)
+            continue
+        idx, active = item
         entry = t.nodes[idx]
         if idx in active:
-            return names[idx]
+            pieces.append(names[idx])
+            continue
         if entry[0] == VAR:
-            return entry[1]
-        inner = active | ({idx} if idx in names else frozenset())
-        args = ", ".join(render(c, inner) for c in entry[2])
-        body = f"{entry[1]}({args})" if entry[2] else entry[1]
+            pieces.append(entry[1])
+            continue
         if idx in names:
-            return f"mu {names[idx]}. {body}"
-        return body
-
-    return render(0, frozenset())
+            pieces.append(f"mu {names[idx]}. ")
+            active = active | {idx}
+        pieces.append(entry[1])
+        children = entry[2]
+        if children:
+            pieces.append("(")
+            stack.append(")")
+            for k in range(len(children) - 1, -1, -1):
+                stack.append((children[k], active))
+                if k:
+                    stack.append(", ")
+    return "".join(pieces)
 
 
 def _loop_nodes(t: RationalTerm) -> set[int]:
     """Nodes that some path re-enters (need a mu binder when printing)."""
     loops: set[int] = set()
-    state: dict[int, int] = {}
-
-    def dfs(idx: int):
-        state[idx] = 1
-        for child in t.children_of(idx):
-            if state.get(child) == 1:
+    on_path = {0}
+    done: set[int] = set()
+    work = [(0, iter(t.children_of(0)))]
+    while work:
+        idx, it = work[-1]
+        for child in it:
+            if child in on_path:
                 loops.add(child)
-            elif child not in state:
-                dfs(child)
-        state[idx] = 2
-
-    dfs(0)
+            elif child not in done:
+                on_path.add(child)
+                work.append((child, iter(t.children_of(child))))
+                break
+        else:
+            work.pop()
+            on_path.remove(idx)
+            done.add(idx)
     return loops

@@ -134,6 +134,25 @@ def test_corpus_subcommand(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+def test_corpus_unknown_name_is_input_error(capsys):
+    assert run_command(["corpus", "toyama", "nosuch"]) == 2
+    err = capsys.readouterr().err
+    assert "nosuch" in err and "zantema" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "ltree", "--budget", "3"], ["check", "ltree", "--tol", "5"],
+     ["vdepth", "--metric", "ltree", "--term", "x", "--var", "x", "--depth-guard", "4"],
+     ["epos", "--metric", "ltree", "--term", "x", "--epsilon", "1", "--budget", "4"]],
+)
+def test_options_exist_only_where_read(files, argv):
+    argv = [files.get(a, a) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        run_command(argv)
+    assert exc.value.code == 2
+
+
 def test_layers_subcommand(files, capsys):
     assert run_command(
         ["layers", "--metric", files["exa-layers-r"], files["exa-layers-s"],

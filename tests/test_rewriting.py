@@ -29,7 +29,9 @@ from itrsbench import (
     metric_infty,
     parse,
     redexes,
+    replace,
     rewrite_step,
+    substitute,
     subterm,
     successors,
     var,
@@ -38,8 +40,8 @@ from itrsbench import (
 )
 from itrsbench.corpus import load, load_union
 from itrsbench.rewriting import rename_symbols
-from itrsbench.terms import bfs_path, sccs
-from conftest import GENERIC_SIG, random_finite_term, rng_for
+from itrsbench.terms import bfs_path, iter_positions, node_at, sccs, subterm_at_node
+from conftest import GENERIC_SIG, random_finite_term, random_rational_term, rng_for
 
 
 # --- a naive finite-term rewriter oracle ------------------------------------------
@@ -122,7 +124,69 @@ def test_nonlinear_match_uses_bisimilarity():
     t = app("F", [one, two, var("z")])
     sigma = match(rule.lhs, t, ())
     assert sigma is not None
-    assert sigma["x"] == one
+    assert subterm_at_node(t, sigma["x"]) == one
+
+
+def match_by_subterms(lhs, t, p):
+    """Bind each variable to the subterm it meets; repeated variables
+    must meet equal subterms."""
+    if node_at(t, p) is None:
+        return None
+    sigma = {}
+    for q, idx in iter_positions(lhs, len(lhs.nodes)):
+        node = node_at(t, p + q)
+        if lhs.nodes[idx][0] == "var":
+            sub = subterm_at_node(t, node)
+            if sigma.setdefault(lhs.nodes[idx][1], sub) != sub:
+                return None
+        elif t.label_of(node) != lhs.label_of(idx):
+            return None
+    return sigma
+
+
+@pytest.mark.parametrize(
+    "sources",
+    [("exnonlin-r", "exnonlin-s"), ("zantema",), ("collapsing-r", "collapsing-s")],
+    ids=lambda sources: sources[0],
+)
+def test_rewriting_on_nodes_equals_substituting_subterms(sources):
+    """Non-left-linear and collapsing rules on random cyclic terms."""
+    system = load_union(*sources)[0] if len(sources) == 2 else load(*sources).system
+    rng = rng_for(f"rw-nodes-{sources[0]}")
+    steps = 0
+    for _ in range(40):
+        t = random_rational_term(rng, system.sig, rng.randint(1, 7))
+        want = set()
+        for p, _idx in iter_positions(t, 4):
+            for rule in system.rules:
+                sigma = match_by_subterms(rule.lhs, t, p)
+                binding = match(rule.lhs, t, p)
+                assert (binding is None) == (sigma is None)
+                if sigma is not None:
+                    assert {x: subterm_at_node(t, i) for x, i in binding.items()} == sigma
+                    want.add((p, rule.name, replace(t, p, substitute(sigma, rule.rhs))))
+        got = successors(system, t, depth_bound=4)
+        assert {(occ.position, occ.rule.name, result) for occ, result in got} == want
+        for occ, result in got:
+            assert rewrite_step(system, t, occ) == result
+        steps += len(got)
+    assert steps > 40
+
+
+def test_match_refuses_a_repeated_variable_on_two_nodes():
+    system = load("zantema").system
+    lhs = system.rule("g").lhs
+    assert match(lhs, parse("G(mu X. S(X), S(E))", system.sig), ()) is None
+    t = parse("G(mu X. S(X), mu X. S(S(X)))", system.sig)
+    binding = match(lhs, t, ())
+    assert binding == {"x": node_at(t, (1,))} == {"x": node_at(t, (2,))}
+
+
+def test_match_with_a_cyclic_pattern_terminates():
+    sig = Signature({"S": 1, "E": 0})
+    lhs = parse("mu X. S(X)", sig)
+    assert match(lhs, parse("mu X. S(S(X))", sig), ()) == {}
+    assert match(lhs, parse("S(S(E))", sig), ()) is None
 
 
 def test_rewrite_step_stale_occurrence():

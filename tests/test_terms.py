@@ -195,11 +195,12 @@ def test_substitute_into_cycle():
 
 @pytest.mark.parametrize(
     "text",
-    ["x", "c", "F(x, y)", "F(G(H(c)), d)", "mu X. F(X, c)", "F(mu X. G(X), x)"],
+    ["x", "c", "F(x, y)", "F(G(H(c)), d)", "mu X. F(X, c)", "F(mu X. G(X), x)",
+     "F(G(c), G(c))", "mu X. F(X, G(X))"],
 )
 def test_parse_print_round_trip(text):
     t = parse(text, GENERIC_SIG)
-    assert parse(to_text(t), GENERIC_SIG) == t
+    assert to_text(t) == text
 
 
 def test_parse_round_trip_randomized():
@@ -207,6 +208,24 @@ def test_parse_round_trip_randomized():
     for _ in range(200):
         t = random_rational_term(rng, GENERIC_SIG, 5)
         assert parse(to_text(t), GENERIC_SIG) == t
+
+
+@pytest.mark.parametrize("ring", [True, False], ids=["ring", "chain"])
+def test_print_deeper_than_the_recursion_limit(ring):
+    """Distinct symbols, so canonicalisation settles in one round."""
+    n = 2000
+    assert sys.getrecursionlimit() < n
+    spec = {f"n{i}": (f"S{i}", [f"n{(i + 1) % n if ring else i + 1}"]) for i in range(n)}
+    if not ring:
+        spec[f"n{n}"] = ("var", "x")
+    t = graph_term(spec, "n0")
+    text = to_text(t)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10 * n)  # parse still recurses once per nesting level
+    try:
+        assert parse(text) == t
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_parse_errors():
