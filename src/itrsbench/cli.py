@@ -198,11 +198,7 @@ def _verdict_json(verdict) -> dict:
 
 
 def _budgets(args) -> Budgets:
-    return Budgets(
-        loop_states=args.budget,
-        max_steps=args.max_steps,
-        tol=args.tol,
-    )
+    return Budgets(loop_states=args.budget, max_steps=args.max_steps)
 
 
 # --- subcommand bodies ----------------------------------------------------------
@@ -229,14 +225,14 @@ def cmd_distance(args) -> int:
     f, system, _ = _load_metric_arg(args.metric)
     t = _term(f, args.term)
     u = _term(f, args.term2)
-    d = distance(system.metric, t, u, tol=args.tol)
+    d = distance(system.metric, t, u)
     _emit({"distance": _num(d)}, args.json)
     return 0
 
 
 def cmd_member(args) -> int:
     f, system, _ = _load_metric_arg(args.metric)
-    verdict = is_member(system.metric, _term(f, args.term), tol=args.tol)
+    verdict = is_member(system.metric, _term(f, args.term))
     _emit(
         {
             "kind": verdict.kind,
@@ -304,7 +300,7 @@ def cmd_union(args) -> int:
 
 def cmd_indirect(args) -> int:
     f = _load_file(args.file)
-    result = indirect(f.system, report=True)
+    result = indirect(f.system)
     out = ItrsFile("custom", result.system, dict(f.terms))
     text = print_itrs(out)
     if args.out:
@@ -325,9 +321,7 @@ def cmd_layers(args) -> int:
     cycles = principal_cycles(t, coloring, system.metric)
     report = {
         "cut_edges": sorted(list(e) for e in cut.edges),
-        "principal_positions": sorted(
-            list(p) for p in cut.positions(args.depth_guard if args.depth_guard < 16 else 8)
-        ),
+        "principal_positions": sorted(list(p) for p in cut.positions(8)),
         "rank": str(rank(t, coloring)),
         "cycles": [
             {"length": c["length"], "component": str(c.get("component"))}
@@ -414,7 +408,7 @@ def cmd_xi(args) -> int:
         s = Kt(_term(f, args.predicate[3:]), system, budget=args.budget)
     else:
         raise InputError("predicate must be fp:<position> or kt:<term>")
-    rep = xi_trace(system, tr, rule, s, coloring, tol=args.tol)
+    rep = xi_trace(system, tr, rule, s, coloring)
     if args.out:
         write_trace(args.out, rep.trace)
     _emit(
@@ -483,7 +477,7 @@ def cmd_replay(args) -> int:
         parse(w["distinct"], system.sig),
         w["separation"],
     )
-    ok = replay_loop(system, witness, tol=args.tol)
+    ok = replay_loop(system, witness)
     _emit({"replayed": ok}, args.json)
     return 0 if ok else 1
 
@@ -525,7 +519,6 @@ def cmd_corpus(args) -> int:
 # --- dispatcher -------------------------------------------------------------------
 
 KNOBS = {
-    "tol": dict(type=float, default=1e-9),
     "budget": dict(type=int, default=50_000),
     "depth-guard": dict(type=int, default=256),
 }
@@ -559,12 +552,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("distance", help="distance between two terms")
-    common(p, term=True, knobs=("tol",))
+    common(p, term=True)
     p.add_argument("--term2", required=True)
     p.set_defaults(fn=cmd_distance)
 
     p = sub.add_parser("member", help="membership in the metric completion")
-    common(p, term=True, knobs=("tol",))
+    common(p, term=True)
     p.set_defaults(fn=cmd_member)
 
     p = sub.add_parser("epos", help="epsilon-positions of a term")
@@ -596,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_indirect)
 
     p = sub.add_parser("layers", help="principal cut, rank, cycles, step table")
-    common(p, term=True, knobs=("depth-guard",))
+    common(p, term=True)
     p.set_defaults(fn=cmd_layers)
 
     p = sub.add_parser("simulate", help="run a reduction and record the trace")
@@ -612,18 +605,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("analyze", help="convergence verdict with witness")
-    common(p, term=True, knobs=("tol", "budget"))
+    common(p, term=True, knobs=("budget",))
     p.add_argument("--max-steps", dest="max_steps", type=int, default=24)
     p.add_argument("--out", help="write a replayable witness script")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("strong", help="strong-convergence probe")
-    common(p, term=True, knobs=("tol", "budget"))
+    common(p, term=True, knobs=("budget",))
     p.add_argument("--max-steps", dest="max_steps", type=int, default=24)
     p.set_defaults(fn=cmd_strong)
 
     p = sub.add_parser("xi", help="predicate-guided top-layer simulation")
-    common(p, knobs=("tol", "budget"))
+    common(p, knobs=("budget",))
     p.add_argument("--trace", required=True)
     p.add_argument("--rule", required=True)
     p.add_argument("--predicate", required=True, help="fp:<p.q.r> or kt:<term>")
@@ -639,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("replay", help="replay a witness script")
     p.add_argument("witness")
-    common(p, metric=False, knobs=("tol",))
+    common(p, metric=False)
     p.set_defaults(fn=cmd_replay)
 
     p = sub.add_parser("corpus", help="run the example corpus")

@@ -4,6 +4,7 @@ probes, and the predicate-guided top-layer simulation."""
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Union
 
@@ -15,6 +16,7 @@ from .layers import (
     toplayer_fill,
 )
 from .metrics import (
+    TOL,
     MemberVerdict,
     TermMetric,
     distance,
@@ -52,12 +54,12 @@ class Budgets:
     loop_states: int = 50_000
     max_steps: int = 24
     depth_bound: int = 8
-    window: int = 4
-    tol: float = 1e-9
-    extrapolate_period: int = 8
 
 
 DEFAULT_BUDGETS = Budgets()
+WINDOW = 4  # terms per sliding diameter
+MAX_PERIOD = 8  # longest pumping period extrapolate_limit tries
+REACH_DEPTH = 8  # redex depth of the weak-reachability and step checks
 
 
 # --- traces ------------------------------------------------------------------
@@ -154,7 +156,7 @@ def unknown(budget, note=""):
     return Verdict("unknown", budget=budget, note=note)
 
 
-def replay_loop(system: ITRS, w: LoopWitness, tol: float = 1e-9) -> bool:
+def replay_loop(system: ITRS, w: LoopWitness) -> bool:
     """Re-execute a loop witness from scratch."""
     t = w.start
     for occ in w.prefix:
@@ -169,7 +171,7 @@ def replay_loop(system: ITRS, w: LoopWitness, tol: float = 1e-9) -> bool:
     return (
         t == w.base
         and saw_distinct
-        and float(distance(system.metric, w.base, w.distinct, tol=tol)) > tol
+        and float(distance(system.metric, w.base, w.distinct)) > TOL
     )
 
 
@@ -257,8 +259,6 @@ class ReductionGraph:
 def reduction_graph(
     system: ITRS, t0: RationalTerm, budget: int = 50_000, depth_bound: int = 8
 ) -> ReductionGraph:
-    from collections import deque
-
     edges: dict = {}
     queue = deque([t0])
     seen = {t0}
@@ -294,7 +294,6 @@ def find_loop(
     t0: RationalTerm,
     budget: int = 50_000,
     depth_bound: int = 8,
-    tol: float = 1e-9,
 ) -> Optional[LoopWitness]:
     """A reduction cycle visiting two terms at positive distance."""
     graph = reduction_graph(system, t0, budget=budget, depth_bound=depth_bound)
@@ -311,15 +310,15 @@ def find_loop(
         # the shortest nonempty cycle through the base usually already
         # visits a separated term; fall back to steering through one
         cycle = graph.steps(base, base)
-        witness = cycle and _distinct_on_cycle(system, base, cycle, tol)
+        witness = cycle and _distinct_on_cycle(system, base, cycle)
         if witness is not None:
             other, sep = witness
             return LoopWitness(t0, tuple(prefix), tuple(cycle), base, other, sep)
         for other in sorted(comp, key=str):
             if other == base:
                 continue
-            sep = distance(system.metric, base, other, tol=tol)
-            if float(sep) <= tol:
+            sep = distance(system.metric, base, other)
+            if float(sep) <= TOL:
                 continue
             cycle = _cycle_through(graph, base, other)
             if cycle is None:
@@ -328,12 +327,12 @@ def find_loop(
     return None
 
 
-def _distinct_on_cycle(system: ITRS, base, cycle, tol):
+def _distinct_on_cycle(system: ITRS, base, cycle):
     t = base
     for occ in cycle:
         t = rewrite_step(system, t, occ)
-        sep = distance(system.metric, base, t, tol=tol)
-        if t != base and float(sep) > tol:
+        sep = distance(system.metric, base, t)
+        if t != base and float(sep) > TOL:
             return t, sep
     return None
 
@@ -366,7 +365,7 @@ def find_root_recurrence(
 # --- diameters and limits ------------------------------------------------------
 
 
-def sliding_diameter(m: TermMetric, tr: Trace, window: int, tol: float = 1e-9) -> list:
+def sliding_diameter(m: TermMetric, tr: Trace, window: int) -> list:
     if window < 2:
         raise TermError("window must be at least 2")
     terms = tr.all_terms()
@@ -375,7 +374,7 @@ def sliding_diameter(m: TermMetric, tr: Trace, window: int, tol: float = 1e-9) -
         chunk = terms[i : i + window]
         out.append(
             max(
-                distance(m, a, b, tol=tol)
+                distance(m, a, b)
                 for j, a in enumerate(chunk)
                 for b in chunk[j + 1 :]
             )
@@ -410,9 +409,7 @@ def _knot(t: RationalTerm, p: Position, q: Position) -> RationalTerm:
     return from_nodes(tuple(nodes), fresh[0])
 
 
-def extrapolate_limit(
-    seg: Segment, max_period: int = 8
-) -> Optional[RationalTerm]:
+def extrapolate_limit(seg: Segment) -> Optional[RationalTerm]:
     """Rational limit of a context-pumping segment.
 
     Detects redex positions descending along one spine with a fixed
@@ -424,7 +421,7 @@ def extrapolate_limit(
         return seg.terms[0]
     n = len(seg.steps)
     pos = [occ.position for occ in seg.steps]
-    for period in range(1, max_period + 1):
+    for period in range(1, MAX_PERIOD + 1):
         for start in range(0, n - 2 * period + 1):
             q = pos[start + period][len(pos[start]) :]
             if not q or pos[start + period][: len(pos[start])] != pos[start]:
@@ -457,43 +454,31 @@ def classify_convergence(
     system: ITRS,
     t0: RationalTerm,
     budgets: Budgets = DEFAULT_BUDGETS,
-    strategy: str = "leftmost-outermost",
 ) -> Verdict:
-    """Loop search, then limit extrapolation plus membership, then a
-    sliding-diameter floor; honest Unknown otherwise."""
-    loop = find_loop(
-        system,
-        t0,
-        budget=budgets.loop_states,
-        depth_bound=budgets.depth_bound,
-        tol=budgets.tol,
-    )
+    """Loop search, then limit extrapolation of the leftmost-outermost run
+    plus membership, then a sliding-diameter floor; honest Unknown
+    otherwise."""
+    loop = find_loop(system, t0, budget=budgets.loop_states, depth_bound=budgets.depth_bound)
     if loop is not None:
         return diverging(loop)
 
-    tr = simulate(
-        system,
-        t0,
-        strategy=strategy,
-        max_steps=budgets.max_steps,
-        depth_bound=budgets.depth_bound,
-    )
-    limit = extrapolate_limit(tr.segments[-1], max_period=budgets.extrapolate_period)
+    tr = simulate(system, t0, max_steps=budgets.max_steps, depth_bound=budgets.depth_bound)
+    limit = extrapolate_limit(tr.segments[-1])
     if limit is not None and tr.segments[-1].steps:
-        membership = is_member(system.metric, limit, tol=budgets.tol)
+        membership = is_member(system.metric, limit)
         if membership.kind == "non_member":
             return diverging(NonMemberLimitWitness(limit, membership))
         if membership.kind == "member":
-            return converging(limit, note=f"strategy {strategy}")
+            return converging(limit, note="strategy leftmost-outermost")
     if tr.stuck:
         return converging(tr.all_terms()[-1], note="normal form reached")
 
-    diams = sliding_diameter(system.metric, tr, budgets.window, tol=budgets.tol)
+    diams = sliding_diameter(system.metric, tr, WINDOW)
     if diams:
         floor = min(float(d) for d in diams)
-        if floor > budgets.tol:
+        if floor > TOL:
             return diverging(
-                DiameterFloorWitness(floor, budgets.window, tuple(diams)),
+                DiameterFloorWitness(floor, WINDOW, tuple(diams)),
                 note="desk-scale evidence, not a proof",
             )
     return unknown(budgets)
@@ -513,11 +498,10 @@ def strong_convergence_probe(
     system: ITRS,
     t0: RationalTerm,
     budgets: Budgets = DEFAULT_BUDGETS,
-    strategy: str = "leftmost-outermost",
 ) -> StrongReport:
     """Convergence of the indirected system, plus a direct root-redex
     recurrence check."""
-    verdict = classify_convergence(indirect(system), t0, budgets, strategy)
+    verdict = classify_convergence(indirect(system).system, t0, budgets)
     recurrence = find_root_recurrence(
         system, t0, budget=budgets.loop_states, depth_bound=budgets.depth_bound
     )
@@ -542,7 +526,6 @@ def focussed_probe(
     tr: Trace,
     p: Position,
     budget: int = 10_000,
-    depth_bound: int = 8,
 ) -> FocussedReport:
     """Evaluate the focussed-sequence predicate on the recorded subterm
     sequence at p, with bounded reachability as the weak-reduction oracle."""
@@ -554,7 +537,7 @@ def focussed_probe(
         key = (a, b)
         if key not in reach_cache:
             reach_cache[key] = weak_reach_path(
-                system, a, b, budget=budget, depth_bound=depth_bound
+                system, a, b, budget=budget, depth_bound=REACH_DEPTH
             )
         return reach_cache[key]
 
@@ -595,7 +578,6 @@ class Fp:
     system: ITRS
     coloring: Coloring
     budget: int = 10_000
-    depth_bound: int = 8
 
     def __call__(self, beta: tuple, term: RationalTerm) -> bool:
         for gamma, t in self.trace.indexed_terms():
@@ -610,7 +592,7 @@ class Fp:
                 term,
                 subterm(t, self.position),
                 budget=self.budget,
-                depth_bound=self.depth_bound,
+                depth_bound=REACH_DEPTH,
             ):
                 return True
         return False
@@ -623,11 +605,10 @@ class Kt:
     anchor: RationalTerm
     system: ITRS
     budget: int = 10_000
-    depth_bound: int = 8
 
     def __call__(self, beta: tuple, term: RationalTerm) -> bool:
         return not weak_reach(
-            self.system, self.anchor, term, budget=self.budget, depth_bound=self.depth_bound
+            self.system, self.anchor, term, budget=self.budget, depth_bound=REACH_DEPTH
         )
 
 
@@ -650,8 +631,6 @@ def xi_trace(
     rule: Rule,
     s: Callable,
     coloring: Coloring,
-    window: int = 4,
-    tol: float = 1e-9,
 ) -> XiReport:
     """The simulated top-layer sequence: every recorded term is filled at
     its principal cut with l or r as the predicate sequence directs, each
@@ -709,11 +688,10 @@ def xi_trace(
             odd, after = sim_terms[2 * i + 1], sim_terms[2 * i + 2]
             if odd == after:
                 continue
+            bound = max(REACH_DEPTH, len(seg.steps[i].position) + 2)
             stepped = any(
                 res == after
-                for _occ, res in successors(
-                    root_system, odd, depth_bound=max(8, len(seg.steps[i].position) + 2)
-                )
+                for _occ, res in successors(root_system, odd, depth_bound=bound)
             )
             if not stepped:
                 violations.append(
@@ -727,11 +705,11 @@ def xi_trace(
 
     violations.extend(_monotone_violations(system, s, evaluated))
     sim_trace = Trace(out_segments)
-    diams = sliding_diameter(system.metric, sim_trace, window, tol=tol)
+    diams = sliding_diameter(system.metric, sim_trace, WINDOW)
     # Cauchy-ness is a tail property: measure the floor on the last segment
-    tail = sliding_diameter(system.metric, Trace(out_segments[-1:]), window, tol=tol)
+    tail = sliding_diameter(system.metric, Trace(out_segments[-1:]), WINDOW)
     floor = min((float(d) for d in tail), default=0.0)
-    return XiReport(sim_trace, flip_counts, violations, diams, floor <= tol)
+    return XiReport(sim_trace, flip_counts, violations, diams, floor <= TOL)
 
 
 def _sim_segment(terms, limit):
@@ -769,7 +747,6 @@ def cutoff_trace(
     n: int,
     u: RationalTerm,
     coloring: Coloring,
-    depth_bound: int = 8,
 ) -> CutoffReport:
     """Pointwise cutoff of a recorded trace; every step must become a
     reduction step again or a stutter."""
@@ -786,7 +763,7 @@ def cutoff_trace(
             if a == b:
                 stutters.append(index)
             else:
-                bound = max(depth_bound, len(seg.steps[i].position) + 2)
+                bound = max(REACH_DEPTH, len(seg.steps[i].position) + 2)
                 hits = [
                     occ
                     for occ, res in successors(system, a, depth_bound=bound)

@@ -22,7 +22,7 @@ from .convergence import (
     Fp,
 )
 from .itrsfile import ItrsFile, parse_itrs
-from .metrics import distance, is_member
+from .metrics import TOL, distance, is_member
 from .rewriting import (
     RedexOccurrence,
     disjoint_union,
@@ -304,7 +304,7 @@ def fixture_string() -> FixtureReport:
     verdict = classify_convergence(
         system,
         tr.all_terms()[0],
-        budgets=Budgets(loop_states=2_000, max_steps=18, depth_bound=24, window=4),
+        budgets=Budgets(loop_states=2_000, max_steps=18, depth_bound=24),
     )
     diams = sliding_diameter(system.metric, tr, 4)
     floor = min(float(d) for d in diams)
@@ -313,7 +313,7 @@ def fixture_string() -> FixtureReport:
         [
             Check(
                 "sliding diameter keeps a positive floor",
-                floor > 1e-9,
+                floor > TOL,
                 f"floor={floor}",
             ),
             Check(

@@ -155,7 +155,6 @@ def toplayer_distance(
     coloring: Coloring,
     t: RationalTerm,
     u: RationalTerm,
-    tol: float = 1e-9,
 ):
     """Distance of the two top-layer skeletons, gaps filled with one
     shared fresh variable."""
@@ -164,7 +163,7 @@ def toplayer_distance(
     hole = _fresh_fill_var(t, u)
     skel_t = toplayer_fill(t, ppos(t, coloring), hole)
     skel_u = toplayer_fill(u, ppos(u, coloring), hole)
-    return distance(m, skel_t, skel_u, tol=tol)
+    return distance(m, skel_t, skel_u)
 
 
 # --- rank, principal cycles, cutoff ------------------------------------------

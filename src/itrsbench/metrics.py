@@ -33,7 +33,7 @@ from .terms import (
 Number = Union[Fraction, float]
 
 ITER_BUDGET = 10_000
-DEFAULT_TOL = 1e-9
+TOL = 1e-9  # floats closer than this, to each other or to 0, count as equal
 DEFAULT_DEPTH_GUARD = 256
 
 
@@ -265,9 +265,7 @@ def metric_granular(sig: Signature, laziness: Mapping[str, Sequence[str]]) -> Te
 # --- distance --------------------------------------------------------------
 
 
-def distance(
-    m: TermMetric, t: RationalTerm, u: RationalTerm, tol: float = DEFAULT_TOL
-) -> Number:
+def distance(m: TermMetric, t: RationalTerm, u: RationalTerm) -> Number:
     m.check_term(t)
     m.check_term(u)
     if t == u:
@@ -278,7 +276,7 @@ def distance(
         # path to a root-symbol clash
         best = _lightest_path((0, 0), clash, edges)
         return Fraction(0) if best is None else Fraction(1, 2**best)
-    return _fixpoint((0, 0), edges, lambda pair: Fraction(clash(pair)), tol)
+    return _fixpoint((0, 0), edges, lambda pair: Fraction(clash(pair)))
 
 
 def _product(m: TermMetric, t: RationalTerm, u: RationalTerm):
@@ -331,7 +329,6 @@ def _fixpoint(
     root: Hashable,
     edges: Callable[[Hashable], Sequence[tuple[Component, Hashable]]],
     leaf: Callable[[Hashable], Number],
-    tol: float,
 ) -> Number:
     """Value at root of the greatest solution of v(n) = leaf(n) at nodes
     without edges and v(n) = max(c(v(k)) for c, k in edges(n)) elsewhere.
@@ -342,7 +339,7 @@ def _fixpoint(
     and the answer is then exact; a value that changes while its float
     image does not (the values have underflowed a float), or 4 sweeps per
     swept node plus 64, move them to floats, swept until the largest
-    change is below tol.
+    change is below TOL.
     """
     succ = {root: edges(root)}
     parents: dict[Hashable, list] = {}
@@ -389,7 +386,7 @@ def _fixpoint(
                 step = abs(float(new) - float(value[n]))
                 changed, blurred, delta = True, blurred or not step, max(delta, step)
                 value[n] = new
-        if not (changed and cyclic) or (limit is None and (delta < tol or sweeps >= ITER_BUDGET)):
+        if not (changed and cyclic) or (limit is None and (delta < TOL or sweeps >= ITER_BUDGET)):
             return value[root]
         if limit is not None and (blurred or sweeps >= limit):
             value = {n: float(v) for n, v in value.items()}
@@ -495,9 +492,7 @@ def cycle_component(m: TermMetric, t: RationalTerm, cycle) -> Component:
     return compose(*parts)
 
 
-def is_member(
-    m: TermMetric, t: RationalTerm, tol: float = DEFAULT_TOL
-) -> MemberVerdict:
+def is_member(m: TermMetric, t: RationalTerm) -> MemberVerdict:
     """Does the infinite tree denoted by t lie in the metric completion?
 
     Granular metrics: iff the strict edges (lazy weight 0) of the graph,
@@ -536,14 +531,14 @@ def is_member(
         verdict = None
         for _ in range(ITER_BUDGET):
             nxt = comp(x)
-            if nxt < tol:
+            if nxt < TOL:
                 verdict = "contracts"
                 break
-            if nxt == x or abs(float(nxt) - float(x)) < tol * 1e-3:
+            if nxt == x or abs(float(nxt) - float(x)) < TOL * 1e-3:
                 verdict = "fixed"
                 break
             x = nxt
-        if verdict == "fixed" and float(x) > tol:
+        if verdict == "fixed" and float(x) > TOL:
             return MemberVerdict(
                 "non_member",
                 tuple(cycle),
@@ -576,7 +571,6 @@ class VariableDepth:
             0,
             self._edges,
             lambda idx: y if self.term.nodes[idx] == (VAR, self.variable) else Fraction(0),
-            DEFAULT_TOL,
         )
 
     def granular_level(self) -> Optional[int]:

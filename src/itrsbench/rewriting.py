@@ -33,6 +33,7 @@ from .terms import (
 INDIRECTION_SYMBOL = "I"
 DEFAULT_WEAK_BUDGET = 10_000
 DEFAULT_REDEX_DEPTH = 6
+DEPTH_SAMPLES = 33  # non-granular depth maps are compared at k/33, k = 0..33
 
 
 class StaleOccurrence(TermError):
@@ -78,6 +79,10 @@ class ITRS:
     rules: list[Rule]
 
     def __post_init__(self):
+        names = [r.name for r in self.rules]
+        twice = sorted({n for n in names if names.count(n) > 1})
+        if twice:
+            raise TermError(f"rule names used twice: {twice}")
         report = classify_itrs(self)
         rejected = [
             (name, flags)
@@ -201,17 +206,12 @@ def rewrite_step(system: ITRS, t: RationalTerm, occ: RedexOccurrence) -> Rationa
 def successors(
     system: ITRS, t: RationalTerm, depth_bound: int = DEFAULT_REDEX_DEPTH
 ) -> list[tuple[RedexOccurrence, RationalTerm]]:
-    """One-step reducts with redex depth <= depth_bound, deduplicated up to
-    bisimilarity of (position, rule, result)."""
-    seen = set()
-    out = []
-    for occ in redexes(system, t, depth_bound):
-        result = replace(t, occ.position, occ.rule.rhs, occ.binding)
-        key = (occ.position, occ.rule.name, result)
-        if key not in seen:
-            seen.add(key)
-            out.append((occ, result))
-    return out
+    """One-step reducts with redex depth <= depth_bound: one per redex
+    occurrence, in the order of redexes."""
+    return [
+        (occ, replace(t, occ.position, occ.rule.rhs, occ.binding))
+        for occ in redexes(system, t, depth_bound)
+    ]
 
 
 def weak_reach(
@@ -260,9 +260,7 @@ class DepthVerdict:
     witness: Optional[tuple] = None  # (variable, sample point, lhs, rhs)
 
 
-def is_depth_preserving(
-    m: TermMetric, rule: Rule, samples: int = 33
-) -> DepthVerdict:
+def is_depth_preserving(m: TermMetric, rule: Rule) -> DepthVerdict:
     """Do steps of this rule preserve every variable's depth?
 
     Granular metrics are decided exactly via minimal lazy-edge counts;
@@ -280,8 +278,8 @@ def is_depth_preserving(
     for x in variables(rule.lhs):
         left_map = vdepth(m, rule.lhs, x)
         right_map = vdepth(m, rule.rhs, x)
-        for k in range(samples + 1):
-            y = Fraction(k, samples)
+        for k in range(DEPTH_SAMPLES + 1):
+            y = Fraction(k, DEPTH_SAMPLES)
             lv, rv = left_map(y), right_map(y)
             if float(lv) < float(rv) - 1e-12:
                 return DepthVerdict("fail", (x, y, lv, rv))
@@ -298,9 +296,9 @@ class IndirectResult:
     renamed: bool
 
 
-def indirect(system: ITRS, report: bool = False):
+def indirect(system: ITRS) -> IndirectResult:
     """Add a fresh unary identity-metric symbol I with rules l -> I(r)
-    and I(x) -> x."""
+    and I(x) -> x, the latter named I-erase unless that name is taken."""
     symbol = INDIRECTION_SYMBOL
     renamed = False
     while symbol in system.sig:
@@ -313,11 +311,11 @@ def indirect(system: ITRS, report: bool = False):
     rules = [
         Rule(r.name, r.lhs, app(symbol, [r.rhs])) for r in system.rules
     ]
-    rules.append(Rule(f"{symbol}-erase", app(symbol, [var("x")]), var("x")))
-    out = ITRS(sig, metric, rules)
-    if report:
-        return IndirectResult(out, symbol, renamed)
-    return out
+    erase = f"{symbol}-erase"
+    while any(r.name == erase for r in rules):
+        erase += "#"
+    rules.append(Rule(erase, app(symbol, [var("x")]), var("x")))
+    return IndirectResult(ITRS(sig, metric, rules), symbol, renamed)
 
 
 def erase_indirection(t: RationalTerm, symbol: str = INDIRECTION_SYMBOL) -> RationalTerm:
@@ -354,36 +352,37 @@ class UnionResult:
 
 
 def disjoint_union(left: ITRS, right: ITRS) -> UnionResult:
-    """Coproduct: union signature with deterministic #1/#2 renaming of
-    clashes; ultra-metric components carried over unchanged."""
-    clashes = set(left.sig.symbols) & set(right.sig.symbols)
-    rename_left = {
-        s: (s + "#1" if s in clashes else s) for s in left.sig.symbols
-    }
-    rename_right = {
-        s: (s + "#2" if s in clashes else s) for s in right.sig.symbols
-    }
-    symbols = {}
-    comps = {}
-    coloring = {}
-    for side, renaming, system in (
-        (0, rename_left, left),
-        (1, rename_right, right),
-    ):
+    """Coproduct: union signature and rules with deterministic #1/#2
+    renaming of clashing symbols and rule names; ultra-metric components
+    carried over unchanged."""
+    symbols: dict = {}
+    comps: dict = {}
+    coloring: dict = {}
+    rules: list[Rule] = []
+    renamings = []
+    for side, system, other in ((0, left, right), (1, right, left)):
+        tag = f"#{side + 1}"
+        renaming = _tag_clashes(system.sig.symbols, other.sig.symbols, tag)
+        names = _tag_clashes(
+            [r.name for r in system.rules], [r.name for r in other.rules], tag
+        )
         for old, new in renaming.items():
             symbols[new] = system.sig.arity(old)
             comps[new] = system.metric.components[old]
             coloring[new] = side
+        rules += [
+            Rule(names[r.name], rename_symbols(r.lhs, renaming), rename_symbols(r.rhs, renaming))
+            for r in system.rules
+        ]
+        renamings.append(renaming)
     sig = Signature(symbols)
-    metric = TermMetric(sig, comps)
-    rules = [
-        Rule(r.name, rename_symbols(r.lhs, rename_left), rename_symbols(r.rhs, rename_left))
-        for r in left.rules
-    ] + [
-        Rule(r.name, rename_symbols(r.lhs, rename_right), rename_symbols(r.rhs, rename_right))
-        for r in right.rules
-    ]
-    return UnionResult(ITRS(sig, metric, rules), rename_left, rename_right, coloring)
+    return UnionResult(ITRS(sig, TermMetric(sig, comps), rules), *renamings, coloring)
+
+
+def _tag_clashes(names, others, tag: str) -> dict[str, str]:
+    """Each name, with tag appended when others has it too."""
+    clashes = set(names) & set(others)
+    return {n: (n + tag if n in clashes else n) for n in names}
 
 
 def rename_symbols(t: RationalTerm, renaming: Mapping[str, str]) -> RationalTerm:

@@ -432,10 +432,6 @@ def variables(t: RationalTerm) -> set[str]:
     return {entry[1] for entry in t.nodes if entry[0] == VAR}
 
 
-def symbols_used(t: RationalTerm) -> set[str]:
-    return {entry[1] for entry in t.nodes if entry[0] == APP}
-
-
 def term_depth(t: RationalTerm) -> int:
     """Depth of a finite term (root = depth 0)."""
     if not t.is_finite:

@@ -137,13 +137,11 @@ def test_criterion_04_exa_layers2_union_members():
         (left, "mu X. G(X)"),
         (right, "mu X. H(X)"),
     ):
-        verdict = is_member(system.metric, parse(text, system.sig), tol=TOL)
+        verdict = is_member(system.metric, parse(text, system.sig))
         assert verdict.kind == "non_member"
     union = disjoint_union(left, right).system
-    assert is_member(union.metric, parse("mu X. F(F(H(X)))", union.sig),
-                     tol=TOL).kind == "member"
-    assert is_member(union.metric, parse("mu X. G(H(X))", union.sig),
-                     tol=TOL).kind == "non_member"
+    assert is_member(union.metric, parse("mu X. F(F(H(X)))", union.sig)).kind == "member"
+    assert is_member(union.metric, parse("mu X. G(H(X))", union.sig)).kind == "non_member"
     report(4, "exa-layers2 constituents admit no infinite terms; the union does")
 
 

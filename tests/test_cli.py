@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from itrsbench.cli import run_command
+from itrsbench import disjoint_union, parse, parse_itrs, simulate
+from itrsbench.cli import read_trace, run_command, write_trace
 from itrsbench.corpus import ITRS_SOURCES
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -144,13 +145,27 @@ def test_corpus_unknown_name_is_input_error(capsys):
     "argv",
     [["check", "ltree", "--budget", "3"], ["check", "ltree", "--tol", "5"],
      ["vdepth", "--metric", "ltree", "--term", "x", "--var", "x", "--depth-guard", "4"],
-     ["epos", "--metric", "ltree", "--term", "x", "--epsilon", "1", "--budget", "4"]],
+     ["epos", "--metric", "ltree", "--term", "x", "--epsilon", "1", "--budget", "4"],
+     ["analyze", "--metric", "ltree", "--term", "x", "--tol", "5"],
+     ["replay", "witness.json", "--tol", "5"],
+     ["layers", "--metric", "ltree", "ltree", "--term", "x", "--depth-guard", "4"]],
 )
 def test_options_exist_only_where_read(files, argv):
     argv = [files.get(a, a) for a in argv]
     with pytest.raises(SystemExit) as exc:
         run_command(argv)
     assert exc.value.code == 2
+
+
+def test_trace_round_trip_on_a_union_with_shared_rule_names(tmp_path):
+    toyama_s = parse_itrs(ITRS_SOURCES["toyama-s"]).system
+    union = disjoint_union(toyama_s, toyama_s).system
+    assert [r.name for r in union.rules] == ["left#1", "right#1", "left#2", "right#2"]
+    path = str(tmp_path / "t.jsonl")
+    write_trace(path, simulate(union, parse("G#2(x, y)", union.sig), max_steps=1))
+    again = read_trace(path, union)
+    assert [occ.rule.name for occ in again.segments[0].steps] == ["left#2"]
+    again.validate(union)
 
 
 def test_layers_subcommand(files, capsys):

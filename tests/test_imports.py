@@ -1,5 +1,6 @@
-"""Every module-level import of the itrsbench modules is used, and no
-module imports a private (underscore) name from another.
+"""Every module-level import of the itrsbench modules is used, no module
+imports a private (underscore) name from another, and every public
+top-level function or class is referenced somewhere.
 
 `__init__.py` is exempt from the first check: it imports names to
 re-export them.  A name counts as used when it appears as a name in the
@@ -17,6 +18,13 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "itrsbench"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 ALL_MODULES = sorted(PACKAGE.glob("*.py"))
+ROOT = PACKAGE.parent.parent
+CODE = [
+    p
+    for d in ("src", "tests", "bench", "scripts")
+    for p in sorted((ROOT / d).rglob("*.py"))
+    if p.name != "__init__.py"
+]
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -69,3 +77,35 @@ def test_no_private_name_crosses_modules(path):
         if alias.name.startswith("_")
     }
     assert not private, f"{path.name}: imports private names {sorted(private)}"
+
+
+def referenced_names(node: ast.AST) -> set[str]:
+    """Names and attribute names in node's code, plus string constants
+    that are identifiers (names looked up with getattr, quoted types)."""
+    out = used_names(node)
+    for part in ast.walk(node):
+        if isinstance(part, ast.Attribute):
+            out.add(part.attr)
+        elif isinstance(part, ast.Constant) and isinstance(part.value, str):
+            if part.value.isidentifier():
+                out.add(part.value)
+    return out
+
+
+def test_every_public_name_is_referenced():
+    """A public top-level function or class of the package is referenced
+    in src, tests, bench or scripts, outside its own definition; the
+    re-exports of __init__.py do not count."""
+    statements = []  # (path, top-level statement, names it references)
+    for path in CODE:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        statements += [(path, stmt, referenced_names(stmt)) for stmt in tree.body]
+    dead = [
+        f"{path.name}: {stmt.name}"
+        for path, stmt, _names in statements
+        if path.parent == PACKAGE
+        and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and not stmt.name.startswith("_")
+        and not any(stmt.name in names for _p, other, names in statements if other is not stmt)
+    ]
+    assert not dead, f"defined but never referenced: {dead}"

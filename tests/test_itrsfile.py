@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from itrsbench import ParseError
+from itrsbench import ParseError, TermError
 from itrsbench.corpus import ITRS_SOURCES
 from itrsbench.itrsfile import ItrsFile, parse_itrs, print_itrs
 
@@ -57,6 +57,11 @@ def test_variable_lhs_rejected():
 def test_extra_variable_rejected():
     with pytest.raises(Exception):
         parse_itrs("metric infty\nsig F/1\nsig G/2\nrule bad: F(x) -> G(x, y)\n")
+
+
+def test_duplicate_rule_name_rejected():
+    with pytest.raises(TermError, match="twice"):
+        parse_itrs("metric infty\nsig F/1\nrule a: F(x) -> x\nrule a: F(F(x)) -> x\n")
 
 
 def test_missing_header():

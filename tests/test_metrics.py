@@ -37,7 +37,6 @@ from itrsbench import (
     vdepth,
 )
 from itrsbench.metrics import (
-    DEFAULT_TOL,
     _fixpoint,
     _product,
     component_problems,
@@ -171,7 +170,7 @@ def test_distance_pins_exactly_the_bisimilar_pairs(name):
                     stack.append(pair)
         zero = {
             pair for pair in pairs
-            if _fixpoint(pair, edges, lambda q: Fraction(clash(q)), DEFAULT_TOL) == 0
+            if _fixpoint(pair, edges, lambda q: Fraction(clash(q))) == 0
         }
         assert zero == {
             (a, b) for a, b in pairs

@@ -281,7 +281,7 @@ def test_depth_preserving_exact_for_granular():
 
 def test_indirect_shape():
     system = load("exa-layers-r").system
-    result = indirect(system, report=True)
+    result = indirect(system)
     assert result.symbol == "I"
     assert not result.renamed
     names = {r.name for r in result.system.rules}
@@ -293,14 +293,21 @@ def test_indirect_renames_on_clash():
     sig = Signature({"I": 1, "F": 1})
     m = metric_infty(sig)
     system = ITRS(sig, m, [Rule("r", app("F", [var("x")]), app("I", [var("x")]))])
-    result = indirect(system, report=True)
+    result = indirect(system)
     assert result.renamed
     assert result.symbol == "I#"
 
 
+def test_indirect_erase_rule_gets_a_fresh_name():
+    sig = Signature({"F": 1})
+    system = ITRS(sig, metric_infty(sig), [Rule("I-erase", app("F", [var("x")]), var("x"))])
+    names = [r.name for r in indirect(system).system.rules]
+    assert names == ["I-erase", "I-erase#"]
+
+
 def test_indirect_then_erase_recovers_reducts():
     system = toyama_union()
-    ind = indirect(system)
+    ind = indirect(system).system
     rng = rng_for("rw-indirect")
     for _ in range(30):
         t = random_finite_term(rng, system.sig, 3)
