@@ -327,6 +327,7 @@ def cmd_layers(args) -> int:
             {"length": c["length"], "component": str(c.get("component"))}
             for c in cycles
         ],
+        "cycles_truncated": cycles.truncated or None,
     }
     if system.metric.is_granular:
         path = []

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
 from .metrics import (
+    Cycles,
     TermMetric,
     cycle_component,
     distance,
@@ -171,11 +172,14 @@ def toplayer_distance(
 
 def principal_cycles(
     t: RationalTerm, coloring: Coloring, m: Optional[TermMetric] = None
-) -> list[dict]:
+) -> Cycles:
     """Simple cycles of the term graph that cross a color boundary, each
-    with its composed ultra-metric component when a metric is given."""
-    out = []
-    for cycle in simple_cycles(t):
+    with its composed ultra-metric component when a metric is given.
+    Only the cycles within the enumeration cap are looked at; the
+    result's truncated field says when that cut the list short."""
+    cycles = simple_cycles(t)
+    out = Cycles(truncated=cycles.truncated)
+    for cycle in cycles:
         colors = {_node_color(t, idx, coloring) for idx, _arg in cycle}
         if len(colors) == 1:
             continue

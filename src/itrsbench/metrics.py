@@ -453,9 +453,19 @@ class MemberVerdict:
         return self.kind == "member"
 
 
-def simple_cycles(t: RationalTerm) -> list[list[tuple[int, int]]]:
-    """All simple cycles of the term graph as edge lists (node, arg index)."""
-    cycles: list[list[tuple[int, int]]] = []
+class Cycles(list):
+    """Simple cycles, each an edge list (node, arg index).  truncated is
+    empty when the list is complete, and names the cap when it is not."""
+
+    def __init__(self, cycles=(), truncated: str = ""):
+        super().__init__(cycles)
+        self.truncated = truncated
+
+
+def simple_cycles(t: RationalTerm) -> Cycles:
+    """The simple cycles of the term graph, up to ITER_BUDGET of them;
+    past the cap the enumeration stops and the list says so."""
+    cycles = Cycles()
     seen_keys: set[tuple] = set()
     for start in range(len(t.nodes)):
         on_path = {start}
@@ -468,6 +478,11 @@ def simple_cycles(t: RationalTerm) -> list[list[tuple[int, int]]]:
                     cycle = path + [(idx, i)]
                     nodes_key = frozenset(cycle)
                     if nodes_key not in seen_keys:
+                        if len(cycles) == ITER_BUDGET:
+                            cycles.truncated = (
+                                f"cycle enumeration cap of {ITER_BUDGET} cycles exceeded"
+                            )
+                            return cycles
                         seen_keys.add(nodes_key)
                         cycles.append(cycle)
                 elif child > start and child not in on_path:
@@ -480,8 +495,6 @@ def simple_cycles(t: RationalTerm) -> list[list[tuple[int, int]]]:
                 on_path.discard(idx)
                 if path:
                     path.pop()
-        if len(cycles) > ITER_BUDGET:
-            raise TermError(f"cycle enumeration cap of {ITER_BUDGET} cycles exceeded")
     return cycles
 
 
@@ -520,10 +533,9 @@ def is_member(m: TermMetric, t: RationalTerm) -> MemberVerdict:
             if cycle:
                 return MemberVerdict("non_member", tuple(cycle), "cycle with no lazy edge")
         return MemberVerdict("member", detail="every cycle has a lazy edge")
-    try:
-        cycles = simple_cycles(t)
-    except TermError as exc:
-        return MemberVerdict("unknown", detail=str(exc))
+    cycles = simple_cycles(t)
+    if cycles.truncated:
+        return MemberVerdict("unknown", detail=cycles.truncated)
     contracted = []
     for cycle in cycles:
         comp = cycle_component(m, t, cycle)

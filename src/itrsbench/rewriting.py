@@ -360,11 +360,13 @@ def disjoint_union(left: ITRS, right: ITRS) -> UnionResult:
     coloring: dict = {}
     rules: list[Rule] = []
     renamings = []
+    given_symbols: set[str] = set()
+    given_names: set[str] = set()
     for side, system, other in ((0, left, right), (1, right, left)):
         tag = f"#{side + 1}"
-        renaming = _tag_clashes(system.sig.symbols, other.sig.symbols, tag)
+        renaming = _tag_clashes(system.sig.symbols, other.sig.symbols, tag, given_symbols)
         names = _tag_clashes(
-            [r.name for r in system.rules], [r.name for r in other.rules], tag
+            [r.name for r in system.rules], [r.name for r in other.rules], tag, given_names
         )
         for old, new in renaming.items():
             symbols[new] = system.sig.arity(old)
@@ -379,10 +381,21 @@ def disjoint_union(left: ITRS, right: ITRS) -> UnionResult:
     return UnionResult(ITRS(sig, TermMetric(sig, comps), rules), *renamings, coloring)
 
 
-def _tag_clashes(names, others, tag: str) -> dict[str, str]:
-    """Each name, with tag appended when others has it too."""
-    clashes = set(names) & set(others)
-    return {n: (n + tag if n in clashes else n) for n in names}
+def _tag_clashes(names, others, tag: str, given: set[str]) -> dict[str, str]:
+    """Each name, with tag appended when others has it too, and appended
+    again until the tagged name is free in names, in others and in given.
+    given collects the names handed out, across calls."""
+    taken = set(names) | set(others)
+    out = {}
+    for n in names:
+        new = n
+        if n in others:
+            new = n + tag
+            while new in taken or new in given:
+                new += tag
+        out[n] = new
+        given.add(new)
+    return out
 
 
 def rename_symbols(t: RationalTerm, renaming: Mapping[str, str]) -> RationalTerm:

@@ -2,14 +2,17 @@
 
 A rational term is a finite rooted labeled graph; finite terms are the
 acyclic case.  Every constructor canonicalizes: the graph is trimmed to
-the part reachable from the root, bisimilar nodes are merged by partition
-refinement, and nodes are renumbered in depth-first preorder (root = 0).
-Two terms denote the same (possibly infinite) tree iff their canonical
-forms are equal, which makes equality, hashing and sharing cheap.
+the part reachable from the root, bisimilar nodes are merged by Hopcroft's
+O(m log n) partition refinement, and nodes are renumbered in depth-first
+preorder (root = 0).  Two terms denote the same (possibly infinite) tree
+iff their canonical forms are equal, which makes equality, hashing and
+sharing cheap.  Live terms are interned weakly, so equal terms built while
+one is alive are the same object.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -65,7 +68,9 @@ class Signature:
         return Signature(merged)
 
 
-_INTERN: dict[tuple, "RationalTerm"] = {}
+# Canonical node tuple -> its one live term.  Weak, so a term leaves the
+# table once nothing else refers to it, and long runs stay bounded.
+_INTERN: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True)
@@ -111,57 +116,95 @@ class RationalTerm:
 def from_nodes(nodes: Sequence, root: int) -> RationalTerm:
     """The canonical term rooted at node root of a raw node list, whose
     entries are as in RationalTerm.nodes; any node may be unreachable."""
-    # reachability trim
-    reachable = []
-    seen = {root: 0}
-    queue = [root]
-    while queue:
-        idx = queue.pop()
-        reachable.append(idx)
+    # trim: number the live nodes densely (live[k] is node k's raw index)
+    number = {root: 0}
+    live = [root]
+    kids: list[tuple[int, ...]] = []
+    for idx in live:  # live grows while it is walked
         entry = nodes[idx]
-        if entry[0] == APP:
-            for child in entry[2]:
-                if child not in seen:
-                    seen[child] = len(seen)
-                    queue.append(child)
-    live = sorted(seen, key=seen.get)
+        if entry[0] == VAR:
+            kids.append(())
+            continue
+        ks = []
+        for child in entry[2]:
+            k = number.get(child)
+            if k is None:
+                k = number[child] = len(live)
+                live.append(child)
+            ks.append(k)
+        kids.append(tuple(ks))
 
-    # partition refinement: merge bisimilar nodes
-    block: dict[int, int] = {}
+    # initial partition by label
+    block: list[int] = []
+    members: list[set[int]] = []
     labels: dict = {}
-    for idx in live:
+    for k, idx in enumerate(live):
         entry = nodes[idx]
         label = (VAR, entry[1]) if entry[0] == VAR else (APP, entry[1], len(entry[2]))
-        block[idx] = labels.setdefault(label, len(labels))
-    while True:
-        sigs: dict = {}
-        new_block: dict[int, int] = {}
-        for idx in live:
-            entry = nodes[idx]
-            children = entry[2] if entry[0] == APP else ()
-            sig = (block[idx], tuple(block[c] for c in children))
-            new_block[idx] = sigs.setdefault(sig, len(sigs))
-        if len(sigs) == len(set(block.values())):
-            block = new_block
-            break
-        block = new_block
+        b = labels.get(label)
+        if b is None:
+            b = labels[label] = len(members)
+            members.append(set())
+        members[b].add(k)
+        block.append(b)
 
-    # quotient + preorder renumbering from the root's block
-    rep: dict[int, int] = {}
-    for idx in live:
-        rep.setdefault(block[idx], idx)
-    order: dict[int, int] = {}
-    out: list = []
-    stack = [block[root]]
-    order[block[root]] = 0
-    out.append(None)
+    # Hopcroft refinement to the coarsest partition stable under every
+    # child index (bisimilarity): Hopcroft 1971, in the splitter form of
+    # Paige & Tarjan, SIAM J. Comput. 1987.  A node's children are the
+    # transitions of a deterministic automaton whose letters are the child
+    # indices; every block starts waiting, and a block that splits while
+    # not waiting queues only its smaller part, so O(m log n) in all.
+    if len(members) < len(live):
+        preds: list[list[tuple[int, int]]] = [[] for _ in live]
+        for p, ks in enumerate(kids):
+            for i, k in enumerate(ks):
+                preds[k].append((i, p))
+        waiting = list(range(len(members)))
+        is_waiting = [True] * len(members)
+        while waiting:
+            b = waiting.pop()
+            is_waiting[b] = False
+            by_letter: dict[int, list[int]] = {}
+            for k in list(members[b]):  # b itself may split below
+                for i, p in preds[k]:
+                    by_letter.setdefault(i, []).append(p)
+            for parents in by_letter.values():
+                touched: dict[int, list[int]] = {}
+                for p in parents:
+                    touched.setdefault(block[p], []).append(p)
+                for c, part in touched.items():
+                    if len(part) == len(members[c]):
+                        continue
+                    d = len(members)
+                    moved = set(part)
+                    members[c] -= moved
+                    members.append(moved)
+                    for p in part:
+                        block[p] = d
+                    if is_waiting[c] or len(part) <= len(members[c]):
+                        waiting.append(d)
+                        is_waiting.append(True)
+                    else:
+                        waiting.append(c)
+                        is_waiting[c] = True
+                        is_waiting.append(False)
+
+    # quotient + preorder renumbering from the root's block; every node of
+    # a block has the block's label and child blocks, so any one will do
+    rep = [0] * len(members)
+    for k, b in enumerate(block):
+        rep[b] = k
+    order: dict[int, int] = {block[0]: 0}
+    out: list = [None]
+    stack = [block[0]]
     while stack:
         b = stack.pop()
-        entry = nodes[rep[b]]
+        k = rep[b]
+        entry = nodes[live[k]]
         if entry[0] == VAR:
             out[order[b]] = (VAR, entry[1])
         else:
-            child_blocks = [block[c] for c in entry[2]]
+            child_blocks = [block[c] for c in kids[k]]
             pending = []
             for cb in child_blocks:
                 if cb not in order:
@@ -516,66 +559,83 @@ def parse(text: str, sig: Optional[Signature] = None) -> RationalTerm:
             return name in sig
         return name[0].isupper() or name[0].isdigit()
 
-    def parse_term(bound: dict[str, str]) -> str:
-        tok = toks.take()
-        if tok is None:
-            raise ParseError("unexpected end of input", *toks.location())
-        if tok == "mu":
-            loop_var = toks.take()
-            if loop_var is None or not loop_var[0].isalnum():
-                raise ParseError("expected a mu-bound name", *toks.location())
-            toks.expect(".")
-            node = fresh("mu")
-            body = parse_term({**bound, loop_var: node})
-            spec[node] = ("@alias", [body])
-            return node
-        if not (tok[0].isalnum() or tok[0] in "_'"):
-            raise ParseError(f"unexpected token {tok!r}", *toks.location())
-        if tok in bound:
-            node = fresh("ref")
-            spec[node] = ("@ref", [bound[tok]])
-            return node
-        if toks.peek() == "(":
-            toks.take()
-            args = []
-            if toks.peek() != ")":
-                args.append(parse_term(bound))
-                while toks.peek() == ",":
-                    toks.take()
-                    args.append(parse_term(bound))
-            toks.expect(")")
-            if sig is not None:
-                if tok not in sig:
-                    raise ParseError(f"unknown symbol {tok}", *toks.location())
-                if sig.arity(tok) != len(args):
-                    raise ParseError(
-                        f"{tok} expects {sig.arity(tok)} arguments", *toks.location()
-                    )
-            node = fresh("app")
-            spec[node] = (tok, args)
-            return node
-        node = fresh("leaf")
-        if is_symbol(tok):
-            if sig is not None and sig.arity(tok) != 0:
-                raise ParseError(f"{tok} is not nullary", *toks.location())
-            spec[node] = (tok, [])
-        else:
-            if tok == FALLBACK_VAR_NAME:
-                raise ParseError("reserved variable name", *toks.location())
-            spec[node] = (VAR, tok)
+    def close_app(tok: str, args: list[str]) -> str:
+        toks.expect(")")
+        if sig is not None:
+            if tok not in sig:
+                raise ParseError(f"unknown symbol {tok}", *toks.location())
+            if sig.arity(tok) != len(args):
+                raise ParseError(f"{tok} expects {sig.arity(tok)} arguments", *toks.location())
+        node = fresh("app")
+        spec[node] = (tok, args)
         return node
 
-    root = parse_term({})
+    def parse_term() -> str:
+        # Open terms wait on a stack as ("@mu", node, bound inside) or
+        # (symbol, args so far, bound inside); each pass of the outer loop
+        # reads the head of one term, the inner loop closes finished ones.
+        stack: list[tuple] = []
+        while True:
+            bound = stack[-1][2] if stack else {}
+            tok = toks.take()
+            if tok is None:
+                raise ParseError("unexpected end of input", *toks.location())
+            if tok == "mu":
+                loop_var = toks.take()
+                if loop_var is None or not loop_var[0].isalnum():
+                    raise ParseError("expected a mu-bound name", *toks.location())
+                toks.expect(".")
+                node = fresh("mu")
+                stack.append(("@mu", node, {**bound, loop_var: node}))
+                continue
+            if not (tok[0].isalnum() or tok[0] in "_'"):
+                raise ParseError(f"unexpected token {tok!r}", *toks.location())
+            if tok in bound:
+                node = fresh("ref")
+                spec[node] = ("@ref", [bound[tok]])
+            elif toks.peek() == "(":
+                toks.take()
+                if toks.peek() != ")":
+                    stack.append((tok, [], bound))
+                    continue
+                node = close_app(tok, [])
+            else:
+                node = fresh("leaf")
+                if is_symbol(tok):
+                    if sig is not None and sig.arity(tok) != 0:
+                        raise ParseError(f"{tok} is not nullary", *toks.location())
+                    spec[node] = (tok, [])
+                else:
+                    if tok == FALLBACK_VAR_NAME:
+                        raise ParseError("reserved variable name", *toks.location())
+                    spec[node] = (VAR, tok)
+            while stack:
+                frame = stack[-1]
+                if frame[0] == "@mu":
+                    spec[frame[1]] = ("@alias", [node])
+                    node = frame[1]
+                else:
+                    frame[1].append(node)
+                    if toks.peek() == ",":
+                        toks.take()
+                        break
+                    node = close_app(frame[0], frame[1])
+                stack.pop()
+            else:
+                return node
+
+    root = parse_term()
     if toks.peek() is not None:
         raise ParseError(f"trailing input {toks.peek()!r}", *toks.location())
 
     # resolve @alias/@ref indirections into direct edges
-    def resolve(name: str, hops: int = 0) -> str:
-        entry = spec[name]
-        if entry[0] in ("@alias", "@ref"):
+    def resolve(name: str) -> str:
+        hops = 0
+        while spec[name][0] in ("@alias", "@ref"):
             if hops > len(spec):
                 raise ParseError("mu binder with no body", 1, 1)
-            return resolve(entry[1][0], hops + 1)
+            name = spec[name][1][0]
+            hops += 1
         return name
 
     final: dict[str, tuple] = {}

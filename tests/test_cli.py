@@ -179,6 +179,14 @@ def test_layers_subcommand(files, capsys):
     assert data["cycles"][0]["length"] == 3
 
 
+def test_layers_says_whether_the_cycle_list_is_complete(files, capsys):
+    assert run_command(
+        ["layers", "--metric", files["exa-layers-r"], files["exa-layers-s"],
+         "--term", "mu X. F(F(H(X)))", "--json"]
+    ) == 0
+    assert json.loads(capsys.readouterr().out)["cycles_truncated"] is None
+
+
 def test_xi_and_cutoff_on_recorded_trace(files, tmp_path, capsys):
     trace = tmp_path / "t.jsonl"
     assert run_command(

@@ -15,6 +15,7 @@ from itrsbench import (
     cut_positions,
     cutoff,
     distance,
+    graph_term,
     metric_granular,
     metric_infty,
     parse,
@@ -29,7 +30,7 @@ from itrsbench import (
     var,
 )
 from itrsbench.corpus import load_union, rearrange_trace
-from itrsbench.metrics import lazy_weight, simple_cycles
+from itrsbench.metrics import ITER_BUDGET, lazy_weight, simple_cycles
 from itrsbench.terms import parallel, positions
 from conftest import GENERIC_SIG, random_finite_term, random_rational_term, rng_for
 
@@ -213,6 +214,24 @@ def test_principal_cycles_annotated():
 def test_principal_cycles_acyclic_empty():
     system, coloring = exa_setup()
     assert principal_cycles(parse("F(H(x))", system.sig), coloring) == []
+
+
+def test_principal_cycles_stop_at_the_cap():
+    """Node i points at i+1 and i+2: more simple cycles than the cap."""
+    n = 20
+    spec = {f"n{i}": (f"S{i}", [f"n{(i + 1) % n}", f"n{(i + 2) % n}"]) for i in range(n)}
+    t = graph_term(spec, "n0")
+    coloring = {f"S{i}": i % 2 for i in range(n)}
+    cycles = principal_cycles(t, coloring)
+    assert len(cycles) == ITER_BUDGET
+    assert cycles.truncated == f"cycle enumeration cap of {ITER_BUDGET} cycles exceeded"
+    for c in cycles:
+        assert len({coloring[t.nodes[idx][1]] for idx, _arg in c["cycle"]}) == 2
+    one_color = principal_cycles(t, {f"S{i}": 0 for i in range(n)})
+    assert one_color == [] and one_color.truncated == cycles.truncated
+    system, coloring = exa_setup()
+    complete = principal_cycles(parse("mu X. F(F(H(X)))", system.sig), coloring)
+    assert len(complete) == 1 and complete.truncated == ""
 
 
 # --- cutoff ---------------------------------------------------------------------

@@ -337,6 +337,26 @@ def test_union_renaming_deterministic():
     assert set(result.coloring.values()) == {0, 1}
 
 
+def test_union_tags_until_the_name_is_free():
+    def system(symbols, rule_names):
+        sig = Signature(symbols)
+        lhs = app("F", [var("x")])
+        return ITRS(sig, metric_infty(sig), [Rule(name, lhs, lhs) for name in rule_names])
+
+    result = disjoint_union(system({"F": 1, "F#1": 2}, ["a", "a#1"]), system({"F": 1}, ["a"]))
+    assert result.rename_left == {"F": "F#1#1", "F#1": "F#1"}
+    assert result.rename_right == {"F": "F#2"}
+    union = result.system
+    assert union.sig.symbols == {"F#1#1": 1, "F#1": 2, "F#2": 1}
+    assert [r.name for r in union.rules] == ["a#1#1", "a#1", "a#2"]
+    assert [r.lhs.root_symbol for r in union.rules] == ["F#1#1", "F#1#1", "F#2"]
+    # a right name that is the left's tagged name
+    result = disjoint_union(system({"F": 1}, ["a"]), system({"F": 1, "F#1": 3}, ["a", "a#1"]))
+    assert result.rename_left == {"F": "F#1#1"}
+    assert result.rename_right == {"F": "F#2", "F#1": "F#1"}
+    assert [r.name for r in result.system.rules] == ["a#1#1", "a#2", "a#1"]
+
+
 def test_union_injections_preserve_distances():
     """Coproduct injections are isometries."""
     left = load("exnonlin-r").system

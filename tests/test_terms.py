@@ -4,7 +4,9 @@ implementation on the finite fragment."""
 
 from __future__ import annotations
 
+import gc
 import sys
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +31,7 @@ from itrsbench import (
     var,
     variables,
 )
+from itrsbench.terms import _INTERN, APP, VAR, from_nodes, sccs, subterm_at_node
 from conftest import GENERIC_SIG, random_finite_term, random_rational_term, rng_for
 
 
@@ -118,6 +121,164 @@ def test_canonical_equality_matches_bisimilarity_randomized():
         u = random_rational_term(rng, sig, n_nodes=4)
         assert bisimilar(t, u) == (t == u)
         assert bisimilar(t, t)
+
+
+# --- the canonicaliser against naive refinement ------------------------------------
+
+
+def naive_canonical_nodes(nodes, root):
+    """RationalTerm.nodes of from_nodes(nodes, root) by naive partition
+    refinement: one full sweep per refinement level, so O(n^2) on a chain."""
+    seen = {root: 0}
+    queue = [root]
+    while queue:
+        entry = nodes[queue.pop()]
+        if entry[0] == APP:
+            for child in entry[2]:
+                if child not in seen:
+                    seen[child] = len(seen)
+                    queue.append(child)
+    live = sorted(seen, key=seen.get)
+
+    block, labels = {}, {}
+    for idx in live:
+        entry = nodes[idx]
+        label = (VAR, entry[1]) if entry[0] == VAR else (APP, entry[1], len(entry[2]))
+        block[idx] = labels.setdefault(label, len(labels))
+    while True:
+        sigs, new_block = {}, {}
+        for idx in live:
+            entry = nodes[idx]
+            children = entry[2] if entry[0] == APP else ()
+            sig = (block[idx], tuple(block[c] for c in children))
+            new_block[idx] = sigs.setdefault(sig, len(sigs))
+        stable = len(sigs) == len(set(block.values()))
+        block = new_block
+        if stable:
+            break
+
+    rep = {}
+    for idx in live:
+        rep.setdefault(block[idx], idx)
+    order = {block[root]: 0}
+    out = [None]
+    stack = [block[root]]
+    while stack:
+        b = stack.pop()
+        entry = nodes[rep[b]]
+        if entry[0] == VAR:
+            out[order[b]] = (VAR, entry[1])
+            continue
+        child_blocks = [block[c] for c in entry[2]]
+        pending = []
+        for cb in child_blocks:
+            if cb not in order:
+                order[cb] = len(out)
+                out.append(None)
+                pending.append(cb)
+        out[order[b]] = (APP, entry[1], tuple(order[cb] for cb in child_blocks))
+        stack.extend(reversed(pending))
+    return tuple(out)
+
+
+def random_raw_nodes(rng, max_nodes=24):
+    """A raw node list and a root, in one of five shapes, with its indices
+    shuffled; nodes the root does not reach are kept."""
+    shape = rng.randrange(5)
+    n = rng.randint(1, max_nodes)
+    nodes = []
+    if shape == 0:  # any graph, with variables
+        for _ in range(n):
+            if rng.random() < 0.2:
+                nodes.append((VAR, rng.choice("xy")))
+            else:
+                arity = rng.randint(0, 3)
+                kids = tuple(rng.randrange(n) for _ in range(arity))
+                nodes.append((APP, rng.choice("FGH"[: rng.randint(1, 3)]), kids))
+    elif shape == 1:  # a chain into a leaf or back into itself
+        nodes = [(APP, "S" if rng.random() < 0.8 else "B", (i + 1,)) for i in range(n)]
+        if rng.random() < 0.5:
+            nodes.append((APP, "0", ()))
+        else:
+            nodes.append((APP, "S", (rng.randrange(n + 1),)))
+    elif shape == 2:  # marker rings, and binary nodes over them
+        for _ in range(rng.randint(1, 3)):
+            base, m = len(nodes), rng.randint(1, max_nodes // 2)
+            marks = {rng.randrange(m) for _ in range(rng.randint(0, 2))}
+            nodes += [(APP, "M" if i in marks else "F", (base + (i + 1) % m,)) for i in range(m)]
+        for _ in range(rng.randint(0, 3)):
+            nodes.append((APP, "G", (rng.randrange(len(nodes)), rng.randrange(len(nodes)))))
+    elif shape == 3:  # two copies of one cycle, and F(mu X. F(X)) above them
+        m = rng.randint(1, 5)
+        for base in (0, m):
+            nodes += [(APP, "F", (base + (i + 1) % m,)) for i in range(m)]
+        nodes.append((APP, "F", (rng.randrange(len(nodes)),)))
+        nodes.append((APP, "G", (len(nodes) - 1, 0)))
+    else:  # binary sharing
+        for _ in range(n):
+            arity = rng.choice([0, 2, 2])
+            kids = tuple(rng.randrange(n) for _ in range(arity))
+            nodes.append((APP, rng.choice("FG") if arity else rng.choice("ab"), kids))
+    perm = list(range(len(nodes)))
+    rng.shuffle(perm)
+    raw = [None] * len(nodes)
+    for i, entry in enumerate(nodes):
+        if entry[0] == APP:
+            entry = (APP, entry[1], tuple(perm[c] for c in entry[2]))
+        raw[perm[i]] = entry
+    return raw, rng.randrange(len(raw))
+
+
+def test_from_nodes_matches_naive_refinement():
+    rng = rng_for("terms-canonical")
+    merged = 0
+    for _ in range(2000):
+        nodes, root = random_raw_nodes(rng)
+        got = from_nodes(nodes, root).nodes
+        assert got == naive_canonical_nodes(nodes, root), (nodes, root)
+        live = sccs([root], lambda i: nodes[i][2] if nodes[i][0] == APP else ())
+        merged += len(got) < sum(map(len, live))
+    assert merged > 500
+
+
+def test_from_nodes_folds_and_merges_cycles():
+    loop = parse("mu X. F(X)")
+    # an acyclic node bisimilar to a cyclic one
+    assert graph_term({"a": ("F", ["b"]), "b": ("F", ["b"])}, "a") is loop
+    # two disjoint copies of one cycle
+    two = graph_term(
+        {"g": ("G", ["a", "c"]), "a": ("F", ["b"]), "b": ("F", ["a"]), "c": ("F", ["c"])}, "g"
+    )
+    assert two.nodes == ((APP, "G", (1, 1)), (APP, "F", (1,)))
+
+
+def test_from_nodes_is_fast_on_chains_and_rings():
+    """Refinement that sweeps every node once per level takes minutes here."""
+    n = 20000
+    chain = from_nodes([(APP, "S", (i + 1,)) for i in range(n)] + [(APP, "0", ())], 0)
+    assert len(chain.nodes) == n + 1
+    ring = from_nodes([(APP, "M" if i == 0 else "F", ((i + 1) % n,)) for i in range(n)], 0)
+    assert len(ring.nodes) == n
+
+
+def test_canonical_nodes_are_pairwise_not_bisimilar():
+    rng = rng_for("terms-distinct-nodes")
+    for _ in range(150):
+        t = from_nodes(*random_raw_nodes(rng, max_nodes=16))
+        subs = [subterm_at_node(t, i) for i in range(len(t.nodes))]
+        for a, b in combinations(subs, 2):
+            assert not bisimilar(a, b), t
+
+
+def test_intern_table_is_weak():
+    text = "F(Interned, mu X. G(X))"
+    t = parse(text)
+    assert parse(text) is t
+    key = t.nodes
+    assert _INTERN[key] is t
+    del t
+    gc.collect()
+    assert key not in _INTERN
 
 
 # --- positions, subterms, replacement -----------------------------------------------
@@ -220,12 +381,17 @@ def test_print_deeper_than_the_recursion_limit(ring):
         spec[f"n{n}"] = ("var", "x")
     t = graph_term(spec, "n0")
     text = to_text(t)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(10 * n)  # parse still recurses once per nesting level
-    try:
-        assert parse(text) == t
-    finally:
-        sys.setrecursionlimit(limit)
+    assert parse(text) == t
+
+
+def test_parse_deeper_than_the_recursion_limit():
+    n = 5000
+    assert sys.getrecursionlimit() < n
+    t = parse("mu X. " + "S(" * n + "F(X, x)" + ")" * n, Signature({"S": 1, "F": 2}))
+    assert len(t.nodes) == n + 2
+    assert subterm(t, (1,) * (n + 1)) == t
+    with pytest.raises(ParseError, match=r"expected '\)', got None"):
+        parse("S(" * n + "x", Signature({"S": 1}))
 
 
 def test_parse_errors():
