@@ -4,7 +4,6 @@ probes, and the predicate-guided top-layer simulation."""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Union
 
@@ -238,8 +237,9 @@ def simulate(
 @dataclass
 class ReductionGraph:
     start: RationalTerm
-    edges: dict  # term -> list of (RedexOccurrence, term)
+    edges: dict  # expanded term -> list of (RedexOccurrence, term)
     exhausted: bool  # budget ran out before closure
+    found: Optional[LoopWitness] = None  # the search's answer that ended the growth
 
     def path(self, target: RationalTerm) -> Optional[list[RedexOccurrence]]:
         """Shortest step list from start to target, if recorded."""
@@ -257,24 +257,52 @@ class ReductionGraph:
 
 
 def reduction_graph(
-    system: ITRS, t0: RationalTerm, budget: int = 50_000, depth_bound: int = 8
+    system: ITRS,
+    t0: RationalTerm,
+    budget: int,
+    depth_bound: int,
+    search: Callable[[ReductionGraph], Optional[LoopWitness]],
 ) -> ReductionGraph:
+    """The reduction graph of t0, grown breadth first in successor order
+    until search answers, the graph closes, or budget terms are expanded.
+
+    The graph grows one BFS layer (the terms one step farther from t0
+    than the last) at a time.  After a layer that added an edge t -> u
+    with u no farther from t0 than t, search runs on the expanded terms;
+    its first answer other than None is kept as found and ends the growth.
+    Every cycle has such an edge, out of its term farthest from t0, and
+    is complete once that term's layer is, so search sees each cycle as
+    soon as it exists; diamond joins (u one step farther than t) never
+    run it.  A layer the budget cuts off counts as the last layer.
+    """
     edges: dict = {}
-    queue = deque([t0])
-    seen = {t0}
-    exhausted = False
-    while queue:
-        if len(edges) >= budget:
-            exhausted = True
-            break
-        t = queue.popleft()
-        out = successors(system, t, depth_bound)
-        edges[t] = out
-        for _occ, u in out:
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return ReductionGraph(t0, edges, exhausted)
+    graph = ReductionGraph(t0, edges, False)
+    level = {t0: 0}
+    layer = [t0]
+    depth = 0
+    while layer and not graph.exhausted:
+        closing = False
+        next_layer = []
+        for t in layer:
+            if len(edges) >= budget:
+                graph.exhausted = True
+                break
+            out = successors(system, t, depth_bound)
+            edges[t] = out
+            for _occ, u in out:
+                seen = level.get(u)
+                if seen is None:
+                    level[u] = depth + 1
+                    next_layer.append(u)
+                elif seen <= depth:
+                    closing = True
+        if closing:
+            graph.found = search(graph)
+            if graph.found is not None:
+                break
+        layer = next_layer
+        depth += 1
+    return graph
 
 
 # --- loop detection -----------------------------------------------------------
@@ -295,14 +323,30 @@ def find_loop(
     budget: int = 50_000,
     depth_bound: int = 8,
 ) -> Optional[LoopWitness]:
-    """A reduction cycle visiting two terms at positive distance."""
-    graph = reduction_graph(system, t0, budget=budget, depth_bound=depth_bound)
-    components = graph.components()
+    """A reduction cycle visiting two terms at positive distance.
+
+    The search stops at the first BFS layer of the reduction graph whose
+    explored part holds such a cycle (see reduction_graph), so a larger
+    budget never loses a loop that a smaller one found.  In that graph the
+    cyclic components are tried with the one holding t0 first, then by
+    their least term text.  The loop base is t0 or that least term, the
+    prefix is the shortest path from t0 to the base, and the cycle is the
+    shortest one through the base when it visits a term at positive
+    distance; otherwise it is the shortest cycle through the base and the
+    first such term of the component, by text.
+    """
+    return reduction_graph(
+        system, t0, budget, depth_bound, lambda graph: _loop_witness(system, graph)
+    ).found
+
+
+def _loop_witness(system: ITRS, graph: ReductionGraph) -> Optional[LoopWitness]:
+    """find_loop's choice of witness within the explored graph, or None."""
+    t0 = graph.start
+    components = [comp for comp in graph.components() if len(comp) > 1]
     # prefer a loop through the start term itself when one exists
     components.sort(key=lambda comp: (t0 not in comp, min(map(str, comp))))
     for comp in components:
-        if len(comp) < 2:
-            continue
         base = t0 if t0 in comp else min(comp, key=str)
         prefix = graph.path(base)
         if prefix is None:
@@ -344,8 +388,17 @@ def find_root_recurrence(
     depth_bound: int = 8,
 ) -> Optional[LoopWitness]:
     """A reduction cycle that contracts a root redex: a direct witness
-    against top-termination."""
-    graph = reduction_graph(system, t0, budget=budget, depth_bound=depth_bound)
+    against top-termination.
+
+    The search stops at the first BFS layer of the reduction graph whose
+    explored part has a root step inside a strongly connected component
+    (see reduction_graph).  The witness's cycle starts with that step.
+    """
+    return reduction_graph(system, t0, budget, depth_bound, _root_recurrence).found
+
+
+def _root_recurrence(graph: ReductionGraph) -> Optional[LoopWitness]:
+    """A cycle of the explored graph that starts with a root step, or None."""
     for comp in graph.components():
         members = set(comp)
         for t in comp:
@@ -358,7 +411,7 @@ def find_root_recurrence(
                 prefix = graph.path(t)
                 if prefix is None:
                     continue
-                return LoopWitness(t0, tuple(prefix), (occ, *back), t, u, None)
+                return LoopWitness(graph.start, tuple(prefix), (occ, *back), t, u, None)
     return None
 
 
@@ -532,12 +585,13 @@ def focussed_probe(
     seq = [subterm(t, p) for t in tr.all_terms()]
     n = len(seq)
     reach_cache: dict = {}
+    reducts: dict = {}  # one memo of successors for the whole probe
 
     def reaches(a, b):
         key = (a, b)
         if key not in reach_cache:
             reach_cache[key] = weak_reach_path(
-                system, a, b, budget=budget, depth_bound=REACH_DEPTH
+                system, a, b, budget=budget, depth_bound=REACH_DEPTH, reducts=reducts
             )
         return reach_cache[key]
 
@@ -579,6 +633,9 @@ class Fp:
     coloring: Coloring
     budget: int = 10_000
 
+    def __post_init__(self):
+        self._reducts: dict = {}  # successors memo, alive as long as this probe
+
     def __call__(self, beta: tuple, term: RationalTerm) -> bool:
         for gamma, t in self.trace.indexed_terms():
             if gamma < beta:
@@ -593,6 +650,7 @@ class Fp:
                 subterm(t, self.position),
                 budget=self.budget,
                 depth_bound=REACH_DEPTH,
+                reducts=self._reducts,
             ):
                 return True
         return False
@@ -606,9 +664,17 @@ class Kt:
     system: ITRS
     budget: int = 10_000
 
+    def __post_init__(self):
+        self._reducts: dict = {}  # successors memo, alive as long as this probe
+
     def __call__(self, beta: tuple, term: RationalTerm) -> bool:
         return not weak_reach(
-            self.system, self.anchor, term, budget=self.budget, depth_bound=REACH_DEPTH
+            self.system,
+            self.anchor,
+            term,
+            budget=self.budget,
+            depth_bound=REACH_DEPTH,
+            reducts=self._reducts,
         )
 
 
@@ -721,11 +787,12 @@ def _monotone_violations(system: ITRS, s, evaluated: dict, budget: int = 2_000) 
     """Check the predicate-sequence law on the evaluated triples:
     beta <= gamma and t ->>_w u and s(gamma)(u) imply s(beta)(t)."""
     out = []
+    reducts: dict = {}
     for (beta, t), vt in evaluated.items():
         if vt:
             continue
         for (gamma, u), vu in evaluated.items():
-            if beta <= gamma and vu and weak_reach(system, t, u, budget=budget):
+            if beta <= gamma and vu and weak_reach(system, t, u, budget=budget, reducts=reducts):
                 out.append(("monotone-law", beta, gamma, str(t), str(u)))
     return out
 

@@ -185,14 +185,26 @@ def redexes(
     system: ITRS, t: RationalTerm, depth_bound: int = DEFAULT_REDEX_DEPTH
 ) -> list[RedexOccurrence]:
     """All redex occurrences with position length <= depth_bound, ordered
-    outermost-first, then left-to-right, then by rule order."""
+    outermost-first, then left-to-right, then by rule order.
+
+    Bindings name graph nodes, so whether a rule matches depends only on
+    the node a position reaches: the rules whose lhs root has the node's
+    label are matched once per node, at the first position (in that
+    order) that reaches it, and the answer is reused at every later one.
+    """
     out = []
-    for p, _idx in iter_positions(t, depth_bound):
-        for rule in system.rules:
-            sigma = match(rule.lhs, t, p)
-            if sigma is not None:
-                out.append(RedexOccurrence(p, rule, sigma))
-    out.sort(key=lambda occ: (len(occ.position), occ.position))
+    at_node: dict[int, list[tuple[Rule, dict[str, int]]]] = {}
+    for p, idx in iter_positions(t, depth_bound):  # breadth first, left to right
+        hits = at_node.get(idx)
+        if hits is None:
+            label = t.label_of(idx)
+            hits = at_node[idx] = [
+                (rule, sigma)
+                for rule in system.rules
+                if rule.lhs.label_of(0) == label
+                and (sigma := match(rule.lhs, t, p)) is not None
+            ]
+        out.extend(RedexOccurrence(p, rule, sigma) for rule, sigma in hits)
     return out
 
 
@@ -220,12 +232,13 @@ def weak_reach(
     u: RationalTerm,
     budget: int = DEFAULT_WEAK_BUDGET,
     depth_bound: int = DEFAULT_REDEX_DEPTH,
+    reducts: Optional[dict] = None,
 ) -> bool:
     """Finite-step reachability t ->* u up to bisimilarity.
 
     False means "not found within the budget", never a refutation.
     """
-    return weak_reach_path(system, t, u, budget, depth_bound) is not None
+    return weak_reach_path(system, t, u, budget, depth_bound, reducts) is not None
 
 
 def weak_reach_path(
@@ -234,11 +247,27 @@ def weak_reach_path(
     u: RationalTerm,
     budget: int = DEFAULT_WEAK_BUDGET,
     depth_bound: int = DEFAULT_REDEX_DEPTH,
+    reducts: Optional[dict] = None,
 ) -> Optional[list[RedexOccurrence]]:
-    """Like weak_reach but returns the step list when found."""
+    """Like weak_reach but returns the step list when found.
+
+    reducts, when given, maps terms to their successors under this system
+    and depth bound, and the search adds every term it expands: a caller
+    that asks many questions about the same terms passes one dict to all
+    of them and drops it when done.
+    """
     if t == u:
         return []
-    return bfs_path(t, u, lambda s: successors(system, s, depth_bound), budget)
+    if reducts is None:
+        reducts = {}
+
+    def step(s):
+        out = reducts.get(s)
+        if out is None:
+            out = reducts[s] = successors(system, s, depth_bound)
+        return out
+
+    return bfs_path(t, u, step, budget)
 
 
 # --- rule-level metric checks ------------------------------------------------

@@ -12,6 +12,7 @@ one is alive are the same object.
 
 from __future__ import annotations
 
+import re
 import weakref
 from collections import deque
 from dataclasses import dataclass
@@ -503,14 +504,18 @@ def parallel(p: Position, q: Position) -> bool:
 # letter or a digit are nullary symbols and the rest are variables.
 
 
+_SPACE = re.compile(r"\s*")  # \s is str.isspace
+_TOKEN = re.compile(r"[(),.]|[\w'#]+")  # \w is str.isalnum and "_"
+
+
 class _Tokens:
+    """The token stream, with one token of lookahead: each token is
+    scanned once, by the first peek or take that reaches it."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        self._ahead: Optional[str] = None  # the token scanned at pos, if any
 
     def location(self) -> tuple[int, int]:
         line = self.text.count("\n", 0, self.pos) + 1
@@ -518,25 +523,23 @@ class _Tokens:
         return line, col
 
     def peek(self) -> Optional[str]:
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return None
-        ch = self.text[self.pos]
-        if ch in "(),.":
-            return ch
-        if ch.isalnum() or ch in "_'#":
-            end = self.pos
-            while end < len(self.text) and (
-                self.text[end].isalnum() or self.text[end] in "_'#"
-            ):
-                end += 1
-            return self.text[self.pos : end]
-        raise ParseError(f"unexpected character {ch!r}", *self.location())
+        if self._ahead is None:
+            self.pos = _SPACE.match(self.text, self.pos).end()
+            if self.pos >= len(self.text):
+                return None
+            m = _TOKEN.match(self.text, self.pos)
+            if m is None:
+                raise ParseError(
+                    f"unexpected character {self.text[self.pos]!r}", *self.location()
+                )
+            self._ahead = m.group()
+        return self._ahead
 
     def take(self) -> Optional[str]:
         tok = self.peek()
         if tok is not None:
             self.pos += len(tok)
+            self._ahead = None
         return tok
 
     def expect(self, tok: str):

@@ -5,19 +5,24 @@ simulations."""
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from itrsbench import (
+    ITRS,
     Budgets,
     DiameterFloorWitness,
+    Fp,
     Kt,
     LoopWitness,
     NonMemberLimitWitness,
+    Rule,
     Segment,
     Signature,
     Trace,
+    app,
     classify_convergence,
     cutoff_trace,
     extrapolate_limit,
@@ -27,18 +32,22 @@ from itrsbench import (
     metric_id,
     parse,
     replay_loop,
+    rewrite_step,
     simulate,
     sliding_diameter,
     strong_convergence_probe,
     xi_trace,
 )
+from itrsbench import convergence, rewriting
 from itrsbench.corpus import (
     diverge_exa_trace,
     exnonlin_trace,
     load,
     load_union,
+    rearrange_trace,
     string_trace,
 )
+from full_graph_search import full_reduction_graph, loop_in, root_recurrence_in
 
 
 # --- simulation ----------------------------------------------------------------
@@ -270,3 +279,156 @@ def test_cutoff_trace_diverge_exa_flattens():
     cut = sliding_diameter(system.metric, report.trace, window=4)
     assert min(original) >= 1
     assert min(cut) < min(original)
+
+
+# --- the layered loop search against the full-graph oracle ---------------------------
+
+
+def _g_spines(depth: int) -> list[str]:
+    """Every G-context spine of the given depth holding both 0 and 1."""
+    out = ["0", "1"]
+    for _ in range(depth):
+        out = [f"G({leaf}, {c})" for c in out for leaf in "01"] + [
+            f"G({c}, {leaf})" for c in out for leaf in "01"
+        ]
+    return [c for c in out if "0" in c and "1" in c]
+
+
+def _loop_starts():
+    """(id, system, start, budget, depth bound): the corpus start terms and
+    the analyze workload's loop families at its budgets."""
+    toyama, _ = load_union("toyama-r", "toyama-s")
+    collapsing, _ = load_union("collapsing-r", "collapsing-s")
+    rearrange, _ = load_union("rearrange-r", "rearrange-s")
+    exa, _ = load_union("exa-layers-r", "exa-layers-s")
+    string = load("string")
+    zantema = load("zantema")
+    toyama_r = load("toyama-r")
+    out = [
+        ("toyama-r", toyama_r.system, toyama_r.terms["start"], 300, 8),
+        ("zantema", zantema.system, zantema.terms["start"], 300, 8),
+        ("toyama", toyama, parse("F(0, 1, G(0, 1))", toyama.sig), 5_000, 8),
+        ("collapsing", collapsing, parse("G(mu X. F(H(X)))", collapsing.sig), 1_000, 16),
+        ("exa", exa, parse("H(mu X. F(F(H(X))))", exa.sig), 300, 8),
+        ("exnonlin", load("exnonlin-s").system, parse("0", load("exnonlin-s").system.sig),
+         300, 8),
+    ]
+    for states in (500, 2_000):
+        out.append((f"string-{states}", string.system, string.terms["start"], states, 24))
+    # cycles whose every edge stays within one BFS layer
+    sig = Signature({"S": 0, "A": 0, "B": 0})
+    rules = [("sa", "S", "A"), ("sb", "S", "B"), ("ab", "A", "B"), ("ba", "B", "A"),
+             ("ss", "S", "S")]
+    same_layer = ITRS(sig, metric_id(sig), [Rule(n, app(l), app(r)) for n, l, r in rules])
+    out.append(("same-layer", same_layer, app("S"), 300, 8))
+    self_loop = ITRS(sig, metric_id(sig), [Rule("aa", app("A"), app("A"))])
+    out.append(("self-loop", self_loop, app("A"), 300, 8))
+    for k in range(4):
+        text = "G(" + "H(" * k + "mu X. F(H(X))" + ")" * k + ")"
+        for depth in range(8, 15):
+            out.append((f"collapsing-{k}-{depth}", collapsing,
+                        parse(text, collapsing.sig), 300, depth))
+    for depth in (1, 2):
+        for i, c in enumerate(_g_spines(depth)):
+            out.append((f"toyama-loop-{depth}-{i}", toyama,
+                        parse(f"F(0, 1, {c})", toyama.sig), 300, 8))
+    for states in range(200, 501, 50):
+        out.append((f"rearrange-{states}", rearrange,
+                    parse("J(mu X. K(E, X))", rearrange.sig), states, 8))
+    return out
+
+
+LOOP_STARTS = _loop_starts()
+
+
+def _explored(monkeypatch) -> list:
+    """Records the number of terms every reduction_graph call expands."""
+    sizes = []
+    grow = convergence.reduction_graph
+
+    def counting(*args, **kwargs):
+        graph = grow(*args, **kwargs)
+        sizes.append(len(graph.edges))
+        return graph
+
+    monkeypatch.setattr(convergence, "reduction_graph", counting)
+    return sizes
+
+
+def _replays_from_a_root_step(system, w) -> bool:
+    t = w.start
+    for occ in w.prefix:
+        t = rewrite_step(system, t, occ)
+    if t != w.base or w.cycle[0].position != ():
+        return False
+    for occ in w.cycle:
+        t = rewrite_step(system, t, occ)
+    return t == w.base
+
+
+@pytest.mark.parametrize("name, system, t0, budget, depth", LOOP_STARTS,
+                         ids=[s[0] for s in LOOP_STARTS])
+def test_layered_search_agrees_with_the_full_graph(monkeypatch, name, system, t0,
+                                                   budget, depth):
+    full = full_reduction_graph(system, t0, budget, depth)
+    sizes = _explored(monkeypatch)
+
+    w = find_loop(system, t0, budget, depth)
+    assert w == loop_in(system, full)
+    assert w is None or replay_loop(system, w)
+
+    r = find_root_recurrence(system, t0, budget, depth)
+    assert (r is None) == (root_recurrence_in(full) is None)
+    assert r is None or _replays_from_a_root_step(system, r)
+    assert max(sizes) <= len(full.edges)
+
+
+@pytest.mark.parametrize("name", ["collapsing-0-8", "collapsing-3-14", "toyama",
+                                  "toyama-loop-2-5", "rearrange-200", "exa"])
+def test_a_loop_found_at_one_budget_is_found_at_every_larger_one(name):
+    _, system, t0, budget, depth = next(s for s in LOOP_STARTS if s[0] == name)
+    found = []
+    for b in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, budget):
+        w = find_loop(system, t0, b, depth)
+        assert w is None or replay_loop(system, w)
+        found.append(w is not None)
+    assert found == sorted(found)
+    assert found[-1] == (name != "exa")
+
+
+def test_diamond_joins_run_no_witness_search(monkeypatch):
+    sig = Signature({"F": 3, "A": 0, "B": 0})
+    system = ITRS(sig, metric_id(sig), [Rule("ab", app("A"), app("B"))])
+    t0 = parse("F(A, A, A)", sig)
+    full = full_reduction_graph(system, t0)
+    into = [u for out in full.edges.values() for _occ, u in out]
+    assert len(set(into)) < len(into)  # some term is reached twice
+    searches = []
+    monkeypatch.setattr(convergence, "_loop_witness",
+                        lambda system, graph: searches.append(graph) or None)
+    assert find_loop(system, t0) is None
+    assert searches == []
+
+
+def test_root_recurrence_witness_starts_with_a_root_step():
+    system, _ = load_union("toyama-r", "toyama-s")
+    w = find_root_recurrence(system, parse("F(0, 1, G(0, 1))", system.sig), 300)
+    assert w is not None
+    assert _replays_from_a_root_step(system, w)
+
+
+def test_fp_computes_each_reduct_once(monkeypatch):
+    system, coloring, tr = rearrange_trace()
+    calls = Counter()
+    expand = rewriting.successors
+
+    def counting(s, t, depth_bound=6):
+        if s is system:
+            calls[(t, depth_bound)] += 1
+        return expand(s, t, depth_bound)
+
+    monkeypatch.setattr(rewriting, "successors", counting)
+    probe = Fp((1, 1), tr, system, coloring, budget=400)
+    xi_trace(system, tr, system.rule("jk"), probe, coloring)
+    assert len(calls) > 10
+    assert set(calls.values()) == {1}

@@ -38,10 +38,12 @@ from itrsbench import (
     weak_reach,
     weak_reach_path,
 )
+from itrsbench import rewriting
 from itrsbench.corpus import load, load_union
 from itrsbench.rewriting import rename_symbols
 from itrsbench.terms import bfs_path, iter_positions, node_at, sccs, subterm_at_node
 from conftest import GENERIC_SIG, random_finite_term, random_rational_term, rng_for
+from full_graph_search import naive_redexes
 
 
 # --- a naive finite-term rewriter oracle ------------------------------------------
@@ -440,3 +442,50 @@ def test_sccs_self_loop_counts_as_cyclic():
     assert not loop.is_finite
     assert parse("G(c)", GENERIC_SIG).is_finite
     assert is_member(metric_id(GENERIC_SIG), loop).witness_cycle == ((0, 1),)
+
+
+# --- redex search on graph nodes ----------------------------------------------------
+
+GENERIC_RULES = [
+    ("fx", "F(x, x)", "G(x)"),
+    ("fg", "F(G(x), y)", "F(y, x)"),
+    ("gh", "G(H(x))", "H(x)"),
+    ("cd", "c", "d"),
+    ("ring", "mu X. G(X)", "c"),
+]
+
+
+def generic_system() -> ITRS:
+    rules = [Rule(name, parse(lhs, GENERIC_SIG), parse(rhs, GENERIC_SIG))
+             for name, lhs, rhs in GENERIC_RULES]
+    return ITRS(GENERIC_SIG, metric_infty(GENERIC_SIG), rules)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_redexes_equal_the_per_position_search(seed):
+    rng = rng_for(f"redexes-{seed}")
+    for system in (generic_system(), toyama_union()):
+        for _ in range(25):
+            if rng.random() < 0.7:
+                t = random_rational_term(rng, system.sig, rng.randint(1, 7))
+            else:
+                t = random_finite_term(rng, system.sig, 4)
+            depth = rng.randint(0, 9)
+            assert redexes(system, t, depth) == naive_redexes(system, t, depth)
+
+
+def test_redexes_match_once_per_node_and_rule(monkeypatch):
+    system = generic_system()
+    t = parse("mu X. F(G(X), X)", GENERIC_SIG)
+    want = naive_redexes(system, t, 16)
+    calls = []
+
+    def counting(lhs, term, p):
+        calls.append(p)
+        return match(lhs, term, p)
+
+    monkeypatch.setattr(rewriting, "match", counting)
+    got = redexes(system, t, 16)
+    assert got == want
+    assert len(want) > 1000  # positions far outnumber nodes on the branching cycle
+    assert len(calls) <= len(t.nodes) * len(system.rules)

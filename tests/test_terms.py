@@ -405,6 +405,19 @@ def test_parse_errors():
         parse("mu X.", GENERIC_SIG)
 
 
+@pytest.mark.parametrize("text, message, line, column", [
+    ("F(x,\n   $)", "unexpected character '$'", 2, 4),
+    ("F(c, d)  G", "trailing input 'G'", 1, 10),
+    ("F(c,\n  d", "expected ')', got None", 2, 4),
+    ("G(c)\n\n  , ", "trailing input ','", 3, 3),
+])
+def test_parse_error_locations(text, message, line, column):
+    with pytest.raises(ParseError) as err:
+        parse(text, GENERIC_SIG)
+    assert (str(err.value), err.value.line, err.value.column) == (
+        f"{line}:{column}: {message}", line, column)
+
+
 def test_signature_rejects_bad_symbols():
     with pytest.raises(TermError):
         Signature({"F": -1})
