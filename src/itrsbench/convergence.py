@@ -634,7 +634,7 @@ class Fp:
     budget: int = 10_000
 
     def __post_init__(self):
-        self._reducts: dict = {}  # successors memo, alive as long as this probe
+        self.reducts: dict = {}  # successors memo, alive as long as this probe
 
     def __call__(self, beta: tuple, term: RationalTerm) -> bool:
         for gamma, t in self.trace.indexed_terms():
@@ -650,7 +650,7 @@ class Fp:
                 subterm(t, self.position),
                 budget=self.budget,
                 depth_bound=REACH_DEPTH,
-                reducts=self._reducts,
+                reducts=self.reducts,
             ):
                 return True
         return False
@@ -665,7 +665,7 @@ class Kt:
     budget: int = 10_000
 
     def __post_init__(self):
-        self._reducts: dict = {}  # successors memo, alive as long as this probe
+        self.reducts: dict = {}  # successors memo, alive as long as this probe
 
     def __call__(self, beta: tuple, term: RationalTerm) -> bool:
         return not weak_reach(
@@ -674,7 +674,7 @@ class Kt:
             term,
             budget=self.budget,
             depth_bound=REACH_DEPTH,
-            reducts=self._reducts,
+            reducts=self.reducts,
         )
 
 
@@ -785,14 +785,19 @@ def _sim_segment(terms, limit):
 
 def _monotone_violations(system: ITRS, s, evaluated: dict, budget: int = 2_000) -> list:
     """Check the predicate-sequence law on the evaluated triples:
-    beta <= gamma and t ->>_w u and s(gamma)(u) imply s(beta)(t)."""
+    beta <= gamma and t ->>_w u and s(gamma)(u) imply s(beta)(t).
+
+    Reaches at REACH_DEPTH, as Fp and Kt do, and through the predicate's
+    own successors memo when it keeps one for this system."""
     out = []
-    reducts: dict = {}
+    reducts = getattr(s, "reducts", {}) if getattr(s, "system", None) is system else {}
     for (beta, t), vt in evaluated.items():
         if vt:
             continue
         for (gamma, u), vu in evaluated.items():
-            if beta <= gamma and vu and weak_reach(system, t, u, budget=budget, reducts=reducts):
+            if beta <= gamma and vu and weak_reach(
+                system, t, u, budget=budget, depth_bound=REACH_DEPTH, reducts=reducts
+            ):
                 out.append(("monotone-law", beta, gamma, str(t), str(u)))
     return out
 

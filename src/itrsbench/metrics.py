@@ -15,6 +15,7 @@ and the answer is exact whenever the exact sweep settles.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, Union
@@ -48,6 +49,13 @@ class GuardExceeded(TermError):
 
 
 # --- components ------------------------------------------------------------
+#
+# Each component is a map on values x in [0, 1] (__call__) and the same map
+# on exponents e in [0, inf), for x = 2^-e (on_exponent).  on_exponent
+# returns the image exponent and the slope of the exponent map there: 0
+# where a clamp binds (the image is a constant), else the product of the
+# pow exponents passed.  The exponents are exact Fractions while every
+# scale factor and cap bound is a power of two, floats otherwise.
 
 
 @dataclass(frozen=True)
@@ -58,6 +66,10 @@ class Scale:
 
     def __call__(self, x: Number) -> Number:
         return min(_one_like(x), self.factor * x)
+
+    def on_exponent(self, e: Number) -> tuple[Number, Number]:
+        shifted = e - _log2(self.factor)
+        return (shifted, 1) if shifted > 0 else (0, 0)
 
     def __str__(self):
         if self.factor == 1:
@@ -78,6 +90,9 @@ class Pow:
             return x ** self.exponent.numerator
         return float(x) ** float(self.exponent)
 
+    def on_exponent(self, e: Number) -> tuple[Number, Number]:
+        return self.exponent * e, self.exponent
+
     def __str__(self):
         return f"pow({self.exponent})"
 
@@ -90,6 +105,10 @@ class Cap:
 
     def __call__(self, x: Number) -> Number:
         return min(x, self.bound if isinstance(x, Fraction) else float(self.bound))
+
+    def on_exponent(self, e: Number) -> tuple[Number, Number]:
+        floor = -_log2(self.bound)
+        return (e, 1) if e > floor else (floor, 0)
 
     def __str__(self):
         return f"cap({self.bound})"
@@ -105,6 +124,13 @@ class Compose:
         for part in reversed(self.parts):
             x = part(x)
         return x
+
+    def on_exponent(self, e: Number) -> tuple[Number, Number]:
+        slope: Number = 1
+        for part in reversed(self.parts):
+            e, part_slope = part.on_exponent(e)
+            slope *= part_slope
+        return e, slope
 
     def __str__(self):
         return "comp(" + ",".join(str(p) for p in self.parts) + ")"
@@ -188,6 +214,21 @@ def lazy_weight(comp: Component) -> int:
 
 def _one_like(x: Number) -> Number:
     return Fraction(1) if isinstance(x, Fraction) else 1.0
+
+
+def _log2(q: Fraction) -> Number:
+    """log2 q, as a Fraction when q is a power of two, else a float."""
+    num, den = q.numerator, q.denominator
+    if num & (num - 1) == 0 and den & (den - 1) == 0:
+        return Fraction(num.bit_length() - den.bit_length())
+    return math.log2(num) - math.log2(den)
+
+
+def _power_of_half(e: Number) -> str:
+    """2^-e as text, exact unless e is a float."""
+    if isinstance(e, float):
+        return f"2^-{e:.6g}"
+    return f"2^-{e}" if e.denominator == 1 else f"2^-({e})"
 
 
 # --- term metrics ----------------------------------------------------------
@@ -510,8 +551,20 @@ def is_member(m: TermMetric, t: RationalTerm) -> MemberVerdict:
 
     Granular metrics: iff the strict edges (lazy weight 0) of the graph,
     from every node, form no cyclic strongly connected component; the
-    witness is a shortest strict cycle in one.  Other metrics enumerate
-    the simple cycles, and answer unknown past the enumeration cap.
+    witness is a shortest strict cycle in one.
+
+    Other metrics enumerate the simple cycles, and answer unknown past the
+    enumeration cap.  The term is a member iff iterating each cycle's
+    composed component from 1 drives the value to 0; the witness is the
+    first cycle whose iterates stall or tend to a positive limit.  The
+    test runs on exponents, x = 2^-e: scale(a) maps e to max(0, e - log2 a),
+    pow(k) to k*e and cap(c) to max(e, -log2 c).  It takes at most two
+    steps of the cycle's map: the iterates then either repeat (a stall) or
+    follow e -> K*e + C, with K the product of the cycle's pow exponents,
+    which tends to infinity iff K >= 1 and the last step was positive.
+    The exponents, hence the verdict and the stall value in its detail,
+    are exact when every scale factor and cap bound is a power of two;
+    other constants enter as float logarithms.
     """
     m.check_term(t)
     if t.is_finite:
@@ -536,30 +589,36 @@ def is_member(m: TermMetric, t: RationalTerm) -> MemberVerdict:
     cycles = simple_cycles(t)
     if cycles.truncated:
         return MemberVerdict("unknown", detail=cycles.truncated)
-    contracted = []
     for cycle in cycles:
-        comp = cycle_component(m, t, cycle)
-        x: Number = Fraction(1)
-        verdict = None
-        for _ in range(ITER_BUDGET):
-            nxt = comp(x)
-            if nxt < TOL:
-                verdict = "contracts"
-                break
-            if nxt == x or abs(float(nxt) - float(x)) < TOL * 1e-3:
-                verdict = "fixed"
-                break
-            x = nxt
-        if verdict == "fixed" and float(x) > TOL:
-            return MemberVerdict(
-                "non_member",
-                tuple(cycle),
-                f"cycle iterates stall at {float(comp(x)):.6g}",
-            )
-        if verdict is None:
-            return MemberVerdict("unknown", tuple(cycle), "iteration budget exhausted")
-        contracted.append(cycle)
-    return MemberVerdict("member", detail=f"{len(contracted)} contracting cycles")
+        limit = _positive_limit(cycle_component(m, t, cycle))
+        if limit:
+            return MemberVerdict("non_member", tuple(cycle), limit)
+    return MemberVerdict("member", detail=f"{len(cycles)} contracting cycles")
+
+
+def _positive_limit(comp: Component) -> str:
+    """Where the iterates of comp from 1 stop short of 0, as text; empty
+    when they tend to 0.
+
+    On exponents the iterates e_0 = 0 <= e_1 <= ... only climb, so the
+    input of every part only climbs, and a clamp that does not bind at one
+    iterate binds at no later one.  A clamp that binds at e_n and at
+    e_(n+1) makes e_(n+2) = e_(n+1), a stall.  So from e_1 on, either the
+    iterates stall or no clamp binds and the map is e -> K*e + C, K its
+    slope: for K >= 1 every further step repeats or grows the last, and
+    for K < 1 the iterates tend to C / (1 - K).
+    """
+    e: Number = 0
+    while True:
+        nxt, slope = comp.on_exponent(e)
+        if nxt == e:
+            return f"cycle iterates stall at {_power_of_half(e)}"
+        if slope:
+            break
+        e = nxt
+    if slope >= 1:
+        return ""
+    return f"cycle iterates tend to {_power_of_half((nxt - slope * e) / (1 - slope))}"
 
 
 # --- variable depth --------------------------------------------------------

@@ -67,6 +67,17 @@ def test_member_on_two_files_directly(files, capsys):
     assert json.loads(capsys.readouterr().out)["kind"] == "member"
 
 
+def test_member_exa_layers2_ring_of_40(files, capsys):
+    """mu X. F^39(H(X)) under F pow(2), H cap(1/2): iterating the values
+    would build a 2^39-bit denominator."""
+    ring = "mu X. " + "F(" * 39 + "H(X)" + ")" * 39
+    assert run_command(
+        ["member", "--metric", files["exa-layers2-r"], files["exa-layers2-s"],
+         "--term", ring, "--json"]
+    ) == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == "member"
+
+
 def test_bad_term_is_input_error(files):
     assert run_command(
         ["distance", "--metric", files["ltree"],

@@ -432,3 +432,20 @@ def test_fp_computes_each_reduct_once(monkeypatch):
     xi_trace(system, tr, system.rule("jk"), probe, coloring)
     assert len(calls) > 10
     assert set(calls.values()) == {1}
+
+
+def test_monotone_check_reaches_as_deep_as_the_predicates():
+    """F^7(A) -> F^7(B) rewrites at depth 7: past the default redex depth
+    6, within REACH_DEPTH 8, the depth Fp and Kt reach at.  The check sees
+    the violation, and expands F^7(A) into the predicate's own memo."""
+    assert rewriting.DEFAULT_REDEX_DEPTH < 7 <= convergence.REACH_DEPTH
+    sig = Signature({"F": 1, "A": 0, "B": 0})
+    system = ITRS(sig, metric_id(sig), [Rule("ab", app("A"), app("B"))])
+    t = parse("F(F(F(F(F(F(F(A)))))))", sig)
+    u = parse("F(F(F(F(F(F(F(B)))))))", sig)
+    probe = Kt(t, system)
+    evaluated = {((0, 0), t): False, ((0, 1), u): True}
+    assert convergence._monotone_violations(system, probe, evaluated) == [
+        ("monotone-law", (0, 0), (0, 1), str(t), str(u))
+    ]
+    assert t in probe.reducts

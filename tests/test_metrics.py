@@ -47,6 +47,7 @@ from itrsbench.metrics import (
 )
 from itrsbench.corpus import load, load_union
 from itrsbench.terms import subterm_at_node
+from fraction_member import at_tol_edge, fraction_member
 from conftest import (
     GENERIC_SIG,
     mutate,
@@ -143,18 +144,29 @@ def test_ltree_left_spine_contracts(ltree_metric):
     assert distance(ltree_metric, a, b) == Fraction(1, 4)
 
 
+def non_granular_metric(name: str) -> TermMetric:
+    """The exa-layers and exa-layers2 unions; "binary", with a branching
+    symbol, so that unequal terms share subterms; and "non-dyadic", whose
+    constants are not powers of two."""
+    if name == "binary":
+        return TermMetric(GENERIC_SIG, {"F": (Pow(Fraction(2)), Cap(HALF)),
+                                        "G": (Scale(Fraction(2)),), "H": (HALVE,),
+                                        "c": (), "d": ()})
+    if name == "non-dyadic":
+        return TermMetric(GENERIC_SIG, {"F": (Scale(Fraction(3, 2)), Pow(HALF)),
+                                        "G": (Scale(Fraction(1, 3)),),
+                                        "H": (Cap(Fraction(1, 4)),), "c": (), "d": ()})
+    system, _ = load_union(f"{name}-r", f"{name}-s")
+    return system.metric
+
+
 @pytest.mark.parametrize("name", ["exa-layers", "exa-layers2", "binary"])
 def test_distance_pins_exactly_the_bisimilar_pairs(name):
     """Cyclic pairs under non-granular metrics: the product pairs the
     solver fixes at 0 are the bisimilar ones, and d = 0 iff the terms are
     bisimilar."""
-    if name == "binary":  # a branching symbol, so unequal terms share subterms
-        sig = GENERIC_SIG
-        m = TermMetric(sig, {"F": (Pow(Fraction(2)), Cap(HALF)), "G": (Scale(Fraction(2)),),
-                             "H": (HALVE,), "c": (), "d": ()})
-    else:
-        system, _ = load_union(f"{name}-r", f"{name}-s")
-        sig, m = system.sig, system.metric
+    m = non_granular_metric(name)
+    sig = m.sig
     assert not m.is_granular
     rng = rng_for(f"metrics-pinning-{name}")
     for _ in range(60):
@@ -288,6 +300,75 @@ def test_member_cycle_cap_is_unknown():
     assert_strict_cycle(metric_id(sig), t, list(verdict.witness_cycle))
     assert rank(t, {f"S{i}": i % 2 for i in range(n)}) == math.inf
     assert rank(t, {s: 0 for s in sig.symbols}) == 0
+
+
+TOL_EDGES: dict = {"exa-layers": [], "exa-layers2": [], "binary": [], "non-dyadic": []}
+
+
+@pytest.mark.parametrize("name", ["exa-layers", "exa-layers2", "binary", "non-dyadic"])
+def test_member_matches_fraction_iteration(name):
+    """Non-granular membership agrees with the per-cycle iteration on the
+    values, verdict and witness cycle alike.  The oracle is skipped only
+    where its verdict rests on its own tolerance (at_tol_edge); no input
+    of these draws does, so TOL_EDGES, the skipped ones, is empty."""
+    m = non_granular_metric(name)
+    rng = rng_for(f"metrics-member-oracle-{name}")
+    skipped, kinds = [], set()
+    for _ in range(1000):
+        t = random_rational_term(rng, m.sig, rng.randint(2, 7))
+        got, want = is_member(m, t), fraction_member(m, t)
+        kinds.add(got.kind)
+        if (got.kind, got.witness_cycle) != (want.kind, want.witness_cycle):
+            assert at_tol_edge(m, t), (t, got, want)
+            skipped.append(str(t))
+    assert skipped == TOL_EDGES[name]
+    assert kinds == {"member", "non_member"}
+
+
+@pytest.mark.parametrize("comp, limit, at_edge", [
+    (Cap(Fraction(1, 2**40)), "stall at 2^-40", True),
+    (Compose((Pow(HALF), Scale(Fraction(1, 4)))), "tend to 2^-2", False),
+])
+def test_member_cycle_with_a_positive_limit(comp, limit, at_edge):
+    """mu X. C(X) is no member when the iterates of C's component stop
+    short of 0: cap(2^-40) stalls at 2^-40, though that is below TOL,
+    where the iteration on values called the cycle contracting; under
+    scale(1/4) then pow(1/2), e -> (e + 2) / 2 tends to 2."""
+    sig = Signature({"C": 1})
+    m = TermMetric(sig, {"C": (comp,)})
+    t = parse("mu X. C(X)", sig)
+    verdict = is_member(m, t)
+    assert verdict.kind == "non_member"
+    assert verdict.witness_cycle == ((0, 1),)
+    assert verdict.detail.endswith(limit)
+    assert at_tol_edge(m, t) == at_edge
+    assert fraction_member(m, t).kind == ("member" if at_edge else "non_member")
+
+
+@pytest.mark.parametrize("n", [32, 40, 64])
+def test_member_exa_layers2_ring_needs_no_big_numbers(n):
+    """mu X. F^(n-1)(H(X)) under the exa-layers2 union (F pow(2), H
+    cap(1/2)): the iterates on values carry 2^(n-1)-bit denominators, the
+    exponents (n-1)-bit integers."""
+    m = non_granular_metric("exa-layers2")
+    ring = parse("mu X. " + "F(" * (n - 1) + "H(X)" + ")" * (n - 1), m.sig)
+    assert is_member(m, ring).kind == "member"
+
+
+def test_exponent_map_matches_values():
+    """x = 2^-e goes to 2^-e' under every dyadic component, e' its
+    on_exponent image; where no clamp binds (slope not 0), none binds
+    further up and the map goes on with that slope."""
+    rng = rng_for("metrics-on-exponent")
+    dyadic = [Scale(Fraction(2) ** k) for k in range(-3, 4)]
+    dyadic += [Cap(Fraction(1, 2**k)) for k in range(4)] + [Pow(Fraction(k)) for k in (1, 2, 3)]
+    for _ in range(300):
+        comp = compose(*rng.sample(dyadic, rng.randint(1, 4)))
+        e = Fraction(rng.randrange(6))
+        image, slope = comp.on_exponent(e)
+        assert comp(Fraction(1, 2**e)) == Fraction(1, 2**image)
+        if slope:
+            assert comp.on_exponent(e + 1) == (image + slope, slope)
 
 
 # --- variable depth --------------------------------------------------------------
