@@ -15,6 +15,7 @@ from typing import Optional
 
 from . import corpus as corpus_mod
 from .convergence import (
+    DEFAULT_BUDGETS,
     Budgets,
     LoopWitness,
     RedexOccurrence,
@@ -32,6 +33,7 @@ from .convergence import (
 from .itrsfile import ItrsFile, parse_itrs, print_itrs
 from .layers import ppos, principal_cycles, rank, step_fn
 from .metrics import (
+    DEFAULT_DEPTH_GUARD,
     GuardExceeded,
     distance,
     epos,
@@ -520,8 +522,10 @@ def cmd_corpus(args) -> int:
 # --- dispatcher -------------------------------------------------------------------
 
 KNOBS = {
-    "budget": dict(type=int, default=50_000),
-    "depth-guard": dict(type=int, default=256),
+    "budget": dict(type=int, default=DEFAULT_BUDGETS.loop_states),
+    "max-steps": dict(type=int, default=DEFAULT_BUDGETS.max_steps),
+    "depth-bound": dict(type=int, default=DEFAULT_BUDGETS.depth_bound),
+    "depth-guard": dict(type=int, default=DEFAULT_DEPTH_GUARD),
 }
 
 
@@ -594,26 +598,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_layers)
 
     p = sub.add_parser("simulate", help="run a reduction and record the trace")
-    common(p, term=True)
+    common(p, term=True, knobs=("max-steps", "depth-bound"))
     p.add_argument(
         "--strategy",
         default="leftmost-outermost",
         choices=["leftmost-outermost", "leftmost-innermost"],
     )
-    p.add_argument("--max-steps", dest="max_steps", type=int, default=24)
-    p.add_argument("--depth-bound", dest="depth_bound", type=int, default=8)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("analyze", help="convergence verdict with witness")
-    common(p, term=True, knobs=("budget",))
-    p.add_argument("--max-steps", dest="max_steps", type=int, default=24)
+    common(p, term=True, knobs=("budget", "max-steps"))
     p.add_argument("--out", help="write a replayable witness script")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("strong", help="strong-convergence probe")
-    common(p, term=True, knobs=("budget",))
-    p.add_argument("--max-steps", dest="max_steps", type=int, default=24)
+    common(p, term=True, knobs=("budget", "max-steps"))
     p.set_defaults(fn=cmd_strong)
 
     p = sub.add_parser("xi", help="predicate-guided top-layer simulation")

@@ -167,11 +167,7 @@ def replay_loop(system: ITRS, w: LoopWitness) -> bool:
         t = rewrite_step(system, t, occ)
         if t == w.distinct:
             saw_distinct = True
-    return (
-        t == w.base
-        and saw_distinct
-        and float(distance(system.metric, w.base, w.distinct)) > TOL
-    )
+    return t == w.base and saw_distinct and w.distinct != w.base
 
 
 # --- simulation ---------------------------------------------------------------
@@ -308,22 +304,14 @@ def reduction_graph(
 # --- loop detection -----------------------------------------------------------
 
 
-def _cycle_through(graph: ReductionGraph, base, via) -> Optional[list[RedexOccurrence]]:
-    """Steps base ->+ via ->+ base within the explored graph."""
-    first = graph.steps(base, via)
-    second = graph.steps(via, base)
-    if first is None or second is None:
-        return None
-    return first + second
-
-
 def find_loop(
     system: ITRS,
     t0: RationalTerm,
     budget: int = 50_000,
     depth_bound: int = 8,
 ) -> Optional[LoopWitness]:
-    """A reduction cycle visiting two terms at positive distance.
+    """A reduction cycle visiting two distinct terms, which are at positive
+    distance however small it is.
 
     The search stops at the first BFS layer of the reduction graph whose
     explored part holds such a cycle (see reduction_graph), so a larger
@@ -331,9 +319,9 @@ def find_loop(
     cyclic components are tried with the one holding t0 first, then by
     their least term text.  The loop base is t0 or that least term, the
     prefix is the shortest path from t0 to the base, and the cycle is the
-    shortest one through the base when it visits a term at positive
-    distance; otherwise it is the shortest cycle through the base and the
-    first such term of the component, by text.
+    shortest one through the base when it visits another term; otherwise
+    it is the shortest cycle through the base and the least other term of
+    the component, by text.
     """
     return reduction_graph(
         system, t0, budget, depth_bound, lambda graph: _loop_witness(system, graph)
@@ -351,33 +339,15 @@ def _loop_witness(system: ITRS, graph: ReductionGraph) -> Optional[LoopWitness]:
         prefix = graph.path(base)
         if prefix is None:
             continue
-        # the shortest nonempty cycle through the base usually already
-        # visits a separated term; fall back to steering through one
+        # the shortest cycle through the base leaves it at its first step,
+        # unless that step is a self-loop; then steer through another term
         cycle = graph.steps(base, base)
-        witness = cycle and _distinct_on_cycle(system, base, cycle)
-        if witness is not None:
-            other, sep = witness
-            return LoopWitness(t0, tuple(prefix), tuple(cycle), base, other, sep)
-        for other in sorted(comp, key=str):
-            if other == base:
-                continue
-            sep = distance(system.metric, base, other)
-            if float(sep) <= TOL:
-                continue
-            cycle = _cycle_through(graph, base, other)
-            if cycle is None:
-                continue
-            return LoopWitness(t0, tuple(prefix), tuple(cycle), base, other, sep)
-    return None
-
-
-def _distinct_on_cycle(system: ITRS, base, cycle):
-    t = base
-    for occ in cycle:
-        t = rewrite_step(system, t, occ)
-        sep = distance(system.metric, base, t)
-        if t != base and float(sep) > TOL:
-            return t, sep
+        other = rewrite_step(system, base, cycle[0])
+        if other == base:
+            other = min((t for t in comp if t != base), key=str)
+            cycle = graph.steps(base, other) + graph.steps(other, base)
+        sep = distance(system.metric, base, other)
+        return LoopWitness(t0, tuple(prefix), tuple(cycle), base, other, sep)
     return None
 
 

@@ -6,10 +6,12 @@ argument-wise.  Distances between rational terms are computed on the
 product graph: exact shortest-path for granular metrics, otherwise the
 greatest solution of the distance equations, with clash pairs at 1.
 Variable depths solve the same equations on the term graph, with the
-variable at y and other variables at 0.  One solver does both: a node
-that reaches no nonzero leaf is 0 (for distance, a matched pair whose
-two subterms denote the same tree), the others are swept down from 1,
-and the answer is exact whenever the exact sweep settles.
+variable at y and other variables at 0.  One solver does both, one
+strongly connected component at a time, children first: a node that
+reaches no nonzero leaf is 0 (for distance, a matched pair whose two
+subterms denote the same tree), a node on no cycle takes one step, any
+other cycle is swept down from 1 on its own, and the answer is exact
+whenever every exact sweep settles.
 """
 
 from __future__ import annotations
@@ -374,64 +376,61 @@ def _fixpoint(
     """Value at root of the greatest solution of v(n) = leaf(n) at nodes
     without edges and v(n) = max(c(v(k)) for c, k in edges(n)) elsewhere.
 
-    Nodes that reach no nonzero leaf are 0.  The others start at 1 and are
-    swept children first, so one sweep solves an acyclic graph exactly.
-    On a cyclic one the values stay exact until a sweep changes nothing,
-    and the answer is then exact; a value that changes while its float
-    image does not (the values have underflowed a float), or 4 sweeps per
-    swept node plus 64, move them to floats, swept until the largest
-    change is below TOL.
+    Solved one strongly connected component at a time, children first.
+    A node that reaches no nonzero leaf is 0, and its edges are dropped;
+    that is decided on the graph, not on values, which can underflow a
+    float to 0.  A node on no cycle takes one step.  A cycle starts at 1
+    and is swept alone until a sweep changes nothing, and its values are
+    then exact.  A value that changes while its float image does not (the
+    values have underflowed a float), or 4 sweeps of one component per
+    node with edges plus 64, move every value to floats, and from then on
+    each component is swept until the largest change is below TOL.
     """
-    succ = {root: edges(root)}
-    parents: dict[Hashable, list] = {}
-    order = []  # postorder: a node after the nodes it reaches, cycles aside
-    on_stack, cyclic = {root}, False
-    stack = [(root, iter(succ[root]))]
-    while stack:
-        node, todo = stack[-1]
-        for _comp, kid in todo:
-            parents.setdefault(kid, []).append(node)
-            if kid not in succ:
-                succ[kid] = edges(kid)
-                on_stack.add(kid)
-                stack.append((kid, iter(succ[kid])))
+    succ: dict = {}
+
+    def kids(node):
+        succ[node] = edges(node)
+        return [k for _c, k in succ[node]]
+
+    comps = sccs([root], kids)
+    # exact sweeps per component; None once the values are floats
+    limit: Optional[int] = 4 * sum(1 for out in succ.values() if out) + 64
+    value: dict = {}
+    live: set = set()  # the nodes that reach a nonzero leaf; the others are 0
+    one: Number = Fraction(1)
+    for comp in comps:
+        head = comp[0]
+        if not succ[head]:
+            x = leaf(head)
+            if x:
+                live.add(head)
+                value[head] = x if limit is not None else float(x)
+            continue
+        if not any(k in live for n in comp for _c, k in succ[n]):
+            continue
+        live.update(comp)
+        if len(comp) == 1 and all(k != head for _c, k in succ[head]):
+            new = max(c(value[k]) for c, k in succ[head] if k in live)
+            value[head] = one if new == 1 else new  # as a sweep from 1: 1.0 stays exact
+            continue
+        value.update(dict.fromkeys(comp, one))
+        sweeps = 0
+        while True:
+            sweeps += 1
+            changed = blurred = False
+            delta = 0.0
+            for n in comp:
+                new = max(c(value[k]) for c, k in succ[n] if k in live)
+                if new != value[n]:
+                    step = abs(float(new) - float(value[n]))
+                    changed, blurred, delta = True, blurred or not step, max(delta, step)
+                    value[n] = new
+            if not changed or (limit is None and (delta < TOL or sweeps >= ITER_BUDGET)):
                 break
-            cyclic = cyclic or kid in on_stack
-        else:
-            stack.pop()
-            on_stack.discard(node)
-            order.append(node)
-    value = {n: leaf(n) for n in order if not succ[n]}
-    live = {n for n, v in value.items() if v}
-    stack = list(live)
-    while stack:
-        for node in parents.get(stack.pop(), ()):
-            if node not in live:
-                live.add(node)
-                stack.append(node)
-    if root not in live:
-        return Fraction(0)
-    inner = [n for n in order if succ[n] and n in live]
-    for n in inner:
-        value[n] = Fraction(1)
-        succ[n] = [(c, k) for c, k in succ[n] if k in live]
-    limit: Optional[int] = 4 * len(inner) + 64  # exact sweeps; None once floats
-    sweeps = 0
-    while True:
-        sweeps += 1
-        changed = blurred = False
-        delta = 0.0
-        for n in inner:
-            new = max(c(value[k]) for c, k in succ[n])
-            if new != value[n]:
-                step = abs(float(new) - float(value[n]))
-                changed, blurred, delta = True, blurred or not step, max(delta, step)
-                value[n] = new
-        if not (changed and cyclic) or (limit is None and (delta < TOL or sweeps >= ITER_BUDGET)):
-            return value[root]
-        if limit is not None and (blurred or sweeps >= limit):
-            value = {n: float(v) for n, v in value.items()}
-            limit, sweeps = None, 0
+            if limit is not None and (blurred or sweeps >= limit):
+                value = {n: float(v) for n, v in value.items()}
+                one, limit, sweeps = 1.0, None, 0
+    return value[root] if root in live else Fraction(0)
 
 
 # --- positional umms and epsilon-positions ---------------------------------

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from itrsbench import disjoint_union, parse, parse_itrs, simulate
-from itrsbench.cli import read_trace, run_command, write_trace
+from itrsbench import Budgets, disjoint_union, parse, parse_itrs, simulate
+from itrsbench.cli import build_parser, read_trace, run_command, write_trace
+from itrsbench.metrics import DEFAULT_DEPTH_GUARD
 from itrsbench.corpus import ITRS_SOURCES
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -166,6 +167,23 @@ def test_options_exist_only_where_read(files, argv):
     with pytest.raises(SystemExit) as exc:
         run_command(argv)
     assert exc.value.code == 2
+
+
+def test_knob_defaults_are_the_library_defaults():
+    budgets = Budgets()
+    want = {"budget": budgets.loop_states, "max_steps": budgets.max_steps,
+            "depth_bound": budgets.depth_bound, "depth_guard": DEFAULT_DEPTH_GUARD}
+    parser, seen = build_parser(), set()
+    for argv in (["epos", "--metric", "m", "--term", "x", "--epsilon", "1"],
+                 ["simulate", "--metric", "m", "--term", "x"],
+                 ["analyze", "--metric", "m", "--term", "x"],
+                 ["strong", "--metric", "m", "--term", "x"],
+                 ["xi", "--metric", "m", "--trace", "t", "--rule", "r", "--predicate", "p"]):
+        args = vars(parser.parse_args(argv))
+        for knob in want.keys() & args.keys():
+            assert args[knob] == want[knob], (argv[0], knob)
+            seen.add(knob)
+    assert seen == want.keys()
 
 
 def test_trace_round_trip_on_a_union_with_shared_rule_names(tmp_path):

@@ -30,6 +30,7 @@ from itrsbench import (
     find_root_recurrence,
     focussed_probe,
     metric_id,
+    metric_infty,
     parse,
     replay_loop,
     rewrite_step,
@@ -114,6 +115,23 @@ def test_root_recurrence_on_cyclic_rule():
     w = find_root_recurrence(system, app("A"), budget=100)
     assert w is not None
     assert any(occ.position == () for occ in w.cycle)
+
+
+@pytest.mark.parametrize("n", [29, 30, 40])
+def test_a_loop_below_tol_is_still_a_loop(n):
+    """A -> B, B -> A under infty: S^n(A) and S^n(B) are at 2^-n, below
+    TOL from n = 30 on, but distinct terms, so the loop between them is
+    found and replays."""
+    sig = Signature({"A": 0, "B": 0, "S": 1})
+    system = ITRS(sig, metric_infty(sig),
+                  [Rule("ab", app("A"), app("B")), Rule("ba", app("B"), app("A"))])
+    verdict = classify_convergence(
+        system, parse("S(" * n + "A" + ")" * n, sig), Budgets(depth_bound=n + 2)
+    )
+    assert verdict.kind == "diverging"
+    assert isinstance(verdict.witness, LoopWitness)
+    assert replay_loop(system, verdict.witness)
+    assert verdict.witness.separation == Fraction(1, 2**n)
 
 
 # --- extrapolation --------------------------------------------------------------

@@ -37,6 +37,7 @@ from itrsbench import (
     vdepth,
 )
 from itrsbench.metrics import (
+    TOL,
     _fixpoint,
     _product,
     component_problems,
@@ -46,7 +47,8 @@ from itrsbench.metrics import (
     simple_cycles,
 )
 from itrsbench.corpus import load, load_union
-from itrsbench.terms import subterm_at_node
+from itrsbench.terms import VAR, subterm_at_node
+from fixpoint_sweep import sweep_fixpoint
 from fraction_member import at_tol_edge, fraction_member
 from conftest import (
     GENERIC_SIG,
@@ -146,8 +148,13 @@ def test_ltree_left_spine_contracts(ltree_metric):
 
 def non_granular_metric(name: str) -> TermMetric:
     """The exa-layers and exa-layers2 unions; "binary", with a branching
-    symbol, so that unequal terms share subterms; and "non-dyadic", whose
-    constants are not powers of two."""
+    symbol, so that unequal terms share subterms; "non-dyadic", whose
+    constants are not powers of two; and "pow-half", whose square roots
+    give floats."""
+    if name == "pow-half":
+        return TermMetric(GENERIC_SIG, {"F": (Pow(HALF), Scale(Fraction(1, 4))),
+                                        "G": (Compose((Pow(HALF), HALVE)),),
+                                        "H": (Cap(Fraction(1, 8)),), "c": (), "d": ()})
     if name == "binary":
         return TermMetric(GENERIC_SIG, {"F": (Pow(Fraction(2)), Cap(HALF)),
                                         "G": (Scale(Fraction(2)),), "H": (HALVE,),
@@ -188,6 +195,78 @@ def test_distance_pins_exactly_the_bisimilar_pairs(name):
             (a, b) for a, b in pairs
             if bisimilar(subterm_at_node(t, a), subterm_at_node(u, b))
         }
+
+
+@pytest.mark.parametrize("name", ["exa-layers", "exa-layers2", "binary", "non-dyadic", "pow-half"])
+def test_fixpoint_matches_the_whole_graph_sweep(name):
+    """Distances and variable depths solved one component at a time
+    against the whole-graph sweep (tests/fixpoint_sweep.py).  Power-of-two
+    constants and integer pows: the same value of the same type.  Other
+    constants and square roots: the same Fraction wherever the sweep gives
+    one, and within TOL of each float it gives."""
+    m = non_granular_metric(name)
+    rng = rng_for(f"metrics-fixpoint-oracle-{name}")
+    exact = name in ("exa-layers", "exa-layers2", "binary")
+    floats = 0
+    for _ in range(600):
+        if rng.random() < 0.8:
+            t = random_rational_term(rng, m.sig, rng.randint(1, 8))
+        else:
+            t = random_finite_term(rng, m.sig, 5)
+        u = mutate(rng, t, m.sig) if rng.random() < 0.5 else random_rational_term(rng, m.sig, 4)
+        y = rng.choice([Fraction(1), HALF, Fraction(1, 3)])
+        clash, edges = _product(m, t, u)
+        for root, e, leaf in [
+            ((0, 0), edges, lambda q: Fraction(clash(q))),
+            (0, vdepth(m, t, "x")._edges,
+             lambda idx: y if t.nodes[idx] == (VAR, "x") else Fraction(0)),
+        ]:
+            got, want = _fixpoint(root, e, leaf), sweep_fixpoint(root, e, leaf)
+            if exact or isinstance(want, Fraction):
+                assert (type(got), got) == (type(want), want), (t, u)
+            else:
+                floats += 1
+                assert abs(got - want) <= TOL, (t, u)
+    assert (floats > 0) == (not exact)
+
+
+def test_a_node_on_no_cycle_takes_one_step():
+    """A 200-node identity chain above a 2-node cycle that halves once per
+    turn and exits through scale(1/1024): the cycle settles in 12 sweeps,
+    and each chain node's component is applied once, where the whole-graph
+    sweep applies it once per sweep."""
+
+    class Counting:
+        def __init__(self):
+            self.calls = 0
+
+        def __call__(self, x):
+            self.calls += 1
+            return x
+
+    n = 200
+    chain = Counting()
+    graph = {i: [(chain, i + 1)] for i in range(n)}
+    graph[n] = [(HALVE, n + 1), (Scale(Fraction(1, 1024)), "exit")]
+    graph[n + 1] = [(IDENTITY, n)]
+    graph["exit"] = []
+    assert _fixpoint(0, graph.__getitem__, lambda node: Fraction(1)) == Fraction(1, 1024)
+    assert chain.calls == n
+    chain.calls = 0
+    assert sweep_fixpoint(0, graph.__getitem__, lambda node: Fraction(1)) == Fraction(1, 1024)
+    assert chain.calls == 12 * n
+
+
+def test_a_cycle_that_reaches_a_nonzero_leaf_is_swept_though_its_exit_underflows():
+    """pow(3/2) of 2^-800 underflows a float to 0.0, but the node still
+    reaches a nonzero leaf, so the cycle above it is swept, and it keeps
+    its greatest solution 1 (v_a = sqrt(v_b), v_b = v_a^2)."""
+    graph = {"root": [(IDENTITY, "a")], "a": [(Pow(HALF), "b"), (IDENTITY, "e")],
+             "b": [(Pow(Fraction(2)), "a")], "e": [(Pow(Fraction(3, 2)), "x")], "x": []}
+    leaf = {"x": Fraction(1, 2**800)}.__getitem__
+    assert Pow(Fraction(3, 2))(leaf("x")) == 0
+    assert _fixpoint("root", graph.__getitem__, leaf) == 1
+    assert sweep_fixpoint("root", graph.__getitem__, leaf) == 1
 
 
 # --- epsilon-positions -----------------------------------------------------------
