@@ -236,6 +236,7 @@ class ReductionGraph:
     edges: dict  # expanded term -> list of (RedexOccurrence, term)
     exhausted: bool  # budget ran out before closure
     found: Optional[LoopWitness] = None  # the search's answer that ended the growth
+    mid_layer: bool = False  # search runs before its layer is complete
 
     def path(self, target: RationalTerm) -> Optional[list[RedexOccurrence]]:
         """Shortest step list from start to target, if recorded."""
@@ -270,12 +271,19 @@ def reduction_graph(
     is complete once that term's layer is, so search sees each cycle as
     soon as it exists; diamond joins (u one step farther than t) never
     run it.  A layer the budget cuts off counts as the last layer.
+
+    When t0 has no self-loop, search also runs at once on the first edge
+    t -> t0 (t not t0), with mid_layer set: that edge closes the first
+    cycle through t0, and bfs_path, which expands terms in this same
+    order, finds that cycle in the graph as it stands.  A search whose
+    answer needs the whole layer answers None while mid_layer is set.
     """
     edges: dict = {}
     graph = ReductionGraph(t0, edges, False)
     level = {t0: 0}
     layer = [t0]
     depth = 0
+    into_start = False  # has an edge into t0 been seen (t0's self-loop included)
     while layer and not graph.exhausted:
         closing = False
         next_layer = []
@@ -292,6 +300,14 @@ def reduction_graph(
                     next_layer.append(u)
                 elif seen <= depth:
                     closing = True
+                    if seen == 0 and not into_start:
+                        into_start = True
+                        if t != t0:
+                            graph.mid_layer = True
+                            graph.found = search(graph)
+                            graph.mid_layer = False
+                            if graph.found is not None:
+                                return graph
         if closing:
             graph.found = search(graph)
             if graph.found is not None:
@@ -322,6 +338,12 @@ def find_loop(
     shortest one through the base when it visits another term; otherwise
     it is the shortest cycle through the base and the least other term of
     the component, by text.
+
+    The growth stops earlier, at the first edge t -> t0 with t not t0,
+    when t0 has no self-loop: the witness is fixed there (base t0, empty
+    prefix, the shortest cycle through t0), so the rest of the layer
+    cannot change it.  When t0 has a self-loop, the other term is the
+    least of the whole component, and the layer is finished first.
     """
     return reduction_graph(
         system, t0, budget, depth_bound, lambda graph: _loop_witness(system, graph)
@@ -363,12 +385,16 @@ def find_root_recurrence(
     The search stops at the first BFS layer of the reduction graph whose
     explored part has a root step inside a strongly connected component
     (see reduction_graph).  The witness's cycle starts with that step.
+    Which component's step is taken depends on the whole layer, so this
+    search does not stop in the middle of one.
     """
     return reduction_graph(system, t0, budget, depth_bound, _root_recurrence).found
 
 
 def _root_recurrence(graph: ReductionGraph) -> Optional[LoopWitness]:
     """A cycle of the explored graph that starts with a root step, or None."""
+    if graph.mid_layer:
+        return None
     for comp in graph.components():
         members = set(comp)
         for t in comp:

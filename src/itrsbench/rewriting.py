@@ -26,6 +26,7 @@ from .terms import (
     iter_positions,
     node_at,
     replace,
+    sccs,
     var,
     variables,
 )
@@ -60,16 +61,21 @@ class Rule:
 
     @property
     def is_left_linear(self) -> bool:
-        # in the canonical graph a repeated variable is a shared leaf;
-        # count incoming references instead
-        counts: dict[str, int] = {}
-        for entry in self.lhs.nodes:
-            if entry[0] == APP:
-                for child in entry[2]:
-                    sub = self.lhs.nodes[child]
-                    if sub[0] == VAR:
-                        counts[sub[1]] = counts.get(sub[1], 0) + 1
-        return all(c <= 1 for c in counts.values())
+        # Canonical sharing merges the occurrences of a variable into one
+        # leaf, so count root-to-leaf paths instead: the lhs is linear iff
+        # each variable leaf has exactly one.  A path through a cycle
+        # repeats, so a cycle that reaches a variable makes it non-linear.
+        lhs = self.lhs
+        paths: dict[int, int] = {}  # node -> number of paths to variable leaves
+        for comp in sccs([0], lhs.children_of):
+            below = sum(paths.get(c, 0) for n in comp for c in lhs.children_of(n))
+            if len(comp) > 1 or comp[0] in lhs.children_of(comp[0]):
+                if below:
+                    return False
+            elif lhs.nodes[comp[0]][0] == VAR:
+                below = 1
+            paths.update(dict.fromkeys(comp, below))
+        return paths[0] == len(variables(lhs))
 
 
 @dataclass
@@ -91,6 +97,10 @@ class ITRS:
         ]
         if rejected:
             raise TermError(f"rules rejected by the engine: {rejected}")
+        # label of an lhs root -> the rules with that label, in rule order
+        self._by_root_label: dict[tuple, list[Rule]] = {}
+        for r in self.rules:
+            self._by_root_label.setdefault(r.lhs.label_of(0), []).append(r)
 
     def rule(self, name: str) -> Rule:
         for r in self.rules:
@@ -148,6 +158,11 @@ def match(lhs: RationalTerm, t: RationalTerm, p: Position) -> Optional[dict[str,
     root = node_at(t, p)
     if root is None:
         return None
+    return _match_at(lhs, t, root)
+
+
+def _match_at(lhs: RationalTerm, t: RationalTerm, root: int) -> Optional[dict[str, int]]:
+    """match against the subterm of t rooted at graph node root."""
     binding: dict[str, int] = {}
     seen = set()
     stack = [(0, root)]
@@ -188,21 +203,20 @@ def redexes(
     outermost-first, then left-to-right, then by rule order.
 
     Bindings name graph nodes, so whether a rule matches depends only on
-    the node a position reaches: the rules whose lhs root has the node's
-    label are matched once per node, at the first position (in that
-    order) that reaches it, and the answer is reused at every later one.
+    the node a position reaches: each node is matched once, at the first
+    position (in that order) that reaches it, against the rules whose lhs
+    root has the node's label, and the answer is reused at every later one.
     """
     out = []
+    by_label = system._by_root_label
     at_node: dict[int, list[tuple[Rule, dict[str, int]]]] = {}
     for p, idx in iter_positions(t, depth_bound):  # breadth first, left to right
         hits = at_node.get(idx)
         if hits is None:
-            label = t.label_of(idx)
             hits = at_node[idx] = [
                 (rule, sigma)
-                for rule in system.rules
-                if rule.lhs.label_of(0) == label
-                and (sigma := match(rule.lhs, t, p)) is not None
+                for rule in by_label.get(t.label_of(idx), ())
+                if (sigma := _match_at(rule.lhs, t, idx)) is not None
             ]
         out.extend(RedexOccurrence(p, rule, sigma) for rule, sigma in hits)
     return out

@@ -1,13 +1,20 @@
 """Finite and rational terms as canonical rooted graphs.
 
 A rational term is a finite rooted labeled graph; finite terms are the
-acyclic case.  Every constructor canonicalizes: the graph is trimmed to
-the part reachable from the root, bisimilar nodes are merged by Hopcroft's
-O(m log n) partition refinement, and nodes are renumbered in depth-first
+acyclic case.  Every term is canonical: trimmed to the part reachable
+from the root, with no two nodes bisimilar, and numbered in depth-first
 preorder (root = 0).  Two terms denote the same (possibly infinite) tree
 iff their canonical forms are equal, which makes equality, hashing and
 sharing cheap.  Live terms are interned weakly, so equal terms built while
 one is alive are the same object.
+
+from_nodes, and the constructors built on it (var, app, graph_term,
+parse, substitute), merge bisimilar nodes by Hopcroft's O(m log n)
+partition refinement.  replace and subterm_at_node start from a canonical
+term and need no refinement: subterm_at_node only trims and renumbers,
+and replace hash-conses the nodes it adds against the term's own nodes,
+then trims and renumbers; only a cyclic replacement, whose loops may fold
+into the term, goes through from_nodes.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import re
 import weakref
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 Position = tuple[int, ...]  # 1-based child indices; () is the root
@@ -102,10 +110,21 @@ class RationalTerm:
 
     @property
     def is_finite(self) -> bool:
-        return not any(
-            len(comp) > 1 or comp[0] in self.children_of(comp[0])
-            for comp in sccs([0], self.children_of)
-        )
+        return self._postorder is not None
+
+    @cached_property
+    def _postorder(self) -> Optional[tuple[int, ...]]:
+        """The nodes, each after its children; None when the graph is cyclic."""
+        comps = sccs([0], self.children_of)
+        if any(len(comp) > 1 or comp[0] in self.children_of(comp[0]) for comp in comps):
+            return None
+        return tuple(comp[0] for comp in comps)
+
+    @cached_property
+    def _index(self) -> dict:
+        """Node entry -> node number.  Two nodes with one entry would be
+        bisimilar, so in a canonical graph every entry is unique."""
+        return {entry: i for i, entry in enumerate(self.nodes)}
 
     def __str__(self) -> str:
         return to_text(self)
@@ -191,7 +210,9 @@ def from_nodes(nodes: Sequence, root: int) -> RationalTerm:
                         is_waiting.append(False)
 
     # quotient + preorder renumbering from the root's block; every node of
-    # a block has the block's label and child blocks, so any one will do
+    # a block has the block's label and child blocks, so any one will do.
+    # This is _renumbered on the quotient, fused so that no quotient entry
+    # is built only to be thrown away.
     rep = [0] * len(members)
     for k, b in enumerate(block):
         rep[b] = k
@@ -214,7 +235,38 @@ def from_nodes(nodes: Sequence, root: int) -> RationalTerm:
                     pending.append(cb)
             out[order[b]] = (APP, entry[1], tuple(order[cb] for cb in child_blocks))
             stack.extend(reversed(pending))
-    key = tuple(out)
+    return _interned(tuple(out))
+
+
+def _renumbered(nodes: Sequence, root: int) -> RationalTerm:
+    """The interned term of the nodes reachable from root, renumbered in
+    depth-first preorder.  The caller guarantees that no two of them are
+    bisimilar, so this is the canonical form."""
+    order = {root: 0}
+    out: list = [None]
+    stack = [root]
+    while stack:
+        k = stack.pop()
+        entry = nodes[k]
+        if entry[0] == VAR:
+            out[order[k]] = entry
+            continue
+        pending = []
+        children = []
+        for c in entry[2]:
+            o = order.get(c)
+            if o is None:
+                o = order[c] = len(out)
+                out.append(None)
+                pending.append(c)
+            children.append(o)
+        out[order[k]] = (APP, entry[1], tuple(children))
+        stack.extend(reversed(pending))
+    return _interned(tuple(out))
+
+
+def _interned(key: tuple) -> RationalTerm:
+    """The one live term whose canonical node tuple is key."""
     cached = _INTERN.get(key)
     if cached is None:
         cached = RationalTerm(key)
@@ -279,8 +331,12 @@ def node_at(t: RationalTerm, p: Position) -> Optional[int]:
 
 
 def subterm_at_node(t: RationalTerm, idx: int) -> RationalTerm:
-    """The subterm rooted at graph node idx of t."""
-    return from_nodes(t.nodes, idx)
+    """The subterm rooted at graph node idx of t.
+
+    The nodes of a canonical term are pairwise not bisimilar, so the
+    subterm's nodes are too: it is trimmed and renumbered, not refined.
+    """
+    return t if idx == 0 else _renumbered(t.nodes, idx)
 
 
 def subterm(t: RationalTerm, p: Position) -> RationalTerm:
@@ -300,21 +356,55 @@ def replace(
     subterm of t at that node, so replace(t, p, rhs, match(lhs, t, p)) is
     one rewrite step.  A fresh spine is built along p, so replacement
     inside a cycle cuts it.
+
+    The new nodes (u's copy, children first, then the spine, bottom up)
+    are hash-consed: each is looked up by its entry among t's nodes and
+    the new nodes made before it, and made only when absent.  When u is
+    finite that is exact: t's nodes are pairwise not bisimilar and never
+    point at new ones, and a new node's children are already unique, so
+    it is bisimilar to a node iff their entries are equal.  The result is
+    then only trimmed and renumbered.  A cyclic u can close a loop
+    bisimilar to one of t's, so its copy goes through from_nodes.
     """
     if node_at(t, p) is None:
         return t
     nodes = list(t.nodes)
-    new = append_nodes(nodes, u, binding)
+    index = t._index
+    added: dict = {}  # entry -> number, for the nodes made here
+
+    def cons(entry) -> int:
+        k = index.get(entry)
+        if k is None:
+            k = added.get(entry)
+            if k is None:
+                k = added[entry] = len(nodes)
+                nodes.append(entry)
+        return k
+
+    order = u._postorder
+    if order is None:
+        new = append_nodes(nodes, u, binding)
+    else:
+        where = [0] * len(u.nodes)
+        for i in order:
+            entry = u.nodes[i]
+            if entry[0] == VAR:
+                k = binding.get(entry[1])
+                where[i] = cons(entry) if k is None else k
+            else:
+                where[i] = cons((APP, entry[1], tuple(where[c] for c in entry[2])))
+        new = where[0]
     spine = [0]
     for i in p[:-1]:
-        spine.append(nodes[spine[-1]][2][i - 1])
+        spine.append(t.nodes[spine[-1]][2][i - 1])
     for idx, i in zip(reversed(spine), reversed(p)):
-        entry = nodes[idx]
+        entry = t.nodes[idx]
         children = list(entry[2])
         children[i - 1] = new
-        nodes.append((APP, entry[1], tuple(children)))
-        new = len(nodes) - 1
-    return from_nodes(nodes, new)
+        new = cons((APP, entry[1], tuple(children)))
+    if order is None:
+        return from_nodes(nodes, new)
+    return t if new == 0 else _renumbered(nodes, new)
 
 
 def positions(t: RationalTerm, depth_bound: int) -> set[Position]:

@@ -9,7 +9,7 @@ from collections import deque
 from typing import Optional
 
 from itrsbench.convergence import LoopWitness
-from itrsbench.metrics import TOL, distance
+from itrsbench.metrics import distance
 from itrsbench.rewriting import RedexOccurrence, match, rewrite_step, successors
 from itrsbench.terms import bfs_path, iter_positions, sccs
 
@@ -63,9 +63,8 @@ def _distinct_on_cycle(system, base, cycle):
     t = base
     for occ in cycle:
         t = rewrite_step(system, t, occ)
-        sep = distance(system.metric, base, t)
-        if t != base and float(sep) > TOL:
-            return t, sep
+        if t != base:
+            return t, distance(system.metric, base, t)
     return None
 
 
@@ -89,12 +88,10 @@ def loop_in(system, graph: FullGraph) -> Optional[LoopWitness]:
         for other in sorted(comp, key=str):
             if other == base:
                 continue
-            sep = distance(system.metric, base, other)
-            if float(sep) <= TOL:
-                continue
             cycle = _cycle_through(graph, base, other)
             if cycle is None:
                 continue
+            sep = distance(system.metric, base, other)
             return LoopWitness(t0, tuple(prefix), tuple(cycle), base, other, sep)
     return None
 

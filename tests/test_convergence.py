@@ -341,6 +341,19 @@ def _loop_starts():
     out.append(("same-layer", same_layer, app("S"), 300, 8))
     self_loop = ITRS(sig, metric_id(sig), [Rule("aa", app("A"), app("A"))])
     out.append(("self-loop", self_loop, app("A"), 300, 8))
+    # a self-loop on the start and a longer cycle through it: the first edge
+    # back into S comes from Y, but the witness's other term is the least
+    # one of the whole component, A, which closes later in the same layer
+    sig = Signature({"S": 0, "Y": 0, "A": 0})
+    rules = [("ss", "S", "S"), ("sy", "S", "Y"), ("sa", "S", "A"), ("ys", "Y", "S"),
+             ("as", "A", "S")]
+    start_loop = ITRS(sig, metric_id(sig), [Rule(n, app(l), app(r)) for n, l, r in rules])
+    out.append(("start-self-loop", start_loop, app("S"), 300, 8))
+    # S^30(A) and S^30(B) are closer than TOL under infty, but distinct
+    sig = Signature({"A": 0, "B": 0, "S": 1})
+    flip = ITRS(sig, metric_infty(sig),
+                [Rule("ab", app("A"), app("B")), Rule("ba", app("B"), app("A"))])
+    out.append(("below-tol", flip, parse("S(" * 30 + "A" + ")" * 30, sig), 300, 32))
     for k in range(4):
         text = "G(" + "H(" * k + "mu X. F(H(X))" + ")" * k + ")"
         for depth in range(8, 15):

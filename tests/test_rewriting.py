@@ -250,6 +250,20 @@ def test_classification_flags():
     assert report.rhs_membership["top"] == "member"
 
 
+@pytest.mark.parametrize("lhs, linear", [
+    ("F(G(x), G(x))", False),  # x twice, under one shared G(x) node
+    ("F(x, G(y))", True),
+    ("F(x, x)", False),
+    ("F(G(c), G(c))", True),  # sharing without variables
+    ("F(x, mu X. G(X))", True),  # a cycle that reaches no variable
+    ("mu X. F(X, x)", False),  # x below a cycle: infinitely many paths
+    ("F(mu X. F(X, G(x)), y)", False),
+])
+def test_left_linearity_counts_paths_not_shared_leaves(lhs, linear):
+    sig = Signature({"F": 2, "G": 1, "c": 0})
+    assert Rule("r", parse(lhs, sig), parse("c", sig)).is_left_linear is linear
+
+
 def test_pseudo_collapsing_detection():
     sig = Signature({"F": 2})
     m = metric_granular(sig, {"F": ["lazy", "strict"]})

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import gc
 import sys
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -31,7 +32,17 @@ from itrsbench import (
     var,
     variables,
 )
-from itrsbench.terms import _INTERN, APP, VAR, from_nodes, sccs, subterm_at_node
+from itrsbench.terms import (
+    _INTERN,
+    APP,
+    VAR,
+    append_nodes,
+    from_nodes,
+    iter_positions,
+    node_at,
+    sccs,
+    subterm_at_node,
+)
 from conftest import GENERIC_SIG, random_finite_term, random_rational_term, rng_for
 
 
@@ -315,6 +326,72 @@ def test_replace_identity():
 def test_replace_invalid_position_is_noop():
     t = app("c")
     assert replace(t, (1, 2), var("x")) == t
+
+
+def refined_replace(t, p, u, binding):
+    """replace by full refinement: t's nodes, a copy of u and a fresh
+    spine along p in one raw node list, canonicalised by from_nodes."""
+    nodes = list(t.nodes)
+    new = append_nodes(nodes, u, binding)
+    spine = [0]
+    for i in p[:-1]:
+        spine.append(nodes[spine[-1]][2][i - 1])
+    for idx, i in zip(reversed(spine), reversed(p)):
+        entry = nodes[idx]
+        children = list(entry[2])
+        children[i - 1] = new
+        nodes.append((APP, entry[1], tuple(children)))
+        new = len(nodes) - 1
+    return from_nodes(nodes, new)
+
+
+def test_hash_consed_replace_is_the_refined_term():
+    """replace and subterm_at_node return the very object that full
+    refinement interns, on cyclic and acyclic terms and right-hand sides,
+    with variables bound to nodes of t, two of them to one node."""
+    rng = rng_for("terms-hash-consed-replace")
+    rhs_vars = ("x", "y", "z")
+    shapes = Counter()
+    for _ in range(600):
+        if rng.random() < 0.5:
+            t = random_rational_term(rng, GENERIC_SIG, rng.randint(1, 7))
+        else:
+            t = random_finite_term(rng, GENERIC_SIG, 4)
+        if rng.random() < 0.3:
+            u = random_rational_term(rng, GENERIC_SIG, rng.randint(1, 4))
+        else:
+            u = random_finite_term(rng, GENERIC_SIG, 3)
+        nodes = range(len(t.nodes))
+        binding = {x: rng.choice(nodes) for x in rhs_vars if rng.random() < 0.7}
+        p, idx = rng.choice(list(iter_positions(t, 5)))
+        got = replace(t, p, u, binding)
+        assert got is refined_replace(t, p, u, binding), (t, p, u, binding)
+        assert subterm_at_node(t, idx) is from_nodes(t.nodes, idx)
+        on_cycle = any(idx in comp and len(comp) > 1 for comp in sccs([0], t.children_of))
+        shapes["cyclic t" if not t.is_finite else "finite t"] += 1
+        shapes["cyclic u" if not u.is_finite else "finite u"] += 1
+        shapes["p on a cycle"] += on_cycle
+        shapes["shared binding"] += len(set(binding.values())) < len(binding)
+        shapes["repeated variable"] += u.is_finite and len(positions(u, 3)) > len(u.nodes)
+    assert min(shapes.values()) >= 20, shapes
+
+
+def test_replace_folds_into_the_term_and_keeps_it_when_unchanged():
+    loop = parse("mu X. F(X)")
+    t = parse("H(c, mu X. F(X))")
+    # F(x) with x bound to the loop is the loop again: F(mu X. F(X)) folds
+    got = replace(t, (1,), parse("F(x)"), {"x": node_at(t, (2,))})
+    assert got is parse("H(mu X. F(X), mu X. F(X))")
+    assert got.nodes == ((APP, "H", (1, 1)), (APP, "F", (1,)))
+    assert replace(loop, (), parse("F(x)"), {"x": 0}) is loop
+    # a cyclic rhs folds too, through refinement
+    assert replace(t, (1,), parse("F(mu X. F(X))")) is got
+    # an rhs equal to the replaced subterm gives t itself
+    s = parse("F(G(c), H(mu X. G(X)))")
+    for p, idx in iter_positions(s, 4):
+        assert replace(s, p, subterm_at_node(s, idx)) is s
+        assert replace(s, p, parse("x"), {"x": idx}) is s
+        assert subterm_at_node(s, idx) is subterm(s, p)
 
 
 def test_topequ():
