@@ -174,25 +174,13 @@ def replay_loop(system: ITRS, w: LoopWitness) -> bool:
 
 
 def _pick(occs: list[RedexOccurrence], strategy: str) -> RedexOccurrence:
-    positions = {o.position for o in occs}
-    if strategy == "leftmost-outermost":
-        keep = [
-            o
-            for o in occs
-            if not any(o.position[:k] in positions for k in range(len(o.position)))
-        ]
-    elif strategy == "leftmost-innermost":
-        keep = [
-            o
-            for o in occs
-            if not any(
-                q != o.position and q[: len(o.position)] == o.position
-                for q in positions
-            )
-        ]
-    else:
+    # a proper prefix sorts first, so the least redex position is outermost
+    if strategy == "leftmost-innermost":
+        above = {o.position[:k] for o in occs for k in range(len(o.position))}
+        occs = [o for o in occs if o.position not in above]  # no redex below
+    elif strategy != "leftmost-outermost":
         raise TermError(f"unknown strategy {strategy}")
-    return min(keep, key=lambda o: o.position)
+    return min(occs, key=lambda o: o.position)
 
 
 def simulate(
@@ -226,7 +214,7 @@ def simulate(
                 break
             occ = _pick(occs, strategy)
             steps.append(occ)
-            terms.append(rewrite_step(system, terms[-1], occ))
+            terms.append(replace(terms[-1], occ.position, occ.rule.rhs, occ.binding))
     return Trace([Segment(terms, steps)], stuck=stuck)
 
 

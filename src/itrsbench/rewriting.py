@@ -15,7 +15,8 @@ from .metrics import (
 )
 from .terms import (
     APP,
-    VAR,
+    PLACED,
+    ROOT,
     Position,
     RationalTerm,
     Signature,
@@ -23,10 +24,9 @@ from .terms import (
     app,
     bfs_path,
     from_nodes,
-    iter_positions,
     node_at,
     replace,
-    sccs,
+    subterm_at_node,
     var,
     variables,
 )
@@ -62,20 +62,13 @@ class Rule:
     @property
     def is_left_linear(self) -> bool:
         # Canonical sharing merges the occurrences of a variable into one
-        # leaf, so count root-to-leaf paths instead: the lhs is linear iff
-        # each variable leaf has exactly one.  A path through a cycle
-        # repeats, so a cycle that reaches a variable makes it non-linear.
-        lhs = self.lhs
-        paths: dict[int, int] = {}  # node -> number of paths to variable leaves
-        for comp in sccs([0], lhs.children_of):
-            below = sum(paths.get(c, 0) for n in comp for c in lhs.children_of(n))
-            if len(comp) > 1 or comp[0] in lhs.children_of(comp[0]):
-                if below:
-                    return False
-            elif lhs.nodes[comp[0]][0] == VAR:
-                below = 1
-            paths.update(dict.fromkeys(comp, below))
-        return paths[0] == len(variables(lhs))
+        # leaf, so the lhs is linear iff no node that a second edge or a
+        # cycle enters (PLACED in RationalTerm._pattern) reaches a variable.
+        edges, _leaves = self.lhs._pattern
+        return not any(
+            label is PLACED and variables(subterm_at_node(self.lhs, b))
+            for _a, _i, b, label in edges
+        )
 
 
 @dataclass
@@ -151,39 +144,33 @@ def match(lhs: RationalTerm, t: RationalTerm, p: Position) -> Optional[dict[str,
     """Match the pattern lhs against the subterm of t at p.
 
     Returns the binding of each pattern variable to a node of t, or None.
-    A repeated variable must meet one node twice, which in a canonical
-    graph means bisimilar subterms.  Pairs already checked are skipped,
-    so a cyclic pattern matches coinductively instead of looping.
+    A match is a graph homomorphism from lhs into the canonical graph of
+    t, which sends each lhs node to one node of t: a repeated variable, a
+    shared ground subterm or a cycle of lhs meets one node, one subterm.
     """
     root = node_at(t, p)
-    if root is None:
+    if root is None or not (lhs.is_var or t.label_of(root) == lhs.label_of(0)):
         return None
     return _match_at(lhs, t, root)
 
 
 def _match_at(lhs: RationalTerm, t: RationalTerm, root: int) -> Optional[dict[str, int]]:
-    """match against the subterm of t rooted at graph node root."""
-    binding: dict[str, int] = {}
-    seen = set()
-    stack = [(0, root)]
-    while stack:
-        pair = stack.pop()
-        if pair in seen:
-            continue
-        seen.add(pair)
-        pat_idx, idx = pair
-        entry = lhs.nodes[pat_idx]
-        if entry[0] == VAR:
-            if binding.setdefault(entry[1], idx) != idx:
+    """match at graph node root, whose label the caller has checked."""
+    nodes = t.nodes
+    image = [root] * len(lhs.nodes)  # lhs node -> node of t, once placed
+    edges, leaves = lhs._pattern
+    for a, i, b, label in edges:
+        c = nodes[image[a]][2][i]
+        if label is PLACED:
+            if image[b] != c:
                 return None
             continue
-        sub_entry = t.nodes[idx]
-        if sub_entry[0] != APP or sub_entry[1] != entry[1]:
-            return None
-        if len(sub_entry[2]) != len(entry[2]):
-            return None
-        stack.extend(zip(entry[2], sub_entry[2]))
-    return binding
+        if label is not None:
+            entry = nodes[c]
+            if entry[0] != APP or entry[1] != label[0] or len(entry[2]) != label[1]:
+                return None
+        image[b] = c
+    return {x: image[b] for b, x in leaves}
 
 
 @dataclass(frozen=True)
@@ -202,23 +189,31 @@ def redexes(
     """All redex occurrences with position length <= depth_bound, ordered
     outermost-first, then left-to-right, then by rule order.
 
-    Bindings name graph nodes, so whether a rule matches depends only on
-    the node a position reaches: each node is matched once, at the first
-    position (in that order) that reaches it, against the rules whose lhs
-    root has the node's label, and the answer is reused at every later one.
+    One breadth-first pass over (position, node) pairs.  Bindings name
+    graph nodes, so a node is matched once, when a position first reaches
+    it, against the rules whose lhs root has its label.
     """
     out = []
     by_label = system._by_root_label
-    at_node: dict[int, list[tuple[Rule, dict[str, int]]]] = {}
-    for p, idx in iter_positions(t, depth_bound):  # breadth first, left to right
-        hits = at_node.get(idx)
+    nodes = t.nodes
+    hits_at: list = [None] * len(nodes)  # node -> [(rule, binding)], once matched
+    queue = [(ROOT, 0)]
+    for p, idx in queue:  # queue grows while it is walked: breadth first
+        entry = nodes[idx]
+        if entry[0] != APP:
+            continue  # a variable: no lhs root has its label, no children
+        hits = hits_at[idx]
         if hits is None:
-            hits = at_node[idx] = [
+            hits = hits_at[idx] = [
                 (rule, sigma)
-                for rule in by_label.get(t.label_of(idx), ())
+                for rule in by_label.get((entry[1], len(entry[2])), ())
                 if (sigma := _match_at(rule.lhs, t, idx)) is not None
             ]
-        out.extend(RedexOccurrence(p, rule, sigma) for rule, sigma in hits)
+        for rule, sigma in hits:
+            out.append(RedexOccurrence(p, rule, sigma))
+        if len(p) < depth_bound:
+            for i, c in enumerate(entry[2], 1):
+                queue.append((p + (i,), c))
     return out
 
 

@@ -4,9 +4,9 @@ A rational term is a finite rooted labeled graph; finite terms are the
 acyclic case.  Every term is canonical: trimmed to the part reachable
 from the root, with no two nodes bisimilar, and numbered in depth-first
 preorder (root = 0).  Two terms denote the same (possibly infinite) tree
-iff their canonical forms are equal, which makes equality, hashing and
-sharing cheap.  Live terms are interned weakly, so equal terms built while
-one is alive are the same object.
+iff their canonical forms are equal.  Live terms are interned weakly, so
+terms with one canonical form built while one is alive are the same
+object, and equality and hashing are by identity.
 
 from_nodes, and the constructors built on it (var, app, graph_term,
 parse, substitute), merge bisimilar nodes by Hopcroft's O(m log n)
@@ -36,6 +36,7 @@ FALLBACK_VAR_NAME = "?"
 # Node entries: ("var", name) or ("app", symbol, (child_index, ...))
 VAR = "var"
 APP = "app"
+PLACED = "placed"  # RationalTerm._pattern: an edge into a node already matched
 
 
 class TermError(Exception):
@@ -82,11 +83,14 @@ class Signature:
 _INTERN: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RationalTerm:
-    """Canonical rooted term graph; immutable and maximally shared."""
+    """Canonical rooted term graph; immutable, interned, so == is identity."""
 
     nodes: tuple  # entry i: ("var", name) or ("app", sym, (child, ...))
+
+    def __reduce__(self):  # copy, deepcopy and pickle give the interned term
+        return _interned, (self.nodes,)
 
     @property
     def is_var(self) -> bool:
@@ -125,6 +129,23 @@ class RationalTerm:
         """Node entry -> node number.  Two nodes with one entry would be
         bisimilar, so in a canonical graph every entry is unique."""
         return {entry: i for i, entry in enumerate(self.nodes)}
+
+    @cached_property
+    def _pattern(self) -> tuple:
+        """This term as a pattern for rewriting.match: its edges (parent,
+        child index, child, label) in node order, a preorder, and its
+        variable leaves (node, name).  The first edge into a node carries
+        its label, (symbol, arity), or None for a variable; a later one
+        carries PLACED: it must meet the node already placed there."""
+        labels = [None if e[0] == VAR else (e[1], len(e[2])) for e in self.nodes]
+        placed = {0}
+        edges = []
+        for a in range(len(self.nodes)):
+            for i, b in enumerate(self.children_of(a)):
+                edges.append((a, i, b, PLACED if b in placed else labels[b]))
+                placed.add(b)
+        leaves = tuple((b, e[1]) for b, e in enumerate(self.nodes) if e[0] == VAR)
+        return tuple(edges), leaves
 
     def __str__(self) -> str:
         return to_text(self)
@@ -415,17 +436,10 @@ def positions(t: RationalTerm, depth_bound: int) -> set[Position]:
 def iter_positions(t: RationalTerm, depth_bound: int) -> Iterator[tuple[Position, int]]:
     """Breadth-first (position, node) pairs up to the depth bound."""
     queue: list[tuple[Position, int]] = [(ROOT, 0)]
-    while queue:
-        next_queue = []
-        for p, idx in queue:
-            yield p, idx
-            if len(p) == depth_bound:
-                continue
-            entry = t.nodes[idx]
-            if entry[0] == APP:
-                for i, child in enumerate(entry[2], start=1):
-                    next_queue.append((p + (i,), child))
-        queue = next_queue
+    for p, idx in queue:  # queue grows while it is walked
+        yield p, idx
+        if len(p) < depth_bound:
+            queue.extend((p + (i,), c) for i, c in enumerate(t.children_of(idx), 1))
 
 
 def topequ(t: RationalTerm, p: Position, u: RationalTerm) -> bool:
@@ -528,8 +542,7 @@ def bfs_path(
     nonempty cycle.  At most budget nodes are expanded when one is given.
     None means no path was found.
     """
-    parent: dict = {}
-    seen = {start}
+    parent: dict = {start: None}  # every node found, with its first parent
     queue = deque([start])
     expansions = 0
     while queue and (budget is None or expansions < budget):
@@ -543,8 +556,7 @@ def bfs_path(
                     path.append(label)
                 path.reverse()
                 return path
-            if nxt not in seen:
-                seen.add(nxt)
+            if nxt not in parent:
                 parent[nxt] = (node, label)
                 queue.append(nxt)
     return None

@@ -32,6 +32,7 @@ from itrsbench import (
     metric_id,
     metric_infty,
     parse,
+    redexes,
     replay_loop,
     rewrite_step,
     simulate,
@@ -48,6 +49,7 @@ from itrsbench.corpus import (
     rearrange_trace,
     string_trace,
 )
+from conftest import random_finite_term, random_rational_term, rng_for
 from full_graph_search import full_reduction_graph, loop_in, root_recurrence_in
 
 
@@ -61,6 +63,37 @@ def test_simulate_outermost_vs_innermost():
     inner = simulate(system, t, "leftmost-innermost", max_steps=1)
     assert outer.segments[0].steps[0].position == ()
     assert inner.segments[0].steps[0].position == (1,)
+
+
+@pytest.mark.parametrize("strategy", ["leftmost-outermost", "leftmost-innermost"])
+def test_simulate_picks_the_leftmost_outermost_or_innermost_redex(strategy):
+    """By the definitions: the least position among the redexes with no
+    other redex strictly above (outermost) or below (innermost) them, and
+    the first rule in rule order there; a term with no redex is stuck."""
+    rng = rng_for(f"pick-{strategy}")
+    system, _ = load_union("toyama-r", "toyama-s")
+
+    def below(q, p):
+        return len(q) > len(p) and q[: len(p)] == p
+
+    picked = 0
+    for _ in range(80):
+        if rng.random() < 0.5:
+            t = random_rational_term(rng, system.sig, rng.randint(1, 5))
+        else:
+            t = random_finite_term(rng, system.sig, 4)
+        occs = redexes(system, t, 8)
+        tr = simulate(system, t, strategy, max_steps=1, depth_bound=8)
+        if not occs:
+            assert tr.stuck
+            continue
+        if strategy == "leftmost-outermost":
+            keep = [o for o in occs if not any(below(o.position, q.position) for q in occs)]
+        else:
+            keep = [o for o in occs if not any(below(q.position, o.position) for q in occs)]
+        assert tr.segments[0].steps == [min(keep, key=lambda o: o.position)]
+        picked += 1
+    assert picked > 40
 
 
 def test_simulate_script_and_validate():

@@ -4,6 +4,7 @@ coproduct."""
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from itrsbench import (
     disjoint_union,
     distance,
     erase_indirection,
+    graph_term,
     indirect,
     is_depth_preserving,
     is_member,
@@ -35,6 +37,7 @@ from itrsbench import (
     subterm,
     successors,
     var,
+    variables,
     weak_reach,
     weak_reach_path,
 )
@@ -43,6 +46,7 @@ from itrsbench.corpus import load, load_union
 from itrsbench.rewriting import rename_symbols
 from itrsbench.terms import bfs_path, iter_positions, node_at, sccs, subterm_at_node
 from conftest import GENERIC_SIG, random_finite_term, random_rational_term, rng_for
+from coinductive_match import coinductive_match
 from full_graph_search import naive_redexes
 
 
@@ -494,12 +498,93 @@ def test_redexes_match_once_per_node_and_rule(monkeypatch):
     want = naive_redexes(system, t, 16)
     calls = []
 
-    def counting(lhs, term, p):
-        calls.append(p)
-        return match(lhs, term, p)
+    def counting(lhs, term, root):
+        calls.append(root)
+        return match_at(lhs, term, root)
 
-    monkeypatch.setattr(rewriting, "match", counting)
+    match_at = rewriting._match_at
+    monkeypatch.setattr(rewriting, "_match_at", counting)
     got = redexes(system, t, 16)
     assert got == want
     assert len(want) > 1000  # positions far outnumber nodes on the branching cycle
-    assert len(calls) <= len(t.nodes) * len(system.rules)
+    by_label = system._by_root_label
+    assert 0 < len(calls) <= sum(len(by_label.get(t.label_of(n), ())) for n in range(len(t.nodes)))
+
+
+# --- the compiled matcher against the coinductive one ---------------------------------
+
+SYMBOLS_BY_ARITY = {
+    k: sorted(s for s in GENERIC_SIG.symbols if GENERIC_SIG.arity(s) == k) for k in range(3)
+}
+
+
+def pattern_from(rng, t, root, unfold):
+    """A random lhs read off t from graph node root.  Each node reached
+    is kept, with t's symbol or now and then another of its arity, or cut
+    to a variable; the root is kept.  unfold=False gives one pattern node
+    per node of t, so t's cycles and shared nodes stay; unfold=True copies
+    each position up to depth 3, so cycles unroll and equal subterms are
+    shared again only by canonical merging.  A variable is named after
+    the node it cuts, so repeats agree, or at random, so they may not."""
+    spec = {}
+
+    def visit(idx, depth):
+        name = f"p{len(spec)}" if unfold else f"n{idx}"
+        if name in spec:
+            return name
+        entry = t.nodes[idx]
+        if entry[0] == "var" or (depth and rng.random() < 0.15) or (unfold and depth == 3):
+            x = f"x{idx}" if rng.random() < 0.6 else rng.choice(("x", "y"))
+            spec[name] = ("var", x)
+            return name
+        symbol = entry[1]
+        if rng.random() < 0.25:
+            symbol = rng.choice(SYMBOLS_BY_ARITY[len(entry[2])])
+        spec[name] = None  # reserve the name before the children
+        spec[name] = (symbol, [visit(c, depth + 1) for c in entry[2]])
+        return name
+
+    return graph_term(spec, visit(root, 0))
+
+
+def pattern_kinds(lhs):
+    """Which of cyclic, non-linear and shared-ground lhs is."""
+    kinds = set()
+    if not lhs.is_finite:
+        kinds.add("cyclic")
+    if not Rule("lhs", lhs, lhs).is_left_linear:
+        kinds.add("non-linear")
+    into = Counter(c for n in range(len(lhs.nodes)) for c in lhs.children_of(n))
+    if any(k > 1 and not variables(subterm_at_node(lhs, c)) for c, k in into.items()):
+        kinds.add("shared-ground")
+    return kinds
+
+
+def test_compiled_match_equals_the_coinductive_match():
+    """Cyclic patterns, repeated variables and shared ground nodes, on
+    every node of cyclic and finite terms that has the pattern's root
+    label."""
+    rng = rng_for("compiled-match")
+    attempts = hits = 0
+    kinds = Counter()
+    for _ in range(1000):
+        if rng.random() < 0.7:
+            t = random_rational_term(rng, GENERIC_SIG, rng.randint(1, 7))
+        else:
+            t = random_finite_term(rng, GENERIC_SIG, 4)
+        sources = [n for n in range(len(t.nodes)) if t.nodes[n][0] == "app"]
+        if not sources:
+            continue
+        for _ in range(4):
+            lhs = pattern_from(rng, t, rng.choice(sources), unfold=rng.random() < 0.5)
+            for n in range(len(t.nodes)):
+                if t.label_of(n) != lhs.label_of(0):
+                    continue
+                want = coinductive_match(lhs, t, n)
+                assert rewriting._match_at(lhs, t, n) == want, (lhs, t, n)
+                attempts += 1
+                hits += want is not None
+                kinds.update((kind, want is not None) for kind in pattern_kinds(lhs))
+    assert 0.3 * attempts < hits < 0.7 * attempts
+    assert min(kinds[kind, hit] for kind in ("cyclic", "non-linear", "shared-ground")
+               for hit in (False, True)) > 100

@@ -4,7 +4,9 @@ implementation on the finite fragment."""
 
 from __future__ import annotations
 
+import copy
 import gc
+import pickle
 import sys
 from collections import Counter
 from itertools import combinations
@@ -290,6 +292,56 @@ def test_intern_table_is_weak():
     del t
     gc.collect()
     assert key not in _INTERN
+
+
+def test_copy_and_pickle_return_the_interned_term():
+    text = "F(Copied, mu X. G(X))"
+    t = parse(text)
+    assert copy.copy(t) is t
+    assert copy.deepcopy(t) is t
+    assert copy.deepcopy({t: [t]}) == {t: [t]}
+    assert pickle.loads(pickle.dumps(t)) is t
+    data = pickle.dumps(t)
+    del t
+    gc.collect()
+    assert pickle.loads(data) is parse(text)
+
+
+def presentations(rng, t):
+    """t built again by other routes: printed and parsed, unrolled once
+    through graph_term, re-applied to its arguments, and a subterm put
+    back in place; plus t with a subterm replaced by a random one."""
+    spec = {}
+    for i, entry in enumerate(t.nodes):
+        for me, other in (("a", "b"), ("b", "a")):
+            spec[f"{me}{i}"] = entry if entry[0] == VAR else (
+                entry[1], [f"{other}{c}" for c in entry[2]])
+    out = [parse(to_text(t)), graph_term(spec, "a0")]
+    if not t.is_var:
+        out.append(app(t.root_symbol, [subterm(t, (i,)) for i in range(1, len(t.nodes[0][2]) + 1)]))
+    p = rng.choice(sorted(positions(t, 3)))
+    out.append(replace(t, p, subterm(t, p)))
+    out.append(replace(t, p, random_finite_term(rng, GENERIC_SIG, 2)))
+    return out
+
+
+def test_equality_is_bisimilarity_across_construction_routes():
+    """Terms are equal, which is identity, iff bisimilar, however built."""
+    rng = rng_for("terms-routes")
+    seen = Counter()
+    previous: list = []
+    for _ in range(60):
+        if rng.random() < 0.7:
+            t = random_rational_term(rng, GENERIC_SIG, rng.randint(1, 5))
+        else:
+            t = random_finite_term(rng, GENERIC_SIG, 3)
+        group = [t] + presentations(rng, t)
+        for a in group:
+            for b in group + previous:
+                assert (a == b) == bisimilar(a, b), (a, b)
+                seen[a == b] += 1
+        previous = group
+    assert seen[True] > 300 and seen[False] > 300
 
 
 # --- positions, subterms, replacement -----------------------------------------------
