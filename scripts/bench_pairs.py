@@ -14,7 +14,8 @@ change.
 Each run's last output line (its JSON record) is kept, and every
 end-to-end metric of BENCHMARK.json is summarised: each side's quartiles,
 the number of pairs the change wins (ties count for neither), the ratio
-of the medians and the parent's interquartile distance.
+of the medians and the parent's interquartile distance.  The row also
+records src_lines, the `wc -l` total of src/itrsbench/*.py on each side.
 """
 
 from __future__ import annotations
@@ -39,6 +40,17 @@ def export(rev: str, into: str) -> str:
     ).stdout
     subprocess.run(["tar", "-x", "-C", into], input=archive, check=True)
     return into
+
+
+def src_lines(tree: str) -> int:
+    """Newlines in src/itrsbench/*.py under tree: the total of `wc -l`."""
+    pkg = os.path.join(tree, "src", "itrsbench")
+    total = 0
+    for name in os.listdir(pkg):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), "rb") as f:
+                total += f.read().count(b"\n")
+    return total
 
 
 def run_bench(tree: str, workload: str, seed: int, seconds: float) -> dict:
@@ -98,6 +110,7 @@ def main():
     }
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as scratch:
         trees = {"parent": export(parent_sha, scratch), "change": ROOT}
+        report["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
         for workload in (w["name"] for w in contract["workloads"]):
             pairs = []
             for seed in seeds:

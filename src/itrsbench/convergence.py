@@ -203,9 +203,8 @@ def simulate(
             sigma = match(rule.lhs, terms[-1], p)
             if sigma is None:
                 raise TermError(f"script step {rule_name}@{p} does not apply")
-            occ = RedexOccurrence(p, rule, sigma)
-            steps.append(occ)
-            terms.append(rewrite_step(system, terms[-1], occ))
+            steps.append(RedexOccurrence(p, rule, sigma))
+            terms.append(replace(terms[-1], p, rule.rhs, sigma))
     else:
         for _ in range(max_steps):
             occs = redexes(system, terms[-1], depth_bound)

@@ -264,14 +264,12 @@ def step_fn(
 def trace_ppos(
     terms: Sequence[RationalTerm], coloring: Coloring, depth_bound: int
 ) -> set[Position]:
-    """Positions principal in every recorded term from some index on."""
+    """Positions principal in every recorded term from some index on.
+
+    That is the union over i of the intersection of the cut positions of
+    terms i, i+1, ..., last.  The intersections are nested, each inside
+    the next, so the union is the last one: the last term's cut positions.
+    """
     if not terms:
         raise TermError("empty trace")
-    per_term = [cut_positions(t, coloring, depth_bound) for t in terms]
-    out: set[Position] = set()
-    for start in range(len(per_term)):
-        suffix = per_term[start]
-        for s in per_term[start + 1 :]:
-            suffix = suffix & s
-        out |= suffix
-    return out
+    return cut_positions(terms[-1], coloring, depth_bound)

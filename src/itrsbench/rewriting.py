@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .metrics import (
     IDENTITY,
@@ -82,14 +82,13 @@ class ITRS:
         twice = sorted({n for n in names if names.count(n) > 1})
         if twice:
             raise TermError(f"rule names used twice: {twice}")
-        report = classify_itrs(self)
-        rejected = [
-            (name, flags)
-            for name, flags in report.per_rule.items()
-            if "variable-lhs" in flags or "extra-variables" in flags
-        ]
-        if rejected:
-            raise TermError(f"rules rejected by the engine: {rejected}")
+        for r in self.rules:
+            if r.has_variable_lhs:
+                raise TermError(f"rule {r.name}: the lhs is a variable")
+            if r.has_extra_variables:
+                raise TermError(f"rule {r.name}: rhs variables missing from the lhs")
+            self.metric.check_term(r.lhs)
+            self.metric.check_term(r.rhs)
         # label of an lhs root -> the rules with that label, in rule order
         self._by_root_label: dict[tuple, list[Rule]] = {}
         for r in self.rules:
@@ -112,27 +111,21 @@ class ClassificationReport:
 
 
 def classify_itrs(system: "ITRS") -> ClassificationReport:
-    """Per-rule flags; variable-lhs and extra-variable rules are flagged
-    for rejection, everything else is informational."""
+    """Per-rule informational flags and the membership of each rhs; run
+    only when asked, ITRS itself checks rule shapes."""
     per_rule = {}
     membership = {}
     for rule in system.rules:
         flags = []
-        if rule.has_variable_lhs:
-            flags.append("variable-lhs")
-        if rule.has_extra_variables:
-            flags.append("extra-variables")
         if rule.is_collapsing:
             flags.append("collapsing")
         if rule.is_left_linear:
             flags.append("left-linear")
-        if not (rule.has_variable_lhs or rule.has_extra_variables):
-            if is_pseudo_collapsing(system.metric, rule):
-                flags.append("pseudo-collapsing")
-            verdict = is_depth_preserving(system.metric, rule)
-            if verdict.kind.endswith("pass"):
-                flags.append("depth-preserving")
-            membership[rule.name] = is_member(system.metric, rule.rhs).kind
+        if is_pseudo_collapsing(system.metric, rule):
+            flags.append("pseudo-collapsing")
+        if is_depth_preserving(system.metric, rule).kind.endswith("pass"):
+            flags.append("depth-preserving")
+        membership[rule.name] = is_member(system.metric, rule.rhs).kind
         per_rule[rule.name] = tuple(flags)
     return ClassificationReport(per_rule, membership)
 
@@ -173,8 +166,7 @@ def _match_at(lhs: RationalTerm, t: RationalTerm, root: int) -> Optional[dict[st
     return {x: image[b] for b, x in leaves}
 
 
-@dataclass(frozen=True)
-class RedexOccurrence:
+class RedexOccurrence(NamedTuple):
     """rule applies at position; binding maps each variable of the rule's
     lhs to a node of the term the occurrence was found in."""
 

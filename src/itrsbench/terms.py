@@ -619,9 +619,12 @@ class _Tokens:
         self.pos = 0
         self._ahead: Optional[str] = None  # the token scanned at pos, if any
 
-    def location(self) -> tuple[int, int]:
-        line = self.text.count("\n", 0, self.pos) + 1
-        col = self.pos - (self.text.rfind("\n", 0, self.pos) + 1) + 1
+    def location(self, pos: Optional[int] = None) -> tuple[int, int]:
+        """Line and column of the offset pos, by default the current one."""
+        if pos is None:
+            pos = self.pos
+        line = self.text.count("\n", 0, pos) + 1
+        col = pos - (self.text.rfind("\n", 0, pos) + 1) + 1
         return line, col
 
     def peek(self) -> Optional[str]:
@@ -652,106 +655,99 @@ class _Tokens:
 
 def parse(text: str, sig: Optional[Signature] = None) -> RationalTerm:
     toks = _Tokens(text)
-    counter = [0]
-    spec: dict[str, tuple] = {}
-
-    def fresh(prefix: str) -> str:
-        counter[0] += 1
-        return f"{prefix}@{counter[0]}"
+    nodes: list = []  # raw entries for from_nodes; a mu slot holds its body's index
+    binders: dict[int, int] = {}  # mu slot -> text offset of its `mu`
 
     def is_symbol(name: str) -> bool:
         if sig is not None:
             return name in sig
         return name[0].isupper() or name[0].isdigit()
 
-    def close_app(tok: str, args: list[str]) -> str:
+    def close_app(tok: str, args: list[int]) -> int:
         toks.expect(")")
         if sig is not None:
             if tok not in sig:
                 raise ParseError(f"unknown symbol {tok}", *toks.location())
             if sig.arity(tok) != len(args):
                 raise ParseError(f"{tok} expects {sig.arity(tok)} arguments", *toks.location())
-        node = fresh("app")
-        spec[node] = (tok, args)
-        return node
+        nodes.append((APP, tok, tuple(args)))
+        return len(nodes) - 1
 
-    def parse_term() -> str:
-        # Open terms wait on a stack as ("@mu", node, bound inside) or
-        # (symbol, args so far, bound inside); each pass of the outer loop
-        # reads the head of one term, the inner loop closes finished ones.
-        stack: list[tuple] = []
-        while True:
-            bound = stack[-1][2] if stack else {}
-            tok = toks.take()
-            if tok is None:
-                raise ParseError("unexpected end of input", *toks.location())
-            if tok == "mu":
-                loop_var = toks.take()
-                if loop_var is None or not loop_var[0].isalnum():
-                    raise ParseError("expected a mu-bound name", *toks.location())
-                toks.expect(".")
-                node = fresh("mu")
-                stack.append(("@mu", node, {**bound, loop_var: node}))
+    # Open terms wait on a stack as (None, mu slot, bound inside) or
+    # (symbol, args so far, bound inside); each pass of the outer loop
+    # reads the head of one term, the inner loop closes finished ones.
+    stack: list[tuple] = []
+    while True:
+        bound = stack[-1][2] if stack else {}
+        tok = toks.take()
+        if tok is None:
+            raise ParseError("unexpected end of input", *toks.location())
+        if tok == "mu":
+            at = toks.pos - len(tok)
+            loop_var = toks.take()
+            if loop_var is None or not loop_var[0].isalnum():
+                raise ParseError("expected a mu-bound name", *toks.location())
+            toks.expect(".")
+            binders[len(nodes)] = at
+            stack.append((None, len(nodes), {**bound, loop_var: len(nodes)}))
+            nodes.append(None)  # the body's index, once read
+            continue
+        if not (tok[0].isalnum() or tok[0] in "_'"):
+            raise ParseError(f"unexpected token {tok!r}", *toks.location())
+        if tok in bound:
+            node = bound[tok]
+        elif toks.peek() == "(":
+            toks.take()
+            if toks.peek() != ")":
+                stack.append((tok, [], bound))
                 continue
-            if not (tok[0].isalnum() or tok[0] in "_'"):
-                raise ParseError(f"unexpected token {tok!r}", *toks.location())
-            if tok in bound:
-                node = fresh("ref")
-                spec[node] = ("@ref", [bound[tok]])
-            elif toks.peek() == "(":
-                toks.take()
-                if toks.peek() != ")":
-                    stack.append((tok, [], bound))
-                    continue
-                node = close_app(tok, [])
+            node = close_app(tok, [])
+        else:
+            if is_symbol(tok):
+                if sig is not None and sig.arity(tok) != 0:
+                    raise ParseError(f"{tok} is not nullary", *toks.location())
+                nodes.append((APP, tok, ()))
             else:
-                node = fresh("leaf")
-                if is_symbol(tok):
-                    if sig is not None and sig.arity(tok) != 0:
-                        raise ParseError(f"{tok} is not nullary", *toks.location())
-                    spec[node] = (tok, [])
-                else:
-                    if tok == FALLBACK_VAR_NAME:
-                        raise ParseError("reserved variable name", *toks.location())
-                    spec[node] = (VAR, tok)
-            while stack:
-                frame = stack[-1]
-                if frame[0] == "@mu":
-                    spec[frame[1]] = ("@alias", [node])
-                    node = frame[1]
-                else:
-                    frame[1].append(node)
-                    if toks.peek() == ",":
-                        toks.take()
-                        break
-                    node = close_app(frame[0], frame[1])
-                stack.pop()
+                if tok == FALLBACK_VAR_NAME:
+                    raise ParseError("reserved variable name", *toks.location())
+                nodes.append((VAR, tok))
+            node = len(nodes) - 1
+        while stack:
+            frame = stack[-1]
+            if frame[0] is None:
+                nodes[frame[1]] = node
+                node = frame[1]
             else:
-                return node
-
-    root = parse_term()
+                frame[1].append(node)
+                if toks.peek() == ",":
+                    toks.take()
+                    break
+                node = close_app(frame[0], frame[1])
+            stack.pop()
+        if not stack:
+            break
     if toks.peek() is not None:
         raise ParseError(f"trailing input {toks.peek()!r}", *toks.location())
 
-    # resolve @alias/@ref indirections into direct edges
-    def resolve(name: str) -> str:
-        hops = 0
-        while spec[name][0] in ("@alias", "@ref"):
-            if hops > len(spec):
-                raise ParseError("mu binder with no body", 1, 1)
-            name = spec[name][1][0]
-            hops += 1
-        return name
-
-    final: dict[str, tuple] = {}
-    for name, entry in spec.items():
-        if entry[0] in ("@alias", "@ref"):
-            continue
-        if entry[0] == VAR:
-            final[name] = entry
-        else:
-            final[name] = (entry[0], [resolve(c) for c in entry[1]])
-    return graph_term(final, resolve(root))
+    # a slot forwards to its body, which may be a slot: resolve each chain
+    # to the entry it ends at; a chain that closes on itself has no body
+    end: dict[int, int] = {}
+    for slot in binders:
+        chain: set[int] = set()
+        k = slot
+        while k in binders and k not in end:
+            if k in chain:
+                raise ParseError("mu binder with no body", *toks.location(binders[k]))
+            chain.add(k)
+            k = nodes[k]
+        k = end.get(k, k)
+        for c in chain:
+            end[c] = k
+    if end:
+        for i, entry in enumerate(nodes):
+            if type(entry) is tuple and entry[0] == APP:
+                nodes[i] = (APP, entry[1], tuple(end.get(c, c) for c in entry[2]))
+    return from_nodes(nodes, end.get(node, node))
 
 
 _MU_NAMES = "XYZWVU"

@@ -21,6 +21,7 @@ from itrsbench import (
     Rule,
     Segment,
     Signature,
+    TermError,
     Trace,
     app,
     classify_convergence,
@@ -103,6 +104,24 @@ def test_simulate_script_and_validate():
     assert [str(t) for t in []] == []
     assert tr.all_terms()[-1] == parse("S(S(0))", system.sig)
     tr.validate(system)
+
+
+def test_simulate_script_matches_once_per_step(monkeypatch):
+    system, _, tr = exnonlin_trace()
+    script = [(occ.position, occ.rule.name) for occ in tr.segments[0].steps]
+    calls = Counter()
+    match_at = rewriting._match_at
+
+    def counted(lhs, t, root):
+        calls[None] += 1
+        return match_at(lhs, t, root)
+
+    monkeypatch.setattr(rewriting, "_match_at", counted)
+    again = simulate(system, tr.all_terms()[0], "script", script=script)
+    assert again.all_terms() == tr.all_terms()
+    assert calls[None] == len(script)
+    with pytest.raises(TermError, match="does not apply"):
+        simulate(system, tr.all_terms()[0], "script", script=[((1, 1), "succ")])
 
 
 def test_simulate_stuck_on_normal_form():

@@ -29,7 +29,7 @@ from itrsbench import (
     trace_ppos,
     var,
 )
-from itrsbench.corpus import load_union, rearrange_trace
+from itrsbench.corpus import load_union, rearrange_trace, union_traces
 from itrsbench.metrics import ITER_BUDGET, lazy_weight, simple_cycles
 from itrsbench.terms import parallel, positions
 from conftest import GENERIC_SIG, random_finite_term, random_rational_term, rng_for
@@ -337,6 +337,22 @@ def test_trace_ppos_eventually_principal():
     # the root itself never is
     assert (1, 1) in stable
     assert () not in stable
+
+
+@pytest.mark.parametrize("depth_bound", [4, 8])
+def test_trace_ppos_is_the_union_of_suffix_intersections(depth_bound):
+    """By the definition: the union over every start index of the cut
+    positions common to all terms from that index on."""
+    for name, _system, coloring, tr, _x in union_traces():
+        terms = tr.all_terms()
+        per_term = [cut_positions(t, coloring, depth_bound) for t in terms]
+        union: set = set()
+        for start in range(len(per_term)):
+            union |= set.intersection(*per_term[start:])
+        assert trace_ppos(terms, coloring, depth_bound) == union, name
+        for k in range(1, len(terms)):
+            assert trace_ppos(terms[:k], coloring, depth_bound) == set().union(
+                *(set.intersection(*per_term[s:k]) for s in range(k))), (name, k)
 
 
 def test_trace_ppos_single_term():

@@ -41,9 +41,10 @@ from itrsbench import (
     weak_reach,
     weak_reach_path,
 )
-from itrsbench import rewriting
-from itrsbench.corpus import load, load_union
-from itrsbench.rewriting import rename_symbols
+from itrsbench import metrics, rewriting
+from itrsbench.corpus import ITRS_SOURCES, load, load_union
+from itrsbench.metrics import SignatureMismatch
+from itrsbench.rewriting import RedexOccurrence, rename_symbols
 from itrsbench.terms import bfs_path, iter_positions, node_at, sccs, subterm_at_node
 from conftest import GENERIC_SIG, random_finite_term, random_rational_term, rng_for
 from coinductive_match import coinductive_match
@@ -226,6 +227,17 @@ def test_rewrite_preserves_canonical_form():
 # --- rule classification ---------------------------------------------------------
 
 
+def test_redex_occurrence_is_a_named_tuple():
+    system, _ = load_union("toyama-r", "toyama-s")
+    occs = redexes(system, parse("G(0, 1)", system.sig))
+    assert [o.rule.name for o in occs] == ["left", "right"]
+    occ = occs[0]
+    assert isinstance(occ, tuple) and RedexOccurrence._fields == ("position", "rule", "binding")
+    position, rule, binding = occ
+    assert (position, rule, binding) == (occ.position, occ.rule, occ.binding)
+    assert occ == RedexOccurrence((), system.rule("left"), dict(binding))
+
+
 def test_variable_lhs_rejected():
     sig = Signature({"F": 1})
     m = metric_infty(sig)
@@ -239,6 +251,40 @@ def test_extra_variables_rejected():
     with pytest.raises(TermError):
         ITRS(sig, m, [Rule("bad", app("F", [var("x")]),
                            app("G", [var("x"), var("y")]))])
+
+
+@pytest.mark.parametrize("lhs, rhs", [
+    ("F(A)", "B"),  # a ground lhs: classification never looked at it
+    ("F(x)", "A"),
+    ("A", "F(B)"),
+])
+def test_rules_off_the_signature_rejected(lhs, rhs):
+    sig = Signature({"F": 1, "B": 0})
+    wide = Signature({"F": 1, "A": 0, "B": 0})
+    with pytest.raises(SignatureMismatch):
+        ITRS(sig, metric_infty(sig), [Rule("r", parse(lhs, wide), parse(rhs, wide))])
+
+
+def test_systems_build_without_classification(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("classification ran while building a system")
+
+    for module in (rewriting, metrics):
+        for name in ("classify_itrs", "is_member", "vdepth"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    pairs = [n[:-2] for n in ITRS_SOURCES if n.endswith("-r") and n[:-2] + "-s" in ITRS_SOURCES]
+    assert len(pairs) >= 5
+    systems = [load(name).system for name in ITRS_SOURCES]
+    systems += [load_union(f"{n}-r", f"{n}-s")[0] for n in pairs]
+    for system in systems:
+        assert indirect(system).system.rules
+    sig = Signature({"F": 1, "G": 2})
+    with pytest.raises(TermError):
+        ITRS(sig, metric_infty(sig), [Rule("bad", var("x"), app("F", [var("x")]))])
+    with pytest.raises(TermError):
+        ITRS(sig, metric_infty(sig), [Rule("bad", app("F", [var("x")]),
+                                           app("G", [var("x"), var("y")]))])
 
 
 def test_classification_flags():

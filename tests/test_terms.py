@@ -46,6 +46,7 @@ from itrsbench.terms import (
     subterm_at_node,
 )
 from conftest import GENERIC_SIG, random_finite_term, random_rational_term, rng_for
+from named_spec_parse import named_spec_parse
 
 
 # --- a naive finite-term oracle ---------------------------------------------------
@@ -539,12 +540,102 @@ def test_parse_errors():
     ("F(c, d)  G", "trailing input 'G'", 1, 10),
     ("F(c,\n  d", "expected ')', got None", 2, 4),
     ("G(c)\n\n  , ", "trailing input ','", 3, 3),
+    ("F(mu X. X, c)", "mu binder with no body", 1, 3),
+    ("mu X. X", "mu binder with no body", 1, 1),
+    ("mu X. mu Y. X", "mu binder with no body", 1, 1),
+    ("mu Z.\n  mu X. X", "mu binder with no body", 2, 3),
 ])
 def test_parse_error_locations(text, message, line, column):
     with pytest.raises(ParseError) as err:
         parse(text, GENERIC_SIG)
     assert (str(err.value), err.value.line, err.value.column) == (
         f"{line}:{column}: {message}", line, column)
+
+
+def _mu_tokens(rng, budget: int, bound: tuple = ()) -> list[str]:
+    """Tokens of a random mu-term over GENERIC_SIG's names: binders nest
+    and shadow (three names only), and a bound name may be used under
+    several binders, or be a binder's whole body."""
+    roll = rng.random()
+    if budget > 0 and roll < 0.25:
+        name = rng.choice("XYZ")
+        return ["mu", name, "."] + _mu_tokens(rng, budget - 1, bound + (name,))
+    if bound and roll < 0.4:
+        return [rng.choice(bound)]
+    if budget <= 0 or roll < 0.5:
+        return [rng.choice(["c", "d", "x", "y"])]
+    symbol = rng.choice("FGH")
+    out = [symbol, "("]
+    for k in range(GENERIC_SIG.arity(symbol)):
+        out += ([","] if k else []) + _mu_tokens(rng, budget - 1, bound)
+    return out + [")"]
+
+
+def _spaced(rng, tokens: list[str]) -> str:
+    """tokens joined by random blanks and newlines; two name tokens in a
+    row are kept apart."""
+    out = [tokens[0]] if tokens else []
+    for prev, tok in zip(tokens, tokens[1:]):
+        gap = rng.choice(["", "", " ", "  ", "\n", " \n  "])
+        if not gap and (prev[0].isalnum() or prev[0] in "_'") and (tok[0].isalnum() or tok[0] in "_'"):
+            gap = " "
+        out += [gap, tok]
+    return "".join(out)
+
+
+def _parse_outcome(parser, text, sig):
+    try:
+        return parser(text, sig)
+    except ParseError as err:
+        return (str(err), err.line, err.column)
+
+
+def _assert_same_parse(text, sig):
+    new, old = _parse_outcome(parse, text, sig), _parse_outcome(named_spec_parse, text, sig)
+    if isinstance(old, tuple) and old[0].endswith("mu binder with no body"):
+        # the one difference: the new parser reports the binder's own place
+        assert isinstance(new, tuple) and new[0].endswith(": mu binder with no body")
+        assert new[0] == f"{new[1]}:{new[2]}: mu binder with no body"
+        return "bodiless"
+    assert new is old if not isinstance(old, tuple) else new == old, text
+    return "term" if not isinstance(old, tuple) else "error"
+
+
+def test_parse_equals_the_named_spec_parser():
+    rng = rng_for("terms-parse-oracle")
+    seen = Counter()
+    for k in range(600):
+        sig = GENERIC_SIG if k % 2 else None
+        tokens = _mu_tokens(rng, rng.randrange(1, 8))
+        seen[_assert_same_parse(_spaced(rng, tokens), sig)] += 1
+        # malformed: drop, repeat, swap or insert a token, or cut the text
+        bad = list(tokens)
+        i = rng.randrange(len(bad))
+        move = rng.randrange(5)
+        if move == 0:
+            del bad[i]
+        elif move == 1:
+            bad.insert(i, bad[i])
+        elif move == 2 and i + 1 < len(bad):
+            bad[i], bad[i + 1] = bad[i + 1], bad[i]
+        elif move == 3:
+            bad.insert(i, rng.choice(["(", ")", ",", ".", "mu", "$", "F", "c", "X", "G("]))
+        else:
+            bad = bad[:i]
+        seen["malformed " + _assert_same_parse(_spaced(rng, bad), sig)] += 1
+    assert seen["term"] > 200 and seen["bodiless"] > 10, seen
+    assert seen["malformed error"] > 300, seen
+    deep = 5000
+    assert sys.getrecursionlimit() < deep
+    for text in [
+        "mu X. " + "G(" * deep + "F(X, mu Y. H(Y))" + ")" * deep,
+        "mu X. mu Y. " * (deep // 2) + "F(X, Y)",
+        "mu X. mu Y. " * (deep // 2) + "X",
+        "F(" * deep + "c, d" + ")" * deep,
+        "F(" * deep + "c, d" + ")" * (deep - 1),
+        "G(" * deep + "mu X. F(x, X)" + ")" * deep + ")",
+    ]:
+        _assert_same_parse(text, GENERIC_SIG)
 
 
 def test_signature_rejects_bad_symbols():
