@@ -88,6 +88,22 @@ def _term(f: ItrsFile, text: str):
         raise InputError(f"bad term {text!r}: {e}")
 
 
+def _fraction(text: str) -> Fraction:
+    """argparse type of the rational-number options."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+
+
+def _field(data, key: str, kind):
+    """data[key] of decoded JSON; InputError unless data is an object
+    whose key holds a kind (a type or a tuple of types)."""
+    if not isinstance(data, dict) or not isinstance(data.get(key), kind):
+        raise InputError(f"missing or mistyped field {key!r}")
+    return data[key]
+
+
 def _num(value) -> object:
     if isinstance(value, Fraction):
         return str(value)
@@ -99,8 +115,10 @@ def _occ_json(occ: RedexOccurrence) -> dict:
 
 
 def _occ_from_json(system, t, data) -> RedexOccurrence:
-    rule = system.rule(data["rule"])
-    p = tuple(data["position"])
+    rule = system.rule(_field(data, "rule", str))
+    p = tuple(_field(data, "position", list))
+    if not all(type(i) is int for i in p):
+        raise InputError(f"position {list(p)} is not a list of integers")
     sigma = match(rule.lhs, t, p)
     if sigma is None:
         raise InputError(f"recorded step {data} does not apply")
@@ -120,9 +138,8 @@ def write_trace(path: str, tr: Trace):
         for seg in tr.segments:
             for i, t in enumerate(seg.terms):
                 fh.write(json.dumps({"term": to_text(t)}) + "\n")
-                if i < len(seg.steps):
-                    step = seg.steps[i]
-                    fh.write(json.dumps({"step": _occ_json(step)}) + "\n")
+                if i < len(seg.steps) and seg.steps[i] is not None:  # simulated: None
+                    fh.write(json.dumps({"step": _occ_json(seg.steps[i])}) + "\n")
             fh.write(
                 json.dumps(
                     {"omega": to_text(seg.limit) if seg.limit is not None else None}
@@ -139,19 +156,24 @@ def read_trace(path: str, system) -> Trace:
     try:
         with open(path) as fh:
             lines = [json.loads(line) for line in fh if line.strip()]
-    except OSError as e:
+    except (OSError, json.JSONDecodeError) as e:
         raise InputError(f"cannot read {path}: {e}")
     for entry in lines:
+        if not isinstance(entry, dict):
+            raise InputError(f"{path}: a line is not a JSON object")
         if "term" in entry:
-            t = parse(entry["term"], system.sig)
+            t = parse(_field(entry, "term", str), system.sig)
             if pending_step is not None:
                 steps.append(_occ_from_json(system, terms[-1], pending_step))
                 pending_step = None
             terms.append(t)
         elif "step" in entry:
+            if not terms:
+                raise InputError(f"{path}: a step before the first term of its segment")
             pending_step = entry["step"]
         elif "omega" in entry:
-            limit = parse(entry["omega"], system.sig) if entry["omega"] else None
+            omega = _field(entry, "omega", (str, type(None)))
+            limit = parse(omega, system.sig) if omega else None
             segments.append(Segment(terms, steps, limit))
             terms, steps = [], []
     if terms:
@@ -252,7 +274,7 @@ def cmd_epos(args) -> int:
         result = epos(
             system.metric,
             _term(f, args.term),
-            Fraction(args.epsilon),
+            args.epsilon,
             depth_guard=args.depth_guard,
         )
     except GuardExceeded as e:
@@ -265,7 +287,7 @@ def cmd_epos(args) -> int:
 def cmd_vdepth(args) -> int:
     f, system, _ = _load_metric_arg(args.metric)
     depth = vdepth(system.metric, _term(f, args.term), args.var)
-    at = Fraction(args.at)
+    at = args.at
     _emit({"variable": args.var, "at": _num(at), "value": _num(depth(at))}, args.json)
     return 0
 
@@ -451,24 +473,27 @@ def cmd_replay(args) -> int:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise InputError(f"cannot read witness: {e}")
-    if payload.get("witness", {}).get("type") != "loop":
+    w = _field(payload, "witness", dict)
+    if w.get("type") != "loop":
         raise InputError("only loop witnesses are replayable scripts")
-    systems = [parse_itrs(src).system for src in payload["sources"]]
+    sources = _field(payload, "sources", list)
+    if len(sources) not in (1, 2) or not all(isinstance(src, str) for src in sources):
+        raise InputError("sources must be one or two .itrs texts")
+    systems = [parse_itrs(src).system for src in sources]
     system = (
         systems[0]
         if len(systems) == 1
         else disjoint_union(systems[0], systems[1]).system
     )
-    w = payload["witness"]
-    start = parse(w["start"], system.sig)
+    start = parse(_field(w, "start", str), system.sig)
     t = start
     prefix = []
-    for data in w["prefix"]:
+    for data in _field(w, "prefix", list):
         occ = _occ_from_json(system, t, data)
         prefix.append(occ)
         t = rewrite_step(system, t, occ)
     cycle = []
-    for data in w["cycle"]:
+    for data in _field(w, "cycle", list):
         occ = _occ_from_json(system, t, data)
         cycle.append(occ)
         t = rewrite_step(system, t, occ)
@@ -476,9 +501,9 @@ def cmd_replay(args) -> int:
         start,
         tuple(prefix),
         tuple(cycle),
-        parse(w["base"], system.sig),
-        parse(w["distinct"], system.sig),
-        w["separation"],
+        parse(_field(w, "base", str), system.sig),
+        parse(_field(w, "distinct", str), system.sig),
+        w.get("separation"),
     )
     ok = replay_loop(system, witness)
     _emit({"replayed": ok}, args.json)
@@ -567,13 +592,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("epos", help="epsilon-positions of a term")
     common(p, term=True, knobs=("depth-guard",))
-    p.add_argument("--epsilon", required=True)
+    p.add_argument("--epsilon", type=_fraction, required=True)
     p.set_defaults(fn=cmd_epos)
 
     p = sub.add_parser("vdepth", help="variable depth map evaluated at a point")
     common(p, term=True)
     p.add_argument("--var", required=True)
-    p.add_argument("--at", default="1")
+    p.add_argument("--at", type=_fraction, default="1")
     p.set_defaults(fn=cmd_vdepth)
 
     p = sub.add_parser("classify", help="per-rule classification flags")
@@ -649,10 +674,7 @@ def run_command(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ParseError, TermError) as e:
+    except (InputError, TermError) as e:  # ParseError is a TermError
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -34,6 +34,8 @@ from .rewriting import (
     weak_reach_path,
 )
 from .terms import (
+    APP,
+    VAR,
     Position,
     RationalTerm,
     TermError,
@@ -45,6 +47,8 @@ from .terms import (
     subterm,
     subterm_at_node,
     topequ,
+    var,
+    variables,
 )
 
 
@@ -422,27 +426,16 @@ def _knot(t: RationalTerm, p: Position, q: Position) -> RationalTerm:
     """The subterm of t at p, with the (relative) position q redirected
     back to its own root: the rational solution of X = C[X] where C is
     the context between p and p·q."""
-    base = node_at(t, p)
-    nodes = list(t.nodes)
-    # copy the spine from base along q so the redirect does not disturb
-    # shared occurrences
-    spine = [base]
-    idx = base
-    for i in q:
-        idx = nodes[idx][2][i - 1]
-        spine.append(idx)
-    fresh = {}
-    for k, orig in enumerate(spine[:-1]):
-        entry = nodes[orig]
-        fresh[k] = len(nodes)
-        nodes.append(entry)
-    fresh[len(spine) - 1] = fresh[0]  # the knot
-    for k, orig in enumerate(spine[:-1]):
-        entry = nodes[fresh[k]]
-        children = list(entry[2])
-        children[q[k] - 1] = fresh[k + 1]
-        nodes[fresh[k]] = (entry[0], entry[1], tuple(children))
-    return from_nodes(tuple(nodes), fresh[0])
+    # a name longer than every variable of t is not t's, and replace builds
+    # a fresh spine down to it, so the redirect touches no shared node
+    hole = var(max(variables(t), key=len, default="") + "'")
+    spine = replace(subterm(t, p), q, hole)
+    k = node_at(spine, q)
+    nodes = [
+        e if e[0] == VAR else (APP, e[1], tuple(0 if c == k else c for c in e[2]))
+        for e in spine.nodes
+    ]
+    return from_nodes(nodes, 0)
 
 
 def extrapolate_limit(seg: Segment) -> Optional[RationalTerm]:

@@ -24,16 +24,13 @@ from .terms import (
     TermError,
     append_nodes,
     from_nodes,
-    iter_positions,
     node_at,
     sccs,
-    subterm_at_node,
     var,
     variables,
 )
 
 Coloring = Mapping[str, int]
-FILL_VAR_BASE = "hole"
 
 
 def _node_color(t: RationalTerm, idx: int, coloring: Coloring) -> Optional[int]:
@@ -69,42 +66,37 @@ class PrincipalCut:
         always a cut edge).
         """
         out = set()
-        for p, _idx in iter_positions(self.term, depth_bound):
-            if not p:
+        stack: list[tuple[Position, int]] = [((), 0)]
+        while stack:
+            p, idx = stack.pop()
+            if len(p) >= depth_bound:
                 continue
-            idx, hits = 0, []
-            for i in p:
-                hits.append((idx, i - 1) in self.edges)
-                idx = self.term.nodes[idx][2][i - 1]
-            if hits[-1] and not any(hits[:-1]):
-                out.add(p)
+            for arg, child in enumerate(self.term.children_of(idx)):
+                if (idx, arg) in self.edges:
+                    out.add(p + (arg + 1,))
+                else:
+                    stack.append((p + (arg + 1,), child))
         return out
 
 
-def _top_layer_nodes(t: RationalTerm, coloring: Coloring) -> set[int]:
-    """Root-color application nodes reachable without crossing a boundary."""
-    root_color = _node_color(t, 0, coloring)
-    top = set()
-    stack = [0]
-    while stack:
-        idx = stack.pop()
-        if idx in top or _node_color(t, idx, coloring) != root_color:
-            continue
-        top.add(idx)
-        stack.extend(t.nodes[idx][2])
-    return top
-
-
 def ppos(t: RationalTerm, coloring: Coloring) -> PrincipalCut:
-    """The principal cut: earliest edges into the other color."""
+    """The principal cut: earliest edges into the other color, collected
+    in one walk of the top layer (root-color application nodes reachable
+    without crossing a boundary)."""
     if t.is_var:
         raise TermError("a variable has no layers")
     root_color = coloring[t.root_symbol]
     edges = set()
-    for idx in _top_layer_nodes(t, coloring):
+    top = {0}
+    stack = [0]
+    while stack:
+        idx = stack.pop()
         for arg, child in enumerate(t.nodes[idx][2]):
             color = _node_color(t, child, coloring)
-            if color is not None and color != root_color:
+            if color == root_color and child not in top:
+                top.add(child)
+                stack.append(child)
+            elif color not in (None, root_color):
                 edges.add((idx, arg))
     return PrincipalCut(t, root_color, frozenset(edges))
 
@@ -141,16 +133,6 @@ def toplayer_fill(t: RationalTerm, cut: PrincipalCut, xi: Fill) -> RationalTerm:
     return from_nodes(tuple(nodes), 0)
 
 
-def _fresh_fill_var(*terms: RationalTerm) -> RationalTerm:
-    used = set()
-    for t in terms:
-        used |= variables(t)
-    name = FILL_VAR_BASE
-    while name in used:
-        name += "'"
-    return var(name)
-
-
 def toplayer_distance(
     m: TermMetric,
     coloring: Coloring,
@@ -161,7 +143,8 @@ def toplayer_distance(
     shared fresh variable."""
     if t.is_var or u.is_var or coloring[t.root_symbol] != coloring[u.root_symbol]:
         raise TermError("top-layer distance needs equal root colors")
-    hole = _fresh_fill_var(t, u)
+    # a name longer than every variable of t and u is neither's
+    hole = var(max(variables(t) | variables(u), key=len, default="") + "'")
     skel_t = toplayer_fill(t, ppos(t, coloring), hole)
     skel_u = toplayer_fill(u, ppos(u, coloring), hole)
     return distance(m, skel_t, skel_u)
@@ -214,27 +197,36 @@ def rank(t: RationalTerm, coloring: Coloring):
 def cutoff(
     t: RationalTerm, n: int, u: RationalTerm, coloring: Coloring
 ) -> RationalTerm:
-    """Keep the outermost n layers of t, replacing everything deeper by u."""
-    memo: dict = {}
+    """Keep the outermost n layers of t, replacing everything deeper by u.
 
-    def go(term: RationalTerm, depth: int) -> RationalTerm:
-        if depth == 0:
-            return u
-        if term.is_var:
-            return term
-        key = (term, depth)
-        if key in memo:
-            return memo[key]
-        cut = ppos(term, coloring)
-        xi = {
-            edge: go(subterm_at_node(term, term.nodes[edge[0]][2][edge[1]]), depth - 1)
-            for edge in cut.edges
-        }
-        result = toplayer_fill(term, cut, xi)
-        memo[key] = result
-        return result
-
-    return go(t, n)
+    One graph over the states (node of t, layers left), canonicalised
+    once.  The root starts with n layers left; an edge into an
+    application node of the other color leaves one layer, any other edge
+    keeps the count, and u stands wherever no layer is left.
+    """
+    if n < 0:
+        raise TermError("a negative number of layers")
+    if n == 0:
+        return u
+    nodes: list = []
+    fill = append_nodes(nodes, u)
+    base = len(nodes)  # states[i] is node base + i
+    states = [(0, n)]
+    number = {(0, n): base}
+    for idx, left in states:  # states grows while it is walked
+        entry = t.nodes[idx]
+        if entry[0] == APP:
+            color = coloring[entry[1]]
+            children = []
+            for child in entry[2]:
+                key = (child, left - (_node_color(t, child, coloring) not in (None, color)))
+                if key[1] and key not in number:
+                    number[key] = base + len(states)
+                    states.append(key)
+                children.append(number.get(key, fill))
+            entry = (APP, entry[1], tuple(children))
+        nodes.append(entry)
+    return from_nodes(nodes, base)
 
 
 # --- step function and trace-level principal positions ------------------------

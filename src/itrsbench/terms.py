@@ -8,13 +8,15 @@ iff their canonical forms are equal.  Live terms are interned weakly, so
 terms with one canonical form built while one is alive are the same
 object, and equality and hashing are by identity.
 
-from_nodes, and the constructors built on it (var, app, graph_term,
-parse, substitute), merge bisimilar nodes by Hopcroft's O(m log n)
-partition refinement.  replace and subterm_at_node start from a canonical
-term and need no refinement: subterm_at_node only trims and renumbers,
+Every canonical term leaves through one preorder renumbering,
+_renumbered, which also trims what the root does not reach.  from_nodes,
+and the constructors built on it (var, app, graph_term, parse,
+substitute), is trim + Hopcroft's O(m log n) partition refinement +
+_renumbered of the quotient.  replace and subterm_at_node start from a
+canonical term and need no refinement: subterm_at_node only renumbers,
 and replace hash-conses the nodes it adds against the term's own nodes,
-then trims and renumbers; only a cyclic replacement, whose loops may fold
-into the term, goes through from_nodes.
+then renumbers; only a cyclic replacement, whose loops may fold into the
+term, goes through from_nodes.
 """
 
 from __future__ import annotations
@@ -230,33 +232,17 @@ def from_nodes(nodes: Sequence, root: int) -> RationalTerm:
                         is_waiting[c] = True
                         is_waiting.append(False)
 
-    # quotient + preorder renumbering from the root's block; every node of
-    # a block has the block's label and child blocks, so any one will do.
-    # This is _renumbered on the quotient, fused so that no quotient entry
-    # is built only to be thrown away.
-    rep = [0] * len(members)
+    # the quotient, one entry per block: every node of a block has the
+    # block's label and child blocks, so any one will do.  Like every
+    # canonical term, it leaves through the one preorder renumbering.
+    quotient: list = [None] * len(members)
     for k, b in enumerate(block):
-        rep[b] = k
-    order: dict[int, int] = {block[0]: 0}
-    out: list = [None]
-    stack = [block[0]]
-    while stack:
-        b = stack.pop()
-        k = rep[b]
-        entry = nodes[live[k]]
-        if entry[0] == VAR:
-            out[order[b]] = (VAR, entry[1])
-        else:
-            child_blocks = [block[c] for c in kids[k]]
-            pending = []
-            for cb in child_blocks:
-                if cb not in order:
-                    order[cb] = len(out)
-                    out.append(None)
-                    pending.append(cb)
-            out[order[b]] = (APP, entry[1], tuple(order[cb] for cb in child_blocks))
-            stack.extend(reversed(pending))
-    return _interned(tuple(out))
+        if quotient[b] is None:
+            entry = nodes[live[k]]
+            if entry[0] == APP:
+                entry = (APP, entry[1], tuple(block[c] for c in kids[k]))
+            quotient[b] = entry
+    return _renumbered(quotient, block[0])
 
 
 def _renumbered(nodes: Sequence, root: int) -> RationalTerm:

@@ -17,7 +17,7 @@ from itrsbench import (
     metric_infty,
     var,
 )
-from itrsbench.corpus import load
+from itrsbench.corpus import load, load_union
 from itrsbench.terms import positions as term_positions
 
 VAR_NAMES = ("x", "y", "z")
@@ -115,3 +115,19 @@ def rng_for(name: str) -> random.Random:
 
 
 DYADICS = [Fraction(k, 16) for k in range(1, 17)]
+
+
+CORPUS_UNIONS = ("collapsing", "exa-layers", "exa-layers2", "exnonlin", "rearrange", "toyama")
+
+
+def seeded_union_terms(union: str, count: int):
+    """The corpus union of union-r and union-s, its coloring, and count
+    seeded terms over it: alternately finite (depth up to 5) and cyclic."""
+    system, coloring = load_union(f"{union}-r", f"{union}-s")
+    rng = rng_for(f"union-terms:{union}")
+    terms = [
+        random_finite_term(rng, system.sig, 5) if k % 2 else
+        random_rational_term(rng, system.sig, rng.randint(1, 6))
+        for k in range(count)
+    ]
+    return system, coloring, terms

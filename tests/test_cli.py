@@ -4,6 +4,7 @@ replayable witness scripts."""
 from __future__ import annotations
 
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -169,6 +170,33 @@ def test_options_exist_only_where_read(files, argv):
     assert exc.value.code == 2
 
 
+CUTOFF = ["cutoff", "--metric", "exnonlin-r", "exnonlin-s", "--layers", "1", "--fill", "x",
+          "--trace", "INPUT"]
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [(["vdepth", "--metric", "ltree", "--term", "x", "--var", "x", "--at", "abc"], ""),
+     (["epos", "--metric", "ltree", "--term", "x", "--epsilon", "1/0"], ""),
+     (["replay", "INPUT"], "[]"),
+     (["replay", "INPUT"], '{"witness": {"type": "loop"}}'),
+     (CUTOFF, "not json\n"),
+     (CUTOFF, '{"step": {"position": [], "rule": "succ"}}\n{"term": "0"}\n')],
+    ids=["number", "zero-denominator", "witness-list", "witness-fields", "trace-json",
+         "trace-step-first"],
+)
+def test_malformed_input_exits_2(files, tmp_path, argv, text):
+    """Bad input is exit code 2, never a traceback (exit code 1)."""
+    path = tmp_path / "input"
+    path.write_text(text)
+    argv = [str(path) if a == "INPUT" else files.get(a, a) for a in argv]
+    try:
+        code = run_command(argv)
+    except SystemExit as exc:  # argparse rejects bad option values itself
+        code = exc.code
+    assert code == 2
+
+
 def test_knob_defaults_are_the_library_defaults():
     budgets = Budgets()
     want = {"budget": budgets.loop_states, "max_steps": budgets.max_steps,
@@ -228,11 +256,16 @@ def test_xi_and_cutoff_on_recorded_trace(files, tmp_path, capsys):
          "--trace", str(trace), "--layers", "1", "--fill", "x", "--json"]
     ) == 0
     assert json.loads(capsys.readouterr().out)["violations"] == []
+    out = tmp_path / "xi.jsonl"
     assert run_command(
         ["xi", "--metric", files["exnonlin-r"], files["exnonlin-s"],
          "--trace", str(trace), "--rule", "succ", "--predicate", "fp:1",
-         "--json", "--budget", "500"]
+         "--json", "--budget", "500", "--out", str(out)]
     ) == 0
+    simulated = json.loads(capsys.readouterr().out)["terms"]
+    lines = [json.loads(l) for l in out.read_text().splitlines()]
+    assert [e["term"] for e in lines if "term" in e] == simulated
+    assert not any("step" in e for e in lines)
 
 
 def test_indirect_subcommand(files, capsys):
@@ -248,6 +281,26 @@ def test_vdepth_subcommand(files, capsys):
          "--var", "x", "--at", "1", "--json"]
     ) == 0
     assert json.loads(capsys.readouterr().out)["value"] == "1/2"
+
+
+def readme_commands() -> list[list[str]]:
+    """The itrsbench command lines of README.md's examples, as argument
+    lists without the program name."""
+    text = (FIXDIR.parent / "README.md").read_text().replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in text.splitlines()
+            if line.strip().startswith("itrsbench ")]
+
+
+def test_readme_examples_run(tmp_path, monkeypatch):
+    """Each example exits 0, run in order from a directory that links to fixtures/."""
+    (tmp_path / "fixtures").symlink_to(FIXDIR)
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert [argv[0] for argv in commands] == [
+        "check", "distance", "member", "simulate", "analyze", "replay"]
+    for argv in commands:
+        assert run_command(argv) == 0, argv
+    assert (tmp_path / "trace.jsonl").exists() and (tmp_path / "witness.json").exists()
 
 
 def test_fixture_files_on_disk_match_sources():

@@ -33,12 +33,14 @@ from itrsbench import (
     metric_id,
     metric_infty,
     parse,
+    positions,
     redexes,
     replay_loop,
     rewrite_step,
     simulate,
     sliding_diameter,
     strong_convergence_probe,
+    subterm,
     xi_trace,
 )
 from itrsbench import convergence, rewriting
@@ -50,8 +52,15 @@ from itrsbench.corpus import (
     rearrange_trace,
     string_trace,
 )
-from conftest import random_finite_term, random_rational_term, rng_for
+from conftest import (
+    CORPUS_UNIONS,
+    random_finite_term,
+    random_rational_term,
+    rng_for,
+    seeded_union_terms,
+)
 from full_graph_search import full_reduction_graph, loop_in, root_recurrence_in
+import hand_walks
 
 
 # --- simulation ----------------------------------------------------------------
@@ -194,6 +203,18 @@ def test_extrapolate_successor_pumping():
     tr = simulate(system, parse("0", system.sig), max_steps=10, depth_bound=16)
     limit = extrapolate_limit(tr.segments[0])
     assert limit == parse("mu X. S(X)", system.sig)
+
+
+@pytest.mark.parametrize("union", CORPUS_UNIONS)
+def test_knot_matches_the_spine_copy(union):
+    _system, _coloring, terms = seeded_union_terms(union, 40)
+    rng = rng_for(f"knot-oracle:{union}")
+    for t in terms:
+        ps = sorted(positions(t, 3))
+        for p in rng.sample(ps, min(3, len(ps))):
+            qs = sorted(positions(subterm(t, p), 4) - {()})
+            for q in rng.sample(qs, min(4, len(qs))):
+                assert convergence._knot(t, p, q) is hand_walks.knot(t, p, q), (t, p, q)
 
 
 def test_extrapolate_rejects_aperiodic():

@@ -32,7 +32,15 @@ from itrsbench import (
 from itrsbench.corpus import load_union, rearrange_trace, union_traces
 from itrsbench.metrics import ITER_BUDGET, lazy_weight, simple_cycles
 from itrsbench.terms import parallel, positions
-from conftest import GENERIC_SIG, random_finite_term, random_rational_term, rng_for
+from conftest import (
+    CORPUS_UNIONS,
+    GENERIC_SIG,
+    random_finite_term,
+    random_rational_term,
+    rng_for,
+    seeded_union_terms,
+)
+import hand_walks
 
 
 def rearrange_setup():
@@ -74,6 +82,18 @@ def test_variable_has_no_layers():
     _, coloring = exa_setup()
     with pytest.raises(TermError):
         ppos(var("x"), coloring)
+
+
+@pytest.mark.parametrize("union", CORPUS_UNIONS)
+def test_cut_and_positions_match_the_hand_walks(union):
+    _system, coloring, terms = seeded_union_terms(union, 40)
+    for t in terms:
+        if t.is_var:
+            continue
+        cut, old = ppos(t, coloring), hand_walks.ppos(t, coloring)
+        assert cut.edges == old.edges, t
+        for depth in range(9):
+            assert cut.positions(depth) == hand_walks.cut_positions(old, depth), (t, depth)
 
 
 # --- top-layer fill -------------------------------------------------------------
@@ -265,6 +285,35 @@ def test_cutoff_on_infinite_alternation():
     assert cutoff(t, 3, u, coloring) == parse(
         "F(F(H(F(F(G(x))))))", system.sig
     )
+
+
+@pytest.mark.parametrize("union", CORPUS_UNIONS)
+def test_cutoff_matches_the_recursive_cutoff(union):
+    system, coloring, terms = seeded_union_terms(union, 40)
+    rng = rng_for(f"layers-cutoff-oracle:{union}")
+    for t in terms:
+        u = rng.choice([var("x"), random_finite_term(rng, system.sig, 2)])
+        for n in range(7):
+            assert cutoff(t, n, u, coloring) is hand_walks.cutoff(t, n, u, coloring), (t, n, u)
+
+
+def test_cutoff_returns_past_the_recursion_limit():
+    """Thousands of layers, where one level of recursion per layer
+    raised RecursionError."""
+    system, coloring = exa_setup()
+    u = parse("G(x)", system.sig)
+    ring = parse("mu X. F(H(X))", system.sig)
+    unrolled = parse("F(H(" * 1000 + "G(x)" + "))" * 1000, system.sig)
+    assert cutoff(ring, 2000, u, coloring) is unrolled
+    chain = parse("F(H(" * 1200 + "x" + "))" * 1200, system.sig)
+    assert cutoff(chain, 2400, u, coloring) is chain
+
+
+def test_cutoff_refuses_negative_layers():
+    """On an alternating cycle the layers never run out."""
+    system, coloring = exa_setup()
+    with pytest.raises(TermError):
+        cutoff(parse("mu X. F(H(X))", system.sig), -1, var("x"), coloring)
 
 
 def test_cutoff_non_expansive():
