@@ -42,6 +42,7 @@ from .metrics import (
     vdepth,
 )
 from .rewriting import (
+    DEFAULT_WEAK_BUDGET,
     classify_itrs,
     disjoint_union,
     indirect,
@@ -174,13 +175,19 @@ def read_trace(path: str, system) -> Trace:
         elif "omega" in entry:
             omega = _field(entry, "omega", (str, type(None)))
             limit = parse(omega, system.sig) if omega else None
-            segments.append(Segment(terms, steps, limit))
+            segments.append(_segment(terms, steps, limit))
             terms, steps = [], []
     if terms:
-        segments.append(Segment(terms, steps, None))
+        segments.append(_segment(terms, steps, None))
     if not segments:
         raise InputError(f"{path}: empty trace")
     return Trace(segments)
+
+
+def _segment(terms, steps, limit) -> Segment:
+    """A read segment; one without step lines is simulated, as xi writes
+    it, and its steps are None."""
+    return Segment(terms, steps or [None] * (len(terms) - 1), limit)
 
 
 def _witness_json(witness) -> dict:
@@ -427,7 +434,12 @@ def cmd_xi(args) -> int:
     tr = read_trace(args.trace, system)
     rule = system.rule(args.rule)
     if args.predicate.startswith("fp:"):
-        p = tuple(int(x) for x in args.predicate[3:].split(".") if x)
+        try:
+            p = tuple(int(x) for x in args.predicate[3:].split(".") if x)
+            if min(p, default=1) < 1:
+                raise ValueError
+        except ValueError:
+            raise InputError(f"fp:<position> takes positive integers, not {args.predicate!r}")
         s = Fp(p, tr, system, coloring, budget=args.budget)
     elif args.predicate.startswith("kt:"):
         s = Kt(_term(f, args.predicate[3:]), system, budget=args.budget)
@@ -642,7 +654,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_strong)
 
     p = sub.add_parser("xi", help="predicate-guided top-layer simulation")
-    common(p, knobs=("budget",))
+    common(p)
+    p.add_argument("--budget", type=int, default=DEFAULT_WEAK_BUDGET,
+                   help="states per weak-reachability search of the predicate")
     p.add_argument("--trace", required=True)
     p.add_argument("--rule", required=True)
     p.add_argument("--predicate", required=True, help="fp:<p.q.r> or kt:<term>")

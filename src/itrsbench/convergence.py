@@ -22,6 +22,7 @@ from .metrics import (
     is_member,
 )
 from .rewriting import (
+    DEFAULT_WEAK_BUDGET,
     ITRS,
     RedexOccurrence,
     Rule,
@@ -554,7 +555,7 @@ def focussed_probe(
     system: ITRS,
     tr: Trace,
     p: Position,
-    budget: int = 10_000,
+    budget: int = DEFAULT_WEAK_BUDGET,
 ) -> FocussedReport:
     """Evaluate the focussed-sequence predicate on the recorded subterm
     sequence at p, with bounded reachability as the weak-reduction oracle."""
@@ -607,7 +608,7 @@ class Fp:
     trace: Trace
     system: ITRS
     coloring: Coloring
-    budget: int = 10_000
+    budget: int = DEFAULT_WEAK_BUDGET
 
     def __post_init__(self):
         self.reducts: dict = {}  # successors memo, alive as long as this probe
@@ -638,7 +639,7 @@ class Kt:
 
     anchor: RationalTerm
     system: ITRS
-    budget: int = 10_000
+    budget: int = DEFAULT_WEAK_BUDGET
 
     def __post_init__(self):
         self.reducts: dict = {}  # successors memo, alive as long as this probe
@@ -730,12 +731,7 @@ def xi_trace(
             odd, after = sim_terms[2 * i + 1], sim_terms[2 * i + 2]
             if odd == after:
                 continue
-            bound = max(REACH_DEPTH, len(seg.steps[i].position) + 2)
-            stepped = any(
-                res == after
-                for _occ, res in successors(root_system, odd, depth_bound=bound)
-            )
-            if not stepped:
+            if not _steps_between(root_system, odd, after, seg.steps[i]):
                 violations.append(
                     (2 * i + 1, "stage-1 transition is not a root-system step")
                 )
@@ -752,6 +748,16 @@ def xi_trace(
     tail = sliding_diameter(system.metric, Trace(out_segments[-1:]), WINDOW)
     floor = min((float(d) for d in tail), default=0.0)
     return XiReport(sim_trace, flip_counts, violations, diams, floor <= TOL)
+
+
+def _steps_between(
+    system: ITRS, a: RationalTerm, b: RationalTerm, step: Optional[RedexOccurrence]
+) -> list[RedexOccurrence]:
+    """The redex occurrences that take a to b in one step, searched two
+    levels below the recorded step's position (REACH_DEPTH at least, and
+    REACH_DEPTH alone for a simulated step, which is None)."""
+    bound = REACH_DEPTH if step is None else max(REACH_DEPTH, len(step.position) + 2)
+    return [occ for occ, res in successors(system, a, depth_bound=bound) if res == b]
 
 
 def _sim_segment(terms, limit):
@@ -811,12 +817,7 @@ def cutoff_trace(
             if a == b:
                 stutters.append(index)
             else:
-                bound = max(REACH_DEPTH, len(seg.steps[i].position) + 2)
-                hits = [
-                    occ
-                    for occ, res in successors(system, a, depth_bound=bound)
-                    if res == b
-                ]
+                hits = _steps_between(system, a, b, seg.steps[i])
                 if not hits:
                     violations.append((index, "cut step is not a reduction step"))
                 elif n == 1 and all(

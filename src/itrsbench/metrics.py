@@ -2,12 +2,15 @@
 
 A term metric assigns each function symbol one monotone component per
 argument; the induced n-ary map is the max of the components applied
-argument-wise.  Distances between rational terms are computed on the
-product graph: exact shortest-path for granular metrics, otherwise the
-greatest solution of the distance equations, with clash pairs at 1.
-Variable depths solve the same equations on the term graph, with the
-variable at y and other variables at 0.  One solver does both, one
-strongly connected component at a time, children first: a node that
+argument-wise.  Distances between rational terms are read off the
+product graph and variable depths off the term graph, both split the
+same way.  On granular metrics each is a lightest path, 2^-k times the
+value at its end, k the fewest lazy edges on a path to a clash pair (at
+1) or to an occurrence of the variable (at y); that holds off the
+completion too.  Other metrics take the greatest solution of the
+equations (on a granular metric it equals the lightest path on every
+member of the completion, not off it).  One solver finds it for both,
+one strongly connected component at a time, children first: a node that
 reaches no nonzero leaf is 0 (for distance, a matched pair whose two
 subterms denote the same tree), a node on no cycle takes one step, any
 other cycle is swept down from 1 on its own, and the answer is exact
@@ -56,8 +59,10 @@ class GuardExceeded(TermError):
 # on exponents e in [0, inf), for x = 2^-e (on_exponent).  on_exponent
 # returns the image exponent and the slope of the exponent map there: 0
 # where a clamp binds (the image is a constant), else the product of the
-# pow exponents passed.  The exponents are exact Fractions while every
-# scale factor and cap bound is a power of two, floats otherwise.
+# pow exponents passed.  exponent_below(b), for b >= 0, inverts it: the
+# largest e >= 0 whose image is at most b, None when there is none.  The
+# exponents are exact Fractions while every scale factor and cap bound is a
+# power of two, floats otherwise.
 
 
 @dataclass(frozen=True)
@@ -72,6 +77,10 @@ class Scale:
     def on_exponent(self, e: Number) -> tuple[Number, Number]:
         shifted = e - _log2(self.factor)
         return (shifted, 1) if shifted > 0 else (0, 0)
+
+    def exponent_below(self, b: Number) -> Optional[Number]:
+        e = b + _log2(self.factor)
+        return e if e >= 0 else None
 
     def __str__(self):
         if self.factor == 1:
@@ -95,6 +104,9 @@ class Pow:
     def on_exponent(self, e: Number) -> tuple[Number, Number]:
         return self.exponent * e, self.exponent
 
+    def exponent_below(self, b: Number) -> Optional[Number]:
+        return b / self.exponent
+
     def __str__(self):
         return f"pow({self.exponent})"
 
@@ -111,6 +123,9 @@ class Cap:
     def on_exponent(self, e: Number) -> tuple[Number, Number]:
         floor = -_log2(self.bound)
         return (e, 1) if e > floor else (floor, 0)
+
+    def exponent_below(self, b: Number) -> Optional[Number]:
+        return b if -_log2(self.bound) <= b else None
 
     def __str__(self):
         return f"cap({self.bound})"
@@ -133,6 +148,13 @@ class Compose:
             e, part_slope = part.on_exponent(e)
             slope *= part_slope
         return e, slope
+
+    def exponent_below(self, b: Number) -> Optional[Number]:
+        for part in self.parts:
+            b = part.exponent_below(b)
+            if b is None:
+                return None
+        return b
 
     def __str__(self):
         return "comp(" + ",".join(str(p) for p in self.parts) + ")"
@@ -457,6 +479,13 @@ def epos(
 ) -> set[Position]:
     """Positions p with (t,p)_m(1) >= epsilon, by DFS with prefix pruning.
 
+    Each position p carries the largest b >= 0 with (t,p)_m(2^-b) >=
+    epsilon: log2(1/epsilon) at the root, and at a child, its component's
+    exponent_below of the parent's b.  That applies the components in
+    position_umm's order, outermost first, at O(1) per edge, and p is in
+    the set iff it has such a b.  Exact when epsilon and every scale factor
+    and cap bound are powers of two, float otherwise.
+
     Raises GuardExceeded when the frontier is still at or above epsilon
     past depth_guard, which witnesses that the set is infinite for a
     rational term (non-membership evidence).
@@ -465,18 +494,19 @@ def epos(
         raise TermError("epsilon must be positive")
     m.check_term(t)
     out: set[Position] = set()
-    stack: list[tuple[Position, int, Number]] = [((), 0, Fraction(1))]
+    root = _log2(1 / Fraction(epsilon))
+    stack: list[tuple[Position, int, Number]] = [((), 0, root)] if root >= 0 else []
     while stack:
-        p, idx, val = stack.pop()
-        if val < epsilon:
-            continue
+        p, idx, b = stack.pop()
         if len(p) > depth_guard:
             raise GuardExceeded(p)
         out.add(p)
         entry = t.nodes[idx]
         if entry[0] == APP:
             for i, child in enumerate(entry[2], start=1):
-                stack.append((p + (i,), child, m.component(entry[1], i)(val)))
+                below = m.component(entry[1], i).exponent_below(b)
+                if below is not None:
+                    stack.append((p + (i,), child, below))
     return out
 
 
@@ -627,9 +657,13 @@ def _positive_limit(comp: Component) -> str:
 class VariableDepth:
     """The map y -> [[t]] under the valuation sending x to y, others to 0.
 
-    Computed by the same solver as non-granular distances: nodes of t that
-    reach no occurrence of x are 0, the others take the greatest solution
-    of their equations, exact whenever the exact sweep settles.
+    Split as distance is: on granular metrics the value is y * 2^-k, k the
+    fewest lazy edges on a path to an occurrence of x, off the completion
+    too, and an exact 0 without one.  Other metrics take the greatest
+    solution of the equations, by the same solver as their distances:
+    nodes of t that reach no occurrence of x are 0, and the value is exact
+    whenever the exact sweep settles.  On every member of a granular
+    completion the two agree.
     """
 
     metric: TermMetric
@@ -637,23 +671,12 @@ class VariableDepth:
     variable: str
 
     def __call__(self, y: Number) -> Number:
+        at_x = (VAR, self.variable)
+        if self.metric.is_granular:
+            best = _lightest_path(0, lambda idx: self.term.nodes[idx] == at_x, self._edges)
+            return Fraction(0) if best is None else y * Fraction(1, 2**best)
         return _fixpoint(
-            0,
-            self._edges,
-            lambda idx: y if self.term.nodes[idx] == (VAR, self.variable) else Fraction(0),
-        )
-
-    def granular_level(self) -> Optional[int]:
-        """Minimum lazy-edge count over occurrences of the variable, if any.
-
-        2^-level equals self(1) only when the term is in the completion: on
-        a non-member, such as mu X. Bin(x, Null, X) under ltree, a strict
-        cycle keeps self(1) at 1 while the level counts the lazy edges.
-        """
-        if not self.metric.is_granular:
-            raise TermError("granular level of a non-granular metric")
-        return _lightest_path(
-            0, lambda idx: self.term.nodes[idx] == (VAR, self.variable), self._edges
+            0, self._edges, lambda idx: y if self.term.nodes[idx] == at_x else Fraction(0)
         )
 
     def _edges(self, idx: int) -> list[tuple[Component, int]]:

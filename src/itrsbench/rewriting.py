@@ -287,33 +287,29 @@ def is_pseudo_collapsing(m: TermMetric, rule: Rule) -> bool:
 @dataclass(frozen=True)
 class DepthVerdict:
     kind: str  # "exact-pass" | "sampled-pass" | "fail"
-    witness: Optional[tuple] = None  # (variable, sample point, lhs, rhs)
+    witness: Optional[tuple] = None  # (variable, sample point, lhs value, rhs value)
 
 
 def is_depth_preserving(m: TermMetric, rule: Rule) -> DepthVerdict:
     """Do steps of this rule preserve every variable's depth?
 
-    Granular metrics are decided exactly via minimal lazy-edge counts;
-    otherwise the two depth maps are compared on a sample grid.
+    Granular depth maps are y * 2^-k, so y = 1 decides them exactly;
+    otherwise the two maps are compared on a sample grid.  Two Fractions
+    are compared exactly, anything else within 1e-12.
     """
     if m.is_granular:
-        for x in variables(rule.lhs):
-            left = vdepth(m, rule.lhs, x).granular_level()
-            right = vdepth(m, rule.rhs, x).granular_level()
-            if right is None:
-                continue  # variable dropped: rhs depth is constant 0
-            if left is None or left > right:
-                return DepthVerdict("fail", (x, 1, left, right))
-        return DepthVerdict("exact-pass")
+        points, kind = [Fraction(1)], "exact-pass"
+    else:
+        points = [Fraction(k, DEPTH_SAMPLES) for k in range(DEPTH_SAMPLES + 1)]
+        kind = "sampled-pass"
     for x in variables(rule.lhs):
-        left_map = vdepth(m, rule.lhs, x)
-        right_map = vdepth(m, rule.rhs, x)
-        for k in range(DEPTH_SAMPLES + 1):
-            y = Fraction(k, DEPTH_SAMPLES)
-            lv, rv = left_map(y), right_map(y)
-            if float(lv) < float(rv) - 1e-12:
+        left, right = vdepth(m, rule.lhs, x), vdepth(m, rule.rhs, x)
+        for y in points:
+            lv, rv = left(y), right(y)
+            exact = isinstance(lv, Fraction) and isinstance(rv, Fraction)
+            if lv < rv if exact else float(lv) < float(rv) - 1e-12:
                 return DepthVerdict("fail", (x, y, lv, rv))
-    return DepthVerdict("sampled-pass")
+    return DepthVerdict(kind)
 
 
 # --- indirection and disjoint union -----------------------------------------

@@ -3,6 +3,7 @@ replayable witness scripts."""
 
 from __future__ import annotations
 
+import inspect
 import json
 import shlex
 from pathlib import Path
@@ -10,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from itrsbench import Budgets, disjoint_union, parse, parse_itrs, simulate
+from itrsbench.convergence import Fp, Kt, focussed_probe
+from itrsbench.rewriting import DEFAULT_WEAK_BUDGET
 from itrsbench.cli import build_parser, read_trace, run_command, write_trace
 from itrsbench.metrics import DEFAULT_DEPTH_GUARD
 from itrsbench.corpus import ITRS_SOURCES
@@ -172,6 +175,8 @@ def test_options_exist_only_where_read(files, argv):
 
 CUTOFF = ["cutoff", "--metric", "exnonlin-r", "exnonlin-s", "--layers", "1", "--fill", "x",
           "--trace", "INPUT"]
+XI = ["xi", "--metric", "exnonlin-r", "exnonlin-s", "--rule", "succ", "--trace", "INPUT",
+      "--predicate"]
 
 
 @pytest.mark.parametrize(
@@ -181,9 +186,11 @@ CUTOFF = ["cutoff", "--metric", "exnonlin-r", "exnonlin-s", "--layers", "1", "--
      (["replay", "INPUT"], "[]"),
      (["replay", "INPUT"], '{"witness": {"type": "loop"}}'),
      (CUTOFF, "not json\n"),
-     (CUTOFF, '{"step": {"position": [], "rule": "succ"}}\n{"term": "0"}\n')],
+     (CUTOFF, '{"step": {"position": [], "rule": "succ"}}\n{"term": "0"}\n'),
+     (XI + ["fp:a"], '{"term": "F(0, 0, 0)"}\n'),
+     (XI + ["fp:1.0"], '{"term": "F(0, 0, 0)"}\n')],
     ids=["number", "zero-denominator", "witness-list", "witness-fields", "trace-json",
-         "trace-step-first"],
+         "trace-step-first", "fp-not-a-number", "fp-zero"],
 )
 def test_malformed_input_exits_2(files, tmp_path, argv, text):
     """Bad input is exit code 2, never a traceback (exit code 1)."""
@@ -198,6 +205,8 @@ def test_malformed_input_exits_2(files, tmp_path, argv, text):
 
 
 def test_knob_defaults_are_the_library_defaults():
+    """Each knob's CLI default is the library's: xi's --budget is the reach
+    budget of its Fp/Kt predicates, the others are Budgets and the guard."""
     budgets = Budgets()
     want = {"budget": budgets.loop_states, "max_steps": budgets.max_steps,
             "depth_bound": budgets.depth_bound, "depth_guard": DEFAULT_DEPTH_GUARD}
@@ -205,13 +214,17 @@ def test_knob_defaults_are_the_library_defaults():
     for argv in (["epos", "--metric", "m", "--term", "x", "--epsilon", "1"],
                  ["simulate", "--metric", "m", "--term", "x"],
                  ["analyze", "--metric", "m", "--term", "x"],
-                 ["strong", "--metric", "m", "--term", "x"],
-                 ["xi", "--metric", "m", "--trace", "t", "--rule", "r", "--predicate", "p"]):
+                 ["strong", "--metric", "m", "--term", "x"]):
         args = vars(parser.parse_args(argv))
         for knob in want.keys() & args.keys():
             assert args[knob] == want[knob], (argv[0], knob)
             seen.add(knob)
     assert seen == want.keys()
+    xi = parser.parse_args(["xi", "--metric", "m", "--trace", "t", "--rule", "r",
+                            "--predicate", "p"])
+    assert xi.budget == DEFAULT_WEAK_BUDGET
+    assert Fp.budget == Kt.budget == DEFAULT_WEAK_BUDGET
+    assert inspect.signature(focussed_probe).parameters["budget"].default == DEFAULT_WEAK_BUDGET
 
 
 def test_trace_round_trip_on_a_union_with_shared_rule_names(tmp_path):
@@ -266,6 +279,11 @@ def test_xi_and_cutoff_on_recorded_trace(files, tmp_path, capsys):
     lines = [json.loads(l) for l in out.read_text().splitlines()]
     assert [e["term"] for e in lines if "term" in e] == simulated
     assert not any("step" in e for e in lines)
+    # a trace without step lines reads back as simulated: a verdict, not bad input
+    assert run_command(
+        ["cutoff", "--metric", files["exnonlin-r"], files["exnonlin-s"],
+         "--trace", str(out), "--layers", "1", "--fill", "x", "--json"]
+    ) in (0, 1)
 
 
 def test_indirect_subcommand(files, capsys):

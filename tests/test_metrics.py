@@ -30,8 +30,10 @@ from itrsbench import (
     metric_id,
     metric_infty,
     parse,
+    positions,
     rank,
     substitute,
+    subterm,
     validate_metric,
     var,
     vdepth,
@@ -294,6 +296,39 @@ def test_epos_whole_term_at_tiny_epsilon():
     assert epos(m, t, Fraction(1, 64)) == positions(t, 10)
 
 
+@pytest.mark.parametrize("name", ["exa-layers", "exa-layers2", "binary"])
+def test_epos_matches_position_umm(name):
+    """Non-commuting components: epos is the set of positions p with
+    position_umm(p)(1) >= epsilon, read off every position up to one past
+    the guard; a member that long means the guard must trip."""
+    m = non_granular_metric(name)
+    rng = rng_for(f"metrics-epos-umm-{name}")
+    guard = 6
+    tripped = 0
+    for _ in range(300):
+        t = random_rational_term(rng, m.sig, rng.randint(1, 5))
+        eps = rng.choice([Fraction(1), Fraction(3, 4), HALF, Fraction(1, 3), Fraction(1, 4),
+                          Fraction(3, 16), Fraction(1, 16)])
+        want = {p for p in positions(t, guard + 1) if position_umm(m, t, p)(Fraction(1)) >= eps}
+        if any(len(p) > guard for p in want):
+            tripped += 1
+            with pytest.raises(GuardExceeded):
+                epos(m, t, eps, depth_guard=guard)
+        else:
+            assert epos(m, t, eps, depth_guard=guard) == want, (t, eps)
+    assert 0 < tripped < 300
+
+
+def test_epos_applies_components_outermost_first():
+    """Under exa-layers H doubles and F halves: every position of
+    mu X. H(F(X)) has position_umm value 1, so the set is infinite."""
+    system, _ = load_union("exa-layers-r", "exa-layers-s")
+    t = parse("mu X. H(F(X))", system.sig)
+    assert position_umm(system.metric, t, (1, 1))(Fraction(1)) == 1
+    with pytest.raises(GuardExceeded):
+        epos(system.metric, t, Fraction(3, 4))
+
+
 # --- membership -----------------------------------------------------------------
 
 
@@ -476,24 +511,43 @@ def test_vdepth_lazy_occurrence(ltree_metric):
     assert vdepth(ltree_metric, t, "x")(Fraction(1)) == HALF
 
 
+def vdepth_by_positions(m, t, x, y):
+    """vdepth's definition read naively: the largest (t,p)_m(y) over the
+    positions p of an occurrence of x, 0 without one.  A lightest path
+    visits no node twice, so positions shorter than the graph suffice."""
+    return max(
+        (position_umm(m, t, p)(y) for p in positions(t, len(t.nodes) - 1)
+         if subterm(t, p) == var(x)),
+        default=Fraction(0),
+    )
+
+
 @pytest.mark.parametrize("name", ["id", "infty", "ltree"])
 def test_vdepth_is_two_to_minus_the_granular_level(name, ltree_metric):
-    """On rational terms under a granular metric, vdepth(x)(1) is 2^-level,
-    level the fewest lazy edges above an occurrence of x, and 0 without one.
-    Under ltree only members of the completion are drawn: on a non-member,
-    a strict cycle above x keeps the greatest solution at 1 whatever the
-    level."""
+    """On rational terms under a granular metric, vdepth(x)(y) is y*2^-level,
+    level the fewest lazy edges above an occurrence of x, and 0 without one:
+    the largest positional value over the occurrences of x, on members of
+    the completion and non-members alike."""
     m = {"id": metric_id(GENERIC_SIG), "infty": metric_infty(GENERIC_SIG),
          "ltree": ltree_metric}[name]
     rng = rng_for(f"metrics-vdepth-level-{name}")
-    checked = 0
-    while checked < 60:
+    kinds = set()
+    for _ in range(60):
         t = random_rational_term(rng, m.sig, rng.randint(1, 6))
-        if name == "ltree" and not is_member(m, t):
-            continue
-        lvl = vdepth(m, t, "x").granular_level()
-        assert vdepth(m, t, "x")(Fraction(1)) == (0 if lvl is None else Fraction(1, 2**lvl))
-        checked += 1
+        kinds.add(is_member(m, t).kind)
+        depth = vdepth(m, t, "x")
+        for y in (Fraction(1), HALF, Fraction(1, 3)):
+            got = depth(y)
+            assert (type(got), got) == (Fraction, vdepth_by_positions(m, t, "x", y)), t
+    assert kinds == ({"member"} if name == "infty" else {"member", "non_member"})
+
+
+def test_vdepth_off_the_completion_is_the_lightest_path(ltree_metric):
+    """A strict cycle above x: the lazy edge to x halves its depth, where
+    the greatest solution of the depth equations is 1."""
+    t = parse("mu X. Bin(x, Null, X)", ltree_metric.sig)
+    assert not is_member(ltree_metric, t)
+    assert vdepth(ltree_metric, t, "x")(Fraction(1)) == HALF
 
 
 @pytest.mark.parametrize("name", ["exa-layers", "exa-layers2"])

@@ -44,7 +44,7 @@ from itrsbench import (
 from itrsbench import metrics, rewriting
 from itrsbench.corpus import ITRS_SOURCES, load, load_union
 from itrsbench.metrics import SignatureMismatch
-from itrsbench.rewriting import RedexOccurrence, rename_symbols
+from itrsbench.rewriting import DepthVerdict, RedexOccurrence, rename_symbols
 from itrsbench.terms import bfs_path, iter_positions, node_at, sccs, subterm_at_node
 from conftest import GENERIC_SIG, random_finite_term, random_rational_term, rng_for
 from coinductive_match import coinductive_match
@@ -340,6 +340,40 @@ def test_depth_preserving_exact_for_granular():
     assert verdict.kind == "exact-pass"
     shallows = Rule("up", parse("G(G(x))", sig), parse("G(x)", sig))
     assert is_depth_preserving(m, shallows).kind == "fail"
+
+
+def test_depth_off_the_completion_is_one_value():
+    """Under ltree the rhs has a strict cycle above a lazy edge to x: x
+    sits at depth 1/2 on both sides, so the rule preserves depth and
+    collapses nothing.  Pseudo-collapsing and depth preservation read the
+    same depth of x."""
+    system = load("ltree").system
+    sig = system.sig
+    rule = Rule("r", parse("Bin(x, N, Null)", sig), parse("mu X. Bin(x, Null, X)", sig))
+    report = classify_itrs(ITRS(sig, system.metric, [rule]))
+    assert report.flags("r") == ("left-linear", "depth-preserving")
+    assert report.rhs_membership["r"] == "non_member"
+    assert is_depth_preserving(system.metric, rule).kind == "exact-pass"
+
+
+@pytest.mark.parametrize("lhs, rhs, witness", [
+    ("H(F(x))", "F(x)", None),  # y >= y/2
+    ("F(x)", "H(x)", (Fraction(1, 33), Fraction(1, 66), Fraction(2, 33))),  # y/2 < min(1, 2y)
+    # 2^-41 against 2^-40, closer than any float tolerance: compared exactly
+    ("F(" * 41 + "x" + ")" * 41, "F(" * 40 + "x" + ")" * 40,
+     (Fraction(1, 33), Fraction(1, 33 * 2**41), Fraction(1, 33 * 2**40))),
+], ids=["pass", "fail", "fail-below-float-tolerance"])
+def test_depth_preserving_on_the_sample_grid(lhs, rhs, witness):
+    """exa-layers (F and G halve, H doubles) is not granular: the depth
+    maps are compared at k/33, and the first failing point is the witness."""
+    system, _ = load_union("exa-layers-r", "exa-layers-s")
+    assert not system.metric.is_granular
+    rule = Rule("r", parse(lhs, system.sig), parse(rhs, system.sig))
+    verdict = is_depth_preserving(system.metric, rule)
+    if witness is None:
+        assert verdict == DepthVerdict("sampled-pass")
+    else:
+        assert verdict == DepthVerdict("fail", ("x",) + witness)
 
 
 # --- indirection -----------------------------------------------------------------
