@@ -162,6 +162,8 @@ def read_trace(path: str, system) -> Trace:
     for entry in lines:
         if not isinstance(entry, dict):
             raise InputError(f"{path}: a line is not a JSON object")
+        if pending_step is not None and "term" not in entry:
+            raise InputError(f"{path}: a step that no term follows")
         if "term" in entry:
             t = parse(_field(entry, "term", str), system.sig)
             if pending_step is not None:
@@ -177,6 +179,8 @@ def read_trace(path: str, system) -> Trace:
             limit = parse(omega, system.sig) if omega else None
             segments.append(_segment(terms, steps, limit))
             terms, steps = [], []
+    if pending_step is not None:
+        raise InputError(f"{path}: a step that no term follows")
     if terms:
         segments.append(_segment(terms, steps, None))
     if not segments:

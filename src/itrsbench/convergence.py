@@ -410,17 +410,14 @@ def sliding_diameter(m: TermMetric, tr: Trace, window: int) -> list:
     if window < 2:
         raise TermError("window must be at least 2")
     terms = tr.all_terms()
-    out = []
-    for i in range(len(terms) - window + 1):
-        chunk = terms[i : i + window]
-        out.append(
-            max(
-                distance(m, a, b)
-                for j, a in enumerate(chunk)
-                for b in chunk[j + 1 :]
-            )
-        )
-    return out
+    if len(terms) < window:
+        return []
+    # near[j][k] = d(terms[j], terms[j + 1 + k]): each pair within a window once
+    near = [[distance(m, a, b) for b in terms[j + 1 : j + window]] for j, a in enumerate(terms)]
+    return [
+        max(d for j in range(i, i + window - 1) for d in near[j][: i + window - 1 - j])
+        for i in range(len(terms) - window + 1)
+    ]
 
 
 def _knot(t: RationalTerm, p: Position, q: Position) -> RationalTerm:

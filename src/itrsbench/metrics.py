@@ -22,6 +22,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -273,7 +274,7 @@ class TermMetric:
         """Component of argument i (1-based)."""
         return self.components[symbol][i - 1]
 
-    @property
+    @cached_property
     def is_granular(self) -> bool:
         return all(
             is_granular_component(c)

@@ -11,12 +11,15 @@ object, and equality and hashing are by identity.
 Every canonical term leaves through one preorder renumbering,
 _renumbered, which also trims what the root does not reach.  from_nodes,
 and the constructors built on it (var, app, graph_term, parse,
-substitute), is trim + Hopcroft's O(m log n) partition refinement +
-_renumbered of the quotient.  replace and subterm_at_node start from a
-canonical term and need no refinement: subterm_at_node only renumbers,
-and replace hash-conses the nodes it adds against the term's own nodes,
-then renumbers; only a cyclic replacement, whose loops may fold into the
-term, goes through from_nodes.
+substitute), makes one depth-first pass from the root: the nodes that
+reach no cycle are hash-consed children first, and only those that reach
+one go through Hopcroft's O(m log n) partition refinement; the quotient
+of both is then renumbered.  A finite graph, such as a mu-free text, is
+never refined.  replace and subterm_at_node start from a canonical term:
+subterm_at_node only renumbers, and replace hash-conses the nodes it adds
+against the term's own nodes, then renumbers; only a cyclic replacement,
+whose loops may fold into the term, goes through from_nodes.  parse reads
+its text in one regular-expression scan into a token list.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import weakref
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 Position = tuple[int, ...]  # 1-based child indices; () is the root
@@ -158,91 +162,123 @@ class RationalTerm:
 
 def from_nodes(nodes: Sequence, root: int) -> RationalTerm:
     """The canonical term rooted at node root of a raw node list, whose
-    entries are as in RationalTerm.nodes; any node may be unreachable."""
-    # trim: number the live nodes densely (live[k] is node k's raw index)
-    number = {root: 0}
-    live = [root]
-    kids: list[tuple[int, ...]] = []
-    for idx in live:  # live grows while it is walked
-        entry = nodes[idx]
-        if entry[0] == VAR:
-            kids.append(())
-            continue
-        ks = []
-        for child in entry[2]:
-            k = number.get(child)
-            if k is None:
-                k = number[child] = len(live)
-                live.append(child)
-            ks.append(k)
-        kids.append(tuple(ks))
+    entries are as in RationalTerm.nodes; any node may be unreachable.
 
-    # initial partition by label
+    One depth-first pass from the root finishes each node after its
+    children, except along back edges.  A node reaches a cycle iff one of
+    its edges is a back edge or leads to a node that reaches one.  A node
+    that reaches none denotes a finite tree; its children are canonical by
+    the time it finishes, so it is hash-consed by (label, canonical
+    children), which is exact.  The nodes that reach a cycle denote
+    infinite trees, never bisimilar to a finite one: only they go through
+    _refine, with their finite children as part of their labels.  A
+    finite graph runs no refinement at all.
+    """
+    # mark[k]: None while k is unseen; -1 while k is on the path, and
+    # after if k reaches a cycle; once k is finite, its quotient entry
+    mark: list = [None] * len(nodes)
+    quotient: list = []  # the finite classes, then the cyclic blocks
+    table: dict = {}  # finite entry over quotient children -> its class
+    labels: dict = {}  # node that reaches a cycle -> (symbol, child marks)
+    marks = mark.__getitem__
+    stack = [root]  # a node to visit, or ~node to finish
+    while stack:
+        k = stack.pop()
+        if k >= 0:
+            if mark[k] is not None:
+                continue
+            entry = nodes[k]
+            if entry[0] == APP and entry[2]:
+                mark[k] = -1
+                stack.append(~k)
+                stack.extend(entry[2])
+                continue
+        else:
+            k = ~k
+            entry = nodes[k]
+            kids = tuple(map(marks, entry[2]))
+            if -1 in kids:  # an edge back onto the path, or to a cyclic node
+                labels[k] = (entry[1], kids)
+                continue
+            entry = (APP, entry[1], kids)
+        m = table.get(entry)
+        if m is None:
+            m = table[entry] = len(quotient)
+            quotient.append(entry)
+        mark[k] = m
+    if labels:
+        cyclic = list(labels)  # cyclic[j] is now marked -2 - j
+        for j, k in enumerate(cyclic):
+            mark[k] = -2 - j
+        preds: list[list[tuple[int, int]]] = [[] for _ in cyclic]
+        for j, k in enumerate(cyclic):
+            for i, c in enumerate(nodes[k][2]):
+                m = mark[c]
+                if m < 0:
+                    preds[-2 - m].append((i, j))
+        block, count = _refine(list(labels.values()), preds)
+        base = len(quotient)
+        quotient.extend([None] * count)
+        for k, b in zip(cyclic, block):
+            mark[k] = base + b
+        for k, b in zip(cyclic, block):
+            if quotient[base + b] is None:
+                entry = nodes[k]
+                quotient[base + b] = (APP, entry[1], tuple(map(marks, entry[2])))
+    return _renumbered(quotient, mark[root])
+
+
+def _refine(labels: list, preds: list) -> tuple[list[int], int]:
+    """The block of each node under the coarsest partition that refines
+    labels (one per node) and is stable under every edge (letter,
+    parent) of preds[node], and the number of blocks: bisimilarity.
+
+    Hopcroft 1971, in the splitter form of Paige & Tarjan, SIAM J.
+    Comput. 1987.  Every block starts waiting, and a block that splits
+    while not waiting queues only its smaller part, so O(m log n) in all.
+    """
     block: list[int] = []
     members: list[set[int]] = []
-    labels: dict = {}
-    for k, idx in enumerate(live):
-        entry = nodes[idx]
-        label = (VAR, entry[1]) if entry[0] == VAR else (APP, entry[1], len(entry[2]))
-        b = labels.get(label)
+    ids: dict = {}
+    for k, label in enumerate(labels):
+        b = ids.get(label)
         if b is None:
-            b = labels[label] = len(members)
+            b = ids[label] = len(members)
             members.append(set())
         members[b].add(k)
         block.append(b)
-
-    # Hopcroft refinement to the coarsest partition stable under every
-    # child index (bisimilarity): Hopcroft 1971, in the splitter form of
-    # Paige & Tarjan, SIAM J. Comput. 1987.  A node's children are the
-    # transitions of a deterministic automaton whose letters are the child
-    # indices; every block starts waiting, and a block that splits while
-    # not waiting queues only its smaller part, so O(m log n) in all.
-    if len(members) < len(live):
-        preds: list[list[tuple[int, int]]] = [[] for _ in live]
-        for p, ks in enumerate(kids):
-            for i, k in enumerate(ks):
-                preds[k].append((i, p))
-        waiting = list(range(len(members)))
-        is_waiting = [True] * len(members)
-        while waiting:
-            b = waiting.pop()
-            is_waiting[b] = False
-            by_letter: dict[int, list[int]] = {}
-            for k in list(members[b]):  # b itself may split below
-                for i, p in preds[k]:
-                    by_letter.setdefault(i, []).append(p)
-            for parents in by_letter.values():
-                touched: dict[int, list[int]] = {}
-                for p in parents:
-                    touched.setdefault(block[p], []).append(p)
-                for c, part in touched.items():
-                    if len(part) == len(members[c]):
-                        continue
-                    d = len(members)
-                    moved = set(part)
-                    members[c] -= moved
-                    members.append(moved)
-                    for p in part:
-                        block[p] = d
-                    if is_waiting[c] or len(part) <= len(members[c]):
-                        waiting.append(d)
-                        is_waiting.append(True)
-                    else:
-                        waiting.append(c)
-                        is_waiting[c] = True
-                        is_waiting.append(False)
-
-    # the quotient, one entry per block: every node of a block has the
-    # block's label and child blocks, so any one will do.  Like every
-    # canonical term, it leaves through the one preorder renumbering.
-    quotient: list = [None] * len(members)
-    for k, b in enumerate(block):
-        if quotient[b] is None:
-            entry = nodes[live[k]]
-            if entry[0] == APP:
-                entry = (APP, entry[1], tuple(block[c] for c in kids[k]))
-            quotient[b] = entry
-    return _renumbered(quotient, block[0])
+    if len(members) == len(labels):
+        return block, len(members)
+    waiting = list(range(len(members)))
+    is_waiting = [True] * len(members)
+    while waiting:
+        b = waiting.pop()
+        is_waiting[b] = False
+        by_letter: dict[int, list[int]] = {}
+        for k in list(members[b]):  # b itself may split below
+            for i, p in preds[k]:
+                by_letter.setdefault(i, []).append(p)
+        for parents in by_letter.values():
+            touched: dict[int, list[int]] = {}
+            for p in parents:
+                touched.setdefault(block[p], []).append(p)
+            for c, part in touched.items():
+                if len(part) == len(members[c]):
+                    continue
+                d = len(members)
+                moved = set(part)
+                members[c] -= moved
+                members.append(moved)
+                for p in part:
+                    block[p] = d
+                if is_waiting[c] or len(part) <= len(members[c]):
+                    waiting.append(d)
+                    is_waiting.append(True)
+                else:
+                    waiting.append(c)
+                    is_waiting[c] = True
+                    is_waiting.append(False)
+    return block, len(members)
 
 
 def _renumbered(nodes: Sequence, root: int) -> RationalTerm:
@@ -592,70 +628,51 @@ def parallel(p: Position, q: Position) -> bool:
 # letter or a digit are nullary symbols and the rest are variables.
 
 
-_SPACE = re.compile(r"\s*")  # \s is str.isspace
-_TOKEN = re.compile(r"[(),.]|[\w'#]+")  # \w is str.isalnum and "_"
+# One scan: a token is group 1, and a character that starts none (a bad
+# one) matches with group 1 empty.  \s is str.isspace, \w str.isalnum and _.
+_TOKEN = re.compile(r"([(),.]|[\w'#]+)|\S")
 
 
-class _Tokens:
-    """The token stream, with one token of lookahead: each token is
-    scanned once, by the first peek or take that reaches it."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self._ahead: Optional[str] = None  # the token scanned at pos, if any
-
-    def location(self, pos: Optional[int] = None) -> tuple[int, int]:
-        """Line and column of the offset pos, by default the current one."""
-        if pos is None:
-            pos = self.pos
-        line = self.text.count("\n", 0, pos) + 1
-        col = pos - (self.text.rfind("\n", 0, pos) + 1) + 1
-        return line, col
-
-    def peek(self) -> Optional[str]:
-        if self._ahead is None:
-            self.pos = _SPACE.match(self.text, self.pos).end()
-            if self.pos >= len(self.text):
-                return None
-            m = _TOKEN.match(self.text, self.pos)
-            if m is None:
-                raise ParseError(
-                    f"unexpected character {self.text[self.pos]!r}", *self.location()
-                )
-            self._ahead = m.group()
-        return self._ahead
-
-    def take(self) -> Optional[str]:
-        tok = self.peek()
-        if tok is not None:
-            self.pos += len(tok)
-            self._ahead = None
-        return tok
-
-    def expect(self, tok: str):
-        got = self.take()
-        if got != tok:
-            raise ParseError(f"expected {tok!r}, got {got!r}", *self.location())
+def _error(text: str, k: int, message: str, after: bool = False) -> ParseError:
+    """message at the start of token k of text, or just after it.  Where
+    there is no token k, at the end of the text; where the scan met a
+    bad character instead, that is the error.  Offsets are recovered by
+    scanning again, so only an error pays for them."""
+    m = next(islice(_TOKEN.finditer(text), k, None), None)
+    if m is None:
+        pos = len(text)
+    elif not m.group(1):
+        message, pos = f"unexpected character {m.group()!r}", m.start()
+    else:
+        pos = m.end() if after else m.start()
+    line = text.count("\n", 0, pos) + 1
+    return ParseError(message, line, pos - text.rfind("\n", 0, pos))
 
 
 def parse(text: str, sig: Optional[Signature] = None) -> RationalTerm:
-    toks = _Tokens(text)
+    tokens: list = _TOKEN.findall(text)
+    bad = "" in tokens  # the tokens end at the first bad character
+    if bad:
+        del tokens[tokens.index(""):]
+    tokens.append(None)  # the end, read as often as asked
+    i = 0  # the next token
     nodes: list = []  # raw entries for from_nodes; a mu slot holds its body's index
-    binders: dict[int, int] = {}  # mu slot -> text offset of its `mu`
+    binders: dict[int, int] = {}  # mu slot -> token number of its `mu`
 
     def is_symbol(name: str) -> bool:
         if sig is not None:
             return name in sig
         return name[0].isupper() or name[0].isdigit()
 
-    def close_app(tok: str, args: list[int]) -> int:
-        toks.expect(")")
+    def close_app(tok: str, args: list[int], k: int) -> int:
+        """The node of tok(args), whose `)` is token k."""
+        if tokens[k] != ")":
+            raise _error(text, k, f"expected ')', got {tokens[k]!r}", after=True)
         if sig is not None:
             if tok not in sig:
-                raise ParseError(f"unknown symbol {tok}", *toks.location())
+                raise _error(text, k, f"unknown symbol {tok}", after=True)
             if sig.arity(tok) != len(args):
-                raise ParseError(f"{tok} expects {sig.arity(tok)} arguments", *toks.location())
+                raise _error(text, k, f"{tok} expects {sig.arity(tok)} arguments", after=True)
         nodes.append((APP, tok, tuple(args)))
         return len(nodes) - 1
 
@@ -665,37 +682,40 @@ def parse(text: str, sig: Optional[Signature] = None) -> RationalTerm:
     stack: list[tuple] = []
     while True:
         bound = stack[-1][2] if stack else {}
-        tok = toks.take()
+        tok = tokens[i]
         if tok is None:
-            raise ParseError("unexpected end of input", *toks.location())
+            raise _error(text, i, "unexpected end of input")
+        i += 1
         if tok == "mu":
-            at = toks.pos - len(tok)
-            loop_var = toks.take()
+            loop_var = tokens[i]
             if loop_var is None or not loop_var[0].isalnum():
-                raise ParseError("expected a mu-bound name", *toks.location())
-            toks.expect(".")
-            binders[len(nodes)] = at
+                raise _error(text, i, "expected a mu-bound name", after=True)
+            if tokens[i + 1] != ".":
+                raise _error(text, i + 1, f"expected '.', got {tokens[i + 1]!r}", after=True)
+            binders[len(nodes)] = i - 1
+            i += 2
             stack.append((None, len(nodes), {**bound, loop_var: len(nodes)}))
             nodes.append(None)  # the body's index, once read
             continue
         if not (tok[0].isalnum() or tok[0] in "_'"):
-            raise ParseError(f"unexpected token {tok!r}", *toks.location())
+            raise _error(text, i - 1, f"unexpected token {tok!r}", after=True)
         if tok in bound:
             node = bound[tok]
-        elif toks.peek() == "(":
-            toks.take()
-            if toks.peek() != ")":
+        elif tokens[i] == "(":
+            i += 1
+            if tokens[i] != ")":
                 stack.append((tok, [], bound))
                 continue
-            node = close_app(tok, [])
+            i += 1
+            node = close_app(tok, [], i - 1)
         else:
             if is_symbol(tok):
                 if sig is not None and sig.arity(tok) != 0:
-                    raise ParseError(f"{tok} is not nullary", *toks.location())
+                    raise _error(text, i, f"{tok} is not nullary")
                 nodes.append((APP, tok, ()))
             else:
                 if tok == FALLBACK_VAR_NAME:
-                    raise ParseError("reserved variable name", *toks.location())
+                    raise _error(text, i, "reserved variable name")
                 nodes.append((VAR, tok))
             node = len(nodes) - 1
         while stack:
@@ -705,15 +725,15 @@ def parse(text: str, sig: Optional[Signature] = None) -> RationalTerm:
                 node = frame[1]
             else:
                 frame[1].append(node)
-                if toks.peek() == ",":
-                    toks.take()
+                i += 1
+                if tokens[i - 1] == ",":
                     break
-                node = close_app(frame[0], frame[1])
+                node = close_app(frame[0], frame[1], i - 1)
             stack.pop()
         if not stack:
             break
-    if toks.peek() is not None:
-        raise ParseError(f"trailing input {toks.peek()!r}", *toks.location())
+    if tokens[i] is not None or bad:
+        raise _error(text, i, f"trailing input {tokens[i]!r}")
 
     # a slot forwards to its body, which may be a slot: resolve each chain
     # to the entry it ends at; a chain that closes on itself has no body
@@ -723,7 +743,7 @@ def parse(text: str, sig: Optional[Signature] = None) -> RationalTerm:
         k = slot
         while k in binders and k not in end:
             if k in chain:
-                raise ParseError("mu binder with no body", *toks.location(binders[k]))
+                raise _error(text, binders[k], "mu binder with no body")
             chain.add(k)
             k = nodes[k]
         k = end.get(k, k)

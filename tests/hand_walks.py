@@ -2,12 +2,14 @@
 itrsbench.layers replaced, kept as test oracles: the knot that copies a
 spine node by node, the principal cut found by walking the top layer
 twice, principal positions found by re-walking every position up to the
-bound from the root, and the cutoff that recurses once per layer (so it
-raises RecursionError past about 1000 layers)."""
+bound from the root, the cutoff that recurses once per layer (so it
+raises RecursionError past about 1000 layers), and the sliding diameter
+that measures every pair of every window afresh."""
 
 from __future__ import annotations
 
 from itrsbench.layers import PrincipalCut, toplayer_fill
+from itrsbench.metrics import distance
 from itrsbench.terms import (
     VAR,
     TermError,
@@ -113,3 +115,13 @@ def cutoff(t, n, u, coloring):
         return result
 
     return go(t, n)
+
+
+def sliding_diameter(m, tr, window):
+    """The largest distance within each window of window consecutive terms."""
+    terms = tr.all_terms()
+    out = []
+    for i in range(len(terms) - window + 1):
+        chunk = terms[i : i + window]
+        out.append(max(distance(m, a, b) for j, a in enumerate(chunk) for b in chunk[j + 1 :]))
+    return out

@@ -14,9 +14,9 @@ from itrsbench.terms import (
     ParseError,
     RationalTerm,
     Signature,
-    _Tokens,
     graph_term,
 )
+from refined_parse import _Tokens
 
 
 def named_spec_parse(text: str, sig: Optional[Signature] = None) -> RationalTerm:

@@ -187,10 +187,12 @@ XI = ["xi", "--metric", "exnonlin-r", "exnonlin-s", "--rule", "succ", "--trace",
      (["replay", "INPUT"], '{"witness": {"type": "loop"}}'),
      (CUTOFF, "not json\n"),
      (CUTOFF, '{"step": {"position": [], "rule": "succ"}}\n{"term": "0"}\n'),
+     (CUTOFF, '{"term": "F(0, 0, 0)"}\n{"step": {"position": [1], "rule": "nosuch"}}\n'
+              '{"omega": null}\n'),
      (XI + ["fp:a"], '{"term": "F(0, 0, 0)"}\n'),
      (XI + ["fp:1.0"], '{"term": "F(0, 0, 0)"}\n')],
     ids=["number", "zero-denominator", "witness-list", "witness-fields", "trace-json",
-         "trace-step-first", "fp-not-a-number", "fp-zero"],
+         "trace-step-first", "trace-dangling-step", "fp-not-a-number", "fp-zero"],
 )
 def test_malformed_input_exits_2(files, tmp_path, argv, text):
     """Bad input is exit code 2, never a traceback (exit code 1)."""

@@ -51,6 +51,7 @@ from itrsbench.corpus import (
     load_union,
     rearrange_trace,
     string_trace,
+    union_traces,
 )
 from conftest import (
     CORPUS_UNIONS,
@@ -277,6 +278,26 @@ def test_sliding_diameter_of_constant_trace():
     t = parse("0", system.sig)
     tr = Trace([Segment([t, t, t], [None, None])])
     assert sliding_diameter(system.metric, tr, window=2) == [0, 0]
+
+
+def test_sliding_diameter_measures_each_pair_once(monkeypatch):
+    """On the corpus traces, each pair of terms within a window is measured
+    once per call, and the diameters are those of measuring every window
+    afresh: equal values of equal types, exact Fractions included."""
+    traces = [(s, tr) for _name, s, _c, tr, _fill in union_traces()]
+    traces.append(string_trace())
+    calls = []
+    measure = convergence.distance
+    monkeypatch.setattr(convergence, "distance", lambda m, a, b: calls.append(1) or measure(m, a, b))
+    for system, tr in traces:
+        n = len(tr.all_terms())
+        for window in (2, 3, 4, 5):
+            calls.clear()
+            got = sliding_diameter(system.metric, tr, window)
+            want = hand_walks.sliding_diameter(system.metric, tr, window)
+            assert [(type(d), d) for d in got] == [(type(d), d) for d in want]
+            assert len(calls) == sum(min(window - 1, n - 1 - j) for j in range(n))
+            assert any(d != 0 for d in got)
 
 
 # --- strong convergence ----------------------------------------------------------

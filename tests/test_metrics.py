@@ -141,6 +141,22 @@ def test_ltree_right_spine_distance_one(ltree_metric):
     assert distance(ltree_metric, spine_null, spine_n) == 1
 
 
+def test_granularity_is_decided_once_per_metric(ltree_metric, monkeypatch):
+    """distance reads is_granular on every call; the components are
+    scanned for it once, when the metric is first asked."""
+    from itrsbench import metrics
+
+    scanned = []
+    real = metrics.is_granular_component
+    monkeypatch.setattr(metrics, "is_granular_component", lambda c: scanned.append(c) or real(c))
+    m = TermMetric(ltree_metric.sig, dict(ltree_metric.components))
+    t = parse("mu X. Bin(N, Null, X)", m.sig)
+    u = parse("mu X. Bin(N, N, X)", m.sig)
+    for _ in range(5):
+        assert distance(m, t, u) == 1
+    assert 0 < len(scanned) <= sum(map(len, m.components.values()))
+
+
 def test_ltree_left_spine_contracts(ltree_metric):
     sig = ltree_metric.sig
     a = parse("Bin(Bin(N, Null, Null), Null, Null)", sig)

@@ -45,8 +45,10 @@ from itrsbench.terms import (
     sccs,
     subterm_at_node,
 )
+import itrsbench.terms as terms_module
 from conftest import GENERIC_SIG, random_finite_term, random_rational_term, rng_for
 from named_spec_parse import named_spec_parse
+from refined_parse import lazy_parse, refined_from_nodes
 
 
 # --- a naive finite-term oracle ---------------------------------------------------
@@ -282,6 +284,109 @@ def test_canonical_nodes_are_pairwise_not_bisimilar():
         subs = [subterm_at_node(t, i) for i in range(len(t.nodes))]
         for a, b in combinations(subs, 2):
             assert not bisimilar(a, b), t
+
+
+def random_mixed_nodes(rng, max_nodes=30):
+    """A raw node list and a root that mix finite and cyclic parts: a
+    finite shared part, rings whose nodes may point into it (finite
+    subterms below cycles), and spines of F and G over the rings (cycles
+    below finite spines).  A part is often copied, or a ring unrolled a
+    few steps, so that finite copies, cyclic copies and acyclic paths
+    into a cycle must each merge.  Indices shuffled, unreachable nodes kept."""
+    nodes: list = []
+    for _ in range(rng.randint(1, max_nodes // 3)):
+        if not nodes or rng.random() < 0.35:
+            nodes.append((VAR, "x") if rng.random() < 0.3 else (APP, rng.choice("ab"), ()))
+        elif rng.random() < 0.5:
+            nodes.append((APP, "F", (rng.randrange(len(nodes)),)))
+        else:
+            nodes.append((APP, "G", (rng.randrange(len(nodes)), rng.randrange(len(nodes)))))
+    finite = len(nodes)
+    if rng.random() < 0.4:  # a copy of the finite part
+        nodes += [e if e[0] == VAR else (APP, e[1], tuple(c + finite for c in e[2]))
+                  for e in nodes[:finite]]
+    rings = []
+    for _ in range(rng.randint(0, 2)):
+        base, m = len(nodes), rng.randint(1, 5)
+        for i in range(m):
+            nxt = base + (i + 1) % m
+            if rng.random() < 0.4:
+                nodes.append((APP, "G", (nxt, rng.randrange(finite))))
+            else:
+                nodes.append((APP, "F", (nxt,)))
+        rings.append(base)
+        if rng.random() < 0.4:  # a copy of the ring, or of one turn of it
+            turn = rng.random() < 0.5
+            nodes += [(APP, e[1], (base if turn and j == m - 1 else e[2][0] + m,) + e[2][1:])
+                      for j, e in enumerate(nodes[base:base + m])]
+    for _ in range(rng.randint(0, 3)):  # a spine over a ring or a finite node
+        below = rng.choice(rings) if rings and rng.random() < 0.8 else rng.randrange(finite)
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.5:
+                nodes.append((APP, "F", (below,)))
+            else:
+                other = rng.randrange(len(nodes))
+                nodes.append((APP, "G", (below, other) if rng.random() < 0.5 else (other, below)))
+            below = len(nodes) - 1
+    perm = list(range(len(nodes)))
+    rng.shuffle(perm)
+    raw = [None] * len(nodes)
+    for i, entry in enumerate(nodes):
+        if entry[0] == APP:
+            entry = (APP, entry[1], tuple(perm[c] for c in entry[2]))
+        raw[perm[i]] = entry
+    return raw, perm[len(nodes) - 1] if rng.random() < 0.7 else rng.randrange(len(raw))
+
+
+def test_from_nodes_equals_the_refined_canonicaliser():
+    """from_nodes hash-conses what reaches no cycle and refines only the
+    rest; the whole-graph refinement it replaced interns the very same
+    term on finite, cyclic, shared, partly unreachable and mixed graphs."""
+    rng = rng_for("terms-hash-consed-canonical")
+    shapes = Counter()
+    for k in range(3000):
+        nodes, root = random_raw_nodes(rng) if k % 2 else random_mixed_nodes(rng)
+        got = from_nodes(nodes, root)
+        assert got is refined_from_nodes(nodes, root), (nodes, root)
+        live = [i for comp in sccs([root], lambda i: nodes[i][2] if nodes[i][0] == APP else ())
+                for i in comp]
+        shapes["merged"] += len(got.nodes) < len(live)
+        shapes["unreachable"] += len(live) < len(nodes)
+        if got.is_finite:
+            shapes["finite"] += 1
+            continue
+        shapes["cyclic"] += 1
+        finite_below = any(subterm_at_node(got, i).is_finite for i in range(len(got.nodes)))
+        top = sccs([0], got.children_of)[-1]  # the root's component comes last
+        spine_above = len(top) == 1 and 0 not in got.children_of(0)
+        shapes["finite below a cycle"] += finite_below
+        shapes["cycle below a spine"] += spine_above
+        shapes["both"] += finite_below and spine_above
+    assert min(shapes.values()) >= 200, shapes
+
+
+def test_mu_free_parse_runs_no_refinement(monkeypatch):
+    """A finite graph is hash-consed children first: no refinement runs,
+    whatever its sharing; a cyclic one with two nodes of one label does."""
+    calls = []
+    refine = terms_module._refine
+
+    def counting(labels, preds):
+        calls.append(len(labels))
+        return refine(labels, preds)
+
+    monkeypatch.setattr(terms_module, "_refine", counting)
+    rng = rng_for("terms-no-refinement")
+    for _ in range(200):
+        t = random_finite_term(rng, GENERIC_SIG, 5)
+        assert parse(to_text(t), GENERIC_SIG) is t
+    chain = parse("S(" * 3000 + "0" + ")" * 3000, Signature({"S": 1, "0": 0}))
+    assert len(chain.nodes) == 3001
+    shared = [(APP, "F", (i + 1, i + 1)) for i in range(40)] + [(APP, "a", ())]
+    assert len(from_nodes(shared + shared, 0).nodes) == 41
+    assert calls == []
+    assert len(parse("F(mu X. G(G(X)), x)", GENERIC_SIG).nodes) == 3
+    assert calls == [3]
 
 
 def test_intern_table_is_weak():
@@ -636,6 +741,62 @@ def test_parse_equals_the_named_spec_parser():
         "G(" * deep + "mu X. F(x, X)" + ")" * deep + ")",
     ]:
         _assert_same_parse(text, GENERIC_SIG)
+
+
+def test_parse_equals_the_lazy_token_parser():
+    """The one-scan tokenizer gives the very term, or the same error text,
+    line and column, as the lazy token stream it replaced, on seeded
+    valid texts and on malformed ones: tokens dropped, repeated, swapped
+    or inserted, bad characters anywhere, texts cut short."""
+    rng = rng_for("terms-token-oracle")
+    seen = Counter()
+    for k in range(800):
+        sig = GENERIC_SIG if k % 2 else None
+        tokens = _mu_tokens(rng, rng.randrange(1, 8))
+        texts = [_spaced(rng, tokens)]
+        bad = list(tokens)
+        i = rng.randrange(len(bad))
+        move = rng.randrange(7)
+        if move == 0:
+            del bad[i]
+        elif move == 1:
+            bad.insert(i, bad[i])
+        elif move == 2 and i + 1 < len(bad):
+            bad[i], bad[i + 1] = bad[i + 1], bad[i]
+        elif move == 3:
+            bad.insert(i, rng.choice(["(", ")", ",", ".", "mu", "F", "c", "X", "G(", "K(", "?"]))
+        elif move == 4:
+            bad.insert(i, rng.choice(["$", "-", "@ ", "\u00e9", ";", "F$"]))
+        elif move == 5 and bad[i] in ("F", "G", "H"):
+            bad[i] = "K"
+        else:
+            bad = bad[:i]
+        texts.append(_spaced(rng, bad))
+        if rng.random() < 0.3:
+            texts.append(texts[0] + rng.choice([" ", "\n", "\n  "]) + rng.choice(["$", ")", "c", ""]))
+        for text in texts:
+            seen[_assert_same_as_lazy(text, sig)] += 1
+    assert seen["term"] > 500, seen
+    for kind in ("trailing input", "unexpected character", "unexpected end", "unexpected token",
+                 "mu binder", "expected ')',", "expected '.',", "expected a"):
+        assert seen[kind] > 20, seen
+    assert sum(n for kind, n in seen.items() if kind.endswith((" is", " expects"))) > 20, seen
+    assert seen["unknown symbol"] > 2, seen
+    deep = 3000
+    for text in ["mu X. " + "G(" * deep + "F(X, mu Y. H(Y))" + ")" * deep,
+                 "F(" * deep + "c, d" + ")" * (deep - 1),
+                 "G(" * deep + "c" + ")" * deep + "\n $"]:
+        _assert_same_as_lazy(text, GENERIC_SIG)
+
+
+def _assert_same_as_lazy(text, sig) -> str:
+    """Assert that parse and lazy_parse agree on text; the kind of outcome."""
+    new, old = _parse_outcome(parse, text, sig), _parse_outcome(lazy_parse, text, sig)
+    if isinstance(old, tuple):
+        assert new == old, text
+        return " ".join(old[0].split()[1:3])
+    assert new is old, text
+    return "term"
 
 
 def test_signature_rejects_bad_symbols():
