@@ -56,28 +56,39 @@ class InputError(Exception):
     pass
 
 
-def _load_file(path: str) -> ItrsFile:
+def _read(path: str) -> str:
     try:
         with open(path) as fh:
-            return parse_itrs(fh.read())
+            return fh.read()
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}")
+
+
+def _itrs(text: str, name: str) -> ItrsFile:
+    try:
+        return parse_itrs(text)
     except ParseError as e:
-        raise InputError(f"{path}: {e}")
+        raise InputError(f"{name}: {e}")
+
+
+def _load_file(path: str) -> ItrsFile:
+    return _itrs(_read(path), path)
+
+
+def _load_system(texts: list[str], names: list[str]):
+    """One .itrs text gives a plain system; two give their disjoint union
+    plus the constituent coloring."""
+    if len(texts) not in (1, 2):
+        raise InputError("a system is one .itrs file, or two for their union")
+    files = [_itrs(text, name) for text, name in zip(texts, names)]
+    if len(files) == 1:
+        return files[0], files[0].system, None
+    union = disjoint_union(files[0].system, files[1].system)
+    return ItrsFile("custom", union.system, {}), union.system, union.coloring
 
 
 def _load_metric_arg(paths: list[str]):
-    """One file gives a plain system; two give their disjoint union plus
-    the constituent coloring."""
-    if len(paths) == 1:
-        f = _load_file(paths[0])
-        return f, f.system, None
-    if len(paths) == 2:
-        left, right = _load_file(paths[0]), _load_file(paths[1])
-        union = disjoint_union(left.system, right.system)
-        merged = ItrsFile("custom", union.system, {})
-        return merged, union.system, union.coloring
-    raise InputError("--metric takes one file or two (for a union)")
+    return _load_system([_read(p) for p in paths], paths)
 
 
 def _term(f: ItrsFile, text: str):
@@ -167,7 +178,10 @@ def read_trace(path: str, system) -> Trace:
         if "term" in entry:
             t = parse(_field(entry, "term", str), system.sig)
             if pending_step is not None:
-                steps.append(_occ_from_json(system, terms[-1], pending_step))
+                occ = _occ_from_json(system, terms[-1], pending_step)
+                if rewrite_step(system, terms[-1], occ) != t:
+                    raise InputError(f"{path}: step {pending_step} does not give the next term")
+                steps.append(occ)
                 pending_step = None
             terms.append(t)
         elif "step" in entry:
@@ -402,12 +416,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    f, system, _ = _load_metric_arg(args.metric)
+    sources = [_read(p) for p in args.metric]
+    f, system, _ = _load_system(sources, args.metric)
     verdict = classify_convergence(system, _term(f, args.term), budgets=_budgets(args))
     report = _verdict_json(verdict)
     if args.out:
         payload = dict(report)
-        payload["sources"] = [open(p).read() for p in args.metric]
+        payload["sources"] = sources
         payload["start"] = args.term
         with open(args.out, "w") as fh:
             json.dump(payload, fh, indent=2)
@@ -493,30 +508,20 @@ def cmd_replay(args) -> int:
     if w.get("type") != "loop":
         raise InputError("only loop witnesses are replayable scripts")
     sources = _field(payload, "sources", list)
-    if len(sources) not in (1, 2) or not all(isinstance(src, str) for src in sources):
-        raise InputError("sources must be one or two .itrs texts")
-    systems = [parse_itrs(src).system for src in sources]
-    system = (
-        systems[0]
-        if len(systems) == 1
-        else disjoint_union(systems[0], systems[1]).system
-    )
+    if not all(isinstance(src, str) for src in sources):
+        raise InputError("sources must be .itrs texts")
+    _, system, _ = _load_system(sources, [f"source {k}" for k in (1, 2)])
     start = parse(_field(w, "start", str), system.sig)
     t = start
-    prefix = []
-    for data in _field(w, "prefix", list):
-        occ = _occ_from_json(system, t, data)
-        prefix.append(occ)
-        t = rewrite_step(system, t, occ)
-    cycle = []
-    for data in _field(w, "cycle", list):
-        occ = _occ_from_json(system, t, data)
-        cycle.append(occ)
-        t = rewrite_step(system, t, occ)
+    script = {"prefix": [], "cycle": []}
+    for part, occs in script.items():
+        for data in _field(w, part, list):
+            occs.append(_occ_from_json(system, t, data))
+            t = rewrite_step(system, t, occs[-1])
     witness = LoopWitness(
         start,
-        tuple(prefix),
-        tuple(cycle),
+        tuple(script["prefix"]),
+        tuple(script["cycle"]),
         parse(_field(w, "base", str), system.sig),
         parse(_field(w, "distinct", str), system.sig),
         w.get("separation"),

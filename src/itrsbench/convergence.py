@@ -192,8 +192,8 @@ def simulate(
     system: ITRS,
     t0: RationalTerm,
     strategy: str = "leftmost-outermost",
-    max_steps: int = 24,
-    depth_bound: int = 8,
+    max_steps: int = DEFAULT_BUDGETS.max_steps,
+    depth_bound: int = DEFAULT_BUDGETS.depth_bound,
     script: Optional[Sequence[tuple[Position, str]]] = None,
 ) -> Trace:
     """Run one reduction path."""
@@ -315,8 +315,8 @@ def reduction_graph(
 def find_loop(
     system: ITRS,
     t0: RationalTerm,
-    budget: int = 50_000,
-    depth_bound: int = 8,
+    budget: int = DEFAULT_BUDGETS.loop_states,
+    depth_bound: int = DEFAULT_BUDGETS.depth_bound,
 ) -> Optional[LoopWitness]:
     """A reduction cycle visiting two distinct terms, which are at positive
     distance however small it is.
@@ -368,8 +368,8 @@ def _loop_witness(system: ITRS, graph: ReductionGraph) -> Optional[LoopWitness]:
 def find_root_recurrence(
     system: ITRS,
     t0: RationalTerm,
-    budget: int = 50_000,
-    depth_bound: int = 8,
+    budget: int = DEFAULT_BUDGETS.loop_states,
+    depth_bound: int = DEFAULT_BUDGETS.depth_bound,
 ) -> Optional[LoopWitness]:
     """A reduction cycle that contracts a root redex: a direct witness
     against top-termination.

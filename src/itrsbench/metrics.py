@@ -672,6 +672,8 @@ class VariableDepth:
     variable: str
 
     def __call__(self, y: Number) -> Number:
+        if not 0 <= y <= 1:
+            raise TermError(f"variable depth is defined on [0, 1], not at {y}")
         at_x = (VAR, self.variable)
         if self.metric.is_granular:
             best = _lightest_path(0, lambda idx: self.term.nodes[idx] == at_x, self._edges)

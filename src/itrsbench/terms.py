@@ -18,8 +18,11 @@ of both is then renumbered.  A finite graph, such as a mu-free text, is
 never refined.  replace and subterm_at_node start from a canonical term:
 subterm_at_node only renumbers, and replace hash-conses the nodes it adds
 against the term's own nodes, then renumbers; only a cyclic replacement,
-whose loops may fold into the term, goes through from_nodes.  parse reads
-its text in one regular-expression scan into a token list.
+whose loops may fold into the term, goes through from_nodes.  parse makes
+one pass over the tokens of one regular-expression scan, binding each
+`mu` name to its body's node as soon as that node's head is read.  One
+cached depth-first walk per term answers is_finite, orders a finite term
+for replace and term_depth, and places to_text's binders.
 """
 
 from __future__ import annotations
@@ -120,15 +123,31 @@ class RationalTerm:
 
     @property
     def is_finite(self) -> bool:
-        return self._postorder is not None
+        return type(self._walk) is tuple
 
     @cached_property
-    def _postorder(self) -> Optional[tuple[int, ...]]:
-        """The nodes, each after its children; None when the graph is cyclic."""
-        comps = sccs([0], self.children_of)
-        if any(len(comp) > 1 or comp[0] in self.children_of(comp[0]) for comp in comps):
-            return None
-        return tuple(comp[0] for comp in comps)
+    def _walk(self):
+        """One depth-first walk from the root, children in order: the finish
+        order of a finite term (children first), or else the targets of
+        the back edges, where to_text puts its binders."""
+        nodes = self.nodes
+        state = [0] * len(nodes)  # 0 unseen, 1 on the path, 2 finished
+        order: list[int] = []
+        loops: set[int] = set()
+        stack = [0]  # a node to enter, or ~node to finish
+        while stack:
+            k = stack.pop()
+            if k < 0:
+                state[~k] = 2
+                order.append(~k)
+            elif state[k] == 1:
+                loops.add(k)
+            elif state[k] == 0:
+                state[k] = 1
+                stack.append(~k)
+                if nodes[k][0] == APP:
+                    stack.extend(reversed(nodes[k][2]))
+        return frozenset(loops) if loops else tuple(order)
 
     @cached_property
     def _index(self) -> dict:
@@ -424,12 +443,12 @@ def replace(
                 nodes.append(entry)
         return k
 
-    order = u._postorder
-    if order is None:
+    finite = u.is_finite
+    if not finite:
         new = append_nodes(nodes, u, binding)
     else:
         where = [0] * len(u.nodes)
-        for i in order:
+        for i in u._walk:
             entry = u.nodes[i]
             if entry[0] == VAR:
                 k = binding.get(entry[1])
@@ -445,7 +464,7 @@ def replace(
         children = list(entry[2])
         children[i - 1] = new
         new = cons((APP, entry[1], tuple(children)))
-    if order is None:
+    if not finite:
         return from_nodes(nodes, new)
     return t if new == 0 else _renumbered(nodes, new)
 
@@ -604,8 +623,8 @@ def term_depth(t: RationalTerm) -> int:
     """Depth of a finite term (root = depth 0)."""
     if not t.is_finite:
         raise TermError("depth of an infinite term")
-    depth: dict[int, int] = {}
-    for (idx,) in sccs([0], t.children_of):
+    depth = [0] * len(t.nodes)
+    for idx in t._walk:
         depth[idx] = max((depth[c] + 1 for c in t.children_of(idx)), default=0)
     return depth[0]
 
@@ -650,22 +669,28 @@ def _error(text: str, k: int, message: str, after: bool = False) -> ParseError:
 
 
 def parse(text: str, sig: Optional[Signature] = None) -> RationalTerm:
+    """The term of a mu-text, in one pass over its tokens.  A node is
+    numbered when its head is read and filled in at its `)`; a `mu` name
+    waits in pending until its body's head is read, then names that node.
+    A body that is a pending name is no body, raised after any other error."""
     tokens: list = _TOKEN.findall(text)
     bad = "" in tokens  # the tokens end at the first bad character
     if bad:
         del tokens[tokens.index(""):]
     tokens.append(None)  # the end, read as often as asked
     i = 0  # the next token
-    nodes: list = []  # raw entries for from_nodes; a mu slot holds its body's index
-    binders: dict[int, int] = {}  # mu slot -> token number of its `mu`
+    nodes: list = []  # raw entries for from_nodes, numbered as their heads are read
+    pending: list[tuple[str, int]] = []  # (name, token number of its `mu`)
+    bodiless: Optional[int] = None  # the `mu` of the first binder with no body
 
     def is_symbol(name: str) -> bool:
         if sig is not None:
             return name in sig
         return name[0].isupper() or name[0].isdigit()
 
-    def close_app(tok: str, args: list[int], k: int) -> int:
-        """The node of tok(args), whose `)` is token k."""
+    def close_app(frame: tuple, k: int) -> int:
+        """The node of an application frame, whose `)` is token k."""
+        tok, node, args, _bound = frame
         if tokens[k] != ")":
             raise _error(text, k, f"expected ')', got {tokens[k]!r}", after=True)
         if sig is not None:
@@ -673,15 +698,14 @@ def parse(text: str, sig: Optional[Signature] = None) -> RationalTerm:
                 raise _error(text, k, f"unknown symbol {tok}", after=True)
             if sig.arity(tok) != len(args):
                 raise _error(text, k, f"{tok} expects {sig.arity(tok)} arguments", after=True)
-        nodes.append((APP, tok, tuple(args)))
-        return len(nodes) - 1
+        nodes[node] = (APP, tok, tuple(args))
+        return node
 
-    # Open terms wait on a stack as (None, mu slot, bound inside) or
-    # (symbol, args so far, bound inside); each pass of the outer loop
-    # reads the head of one term, the inner loop closes finished ones.
+    # Open applications wait on a stack as (symbol, node, args so far,
+    # bound inside); each pass of the outer loop reads the head of one
+    # term, the inner loop closes finished ones.
     stack: list[tuple] = []
     while True:
-        bound = stack[-1][2] if stack else {}
         tok = tokens[i]
         if tok is None:
             raise _error(text, i, "unexpected end of input")
@@ -692,24 +716,32 @@ def parse(text: str, sig: Optional[Signature] = None) -> RationalTerm:
                 raise _error(text, i, "expected a mu-bound name", after=True)
             if tokens[i + 1] != ".":
                 raise _error(text, i + 1, f"expected '.', got {tokens[i + 1]!r}", after=True)
-            binders[len(nodes)] = i - 1
+            pending.append((loop_var, i - 1))
             i += 2
-            stack.append((None, len(nodes), {**bound, loop_var: len(nodes)}))
-            nodes.append(None)  # the body's index, once read
             continue
         if not (tok[0].isalnum() or tok[0] in "_'"):
             raise _error(text, i - 1, f"unexpected token {tok!r}", after=True)
+        bound = stack[-1][3] if stack else {}
+        if pending:
+            names = dict(pending)  # each name's innermost `mu`
+            pending.clear()
+            if tok in names and bodiless is None:
+                bodiless = names[tok]  # raised once the rest has parsed
+            bound = {**bound, **dict.fromkeys(names, len(nodes))}  # the body's head's node
         if tok in bound:
             node = bound[tok]
-        elif tokens[i] == "(":
-            i += 1
-            if tokens[i] != ")":
-                stack.append((tok, [], bound))
-                continue
-            i += 1
-            node = close_app(tok, [], i - 1)
         else:
-            if is_symbol(tok):
+            node = len(nodes)
+            if tokens[i] == "(":
+                i += 1
+                nodes.append(None)
+                frame = (tok, node, [], bound)
+                if tokens[i] != ")":
+                    stack.append(frame)
+                    continue
+                i += 1
+                close_app(frame, i - 1)
+            elif is_symbol(tok):
                 if sig is not None and sig.arity(tok) != 0:
                     raise _error(text, i, f"{tok} is not nullary")
                 nodes.append((APP, tok, ()))
@@ -717,43 +749,21 @@ def parse(text: str, sig: Optional[Signature] = None) -> RationalTerm:
                 if tok == FALLBACK_VAR_NAME:
                     raise _error(text, i, "reserved variable name")
                 nodes.append((VAR, tok))
-            node = len(nodes) - 1
         while stack:
             frame = stack[-1]
-            if frame[0] is None:
-                nodes[frame[1]] = node
-                node = frame[1]
-            else:
-                frame[1].append(node)
-                i += 1
-                if tokens[i - 1] == ",":
-                    break
-                node = close_app(frame[0], frame[1], i - 1)
+            frame[2].append(node)
+            i += 1
+            if tokens[i - 1] == ",":
+                break
+            node = close_app(frame, i - 1)
             stack.pop()
         if not stack:
             break
     if tokens[i] is not None or bad:
         raise _error(text, i, f"trailing input {tokens[i]!r}")
-
-    # a slot forwards to its body, which may be a slot: resolve each chain
-    # to the entry it ends at; a chain that closes on itself has no body
-    end: dict[int, int] = {}
-    for slot in binders:
-        chain: set[int] = set()
-        k = slot
-        while k in binders and k not in end:
-            if k in chain:
-                raise _error(text, binders[k], "mu binder with no body")
-            chain.add(k)
-            k = nodes[k]
-        k = end.get(k, k)
-        for c in chain:
-            end[c] = k
-    if end:
-        for i, entry in enumerate(nodes):
-            if type(entry) is tuple and entry[0] == APP:
-                nodes[i] = (APP, entry[1], tuple(end.get(c, c) for c in entry[2]))
-    return from_nodes(nodes, end.get(node, node))
+    if bodiless is not None:
+        raise _error(text, bodiless, "mu binder with no body")
+    return from_nodes(nodes, node)
 
 
 _MU_NAMES = "XYZWVU"
@@ -762,9 +772,8 @@ _MU_NAMES = "XYZWVU"
 def to_text(t: RationalTerm) -> str:
     """Canonical mu-binder syntax; inverse of parse up to bisimilarity."""
     used = variables(t)
-    loops = _loop_nodes(t)
     names: dict[int, str] = {}
-    for idx in sorted(loops):
+    for idx in () if t.is_finite else sorted(t._walk):
         k = len(names)
         base = _MU_NAMES[k % len(_MU_NAMES)] + ("" if k < len(_MU_NAMES) else str(k))
         while base in used:
@@ -801,24 +810,3 @@ def to_text(t: RationalTerm) -> str:
                     stack.append(", ")
     return "".join(pieces)
 
-
-def _loop_nodes(t: RationalTerm) -> set[int]:
-    """Nodes that some path re-enters (need a mu binder when printing)."""
-    loops: set[int] = set()
-    on_path = {0}
-    done: set[int] = set()
-    work = [(0, iter(t.children_of(0)))]
-    while work:
-        idx, it = work[-1]
-        for child in it:
-            if child in on_path:
-                loops.add(child)
-            elif child not in done:
-                on_path.add(child)
-                work.append((child, iter(t.children_of(child))))
-                break
-        else:
-            work.pop()
-            on_path.remove(idx)
-            done.add(idx)
-    return loops

@@ -3,20 +3,26 @@ itrsbench.layers replaced, kept as test oracles: the knot that copies a
 spine node by node, the principal cut found by walking the top layer
 twice, principal positions found by re-walking every position up to the
 bound from the root, the cutoff that recurses once per layer (so it
-raises RecursionError past about 1000 layers), and the sliding diameter
-that measures every pair of every window afresh."""
+raises RecursionError past about 1000 layers), the sliding diameter
+that measures every pair of every window afresh, and the two walks of a
+term that RationalTerm._walk replaced: a Tarjan pass for the children-
+first order of a finite term, and a second depth-first walk for the
+nodes that to_text binds."""
 
 from __future__ import annotations
 
 from itrsbench.layers import PrincipalCut, toplayer_fill
 from itrsbench.metrics import distance
 from itrsbench.terms import (
+    _MU_NAMES,
     VAR,
     TermError,
     from_nodes,
     iter_positions,
     node_at,
+    sccs,
     subterm_at_node,
+    variables,
 )
 
 
@@ -125,3 +131,74 @@ def sliding_diameter(m, tr, window):
         chunk = terms[i : i + window]
         out.append(max(distance(m, a, b) for j, a in enumerate(chunk) for b in chunk[j + 1 :]))
     return out
+
+
+def postorder(t):
+    """The nodes of t, each after its children; None when t is cyclic."""
+    comps = sccs([0], t.children_of)
+    if any(len(comp) > 1 or comp[0] in t.children_of(comp[0]) for comp in comps):
+        return None
+    return tuple(comp[0] for comp in comps)
+
+
+def loop_nodes(t):
+    """Nodes that some path re-enters (need a mu binder when printing)."""
+    loops = set()
+    on_path = {0}
+    done = set()
+    work = [(0, iter(t.children_of(0)))]
+    while work:
+        idx, it = work[-1]
+        for child in it:
+            if child in on_path:
+                loops.add(child)
+            elif child not in done:
+                on_path.add(child)
+                work.append((child, iter(t.children_of(child))))
+                break
+        else:
+            work.pop()
+            on_path.remove(idx)
+            done.add(idx)
+    return loops
+
+
+def to_text(t):
+    """Canonical mu-binder syntax, with the binders at loop_nodes."""
+    used = variables(t)
+    names = {}
+    for idx in sorted(loop_nodes(t)):
+        k = len(names)
+        base = _MU_NAMES[k % len(_MU_NAMES)] + ("" if k < len(_MU_NAMES) else str(k))
+        while base in used:
+            base += "'"
+        names[idx] = base
+        used.add(base)
+    pieces = []
+    stack = [(0, frozenset())]  # pending (node, enclosing binders) or text
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            pieces.append(item)
+            continue
+        idx, active = item
+        entry = t.nodes[idx]
+        if idx in active:
+            pieces.append(names[idx])
+            continue
+        if entry[0] == VAR:
+            pieces.append(entry[1])
+            continue
+        if idx in names:
+            pieces.append(f"mu {names[idx]}. ")
+            active = active | {idx}
+        pieces.append(entry[1])
+        children = entry[2]
+        if children:
+            pieces.append("(")
+            stack.append(")")
+            for k in range(len(children) - 1, -1, -1):
+                stack.append((children[k], active))
+                if k:
+                    stack.append(", ")
+    return "".join(pieces)

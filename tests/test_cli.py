@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from itrsbench import Budgets, disjoint_union, parse, parse_itrs, simulate
-from itrsbench.convergence import Fp, Kt, focussed_probe
+from itrsbench.convergence import Fp, Kt, find_loop, find_root_recurrence, focussed_probe
 from itrsbench.rewriting import DEFAULT_WEAK_BUDGET
 from itrsbench.cli import build_parser, read_trace, run_command, write_trace
 from itrsbench.metrics import DEFAULT_DEPTH_GUARD
@@ -189,10 +189,15 @@ XI = ["xi", "--metric", "exnonlin-r", "exnonlin-s", "--rule", "succ", "--trace",
      (CUTOFF, '{"step": {"position": [], "rule": "succ"}}\n{"term": "0"}\n'),
      (CUTOFF, '{"term": "F(0, 0, 0)"}\n{"step": {"position": [1], "rule": "nosuch"}}\n'
               '{"omega": null}\n'),
+     (CUTOFF, '{"term": "F(0, 0, 0)"}\n{"step": {"position": [3], "rule": "succ"}}\n'
+              '{"term": "F(0, 0, 0)"}\n{"omega": null}\n'),
      (XI + ["fp:a"], '{"term": "F(0, 0, 0)"}\n'),
-     (XI + ["fp:1.0"], '{"term": "F(0, 0, 0)"}\n')],
+     (XI + ["fp:1.0"], '{"term": "F(0, 0, 0)"}\n'),
+     (["vdepth", "--metric", "ltree", "--term", "x", "--var", "x", "--at", "3"], ""),
+     (["vdepth", "--metric", "ltree", "--term", "x", "--var", "x", "--at", "-1"], "")],
     ids=["number", "zero-denominator", "witness-list", "witness-fields", "trace-json",
-         "trace-step-first", "trace-dangling-step", "fp-not-a-number", "fp-zero"],
+         "trace-step-first", "trace-dangling-step", "trace-step-mismatch", "fp-not-a-number",
+         "fp-zero", "vdepth-above-1", "vdepth-below-0"],
 )
 def test_malformed_input_exits_2(files, tmp_path, argv, text):
     """Bad input is exit code 2, never a traceback (exit code 1)."""
@@ -227,6 +232,13 @@ def test_knob_defaults_are_the_library_defaults():
     assert xi.budget == DEFAULT_WEAK_BUDGET
     assert Fp.budget == Kt.budget == DEFAULT_WEAK_BUDGET
     assert inspect.signature(focussed_probe).parameters["budget"].default == DEFAULT_WEAK_BUDGET
+    for fn, knobs in ((find_loop, {"budget": "loop_states", "depth_bound": "depth_bound"}),
+                      (find_root_recurrence, {"budget": "loop_states",
+                                              "depth_bound": "depth_bound"}),
+                      (simulate, {"max_steps": "max_steps", "depth_bound": "depth_bound"})):
+        params = inspect.signature(fn).parameters
+        for param, field in knobs.items():
+            assert params[param].default == getattr(budgets, field), (fn.__name__, param)
 
 
 def test_trace_round_trip_on_a_union_with_shared_rule_names(tmp_path):

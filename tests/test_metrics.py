@@ -19,6 +19,7 @@ from itrsbench import (
     Pow,
     Scale,
     Signature,
+    TermError,
     TermMetric,
     bisimilar,
     compose,
@@ -525,6 +526,19 @@ def test_vdepth_absent_variable_is_zero(ltree_metric):
 def test_vdepth_lazy_occurrence(ltree_metric):
     t = parse("Bin(x, Null, Null)", ltree_metric.sig)
     assert vdepth(ltree_metric, t, "x")(Fraction(1)) == HALF
+
+
+@pytest.mark.parametrize("name", ["ltree", "pow-half"])
+def test_vdepth_is_defined_on_the_unit_interval_only(name, ltree_metric):
+    """Off [0, 1] the map has no meaning: a granular metric would scale the
+    point, and pow(1/2) would take the square root of a negative number."""
+    m = ltree_metric if name == "ltree" else non_granular_metric(name)
+    t = parse("Bin(x, Null, Null)" if name == "ltree" else "F(x, c)", m.sig)
+    depth = vdepth(m, t, "x")
+    assert depth(Fraction(0)) == 0 and depth(Fraction(1)) > 0
+    for y in (Fraction(3), Fraction(-1), Fraction(101, 100)):
+        with pytest.raises(TermError, match="defined on"):
+            depth(y)
 
 
 def vdepth_by_positions(m, t, x, y):

@@ -47,6 +47,7 @@ from itrsbench.terms import (
 )
 import itrsbench.terms as terms_module
 from conftest import GENERIC_SIG, random_finite_term, random_rational_term, rng_for
+import hand_walks
 from named_spec_parse import named_spec_parse
 from refined_parse import lazy_parse, refined_from_nodes
 
@@ -619,6 +620,46 @@ def test_print_deeper_than_the_recursion_limit(ring):
     assert parse(text) == t
 
 
+def _shared_term(rng, n):
+    """A graph of n F-nodes, each pointing at two random later nodes or
+    leaves, so acyclic nodes are shared; with back edges when asked."""
+    spec = {f"n{n}": ("c", []), f"n{n + 1}": ("var", "x")}
+    for i in range(n):
+        spec[f"n{i}"] = ("F", [f"n{rng.randint(i + 1, n + 1)}" for _ in range(2)])
+    return spec
+
+
+def test_one_walk_equals_the_two_hand_walks():
+    """RationalTerm._walk gives the Tarjan postorder of a finite term and
+    the re-entered nodes of a cyclic one, and to_text prints what the
+    printer over the second walk printed, on seeded finite, cyclic and
+    shared terms."""
+    rng = rng_for("terms-one-walk")
+    seen = Counter()
+    for k in range(300):
+        kind = ("finite", "rational", "shared", "shared-cyclic")[k % 4]
+        if kind == "finite":
+            t = random_finite_term(rng, GENERIC_SIG, 4)
+        elif kind == "rational":
+            t = random_rational_term(rng, GENERIC_SIG, rng.randint(1, 8))
+        else:
+            spec = _shared_term(rng, rng.randint(1, 8))
+            if kind == "shared-cyclic":
+                i = rng.randrange(len(spec) - 2)
+                spec[f"n{i}"][1][rng.randrange(2)] = f"n{rng.randrange(i + 1)}"
+            t = graph_term(spec, "n0")
+        order = hand_walks.postorder(t)
+        assert t.is_finite == (order is not None), t
+        if order is not None:
+            assert t._walk == order
+        else:
+            assert t._walk == hand_walks.loop_nodes(t)
+        assert not t.is_finite or not hand_walks.loop_nodes(t)
+        assert to_text(t) == hand_walks.to_text(t)
+        seen[t.is_finite] += 1
+    assert seen[True] > 100 and seen[False] > 60, seen
+
+
 def test_parse_deeper_than_the_recursion_limit():
     n = 5000
     assert sys.getrecursionlimit() < n
@@ -649,6 +690,12 @@ def test_parse_errors():
     ("mu X. X", "mu binder with no body", 1, 1),
     ("mu X. mu Y. X", "mu binder with no body", 1, 1),
     ("mu Z.\n  mu X. X", "mu binder with no body", 2, 3),
+    ("F(mu X. mu Y. X, mu Z. Z)", "mu binder with no body", 1, 3),
+    # a binder with no body is reported only when nothing else is wrong
+    ("F(mu X. X, c", "expected ')', got None", 1, 13),
+    ("F(mu X. X, K(c))", "unknown symbol K", 1, 16),
+    ("mu X. X c", "trailing input 'c'", 1, 9),
+    ("mu X. X\n $", "unexpected character '$'", 2, 2),
 ])
 def test_parse_error_locations(text, message, line, column):
     with pytest.raises(ParseError) as err:
