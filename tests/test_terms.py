@@ -621,8 +621,8 @@ def test_print_deeper_than_the_recursion_limit(ring):
 
 
 def _shared_term(rng, n):
-    """A graph of n F-nodes, each pointing at two random later nodes or
-    leaves, so acyclic nodes are shared; with back edges when asked."""
+    """The spec of an acyclic graph of n F-nodes, each pointing at two
+    random later nodes or leaves, so that nodes are shared."""
     spec = {f"n{n}": ("c", []), f"n{n + 1}": ("var", "x")}
     for i in range(n):
         spec[f"n{i}"] = ("F", [f"n{rng.randint(i + 1, n + 1)}" for _ in range(2)])
