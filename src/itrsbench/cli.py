@@ -47,9 +47,8 @@ from .rewriting import (
     disjoint_union,
     indirect,
     match,
-    rewrite_step,
 )
-from .terms import ParseError, TermError, parse, to_text
+from .terms import ParseError, TermError, parse, replace, to_text
 
 
 class InputError(Exception):
@@ -179,7 +178,7 @@ def read_trace(path: str, system) -> Trace:
             t = parse(_field(entry, "term", str), system.sig)
             if pending_step is not None:
                 occ = _occ_from_json(system, terms[-1], pending_step)
-                if rewrite_step(system, terms[-1], occ) != t:
+                if replace(terms[-1], occ.position, occ.rule.rhs, occ.binding) != t:
                     raise InputError(f"{path}: step {pending_step} does not give the next term")
                 steps.append(occ)
                 pending_step = None
@@ -516,8 +515,9 @@ def cmd_replay(args) -> int:
     script = {"prefix": [], "cycle": []}
     for part, occs in script.items():
         for data in _field(w, part, list):
-            occs.append(_occ_from_json(system, t, data))
-            t = rewrite_step(system, t, occs[-1])
+            occ = _occ_from_json(system, t, data)
+            occs.append(occ)
+            t = replace(t, occ.position, occ.rule.rhs, occ.binding)
     witness = LoopWitness(
         start,
         tuple(script["prefix"]),

@@ -36,20 +36,16 @@ from .rewriting import (
 )
 from .terms import (
     APP,
-    VAR,
     Position,
     RationalTerm,
     TermError,
     bfs_path,
     from_nodes,
-    node_at,
     replace,
     sccs,
     subterm,
     subterm_at_node,
     topequ,
-    var,
-    variables,
 )
 
 
@@ -103,10 +99,18 @@ class Trace:
         ]
 
     def validate(self, system: ITRS):
+        """Every recorded step replays.  A simulated step (None) stands for
+        a reduction of the system, checked at REACH_DEPTH as _steps_between
+        checks one step: a stutter, one step, or a batched stage of xi_trace
+        that flips several cut edges at once."""
         for seg in self.segments:
             for i, occ in enumerate(seg.steps):
-                got = rewrite_step(system, seg.terms[i], occ)
-                if got != seg.terms[i + 1]:
+                a, b = seg.terms[i], seg.terms[i + 1]
+                if occ is None:
+                    ok = weak_reach(system, a, b, depth_bound=REACH_DEPTH)
+                else:
+                    ok = rewrite_step(system, a, occ) == b
+                if not ok:
                     raise TermError(f"trace step {i} does not replay")
 
 
@@ -423,15 +427,14 @@ def sliding_diameter(m: TermMetric, tr: Trace, window: int) -> list:
 def _knot(t: RationalTerm, p: Position, q: Position) -> RationalTerm:
     """The subterm of t at p, with the (relative) position q redirected
     back to its own root: the rational solution of X = C[X] where C is
-    the context between p and p·q."""
-    # a name longer than every variable of t is not t's, and replace builds
-    # a fresh spine down to it, so the redirect touches no shared node
-    hole = var(max(variables(t), key=len, default="") + "'")
-    spine = replace(subterm(t, p), q, hole)
-    k = node_at(spine, q)
+    the context between p and p·q.  A raw copy of the spine along q, whose
+    last edge goes back to its first node, placed by from_nodes."""
+    spine = [subterm(t, p)]
+    for i in q[:-1]:
+        spine.append(spine[-1].args[i - 1])
     nodes = [
-        e if e[0] == VAR else (APP, e[1], tuple(0 if c == k else c for c in e[2]))
-        for e in spine.nodes
+        (APP, s.symbol, s.args[: i - 1] + ((k + 1) % len(q),) + s.args[i:])
+        for k, (s, i) in enumerate(zip(spine, q))
     ]
     return from_nodes(nodes, 0)
 

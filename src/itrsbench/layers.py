@@ -22,7 +22,6 @@ from .terms import (
     Position,
     RationalTerm,
     TermError,
-    append_nodes,
     from_nodes,
     node_at,
     sccs,
@@ -124,13 +123,12 @@ def toplayer_fill(t: RationalTerm, cut: PrincipalCut, xi: Fill) -> RationalTerm:
         raise TermError("fill map must cover the cut exactly")
 
     nodes = list(t.nodes)
-    fill_roots = {edge: append_nodes(nodes, xi[edge]) for edge in sorted(cut.edges)}
     for idx, arg in cut.edges:
         entry = nodes[idx]
         children = list(entry[2])
-        children[arg] = fill_roots[(idx, arg)]
+        children[arg] = xi[(idx, arg)]
         nodes[idx] = (APP, entry[1], tuple(children))
-    return from_nodes(tuple(nodes), 0)
+    return from_nodes(nodes, 0)
 
 
 def toplayer_distance(
@@ -208,11 +206,9 @@ def cutoff(
         raise TermError("a negative number of layers")
     if n == 0:
         return u
-    nodes: list = []
-    fill = append_nodes(nodes, u)
-    base = len(nodes)  # states[i] is node base + i
+    nodes: list = []  # nodes[i] is states[i]
     states = [(0, n)]
-    number = {(0, n): base}
+    number = {(0, n): 0}
     for idx, left in states:  # states grows while it is walked
         entry = t.nodes[idx]
         if entry[0] == APP:
@@ -221,12 +217,12 @@ def cutoff(
             for child in entry[2]:
                 key = (child, left - (_node_color(t, child, coloring) not in (None, color)))
                 if key[1] and key not in number:
-                    number[key] = base + len(states)
+                    number[key] = len(states)
                     states.append(key)
-                children.append(number.get(key, fill))
+                children.append(number.get(key, u))
             entry = (APP, entry[1], tuple(children))
         nodes.append(entry)
-    return from_nodes(nodes, base)
+    return from_nodes(nodes, 0)
 
 
 # --- step function and trace-level principal positions ------------------------
@@ -247,7 +243,7 @@ def step_fn(
             raise TermError(f"not a chain at step {k}: {p} then {q}")
         if node_at(t, q) is None:
             raise TermError(f"chain leaves the term at {q}")
-        comp = g.component(t.nodes[node_at(t, p)][1], q[-1])
+        comp = g.component(node_at(t, p).symbol, q[-1])
         if lazy_weight(comp) > 0:
             count += 1
     return count

@@ -92,7 +92,7 @@ class ITRS:
         # label of an lhs root -> the rules with that label, in rule order
         self._by_root_label: dict[tuple, list[Rule]] = {}
         for r in self.rules:
-            self._by_root_label.setdefault(r.lhs.label_of(0), []).append(r)
+            self._by_root_label.setdefault(r.lhs.label, []).append(r)
 
     def rule(self, name: str) -> Rule:
         for r in self.rules:
@@ -133,46 +133,45 @@ def classify_itrs(system: "ITRS") -> ClassificationReport:
 # --- matching and stepping --------------------------------------------------
 
 
-def match(lhs: RationalTerm, t: RationalTerm, p: Position) -> Optional[dict[str, int]]:
+def match(lhs: RationalTerm, t: RationalTerm, p: Position) -> Optional[dict[str, RationalTerm]]:
     """Match the pattern lhs against the subterm of t at p.
 
-    Returns the binding of each pattern variable to a node of t, or None.
-    A match is a graph homomorphism from lhs into the canonical graph of
-    t, which sends each lhs node to one node of t: a repeated variable, a
-    shared ground subterm or a cycle of lhs meets one node, one subterm.
+    Returns the binding of each pattern variable to a subterm of t, or
+    None.  A match is a graph homomorphism from lhs into the nodes of t,
+    which sends each lhs node to one node: a repeated variable, a shared
+    ground subterm or a cycle of lhs meets one node, one subterm.
     """
     root = node_at(t, p)
-    if root is None or not (lhs.is_var or t.label_of(root) == lhs.label_of(0)):
+    if root is None or not (lhs.is_var or root.label == lhs.label):
         return None
     return _match_at(lhs, t, root)
 
 
-def _match_at(lhs: RationalTerm, t: RationalTerm, root: int) -> Optional[dict[str, int]]:
-    """match at graph node root, whose label the caller has checked."""
-    nodes = t.nodes
+def _match_at(lhs: RationalTerm, t: RationalTerm, root: RationalTerm) -> Optional[dict]:
+    """match at root, a node of t whose label the caller has checked."""
     image = [root] * len(lhs.nodes)  # lhs node -> node of t, once placed
     edges, leaves = lhs._pattern
     for a, i, b, label in edges:
-        c = nodes[image[a]][2][i]
+        c = image[a].args[i]
         if label is PLACED:
-            if image[b] != c:
+            if image[b] is not c:
                 return None
             continue
-        if label is not None:
-            entry = nodes[c]
-            if entry[0] != APP or entry[1] != label[0] or len(entry[2]) != label[1]:
-                return None
+        if label is not None and (
+            c.args is None or c.symbol != label[0] or len(c.args) != label[1]
+        ):
+            return None
         image[b] = c
     return {x: image[b] for b, x in leaves}
 
 
 class RedexOccurrence(NamedTuple):
     """rule applies at position; binding maps each variable of the rule's
-    lhs to a node of the term the occurrence was found in."""
+    lhs to the subterm it meets."""
 
     position: Position
     rule: Rule
-    binding: Mapping[str, int]
+    binding: Mapping[str, RationalTerm]
 
 
 def redexes(
@@ -181,30 +180,30 @@ def redexes(
     """All redex occurrences with position length <= depth_bound, ordered
     outermost-first, then left-to-right, then by rule order.
 
-    One breadth-first pass over (position, node) pairs.  Bindings name
-    graph nodes, so a node is matched once, when a position first reaches
-    it, against the rules whose lhs root has its label.
+    One breadth-first pass over (position, node) pairs.  A node's subterm
+    never changes, so its matches against the system's rules whose lhs
+    root has its label are made once and kept on the node, keyed by the
+    system: a reduct shares every node off its spine with its term, and
+    only the new nodes are matched.
     """
     out = []
     by_label = system._by_root_label
-    nodes = t.nodes
-    hits_at: list = [None] * len(nodes)  # node -> [(rule, binding)], once matched
-    queue = [(ROOT, 0)]
-    for p, idx in queue:  # queue grows while it is walked: breadth first
-        entry = nodes[idx]
-        if entry[0] != APP:
+    queue = [(ROOT, t)]
+    for p, node in queue:  # queue grows while it is walked: breadth first
+        args = node.args
+        if args is None:
             continue  # a variable: no lhs root has its label, no children
-        hits = hits_at[idx]
-        if hits is None:
-            hits = hits_at[idx] = [
+        hits = node._hits
+        if hits is None or hits[0] is not by_label:
+            hits = node._hits = by_label, [
                 (rule, sigma)
-                for rule in by_label.get((entry[1], len(entry[2])), ())
-                if (sigma := _match_at(rule.lhs, t, idx)) is not None
+                for rule in by_label.get((node.symbol, len(args)), ())
+                if (sigma := _match_at(rule.lhs, t, node)) is not None
             ]
-        for rule, sigma in hits:
+        for rule, sigma in hits[1]:
             out.append(RedexOccurrence(p, rule, sigma))
         if len(p) < depth_bound:
-            for i, c in enumerate(entry[2], 1):
+            for i, c in enumerate(args, 1):
                 queue.append((p + (i,), c))
     return out
 

@@ -1,35 +1,38 @@
-"""Finite and rational terms as canonical rooted graphs.
+"""Finite and rational terms as nodes of one hash-consed store.
 
 A rational term is a finite rooted labeled graph; finite terms are the
-acyclic case.  Every term is canonical: trimmed to the part reachable
-from the root, with no two nodes bisimilar, and numbered in depth-first
-preorder (root = 0).  Two terms denote the same (possibly infinite) tree
-iff their canonical forms are equal.  Live terms are interned weakly, so
-terms with one canonical form built while one is alive are the same
-object, and equality and hashing are by identity.
+acyclic case.  A term is a node of one store, in which no two live nodes
+are bisimilar, after Filliâtre & Conchon, "Type-safe modular
+hash-consing" (ML Workshop 2006): a node has a symbol (a variable, its
+name) and its argument nodes, and two terms denote the same (possibly
+infinite) tree iff they are the same object, so equality and hashing
+are by identity.  The store holds its nodes weakly; a node on a cycle
+leaves it at the garbage collection that frees its loop.
 
-Every canonical term leaves through one preorder renumbering,
-_renumbered, which also trims what the root does not reach.  from_nodes,
-and the constructors built on it (var, app, graph_term, parse,
-substitute), makes one depth-first pass from the root: the nodes that
-reach no cycle are hash-consed children first, and only those that reach
-one go through Hopcroft's O(m log n) partition refinement; the quotient
-of both is then renumbered.  A finite graph, such as a mu-free text, is
-never refined.  replace and subterm_at_node start from a canonical term:
-subterm_at_node only renumbers, and replace hash-conses the nodes it adds
-against the term's own nodes, then renumbers; only a cyclic replacement,
-whose loops may fold into the term, goes through from_nodes.  parse makes
-one pass over the tokens of one regular-expression scan, binding each
-`mu` name to its body's node as soon as that node's head is read.  One
-cached depth-first walk per term answers is_finite, orders a finite term
-for replace and term_depth, and places to_text's binders.
+A node on no cycle is hash-consed by (symbol, argument nodes), which is
+exact since the arguments are unique.  A strongly connected component
+of new nodes with a cycle, a loop, is refined by Hopcroft's algorithm
+(linear on a ring) and placed whole: it meets a stored loop that it
+points into or that has its multiset of node keys (a node's label with
+the labels of its children in the loop), if the two are bisimilar.
+from_nodes builds a term from a raw graph this way, and graph_term,
+parse (for the part of a text under a `mu` name), a cyclic substitute
+and the layer constructions go through it; a graph without a cycle runs
+no refinement.  replace and subterm work on nodes: a rewrite step conses
+the instance of the right-hand side and the spine above its position,
+O(|p| + |rhs|) for a finite one, and visits nothing else.
+
+RationalTerm.nodes is a cached flat view for the code that reads a graph
+by index (metrics, layers, to_text, the CLI): the nodes reachable from
+the root, numbered from the root 0.  One cached walk of it answers
+term_depth and places to_text's binders.
 """
 
 from __future__ import annotations
 
 import re
 import weakref
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -87,49 +90,88 @@ class Signature:
         return Signature(merged)
 
 
-# Canonical node tuple -> its one live term.  Weak, so a term leaves the
-# table once nothing else refers to it, and long runs stay bounded.
-_INTERN: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# The store.  _TABLE maps (symbol, args) to a weak reference to the one
+# live node off every cycle with that symbol and those arguments (args
+# None for a variable).  A node on a cycle is kept out of it: a key holds
+# its arguments, and a loop's keys would hold the loop alive.  Each loop
+# has a table of its own nodes instead, shared by them (_loop), and
+# _LOOPS maps the fingerprint of a loop (see _place_loop) to weak
+# references to one node of each stored loop with it.
+_TABLE: dict = {}
+_LOOPS: dict = {}
 
 
-@dataclass(frozen=True, eq=False)
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _drop(ref: _Ref):
+    if _TABLE.get(ref.key) is ref:
+        del _TABLE[ref.key]
+
+
+def _drop_loop(ref: _Ref):
+    refs = _LOOPS.get(ref.key)
+    if refs is not None:
+        refs.remove(ref)
+        if not refs:
+            del _LOOPS[ref.key]
+
+
 class RationalTerm:
-    """Canonical rooted term graph; immutable, interned, so == is identity."""
+    """A node of the store, and the term it roots: immutable, and no other
+    live node is bisimilar to it, so == is identity.  symbol is a function
+    symbol or a variable's name; args holds the argument nodes, None for
+    a variable.  Built only by this module's constructors."""
 
-    nodes: tuple  # entry i: ("var", name) or ("app", sym, (child, ...))
+    __slots__ = ("symbol", "args", "_finite", "_loop", "_hits", "__weakref__", "__dict__")
 
-    def __reduce__(self):  # copy, deepcopy and pickle give the interned term
-        return _interned, (self.nodes,)
+    def __reduce__(self):  # copy, deepcopy and pickle give the stored term
+        return from_nodes, (self.nodes, 0)
 
     @property
     def is_var(self) -> bool:
-        return self.nodes[0][0] == VAR
+        return self.args is None
 
     @property
     def root_symbol(self) -> str:
-        entry = self.nodes[0]
-        return entry[1]
+        return self.symbol
+
+    @property
+    def label(self):
+        """Label used for clash tests: (VAR, name), or (symbol, arity)."""
+        return (VAR, self.symbol) if self.args is None else (self.symbol, len(self.args))
+
+    @property
+    def is_finite(self) -> bool:
+        return self._finite
+
+    @cached_property
+    def _view(self) -> tuple:
+        return _flat_view(self)
+
+    @cached_property
+    def nodes(self) -> tuple:
+        """The flat view: entry i ("var", name) or ("app", sym, (child, ...))
+        for the i-th node reachable from the root (the root is 0)."""
+        return self._view[0]
 
     def children_of(self, idx: int) -> tuple[int, ...]:
         entry = self.nodes[idx]
         return entry[2] if entry[0] == APP else ()
 
     def label_of(self, idx: int):
-        """Label used for clash tests: variable name, or (symbol, arity)."""
+        """The label of node idx of the flat view."""
         entry = self.nodes[idx]
         if entry[0] == VAR:
             return (VAR, entry[1])
         return (entry[1], len(entry[2]))
 
-    @property
-    def is_finite(self) -> bool:
-        return type(self._walk) is tuple
-
     @cached_property
     def _walk(self):
-        """One depth-first walk from the root, children in order: the finish
-        order of a finite term (children first), or else the targets of
-        the back edges, where to_text puts its binders."""
+        """One depth-first walk of the flat view from the root, children in
+        order: the finish order of a finite term (children first), or else
+        the targets of the back edges, where to_text puts its binders."""
         nodes = self.nodes
         state = [0] * len(nodes)  # 0 unseen, 1 on the path, 2 finished
         order: list[int] = []
@@ -150,12 +192,6 @@ class RationalTerm:
         return frozenset(loops) if loops else tuple(order)
 
     @cached_property
-    def _index(self) -> dict:
-        """Node entry -> node number.  Two nodes with one entry would be
-        bisimilar, so in a canonical graph every entry is unique."""
-        return {entry: i for i, entry in enumerate(self.nodes)}
-
-    @cached_property
     def _pattern(self) -> tuple:
         """This term as a pattern for rewriting.match: its edges (parent,
         child index, child, label) in node order, a preorder, and its
@@ -172,6 +208,31 @@ class RationalTerm:
         leaves = tuple((b, e[1]) for b, e in enumerate(self.nodes) if e[0] == VAR)
         return tuple(edges), leaves
 
+    @cached_property
+    def _open(self) -> tuple:
+        """For a finite term: the nodes below the root that reach a
+        variable, children first, each once; what an instance rebuilds."""
+        reaches: dict = {}
+        order = []
+        stack = list(self.args or ())
+        while stack:
+            node = stack[-1]
+            if node in reaches:
+                stack.pop()
+                continue
+            if node.args is None:
+                reaches[node] = True
+            else:
+                todo = [c for c in node.args if c not in reaches]
+                if todo:
+                    stack.extend(todo)
+                    continue
+                reaches[node] = any([reaches[c] for c in node.args])
+            stack.pop()
+            if reaches[node]:
+                order.append(node)
+        return tuple(order)
+
     def __str__(self) -> str:
         return to_text(self)
 
@@ -179,72 +240,260 @@ class RationalTerm:
         return f"RationalTerm({to_text(self)!r})"
 
 
-def from_nodes(nodes: Sequence, root: int) -> RationalTerm:
-    """The canonical term rooted at node root of a raw node list, whose
-    entries are as in RationalTerm.nodes; any node may be unreachable.
+def _flat_view(t: RationalTerm) -> tuple:
+    """The entries of t.nodes, and the node of each number but the root's
+    (None there, so that a view holds no reference back to t).  Children
+    are numbered when their parent is entered, in order, and entered
+    first to last."""
+    number = {t: 0}
+    entries: list = [None]
+    order: list = [None]
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if node.args is None:
+            entries[number[node]] = (VAR, node.symbol)
+            continue
+        pending = []
+        children = []
+        for c in node.args:
+            k = number.get(c)
+            if k is None:
+                k = number[c] = len(entries)
+                entries.append(None)
+                order.append(c)
+                pending.append(c)
+            children.append(k)
+        entries[number[node]] = (APP, node.symbol, tuple(children))
+        stack.extend(reversed(pending))
+    return tuple(entries), tuple(order)
 
-    One depth-first pass from the root finishes each node after its
-    children, except along back edges.  A node reaches a cycle iff one of
-    its edges is a back edge or leads to a node that reaches one.  A node
-    that reaches none denotes a finite tree; its children are canonical by
-    the time it finishes, so it is hash-consed by (label, canonical
-    children), which is exact.  The nodes that reach a cycle denote
-    infinite trees, never bisimilar to a finite one: only they go through
-    _refine, with their finite children as part of their labels.  A
-    finite graph runs no refinement at all.
+
+def _cons(symbol: str, args: Optional[tuple]) -> RationalTerm:
+    """The stored node with this symbol and these argument nodes, made
+    when absent.  Exact: the arguments are unique, so a bisimilar node has
+    these very arguments.  It is in _TABLE, or it lies on a cycle through
+    one of them and is in that argument's loop table."""
+    key = (symbol, args)
+    ref = _TABLE.get(key)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    finite = True
+    if args:
+        for a in args:
+            if not a._finite:
+                finite = False
+                loop = a._loop
+                if loop is not None:
+                    node = loop.get(args)
+                    if node is not None and node.symbol != symbol:
+                        node = loop.get(key)
+                    if node is not None:
+                        return node
+    node = RationalTerm()
+    node.symbol = symbol
+    node.args = args
+    node._finite = finite
+    node._loop = None
+    node._hits = None
+    ref = _TABLE[key] = _Ref(node, _drop)
+    ref.key = key
+    return node
+
+
+def from_nodes(nodes: Sequence, root: int) -> RationalTerm:
+    """The term rooted at node root of a raw node list, whose entries are
+    as in RationalTerm.nodes, except that a child may also be a term
+    instead of a number; any entry may be unreachable.
+
+    One depth-first pass from the root, Tarjan's (SIAM J. Comput. 1972),
+    finishes each strongly connected component after the ones it reaches,
+    whose nodes are stored by then.  A component of one node off every
+    cycle is hash-consed (_cons), and a loop is placed whole
+    (_place_loop).  A graph without a cycle runs no refinement.
     """
-    # mark[k]: None while k is unseen; -1 while k is on the path, and
-    # after if k reaches a cycle; once k is finite, its quotient entry
-    mark: list = [None] * len(nodes)
-    quotient: list = []  # the finite classes, then the cyclic blocks
-    table: dict = {}  # finite entry over quotient children -> its class
-    labels: dict = {}  # node that reaches a cycle -> (symbol, child marks)
-    marks = mark.__getitem__
-    stack = [root]  # a node to visit, or ~node to finish
+    term: list = [None] * len(nodes)  # each node's term, once stored
+    number = [0] * len(nodes)  # the order of entry; 0 unseen
+    low = [0] * len(nodes)  # the least number a node reaches on the path
+    path: list = []  # the entered nodes not stored yet
+    count = 0
+    stack = [root]  # a node to enter, or ~node to finish
     while stack:
         k = stack.pop()
         if k >= 0:
-            if mark[k] is not None:
+            if number[k]:
                 continue
+            count += 1
+            number[k] = low[k] = count
             entry = nodes[k]
-            if entry[0] == APP and entry[2]:
-                mark[k] = -1
-                stack.append(~k)
-                stack.extend(entry[2])
+            if entry[0] == VAR or not entry[2]:
+                term[k] = _cons(entry[1], None if entry[0] == VAR else ())
                 continue
-        else:
-            k = ~k
-            entry = nodes[k]
-            kids = tuple(map(marks, entry[2]))
-            if -1 in kids:  # an edge back onto the path, or to a cyclic node
-                labels[k] = (entry[1], kids)
-                continue
-            entry = (APP, entry[1], kids)
-        m = table.get(entry)
-        if m is None:
-            m = table[entry] = len(quotient)
-            quotient.append(entry)
-        mark[k] = m
-    if labels:
-        cyclic = list(labels)  # cyclic[j] is now marked -2 - j
-        for j, k in enumerate(cyclic):
-            mark[k] = -2 - j
-        preds: list[list[tuple[int, int]]] = [[] for _ in cyclic]
-        for j, k in enumerate(cyclic):
-            for i, c in enumerate(nodes[k][2]):
-                m = mark[c]
-                if m < 0:
-                    preds[-2 - m].append((i, j))
-        block, count = _refine(list(labels.values()), preds)
-        base = len(quotient)
-        quotient.extend([None] * count)
-        for k, b in zip(cyclic, block):
-            mark[k] = base + b
-        for k, b in zip(cyclic, block):
-            if quotient[base + b] is None:
-                entry = nodes[k]
-                quotient[base + b] = (APP, entry[1], tuple(map(marks, entry[2])))
-    return _renumbered(quotient, mark[root])
+            path.append(k)
+            stack.append(~k)
+            stack.extend([c for c in entry[2] if c.__class__ is int])
+            continue
+        k = ~k
+        kids = nodes[k][2]
+        lo = low[k]
+        for c in kids:
+            if c.__class__ is int and term[c] is None and low[c] < lo:
+                lo = low[c]
+        low[k] = lo
+        if lo < number[k]:
+            continue  # k waits on the path for the first node of its component
+        if path[-1] == k and k not in kids:
+            path.pop()
+            term[k] = _cons(nodes[k][1], tuple([term[c] if c.__class__ is int else c for c in kids]))
+            continue
+        comp = [path.pop()]
+        while comp[-1] != k:
+            comp.append(path.pop())
+        index = {c: j for j, c in enumerate(comp)}
+        loop = _place_loop(
+            [nodes[j][1] for j in comp],
+            [[index.get(c, term[c]) if c.__class__ is int else c for c in nodes[j][2]]
+             for j in comp],
+        )
+        for c, node in zip(comp, loop):
+            term[c] = node
+    return term[root]
+
+
+def _place_loop(symbols: list, kids: list) -> list[RationalTerm]:
+    """The stored nodes of a strongly connected raw graph with a cycle:
+    node j has symbols[j] and the children kids[j], each a number of this
+    graph or a stored term.
+
+    _refine merges its bisimilar nodes, with a child outside as part of
+    the label and a child inside as an edge.  The quotient can meet a
+    stored loop in two ways: it points into that loop, or the two have one
+    multiset of keys, a node's label with its inner children's labels,
+    whose fingerprint does not depend on where a walk enters the loop
+    (_stored_loop).  Otherwise it is stored as a new loop.
+    """
+    labels, preds = _graph(symbols, kids)
+    block, count = _refine(labels, preds)
+    if count < len(kids):
+        first: list = [None] * count  # block -> its first node
+        for j, b in enumerate(block):
+            if first[b] is None:
+                first[b] = j
+        symbols = [symbols[j] for j in first]
+        kids = [[block[c] if c.__class__ is int else c for c in kids[j]] for j in first]
+        labels = [labels[j] for j in first]
+    else:
+        block = range(count)  # already minimal
+    keys = [(labels[j], tuple([labels[c] for c in ks if c.__class__ is int]))
+            for j, ks in enumerate(kids)]
+    counts = Counter(keys)
+    fingerprint = hash(frozenset(counts.items()))
+    key = next((key for key, k in counts.items() if k == 1), None)
+    anchor = None if key is None else (keys.index(key), key)
+    stored = _stored_loop(fingerprint, symbols, kids, anchor) or _new_loop(
+        fingerprint, symbols, kids)
+    return [stored[b] for b in block]
+
+
+def _graph(symbols: list, kids: list) -> tuple[list, list[list]]:
+    """labels and preds for _refine: each node's symbol with its children
+    outside (None for one inside), and the edges (letter, parent) into
+    each node."""
+    labels = []
+    preds: list[list] = [[] for _ in kids]
+    for j, ks in enumerate(kids):
+        outside = []
+        for i, c in enumerate(ks):
+            if c.__class__ is int:
+                preds[c].append((i, j))
+                c = None
+            outside.append(c)
+        labels.append((symbols[j], tuple(outside)))
+    return labels, preds
+
+
+def _stored_loop(fingerprint: int, symbols: list, kids: list, anchor) -> Optional[list]:
+    """The stored nodes bisimilar to the nodes of a minimal loop, or None.
+
+    A stored node bisimilar to one of them lies on a stored loop that the
+    loop points into or that has its fingerprint, and that loop takes all
+    of it.  A loop of the fingerprint that it does not point into has its
+    keys (see _place_loop), so when anchor = (node, key) has a key no other node
+    has, only one stored node can match it, and one walk from that pair
+    decides (_image).  The other loops go through one joint _refine.
+    Each is O(m log n).
+    """
+    tables = {id(t): t for ks in kids for c in ks
+              if c.__class__ is not int and (t := c._loop) is not None}
+    for ref in _LOOPS.get(fingerprint, ()):
+        node = ref()
+        if node is None or id(node._loop) in tables:
+            continue
+        if anchor is None:
+            tables[id(node._loop)] = node._loop
+        elif (image := _image(node._loop, anchor, symbols, kids)) is not None:
+            return image
+    if not tables:
+        return None
+    n = len(kids)
+    others = [m for t in tables.values() for m in t.values()]
+    number = {m: n + j for j, m in enumerate(others)}  # a stored node, as a raw one
+    symbols = symbols + [m.symbol for m in others]
+    kids = [[c if c.__class__ is int else number.get(c, c) for c in ks] for ks in kids]
+    kids += [[number.get(a, a) for a in m.args] for m in others]
+    block, _count = _refine(*_graph(symbols, kids))
+    found = {block[j]: m for m, j in number.items()}
+    image = [found.get(block[j]) for j in range(n)]
+    return image if image[0] is not None else None
+
+
+def _image(table: dict, anchor: tuple, symbols: list, kids: list) -> Optional[list]:
+    """The nodes of a stored loop (its table) that a minimal loop maps to,
+    the anchor's node to the stored node with its key, or None when they
+    differ."""
+    labels = {m: (m.symbol, tuple([None if a._loop is table else a for a in m.args]))
+              for m in table.values()}
+    j, key = anchor
+    start = next((m for m, label in labels.items() if key == (
+        label, tuple([labels[a] for a in m.args if a._loop is table]))), None)
+    if start is None:
+        return None
+    image: list = [None] * len(kids)
+    image[j] = start
+    todo = [j]
+    while todo:
+        j = todo.pop()
+        node = image[j]
+        if node.symbol != symbols[j] or len(node.args) != len(kids[j]):
+            return None
+        for c, a in zip(kids[j], node.args):
+            if c.__class__ is not int:
+                if c is not a:
+                    return None
+            elif image[c] is None and a._loop is table:
+                image[c] = a
+                todo.append(c)
+            elif image[c] is not a:
+                return None
+    return image
+
+
+def _new_loop(fingerprint: int, symbols: list, kids: list) -> list[RationalTerm]:
+    members = [RationalTerm() for _ in kids]
+    table: dict = {}  # the loop's own args -> node; (symbol, args) for a second one
+    for node, symbol, ks in zip(members, symbols, kids):
+        node.symbol = symbol
+        node.args = tuple([members[c] if c.__class__ is int else c for c in ks])
+        node._finite = False
+        node._loop = table
+        node._hits = None
+        table[(symbol, node.args) if node.args in table else node.args] = node
+    ref = _Ref(members[0], _drop_loop)
+    ref.key = fingerprint
+    _LOOPS.setdefault(fingerprint, []).append(ref)
+    return members
 
 
 def _refine(labels: list, preds: list) -> tuple[list[int], int]:
@@ -255,6 +504,7 @@ def _refine(labels: list, preds: list) -> tuple[list[int], int]:
     Hopcroft 1971, in the splitter form of Paige & Tarjan, SIAM J.
     Comput. 1987.  Every block starts waiting, and a block that splits
     while not waiting queues only its smaller part, so O(m log n) in all.
+    A graph that is one cycle, a ring, is settled in O(n) by _ring.
     """
     block: list[int] = []
     members: list[set[int]] = []
@@ -268,6 +518,9 @@ def _refine(labels: list, preds: list) -> tuple[list[int], int]:
         block.append(b)
     if len(members) == len(labels):
         return block, len(members)
+    ring = _ring(labels, preds)
+    if ring is not None:
+        return ring
     waiting = list(range(len(members)))
     is_waiting = [True] * len(members)
     while waiting:
@@ -300,69 +553,49 @@ def _refine(labels: list, preds: list) -> tuple[list[int], int]:
     return block, len(members)
 
 
-def _renumbered(nodes: Sequence, root: int) -> RationalTerm:
-    """The interned term of the nodes reachable from root, renumbered in
-    depth-first preorder.  The caller guarantees that no two of them are
-    bisimilar, so this is the canonical form."""
-    order = {root: 0}
-    out: list = [None]
-    stack = [root]
-    while stack:
-        k = stack.pop()
-        entry = nodes[k]
-        if entry[0] == VAR:
-            out[order[k]] = entry
-            continue
-        pending = []
-        children = []
-        for c in entry[2]:
-            o = order.get(c)
-            if o is None:
-                o = order[c] = len(out)
-                out.append(None)
-                pending.append(c)
-            children.append(o)
-        out[order[k]] = (APP, entry[1], tuple(children))
-        stack.extend(reversed(pending))
-    return _interned(tuple(out))
-
-
-def _interned(key: tuple) -> RationalTerm:
-    """The one live term whose canonical node tuple is key."""
-    cached = _INTERN.get(key)
-    if cached is None:
-        cached = RationalTerm(key)
-        _INTERN[key] = cached
-    return cached
+def _ring(labels: list, preds: list) -> Optional[tuple[list[int], int]]:
+    """_refine of a graph that is one cycle, or None when it is not: the
+    labels read along the cycle (with the letter of each edge) form a
+    word, and a node's block is its place modulo the word's least period
+    (the Knuth-Morris-Pratt failure function)."""
+    n = len(labels)
+    seen = [False] * n
+    order = []  # the nodes, walking the edges backwards from node 0
+    word = []
+    k = 0
+    for _ in range(n):
+        if len(preds[k]) != 1:
+            return None
+        i, k = preds[k][0]
+        if seen[k]:
+            return None
+        seen[k] = True
+        order.append(k)
+        word.append((labels[k], i))
+    fail = [0] * n  # the longest proper border of word[: t + 1]
+    for t in range(1, n):
+        f = fail[t - 1]
+        while f and word[t] != word[f]:
+            f = fail[f - 1]
+        fail[t] = f + (word[t] == word[f])
+    period = n - fail[-1]
+    if n % period:
+        period = n
+    block = [0] * n
+    for t, k in enumerate(order):
+        block[k] = t % period
+    return block, period
 
 
 def var(name: str) -> RationalTerm:
-    return from_nodes([(VAR, name)], 0)
+    return _cons(name, None)
 
 
 FALLBACK_VAR = var(FALLBACK_VAR_NAME)
 
 
 def app(symbol: str, args: Sequence[RationalTerm] = ()) -> RationalTerm:
-    nodes: list = [None]
-    nodes[0] = (APP, symbol, tuple(append_nodes(nodes, arg) for arg in args))
-    return from_nodes(nodes, 0)
-
-
-def append_nodes(nodes: list, t: RationalTerm, binding: Mapping[str, int] = {}) -> int:
-    """Copy t's graph onto the end of the raw node list nodes and return
-    the index of the copy's root.  A variable that binding maps to an
-    index of nodes stands for that node instead of itself."""
-    offset = len(nodes)
-    where = [
-        binding.get(entry[1], offset + i) if entry[0] == VAR else offset + i
-        for i, entry in enumerate(t.nodes)
-    ]
-    nodes.extend(
-        entry if entry[0] == VAR else (APP, entry[1], tuple(where[c] for c in entry[2]))
-        for entry in t.nodes
-    )
-    return where[0]
+    return _cons(symbol, tuple(args))
 
 
 def graph_term(spec: Mapping[str, tuple], root: str) -> RationalTerm:
@@ -381,92 +614,49 @@ def graph_term(spec: Mapping[str, tuple], root: str) -> RationalTerm:
     return from_nodes(nodes, index[root])
 
 
-def node_at(t: RationalTerm, p: Position) -> Optional[int]:
-    """Graph node reached by following p from the root, or None."""
-    idx = 0
+def node_at(t: RationalTerm, p: Position) -> Optional[RationalTerm]:
+    """The node reached by following p from the root, or None."""
     for i in p:
-        entry = t.nodes[idx]
-        if entry[0] != APP or not (1 <= i <= len(entry[2])):
+        if t.args is None or not 0 < i <= len(t.args):
             return None
-        idx = entry[2][i - 1]
-    return idx
+        t = t.args[i - 1]
+    return t
 
 
 def subterm_at_node(t: RationalTerm, idx: int) -> RationalTerm:
-    """The subterm rooted at graph node idx of t.
-
-    The nodes of a canonical term are pairwise not bisimilar, so the
-    subterm's nodes are too: it is trimmed and renumbered, not refined.
-    """
-    return t if idx == 0 else _renumbered(t.nodes, idx)
+    """The subterm rooted at node idx of t's flat view."""
+    return t if idx == 0 else t._view[1][idx]
 
 
 def subterm(t: RationalTerm, p: Position) -> RationalTerm:
     """Subterm at p; the reserved fallback variable when p is not a position."""
-    idx = node_at(t, p)
-    if idx is None:
-        return FALLBACK_VAR
-    return subterm_at_node(t, idx)
+    node = node_at(t, p)
+    return FALLBACK_VAR if node is None else node
 
 
 def replace(
-    t: RationalTerm, p: Position, u: RationalTerm, binding: Mapping[str, int] = {}
+    t: RationalTerm, p: Position, u: RationalTerm, binding: Mapping[str, RationalTerm] = {}
 ) -> RationalTerm:
     """t with the subterm at p replaced by u; t itself when p is invalid.
 
-    A variable of u that binding maps to a node of t stands for the
-    subterm of t at that node, so replace(t, p, rhs, match(lhs, t, p)) is
-    one rewrite step.  A fresh spine is built along p, so replacement
-    inside a cycle cuts it.
-
-    The new nodes (u's copy, children first, then the spine, bottom up)
-    are hash-consed: each is looked up by its entry among t's nodes and
-    the new nodes made before it, and made only when absent.  When u is
-    finite that is exact: t's nodes are pairwise not bisimilar and never
-    point at new ones, and a new node's children are already unique, so
-    it is bisimilar to a node iff their entries are equal.  The result is
-    then only trimmed and renumbered.  A cyclic u can close a loop
-    bisimilar to one of t's, so its copy goes through from_nodes.
+    A variable of u that binding maps stands for the term it is mapped
+    to, so replace(t, p, rhs, match(lhs, t, p)) is one rewrite step.  The
+    instance of u is built (see substitute), then a fresh spine along p,
+    bottom up, each node hash-consed: O(|p| + |u|) for a finite u, and
+    nothing else of t is visited.  Replacement inside a cycle cuts it;
+    where a new node is bisimilar to a stored one, it is that node.
     """
-    if node_at(t, p) is None:
-        return t
-    nodes = list(t.nodes)
-    index = t._index
-    added: dict = {}  # entry -> number, for the nodes made here
-
-    def cons(entry) -> int:
-        k = index.get(entry)
-        if k is None:
-            k = added.get(entry)
-            if k is None:
-                k = added[entry] = len(nodes)
-                nodes.append(entry)
-        return k
-
-    finite = u.is_finite
-    if not finite:
-        new = append_nodes(nodes, u, binding)
-    else:
-        where = [0] * len(u.nodes)
-        for i in u._walk:
-            entry = u.nodes[i]
-            if entry[0] == VAR:
-                k = binding.get(entry[1])
-                where[i] = cons(entry) if k is None else k
-            else:
-                where[i] = cons((APP, entry[1], tuple(where[c] for c in entry[2])))
-        new = where[0]
-    spine = [0]
-    for i in p[:-1]:
-        spine.append(t.nodes[spine[-1]][2][i - 1])
-    for idx, i in zip(reversed(spine), reversed(p)):
-        entry = t.nodes[idx]
-        children = list(entry[2])
-        children[i - 1] = new
-        new = cons((APP, entry[1], tuple(children)))
-    if not finite:
-        return from_nodes(nodes, new)
-    return t if new == 0 else _renumbered(nodes, new)
+    spine = []
+    node = t
+    for i in p:
+        if node.args is None or not 0 < i <= len(node.args):
+            return t
+        spine.append(node)
+        node = node.args[i - 1]
+    new = substitute(binding, u)
+    for node, i in zip(reversed(spine), reversed(p)):
+        new = _cons(node.symbol, node.args[: i - 1] + (new,) + node.args[i:])
+    return new
 
 
 def positions(t: RationalTerm, depth_bound: int) -> set[Position]:
@@ -475,7 +665,8 @@ def positions(t: RationalTerm, depth_bound: int) -> set[Position]:
 
 
 def iter_positions(t: RationalTerm, depth_bound: int) -> Iterator[tuple[Position, int]]:
-    """Breadth-first (position, node) pairs up to the depth bound."""
+    """Breadth-first (position, node number of the flat view) pairs up to
+    the depth bound."""
     queue: list[tuple[Position, int]] = [(ROOT, 0)]
     for p, idx in queue:  # queue grows while it is walked
         yield p, idx
@@ -485,25 +676,21 @@ def iter_positions(t: RationalTerm, depth_bound: int) -> Iterator[tuple[Position
 
 def topequ(t: RationalTerm, p: Position, u: RationalTerm) -> bool:
     """Same function symbols up to position p (inductive definition)."""
-    ti, ui = 0, 0
     for i in p:
-        te, ue = t.nodes[ti], u.nodes[ui]
-        if te[0] != APP or ue[0] != APP:
+        if t.args is None or u.args is None or t.label != u.label:
             return False
-        if te[1] != ue[1] or len(te[2]) != len(ue[2]):
+        if not 0 < i <= len(t.args):
             return False
-        if not (1 <= i <= len(te[2])):
-            return False
-        ti, ui = te[2][i - 1], ue[2][i - 1]
+        t, u = t.args[i - 1], u.args[i - 1]
     return True
 
 
 def bisimilar(t: RationalTerm, u: RationalTerm) -> bool:
     """Do t and u denote the same infinite tree?
 
-    Decided by a coinductive product-graph search.  Canonical forms make
-    `t == u` equivalent, so no library code calls this: it is the test
-    oracle that `==` is checked against.
+    Decided by a coinductive product-graph search over the flat views.
+    The store makes `t == u` equivalent, so no library code calls this:
+    it is the test oracle that `==` is checked against.
     """
     assumed: set[tuple[int, int]] = set()
     stack = [(0, 0)]
@@ -607,12 +794,42 @@ Substitution = Mapping[str, RationalTerm]
 
 
 def substitute(sigma: Substitution, t: RationalTerm) -> RationalTerm:
-    """Homomorphic application; variables outside dom(sigma) unchanged."""
-    nodes: list = []
-    binding = {x: append_nodes(nodes, sigma[x]) for x in variables(t) if x in sigma}
-    if not binding:
+    """Homomorphic application; variables outside dom(sigma) unchanged.
+
+    On a finite t only the nodes that reach a variable are rebuilt,
+    children first, each hash-consed.  A t that reaches a cycle is copied
+    as a raw graph down to its finite nodes, which are substituted so,
+    and the copy goes through from_nodes.
+    """
+    if not sigma:
         return t
-    return from_nodes(nodes, append_nodes(nodes, t, binding))
+    if t._finite:
+        if t.args is None:
+            return sigma.get(t.symbol, t)
+        made: dict = {}
+        for node in t._open:
+            if node.args is None:
+                made[node] = sigma.get(node.symbol, node)
+            else:
+                made[node] = _cons(node.symbol, tuple([made.get(c, c) for c in node.args]))
+        return _cons(t.symbol, tuple([made.get(c, c) for c in t.args])) if made else t
+    number = {t: 0}
+    todo = [t]
+    nodes = []
+    for node in todo:  # todo grows while it is walked
+        kids = []
+        for c in node.args:
+            if c._finite:
+                c = substitute(sigma, c)
+            else:
+                k = number.get(c)
+                if k is None:
+                    k = number[c] = len(todo)
+                    todo.append(c)
+                c = k
+            kids.append(c)
+        nodes.append((APP, node.symbol, tuple(kids)))
+    return from_nodes(nodes, 0)
 
 
 def variables(t: RationalTerm) -> set[str]:
@@ -669,17 +886,20 @@ def _error(text: str, k: int, message: str, after: bool = False) -> ParseError:
 
 
 def parse(text: str, sig: Optional[Signature] = None) -> RationalTerm:
-    """The term of a mu-text, in one pass over its tokens.  A node is
-    numbered when its head is read and filled in at its `)`; a `mu` name
-    waits in pending until its body's head is read, then names that node.
-    A body that is a pending name is no body, raised after any other error."""
+    """The term of a mu-text, in one pass over its tokens.  A term is
+    hash-consed at its `)` once its arguments are terms; one that reaches
+    a `mu` name still open is a raw node instead, and the raw graph goes
+    through from_nodes at the end.  A `mu` name waits in pending until its
+    body's head is read, then names a raw slot that the body fills if it
+    is raw.  A body that is a pending name is no body, raised after any
+    other error."""
     tokens: list = _TOKEN.findall(text)
     bad = "" in tokens  # the tokens end at the first bad character
     if bad:
         del tokens[tokens.index(""):]
     tokens.append(None)  # the end, read as often as asked
     i = 0  # the next token
-    nodes: list = []  # raw entries for from_nodes, numbered as their heads are read
+    nodes: list = []  # raw entries for from_nodes; a raw node is its number here
     pending: list[tuple[str, int]] = []  # (name, token number of its `mu`)
     bodiless: Optional[int] = None  # the `mu` of the first binder with no body
 
@@ -688,9 +908,9 @@ def parse(text: str, sig: Optional[Signature] = None) -> RationalTerm:
             return name in sig
         return name[0].isupper() or name[0].isdigit()
 
-    def close_app(frame: tuple, k: int) -> int:
-        """The node of an application frame, whose `)` is token k."""
-        tok, node, args, _bound = frame
+    def close_app(frame: tuple, k: int):
+        """The term or raw node of an application frame, whose `)` is token k."""
+        tok, slot, args, _bound = frame
         if tokens[k] != ")":
             raise _error(text, k, f"expected ')', got {tokens[k]!r}", after=True)
         if sig is not None:
@@ -698,12 +918,17 @@ def parse(text: str, sig: Optional[Signature] = None) -> RationalTerm:
                 raise _error(text, k, f"unknown symbol {tok}", after=True)
             if sig.arity(tok) != len(args):
                 raise _error(text, k, f"{tok} expects {sig.arity(tok)} arguments", after=True)
-        nodes[node] = (APP, tok, tuple(args))
-        return node
+        if nodes and int in map(type, args):  # it reaches an open `mu` name
+            if slot is None:
+                slot = len(nodes)
+                nodes.append(None)
+            nodes[slot] = (APP, tok, tuple(args))
+            return slot
+        return _cons(tok, tuple(args))
 
-    # Open applications wait on a stack as (symbol, node, args so far,
-    # bound inside); each pass of the outer loop reads the head of one
-    # term, the inner loop closes finished ones.
+    # Open applications wait on a stack as (symbol, slot or None, args so
+    # far, bound inside); each pass of the outer loop reads the head of
+    # one term, the inner loop closes finished ones.
     stack: list[tuple] = []
     while True:
         tok = tokens[i]
@@ -722,33 +947,33 @@ def parse(text: str, sig: Optional[Signature] = None) -> RationalTerm:
         if not (tok[0].isalnum() or tok[0] in "_'"):
             raise _error(text, i - 1, f"unexpected token {tok!r}", after=True)
         bound = stack[-1][3] if stack else {}
+        slot = None
         if pending:
             names = dict(pending)  # each name's innermost `mu`
             pending.clear()
             if tok in names and bodiless is None:
                 bodiless = names[tok]  # raised once the rest has parsed
-            bound = {**bound, **dict.fromkeys(names, len(nodes))}  # the body's head's node
+            slot = len(nodes)  # the body's head's, if it is raw
+            nodes.append(None)
+            bound = {**bound, **dict.fromkeys(names, slot)}
         if tok in bound:
             node = bound[tok]
+        elif tokens[i] == "(":
+            i += 1
+            frame = (tok, slot, [], bound)
+            if tokens[i] != ")":
+                stack.append(frame)
+                continue
+            i += 1
+            node = close_app(frame, i - 1)
+        elif is_symbol(tok):
+            if sig is not None and sig.arity(tok) != 0:
+                raise _error(text, i, f"{tok} is not nullary")
+            node = _cons(tok, ())
         else:
-            node = len(nodes)
-            if tokens[i] == "(":
-                i += 1
-                nodes.append(None)
-                frame = (tok, node, [], bound)
-                if tokens[i] != ")":
-                    stack.append(frame)
-                    continue
-                i += 1
-                close_app(frame, i - 1)
-            elif is_symbol(tok):
-                if sig is not None and sig.arity(tok) != 0:
-                    raise _error(text, i, f"{tok} is not nullary")
-                nodes.append((APP, tok, ()))
-            else:
-                if tok == FALLBACK_VAR_NAME:
-                    raise _error(text, i, "reserved variable name")
-                nodes.append((VAR, tok))
+            if tok == FALLBACK_VAR_NAME:
+                raise _error(text, i, "reserved variable name")
+            node = _cons(tok, None)
         while stack:
             frame = stack[-1]
             frame[2].append(node)
@@ -763,7 +988,7 @@ def parse(text: str, sig: Optional[Signature] = None) -> RationalTerm:
         raise _error(text, i, f"trailing input {tokens[i]!r}")
     if bodiless is not None:
         raise _error(text, bodiless, "mu binder with no body")
-    return from_nodes(nodes, node)
+    return from_nodes(nodes, node) if node.__class__ is int else node
 
 
 _MU_NAMES = "XYZWVU"

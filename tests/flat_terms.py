@@ -1,0 +1,231 @@
+"""The flat canonical terms that the store of itrsbench.terms replaced,
+kept as test oracles.  A term here is a canonical node tuple, as
+RationalTerm.nodes gives it: entry i ("var", name) or ("app", symbol,
+(child, ...)), no two nodes bisimilar, numbered from the root 0.
+
+from_nodes hash-conses the nodes that reach no cycle and refines the
+rest with Hopcroft's algorithm over the one graph; replace copies the
+whole term, hash-conses the nodes it adds against the term's own and
+renumbers the result; redexes matches each node of one flat tuple once.
+Bindings name node numbers of the matched tuple."""
+
+from __future__ import annotations
+
+from typing import Mapping, Optional, Sequence
+
+from itrsbench.terms import APP, PLACED, ROOT, VAR, _refine
+
+
+def renumbered(nodes: Sequence, root: int) -> tuple:
+    """The nodes reachable from root, renumbered as RationalTerm.nodes
+    numbers them; the caller guarantees that no two are bisimilar."""
+    order = {root: 0}
+    out: list = [None]
+    stack = [root]
+    while stack:
+        k = stack.pop()
+        entry = nodes[k]
+        if entry[0] == VAR:
+            out[order[k]] = entry
+            continue
+        pending = []
+        children = []
+        for c in entry[2]:
+            o = order.get(c)
+            if o is None:
+                o = order[c] = len(out)
+                out.append(None)
+                pending.append(c)
+            children.append(o)
+        out[order[k]] = (APP, entry[1], tuple(children))
+        stack.extend(reversed(pending))
+    return tuple(out)
+
+
+def from_nodes(nodes: Sequence, root: int) -> tuple:
+    """The canonical tuple rooted at node root of a raw node list."""
+    mark: list = [None] * len(nodes)
+    quotient: list = []
+    table: dict = {}
+    labels: dict = {}
+    marks = mark.__getitem__
+    stack = [root]
+    while stack:
+        k = stack.pop()
+        if k >= 0:
+            if mark[k] is not None:
+                continue
+            entry = nodes[k]
+            if entry[0] == APP and entry[2]:
+                mark[k] = -1
+                stack.append(~k)
+                stack.extend(entry[2])
+                continue
+        else:
+            k = ~k
+            entry = nodes[k]
+            kids = tuple(map(marks, entry[2]))
+            if -1 in kids:
+                labels[k] = (entry[1], kids)
+                continue
+            entry = (APP, entry[1], kids)
+        m = table.get(entry)
+        if m is None:
+            m = table[entry] = len(quotient)
+            quotient.append(entry)
+        mark[k] = m
+    if labels:
+        cyclic = list(labels)
+        for j, k in enumerate(cyclic):
+            mark[k] = -2 - j
+        preds: list[list[tuple[int, int]]] = [[] for _ in cyclic]
+        for j, k in enumerate(cyclic):
+            for i, c in enumerate(nodes[k][2]):
+                m = mark[c]
+                if m < 0:
+                    preds[-2 - m].append((i, j))
+        block, count = _refine(list(labels.values()), preds)
+        base = len(quotient)
+        quotient.extend([None] * count)
+        for k, b in zip(cyclic, block):
+            mark[k] = base + b
+        for k, b in zip(cyclic, block):
+            if quotient[base + b] is None:
+                entry = nodes[k]
+                quotient[base + b] = (APP, entry[1], tuple(map(marks, entry[2])))
+    return renumbered(quotient, mark[root])
+
+
+def append_nodes(nodes: list, t: tuple, binding: Mapping[str, int] = {}) -> int:
+    """Copy the tuple t onto the end of the raw node list nodes and return
+    the index of the copy's root.  A variable that binding maps to an
+    index of nodes stands for that node instead of itself."""
+    offset = len(nodes)
+    where = [
+        binding.get(entry[1], offset + i) if entry[0] == VAR else offset + i
+        for i, entry in enumerate(t)
+    ]
+    nodes.extend(
+        entry if entry[0] == VAR else (APP, entry[1], tuple(where[c] for c in entry[2]))
+        for entry in t
+    )
+    return where[0]
+
+
+def node_at(t: tuple, p) -> Optional[int]:
+    """The number of the node reached by following p from the root, or None."""
+    idx = 0
+    for i in p:
+        entry = t[idx]
+        if entry[0] != APP or not (1 <= i <= len(entry[2])):
+            return None
+        idx = entry[2][i - 1]
+    return idx
+
+
+def _finish_order(t: tuple) -> Optional[list]:
+    """The nodes of t children first, or None when t has a cycle."""
+    state = [0] * len(t)
+    order: list[int] = []
+    stack = [0]
+    while stack:
+        k = stack.pop()
+        if k < 0:
+            state[~k] = 2
+            order.append(~k)
+        elif state[k] == 1:
+            return None
+        elif state[k] == 0:
+            state[k] = 1
+            stack.append(~k)
+            if t[k][0] == APP:
+                stack.extend(reversed(t[k][2]))
+    return order
+
+
+def replace(t: tuple, p, u: tuple, binding: Mapping[str, int] = {}) -> tuple:
+    """t with the subterm at p replaced by u; t itself when p is invalid.
+    A variable of u that binding maps to a node of t stands for that node."""
+    if node_at(t, p) is None:
+        return t
+    nodes = list(t)
+    index = {entry: i for i, entry in enumerate(t)}
+    added: dict = {}
+
+    def cons(entry) -> int:
+        k = index.get(entry)
+        if k is None:
+            k = added.get(entry)
+            if k is None:
+                k = added[entry] = len(nodes)
+                nodes.append(entry)
+        return k
+
+    order = _finish_order(u)
+    if order is None:
+        new = append_nodes(nodes, u, binding)
+    else:
+        where = [0] * len(u)
+        for i in order:
+            entry = u[i]
+            if entry[0] == VAR:
+                k = binding.get(entry[1])
+                where[i] = cons(entry) if k is None else k
+            else:
+                where[i] = cons((APP, entry[1], tuple(where[c] for c in entry[2])))
+        new = where[0]
+    spine = [0]
+    for i in p[:-1]:
+        spine.append(t[spine[-1]][2][i - 1])
+    for idx, i in zip(reversed(spine), reversed(p)):
+        entry = t[idx]
+        children = list(entry[2])
+        children[i - 1] = new
+        new = cons((APP, entry[1], tuple(children)))
+    if order is None:
+        return from_nodes(nodes, new)
+    return t if new == 0 else renumbered(nodes, new)
+
+
+def match_at(lhs, t: tuple, root: int) -> Optional[dict[str, int]]:
+    """The compiled match of the rule term lhs at node root of t, whose
+    label the caller has checked."""
+    image = [root] * len(lhs.nodes)
+    edges, leaves = lhs._pattern
+    for a, i, b, label in edges:
+        c = t[image[a]][2][i]
+        if label is PLACED:
+            if image[b] != c:
+                return None
+            continue
+        if label is not None:
+            entry = t[c]
+            if entry[0] != APP or entry[1] != label[0] or len(entry[2]) != label[1]:
+                return None
+        image[b] = c
+    return {x: image[b] for b, x in leaves}
+
+
+def redexes(system, t: tuple, depth_bound: int) -> list[tuple]:
+    """(position, rule, binding) of every redex with position length <=
+    depth_bound, outermost first, then left to right, then in rule order."""
+    out = []
+    hits_at: list = [None] * len(t)
+    queue = [(ROOT, 0)]
+    for p, idx in queue:
+        entry = t[idx]
+        if entry[0] != APP:
+            continue
+        hits = hits_at[idx]
+        if hits is None:
+            hits = hits_at[idx] = [
+                (rule, sigma)
+                for rule in system._by_root_label.get((entry[1], len(entry[2])), ())
+                if (sigma := match_at(rule.lhs, t, idx)) is not None
+            ]
+        for rule, sigma in hits:
+            out.append((p, rule, sigma))
+        if len(p) < depth_bound:
+            for i, c in enumerate(entry[2], 1):
+                queue.append((p + (i,), c))
+    return out

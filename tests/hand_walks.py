@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from itrsbench.layers import PrincipalCut, toplayer_fill
 from itrsbench.metrics import distance
+from flat_terms import node_at
 from itrsbench.terms import (
     _MU_NAMES,
     VAR,
     TermError,
     from_nodes,
     iter_positions,
-    node_at,
     sccs,
     subterm_at_node,
     variables,
@@ -29,7 +29,7 @@ from itrsbench.terms import (
 def knot(t, p, q):
     """The subterm of t at p, with the (relative) position q redirected
     back to its own root."""
-    base = node_at(t, p)
+    base = node_at(t.nodes, p)
     nodes = list(t.nodes)
     spine = [base]
     idx = base

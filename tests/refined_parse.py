@@ -17,13 +17,15 @@ from itrsbench.terms import (
     ParseError,
     RationalTerm,
     Signature,
-    _renumbered,
+    from_nodes,
 )
+from flat_terms import renumbered
 
 
 def refined_from_nodes(nodes: Sequence, root: int) -> RationalTerm:
     """The canonical term rooted at node root of a raw node list: trim,
-    Hopcroft refinement of the whole live graph, renumbered quotient."""
+    Hopcroft refinement of the whole live graph, renumbered quotient,
+    which is minimal, given to the store."""
     number = {root: 0}
     live = [root]
     kids: list[tuple[int, ...]] = []
@@ -96,7 +98,7 @@ def refined_from_nodes(nodes: Sequence, root: int) -> RationalTerm:
             if entry[0] == APP:
                 entry = (APP, entry[1], tuple(block[c] for c in kids[k]))
             quotient[b] = entry
-    return _renumbered(quotient, block[0])
+    return from_nodes(renumbered(quotient, block[0]), 0)
 
 
 _SPACE = re.compile(r"\s*")

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from itrsbench import Budgets, disjoint_union, parse, parse_itrs, simulate
+from itrsbench import Budgets, TermError, disjoint_union, parse, parse_itrs, rewriting, simulate
 from itrsbench.convergence import Fp, Kt, find_loop, find_root_recurrence, focussed_probe
 from itrsbench.rewriting import DEFAULT_WEAK_BUDGET
 from itrsbench.cli import build_parser, read_trace, run_command, write_trace
@@ -340,3 +340,49 @@ def test_fixture_files_on_disk_match_sources():
     for name, text in ITRS_SOURCES.items():
         on_disk = (FIXDIR / f"{name}.itrs").read_text()
         assert on_disk.strip() == text.strip()
+
+
+def test_the_trace_xi_writes_reads_back_and_validates(files, tmp_path, capsys):
+    """A segment of simulated steps (None) validates: stutters, steps, and
+    the stage that flips three cut edges at once are reductions of the
+    union; a tampered copy does not."""
+    trace, out = tmp_path / "t.jsonl", tmp_path / "xi.jsonl"
+    metric = ["--metric", files["exnonlin-r"], files["exnonlin-s"]]
+    assert run_command(["simulate", *metric, "--term", "F(0, 0, 0)", "--max-steps", "4",
+                        "--out", str(trace)]) == 0
+    assert run_command(["xi", *metric, "--trace", str(trace), "--rule", "succ",
+                        "--predicate", "fp:1", "--budget", "500", "--out", str(out)]) == 0
+    capsys.readouterr()
+    system = disjoint_union(parse_itrs(ITRS_SOURCES["exnonlin-r"]).system,
+                            parse_itrs(ITRS_SOURCES["exnonlin-s"]).system).system
+    tr = read_trace(str(out), system)
+    assert tr.segments[0].steps == [None] * 9
+    assert str(tr.all_terms()[-1]) == "F(S(0), S(0), S(0))"
+    tr.validate(system)
+    terms = tr.segments[0].terms
+    terms[-2], terms[-1] = terms[-1], terms[-2]
+    with pytest.raises(TermError, match="does not replay"):
+        tr.validate(system)
+
+
+def test_read_trace_and_replay_match_once_per_step(files, tmp_path, monkeypatch, capsys):
+    """read_trace applies the occurrence it matched; replay matches each
+    step once to read it, and replay_loop, the checker, once more."""
+    trace, witness = tmp_path / "t.jsonl", tmp_path / "w.json"
+    assert run_command(["simulate", "--metric", files["exnonlin-r"], files["exnonlin-s"],
+                        "--term", "F(0, 0, 0)", "--max-steps", "4", "--out", str(trace)]) == 0
+    assert run_command(["analyze", "--metric", files["toyama-r"], files["toyama-s"],
+                        "--term", "F(0, 1, G(0, 1))", "--json", "--out", str(witness),
+                        "--budget", "5000"]) == 0
+    capsys.readouterr()
+    system = disjoint_union(parse_itrs(ITRS_SOURCES["exnonlin-r"]).system,
+                            parse_itrs(ITRS_SOURCES["exnonlin-s"]).system).system
+    calls = []
+    match_at = rewriting._match_at
+    monkeypatch.setattr(rewriting, "_match_at", lambda *args: calls.append(1) or match_at(*args))
+    assert len(read_trace(str(trace), system).segments[0].steps) == 4
+    assert len(calls) == 4
+    calls.clear()
+    data = json.loads(witness.read_text())["witness"]
+    assert run_command(["replay", str(witness)]) == 0
+    assert len(calls) == 2 * (len(data["prefix"]) + len(data["cycle"])) > 0

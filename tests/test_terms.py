@@ -35,10 +35,8 @@ from itrsbench import (
     variables,
 )
 from itrsbench.terms import (
-    _INTERN,
     APP,
     VAR,
-    append_nodes,
     from_nodes,
     iter_positions,
     node_at,
@@ -47,6 +45,7 @@ from itrsbench.terms import (
 )
 import itrsbench.terms as terms_module
 from conftest import GENERIC_SIG, random_finite_term, random_rational_term, rng_for
+import flat_terms
 import hand_walks
 from named_spec_parse import named_spec_parse
 from refined_parse import lazy_parse, refined_from_nodes
@@ -387,18 +386,23 @@ def test_mu_free_parse_runs_no_refinement(monkeypatch):
     assert len(from_nodes(shared + shared, 0).nodes) == 41
     assert calls == []
     assert len(parse("F(mu X. G(G(X)), x)", GENERIC_SIG).nodes) == 3
-    assert calls == [3]
+    assert calls == [2]
 
 
 def test_intern_table_is_weak():
-    text = "F(Interned, mu X. G(X))"
+    text = "F(Interned, mu X. G(Interned(X)))"
     t = parse(text)
     assert parse(text) is t
-    key = t.nodes
-    assert _INTERN[key] is t
-    del t
+    key = ("Interned", ())
+    assert terms_module._TABLE[key]() is subterm(t, (1,))
+    loop = subterm(t, (2,))._loop  # the nodes of the G-loop, which one node stands for
+    fingerprints = {f for f, refs in terms_module._LOOPS.items()
+                    if any(ref()._loop is loop for ref in refs)}
+    assert len(fingerprints) == 1
+    del t, loop
     gc.collect()
-    assert key not in _INTERN
+    assert key not in terms_module._TABLE
+    assert fingerprints.isdisjoint(terms_module._LOOPS)
 
 
 def test_copy_and_pickle_return_the_interned_term():
@@ -491,7 +495,7 @@ def refined_replace(t, p, u, binding):
     """replace by full refinement: t's nodes, a copy of u and a fresh
     spine along p in one raw node list, canonicalised by from_nodes."""
     nodes = list(t.nodes)
-    new = append_nodes(nodes, u, binding)
+    new = flat_terms.append_nodes(nodes, u.nodes, binding)
     spine = [0]
     for i in p[:-1]:
         spine.append(nodes[spine[-1]][2][i - 1])
@@ -523,7 +527,7 @@ def test_hash_consed_replace_is_the_refined_term():
         nodes = range(len(t.nodes))
         binding = {x: rng.choice(nodes) for x in rhs_vars if rng.random() < 0.7}
         p, idx = rng.choice(list(iter_positions(t, 5)))
-        got = replace(t, p, u, binding)
+        got = replace(t, p, u, {x: subterm_at_node(t, i) for x, i in binding.items()})
         assert got is refined_replace(t, p, u, binding), (t, p, u, binding)
         assert subterm_at_node(t, idx) is from_nodes(t.nodes, idx)
         on_cycle = any(idx in comp and len(comp) > 1 for comp in sccs([0], t.children_of))
@@ -542,14 +546,14 @@ def test_replace_folds_into_the_term_and_keeps_it_when_unchanged():
     got = replace(t, (1,), parse("F(x)"), {"x": node_at(t, (2,))})
     assert got is parse("H(mu X. F(X), mu X. F(X))")
     assert got.nodes == ((APP, "H", (1, 1)), (APP, "F", (1,)))
-    assert replace(loop, (), parse("F(x)"), {"x": 0}) is loop
+    assert replace(loop, (), parse("F(x)"), {"x": loop}) is loop
     # a cyclic rhs folds too, through refinement
     assert replace(t, (1,), parse("F(mu X. F(X))")) is got
     # an rhs equal to the replaced subterm gives t itself
     s = parse("F(G(c), H(mu X. G(X)))")
     for p, idx in iter_positions(s, 4):
         assert replace(s, p, subterm_at_node(s, idx)) is s
-        assert replace(s, p, parse("x"), {"x": idx}) is s
+        assert replace(s, p, parse("x"), {"x": subterm_at_node(s, idx)}) is s
         assert subterm_at_node(s, idx) is subterm(s, p)
 
 
