@@ -12,9 +12,8 @@ leaves it at the garbage collection that frees its loop.
 A node on no cycle is hash-consed by (symbol, argument nodes), which is
 exact since the arguments are unique.  A strongly connected component
 of new nodes with a cycle, a loop, is refined by Hopcroft's algorithm
-(linear on a ring) and placed whole: it meets a stored loop that it
-points into or that has its multiset of node keys (a node's label with
-the labels of its children in the loop), if the two are bisimilar.
+and placed whole: it meets a stored loop that it points into or that
+has its multiset of node labels, if the two are bisimilar.
 from_nodes builds a term from a raw graph this way, and graph_term,
 parse (for the part of a text under a `mu` name), a cyclic substitute
 and the layer constructions go through it; a graph without a cycle runs
@@ -370,9 +369,8 @@ def _place_loop(symbols: list, kids: list) -> list[RationalTerm]:
     _refine merges its bisimilar nodes, with a child outside as part of
     the label and a child inside as an edge.  The quotient can meet a
     stored loop in two ways: it points into that loop, or the two have one
-    multiset of keys, a node's label with its inner children's labels,
-    whose fingerprint does not depend on where a walk enters the loop
-    (_stored_loop).  Otherwise it is stored as a new loop.
+    multiset of labels, whose fingerprint does not depend on where a walk
+    enters the loop (_stored_loop).  Otherwise it is stored as a new loop.
     """
     labels, preds = _graph(symbols, kids)
     block, count = _refine(labels, preds)
@@ -386,14 +384,8 @@ def _place_loop(symbols: list, kids: list) -> list[RationalTerm]:
         labels = [labels[j] for j in first]
     else:
         block = range(count)  # already minimal
-    keys = [(labels[j], tuple([labels[c] for c in ks if c.__class__ is int]))
-            for j, ks in enumerate(kids)]
-    counts = Counter(keys)
-    fingerprint = hash(frozenset(counts.items()))
-    key = next((key for key, k in counts.items() if k == 1), None)
-    anchor = None if key is None else (keys.index(key), key)
-    stored = _stored_loop(fingerprint, symbols, kids, anchor) or _new_loop(
-        fingerprint, symbols, kids)
+    fingerprint = hash(frozenset(Counter(labels).items()))
+    stored = _stored_loop(fingerprint, symbols, kids) or _new_loop(fingerprint, symbols, kids)
     return [stored[b] for b in block]
 
 
@@ -414,27 +406,20 @@ def _graph(symbols: list, kids: list) -> tuple[list, list[list]]:
     return labels, preds
 
 
-def _stored_loop(fingerprint: int, symbols: list, kids: list, anchor) -> Optional[list]:
+def _stored_loop(fingerprint: int, symbols: list, kids: list) -> Optional[list]:
     """The stored nodes bisimilar to the nodes of a minimal loop, or None.
 
     A stored node bisimilar to one of them lies on a stored loop that the
     loop points into or that has its fingerprint, and that loop takes all
-    of it.  A loop of the fingerprint that it does not point into has its
-    keys (see _place_loop), so when anchor = (node, key) has a key no other node
-    has, only one stored node can match it, and one walk from that pair
-    decides (_image).  The other loops go through one joint _refine.
-    Each is O(m log n).
+    of it.  One joint _refine of the loop with those stored loops decides,
+    in O(m log n).
     """
     tables = {id(t): t for ks in kids for c in ks
               if c.__class__ is not int and (t := c._loop) is not None}
     for ref in _LOOPS.get(fingerprint, ()):
         node = ref()
-        if node is None or id(node._loop) in tables:
-            continue
-        if anchor is None:
+        if node is not None:
             tables[id(node._loop)] = node._loop
-        elif (image := _image(node._loop, anchor, symbols, kids)) is not None:
-            return image
     if not tables:
         return None
     n = len(kids)
@@ -447,37 +432,6 @@ def _stored_loop(fingerprint: int, symbols: list, kids: list, anchor) -> Optiona
     found = {block[j]: m for m, j in number.items()}
     image = [found.get(block[j]) for j in range(n)]
     return image if image[0] is not None else None
-
-
-def _image(table: dict, anchor: tuple, symbols: list, kids: list) -> Optional[list]:
-    """The nodes of a stored loop (its table) that a minimal loop maps to,
-    the anchor's node to the stored node with its key, or None when they
-    differ."""
-    labels = {m: (m.symbol, tuple([None if a._loop is table else a for a in m.args]))
-              for m in table.values()}
-    j, key = anchor
-    start = next((m for m, label in labels.items() if key == (
-        label, tuple([labels[a] for a in m.args if a._loop is table]))), None)
-    if start is None:
-        return None
-    image: list = [None] * len(kids)
-    image[j] = start
-    todo = [j]
-    while todo:
-        j = todo.pop()
-        node = image[j]
-        if node.symbol != symbols[j] or len(node.args) != len(kids[j]):
-            return None
-        for c, a in zip(kids[j], node.args):
-            if c.__class__ is not int:
-                if c is not a:
-                    return None
-            elif image[c] is None and a._loop is table:
-                image[c] = a
-                todo.append(c)
-            elif image[c] is not a:
-                return None
-    return image
 
 
 def _new_loop(fingerprint: int, symbols: list, kids: list) -> list[RationalTerm]:
@@ -504,7 +458,8 @@ def _refine(labels: list, preds: list) -> tuple[list[int], int]:
     Hopcroft 1971, in the splitter form of Paige & Tarjan, SIAM J.
     Comput. 1987.  Every block starts waiting, and a block that splits
     while not waiting queues only its smaller part, so O(m log n) in all.
-    A graph that is one cycle, a ring, is settled in O(n) by _ring.
+    A splitter of one node with one parent, every splitter but the first
+    on a ring, takes that parent out of its block directly.
     """
     block: list[int] = []
     members: list[set[int]] = []
@@ -518,14 +473,23 @@ def _refine(labels: list, preds: list) -> tuple[list[int], int]:
         block.append(b)
     if len(members) == len(labels):
         return block, len(members)
-    ring = _ring(labels, preds)
-    if ring is not None:
-        return ring
     waiting = list(range(len(members)))
     is_waiting = [True] * len(members)
     while waiting:
         b = waiting.pop()
         is_waiting[b] = False
+        if len(members[b]) == 1:
+            (k,) = members[b]
+            if len(preds[k]) == 1:  # the step below, for one parent p
+                p = preds[k][0][1]
+                rest = members[block[p]]
+                if len(rest) > 1:
+                    rest.discard(p)
+                    block[p] = len(members)
+                    members.append({p})
+                    waiting.append(block[p])
+                    is_waiting.append(True)
+                continue
         by_letter: dict[int, list[int]] = {}
         for k in list(members[b]):  # b itself may split below
             for i, p in preds[k]:
@@ -551,40 +515,6 @@ def _refine(labels: list, preds: list) -> tuple[list[int], int]:
                     is_waiting[c] = True
                     is_waiting.append(False)
     return block, len(members)
-
-
-def _ring(labels: list, preds: list) -> Optional[tuple[list[int], int]]:
-    """_refine of a graph that is one cycle, or None when it is not: the
-    labels read along the cycle (with the letter of each edge) form a
-    word, and a node's block is its place modulo the word's least period
-    (the Knuth-Morris-Pratt failure function)."""
-    n = len(labels)
-    seen = [False] * n
-    order = []  # the nodes, walking the edges backwards from node 0
-    word = []
-    k = 0
-    for _ in range(n):
-        if len(preds[k]) != 1:
-            return None
-        i, k = preds[k][0]
-        if seen[k]:
-            return None
-        seen[k] = True
-        order.append(k)
-        word.append((labels[k], i))
-    fail = [0] * n  # the longest proper border of word[: t + 1]
-    for t in range(1, n):
-        f = fail[t - 1]
-        while f and word[t] != word[f]:
-            f = fail[f - 1]
-        fail[t] = f + (word[t] == word[f])
-    period = n - fail[-1]
-    if n % period:
-        period = n
-    block = [0] * n
-    for t, k in enumerate(order):
-        block[k] = t % period
-    return block, period
 
 
 def var(name: str) -> RationalTerm:

@@ -116,6 +116,29 @@ def test_simulate_script_and_validate():
     tr.validate(system)
 
 
+def test_a_simulated_step_is_one_parallel_step():
+    """A simulated step (None) validates when it contracts pairwise
+    disjoint redexes, none, one, several, or infinitely many on a cycle,
+    and not when a step is left out of the middle of a trace."""
+    system, _ = load_union("exnonlin-r", "exnonlin-s")
+
+    def check(*texts):
+        terms = [parse(t, system.sig) for t in texts]
+        Trace([Segment(terms, [None] * (len(terms) - 1))]).validate(system)
+
+    check("F(0, 0, 0)", "F(0, 0, 0)", "F(0, S(0), 0)", "F(S(0), S(0), S(0))")
+    check("F(x, 0, 0)", "F(x, S(0), 0)")
+    check("mu X. F(0, X, X)", "mu X. F(S(0), X, X)", "mu X. F(S(S(0)), X, X)")
+    chain = ["F(0, 0, 0)", "F(0, 0, S(0))", "F(0, S(0), 0)", "F(S(0), S(0), 0)",
+             "F(S(0), 0, S(0))"]
+    check(*chain)
+    for k in (2, 3):
+        with pytest.raises(TermError, match=f"step {k - 1} does not replay"):
+            check(*chain[:k], *chain[k + 1 :])
+    with pytest.raises(TermError, match="step 0 does not replay"):
+        check("mu X. F(0, X, X)", "mu X. F(S(S(0)), X, X)")
+
+
 def test_simulate_script_matches_once_per_step(monkeypatch):
     system, _, tr = exnonlin_trace()
     script = [(occ.position, occ.rule.name) for occ in tr.segments[0].steps]

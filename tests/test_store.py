@@ -259,8 +259,8 @@ def test_a_ring_built_apart_is_the_stored_one():
 
 
 def test_placing_a_loop_is_not_quadratic():
-    """Loops of 20000 nodes met twice, through the anchored walk and the
-    joint refinement: O(m log n), where a quadratic step takes minutes."""
+    """Loops of 20000 nodes met twice through the joint refinement:
+    O(m log n), where a quadratic step takes minutes."""
     n = 20000
     ring = parse(marker_ring(n))
     assert parse(marker_ring(n, n // 2)) is node_at(ring, (1,) * (n // 2))
