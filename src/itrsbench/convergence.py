@@ -376,9 +376,10 @@ def _loop_witness(system: ITRS, graph: ReductionGraph) -> Optional[LoopWitness]:
     """find_loop's choice of witness within the explored graph, or None."""
     t0 = graph.start
     components = [comp for comp in graph.components() if len(comp) > 1]
-    # prefer a loop through the start term itself when one exists
-    components.sort(key=lambda comp: (t0 not in comp, min(map(str, comp))))
-    for comp in components:
+    # prefer a loop through the start term itself when one exists; only
+    # without one are the components ordered by their least term text
+    home = [comp for comp in components if t0 in comp]
+    for comp in home or sorted(components, key=lambda comp: min(map(str, comp))):
         base = t0 if t0 in comp else min(comp, key=str)
         prefix = graph.path(base)
         if prefix is None:

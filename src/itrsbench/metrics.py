@@ -3,23 +3,27 @@
 A term metric assigns each function symbol one monotone component per
 argument; the induced n-ary map is the max of the components applied
 argument-wise.  Distances between rational terms are read off the
-product graph and variable depths off the term graph, both split the
-same way.  On granular metrics each is a lightest path, 2^-k times the
-value at its end, k the fewest lazy edges on a path to a clash pair (at
-1) or to an occurrence of the variable (at y); that holds off the
-completion too.  Other metrics take the greatest solution of the
-equations (on a granular metric it equals the lightest path on every
-member of the completion, not off it).  One solver finds it for both,
-one strongly connected component at a time, children first: a node that
-reaches no nonzero leaf is 0 (for distance, a matched pair whose two
-subterms denote the same tree), a node on no cycle takes one step, any
-other cycle is swept down from 1 on its own, and the answer is exact
-whenever every exact sweep settles.
+product graph on pairs of store nodes, which never enters a pair of one
+node twice (that pair is 0), and variable depths off the flat view of the
+term graph; both are split the same way.  On granular metrics each is a
+lightest path, 2^-k times the value at its end, k the fewest lazy edges
+on a path to a clash pair (at 1) or to an occurrence of the variable (at
+y); that holds off the completion too.  Other metrics take the greatest
+solution of the equations (on a granular metric it equals the lightest
+path on every member of the completion, not off it).  One solver finds
+it for both, one strongly connected component at a time, children first:
+a node that reaches no nonzero leaf is 0, a node on no cycle takes one
+step, any other cycle is swept down from 1 on its own, and the answer is
+exact whenever every exact sweep settles.  A distance under a metric
+whose scale factors and cap bounds are powers of two and whose pows are
+integers is swept on integer exponents, v = 2^-e; values stay for other
+constants and for variable depths.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -256,6 +260,35 @@ def _power_of_half(e: Number) -> str:
     return f"2^-{e}" if e.denominator == 1 else f"2^-({e})"
 
 
+def _exponent_map(comp: Component) -> Optional[Callable[[int], int]]:
+    """comp.on_exponent's image as a map of ints, when comp keeps integer
+    exponents integers: every scale factor and cap bound a power of two,
+    every pow exponent an integer.  None otherwise."""
+    if isinstance(comp, Compose):
+        maps = [_exponent_map(part) for part in reversed(comp.parts)]
+        if None in maps:
+            return None
+
+        def composed(e: int) -> int:
+            for f in maps:
+                e = f(e)
+            return e
+
+        return composed
+    if isinstance(comp, Pow):
+        if comp.exponent.denominator != 1:
+            return None
+        k = comp.exponent.numerator
+        return lambda e: k * e
+    log = _log2(comp.factor if isinstance(comp, Scale) else comp.bound)
+    if isinstance(log, float):
+        return None
+    log = int(log)
+    if isinstance(comp, Scale):
+        return lambda e: e - log if e > log else 0
+    return lambda e: e if e > -log else -log
+
+
 # --- term metrics ----------------------------------------------------------
 
 
@@ -282,12 +315,42 @@ class TermMetric:
             for c in comps
         )
 
+    @cached_property
+    def _weights(self) -> dict:
+        """Per symbol, the lazy_weight of each argument's component; read
+        on granular metrics only."""
+        return {s: tuple(map(lazy_weight, comps)) for s, comps in self.components.items()}
+
+    @cached_property
+    def _exponent_maps(self) -> Optional[dict]:
+        """Per symbol, each argument's component as a map of integer
+        exponents (see _exponent_map), or None unless every component
+        has one."""
+        maps = {s: tuple(map(_exponent_map, comps)) for s, comps in self.components.items()}
+        return None if any(None in row for row in maps.values()) else maps
+
     def covers(self, t: RationalTerm) -> bool:
-        return all(
-            entry[0] == VAR
-            or (entry[1] in self.sig and self.sig.arity(entry[1]) == len(entry[2]))
-            for entry in t.nodes
-        )
+        """Is every node of t over the signature, with its arity?  A node
+        marked as checked under this signature is not walked again, and a
+        walk that finds every node covered marks the nodes it walked."""
+        sig = self.sig
+        if t._checked is sig:
+            return True
+        arity = sig.symbols.get
+        walked = {t}
+        stack = [t]
+        while stack:
+            node = stack.pop()
+            if node.args is not None:
+                if arity(node.symbol) != len(node.args):
+                    return False
+                for c in node.args:
+                    if c._checked is not sig and c not in walked:
+                        walked.add(c)
+                        stack.append(c)
+        for node in walked:
+            node._checked = sig
+        return True
 
     def check_term(self, t: RationalTerm):
         if not self.covers(t):
@@ -334,68 +397,82 @@ def metric_granular(sig: Signature, laziness: Mapping[str, Sequence[str]]) -> Te
 def distance(m: TermMetric, t: RationalTerm, u: RationalTerm) -> Number:
     m.check_term(t)
     m.check_term(u)
-    if t == u:
+    if t is u:
         return Fraction(0)
-    clash, edges = _product(m, t, u)
+    # distinct nodes are not bisimilar, so (t, u) reaches a clash, and every
+    # pair without edges is one
+    root = (t, u)
     if m.is_granular:
         # distance = 2^(-w) for w = the fewest lazy edges on a product-graph
         # path to a root-symbol clash
-        best = _lightest_path((0, 0), clash, edges)
-        return Fraction(0) if best is None else Fraction(1, 2**best)
-    return _fixpoint((0, 0), edges, lambda pair: Fraction(clash(pair)))
+        best = _lightest_path(root, _clash, _product(m._weights))
+        return Fraction(0) if best is None else Fraction(1, 1 << best)
+    maps = m._exponent_maps
+    if maps is not None:
+        e = _fixpoint(root, _product(maps), lambda pair: 0, on_exponents=True)
+        if e is not None:
+            return Fraction(1, 1 << e)  # 2**e squares its way up: seconds at e = 2^30
+    return _fixpoint(root, _product(m.components), lambda pair: Fraction(1))
 
 
-def _product(m: TermMetric, t: RationalTerm, u: RationalTerm):
-    """The product graph of t and u, rooted at (0, 0): the clash test on
-    node pairs, and the edges of a pair to its paired children (none from a
-    clash), each under the component of its argument."""
+def _clash(pair: tuple[RationalTerm, RationalTerm]) -> bool:
+    """Do the two distinct nodes of pair differ at the root?  Under one
+    signature, one symbol means one arity, and two variables of one name
+    are one node."""
+    a, b = pair
+    return a.symbol != b.symbol or a.args is None or b.args is None
 
-    def clash(pair) -> bool:
-        return t.label_of(pair[0]) != u.label_of(pair[1])
+
+def _product(table: Mapping[str, tuple]):
+    """The edges of the product graph on pairs of store nodes: none from a
+    clash, and from a pair that agrees at the root, one to each pair of
+    arguments that are distinct nodes, under the argument's entry in table
+    (per symbol, one entry per argument).  A pair of one node twice
+    denotes one tree, at distance 0, so it is never entered."""
 
     def edges(pair):
-        if clash(pair):
+        if _clash(pair):
             return ()
         a, b = pair
-        return [
-            (m.component(t.nodes[a][1], i), nxt)
-            for i, nxt in enumerate(zip(t.children_of(a), u.children_of(b)), start=1)
-        ]
+        return [(f, (x, y)) for f, x, y in zip(table[a.symbol], a.args, b.args) if x is not y]
 
-    return clash, edges
+    return edges
 
 
 def _lightest_path(
     start: Hashable,
     is_goal: Callable[[Hashable], bool],
-    edges: Callable[[Hashable], Iterable[tuple[Component, Hashable]]],
+    edges: Callable[[Hashable], Iterable[tuple[int, Hashable]]],
 ) -> Optional[int]:
-    """Least total lazy_weight of a path from start to a goal node.
+    """Least total weight of a path from start to a goal node.
 
-    edges(node) yields (component, next) pairs; every weight is 0 or
-    more, so Dijkstra applies.  None when no goal node is reachable.
+    edges(node) yields (weight, next) pairs; every weight is 0 or more, so
+    Dijkstra applies.  None when no goal node is reachable.  A counter
+    breaks ties on the heap, so nodes need not be ordered.
     """
     dist = {start: 0}
-    heap = [(0, start)]
+    tie = itertools.count(1)
+    heap = [(0, 0, start)]
     while heap:
-        w, node = heapq.heappop(heap)
+        w, _, node = heapq.heappop(heap)
         if w > dist[node]:
             continue
         if is_goal(node):
             return w
-        for comp, nxt in edges(node):
-            nw = w + lazy_weight(comp)
+        for weight, nxt in edges(node):
+            nw = w + weight
             if nw < dist.get(nxt, nw + 1):
                 dist[nxt] = nw
-                heapq.heappush(heap, (nw, nxt))
+                heapq.heappush(heap, (nw, next(tie), nxt))
     return None
 
 
 def _fixpoint(
     root: Hashable,
-    edges: Callable[[Hashable], Sequence[tuple[Component, Hashable]]],
+    edges: Callable[[Hashable], Sequence[tuple[Callable, Hashable]]],
     leaf: Callable[[Hashable], Number],
-) -> Number:
+    on_exponents: bool = False,
+) -> Optional[Number]:
     """Value at root of the greatest solution of v(n) = leaf(n) at nodes
     without edges and v(n) = max(c(v(k)) for c, k in edges(n)) elsewhere.
 
@@ -408,6 +485,13 @@ def _fixpoint(
     values have underflowed a float), or 4 sweeps of one component per
     node with edges plus 64, move every value to floats, and from then on
     each component is swept until the largest change is below TOL.
+
+    on_exponents sweeps the same equations on integer exponents, v = 2^-e:
+    each c is then a component's _exponent_map, leaf(n) an exponent
+    (math.inf for a value 0), the max of values is the min of exponents,
+    and a cycle climbs from 0.  The answer is the exponent at root, exact,
+    or None where the sweeps on values would move to floats: the caller
+    then solves on values.
     """
     succ: dict = {}
 
@@ -418,14 +502,17 @@ def _fixpoint(
     comps = sccs([root], kids)
     # exact sweeps per component; None once the values are floats
     limit: Optional[int] = 4 * sum(1 for out in succ.values() if out) + 64
+    if on_exponents:
+        zero, one, best = math.inf, 0, min
+    else:
+        zero, one, best = Fraction(0), Fraction(1), max
     value: dict = {}
     live: set = set()  # the nodes that reach a nonzero leaf; the others are 0
-    one: Number = Fraction(1)
     for comp in comps:
         head = comp[0]
         if not succ[head]:
             x = leaf(head)
-            if x:
+            if x != zero:
                 live.add(head)
                 value[head] = x if limit is not None else float(x)
             continue
@@ -433,8 +520,8 @@ def _fixpoint(
             continue
         live.update(comp)
         if len(comp) == 1 and all(k != head for _c, k in succ[head]):
-            new = max(c(value[k]) for c, k in succ[head] if k in live)
-            value[head] = one if new == 1 else new  # as a sweep from 1: 1.0 stays exact
+            new = best(c(value[k]) for c, k in succ[head] if k in live)
+            value[head] = one if new == one else new  # as a sweep from 1: 1.0 stays exact
             continue
         value.update(dict.fromkeys(comp, one))
         sweeps = 0
@@ -443,17 +530,21 @@ def _fixpoint(
             changed = blurred = False
             delta = 0.0
             for n in comp:
-                new = max(c(value[k]) for c, k in succ[n] if k in live)
+                new = best(c(value[k]) for c, k in succ[n] if k in live)
                 if new != value[n]:
-                    step = abs(float(new) - float(value[n]))
-                    changed, blurred, delta = True, blurred or not step, max(delta, step)
+                    changed = True
+                    if not on_exponents:
+                        step = abs(float(new) - float(value[n]))
+                        blurred, delta = blurred or not step, max(delta, step)
                     value[n] = new
             if not changed or (limit is None and (delta < TOL or sweeps >= ITER_BUDGET)):
                 break
             if limit is not None and (blurred or sweeps >= limit):
+                if on_exponents:
+                    return None
                 value = {n: float(v) for n, v in value.items()}
                 one, limit, sweeps = 1.0, None, 0
-    return value[root] if root in live else Fraction(0)
+    return value[root] if root in live else zero
 
 
 # --- positional umms and epsilon-positions ---------------------------------
@@ -675,19 +766,28 @@ class VariableDepth:
         if not 0 <= y <= 1:
             raise TermError(f"variable depth is defined on [0, 1], not at {y}")
         at_x = (VAR, self.variable)
+        nodes = self.term.nodes
         if self.metric.is_granular:
-            best = _lightest_path(0, lambda idx: self.term.nodes[idx] == at_x, self._edges)
-            return Fraction(0) if best is None else y * Fraction(1, 2**best)
+            best = _lightest_path(
+                0, lambda idx: nodes[idx] == at_x, self._edges(self.metric._weights)
+            )
+            return Fraction(0) if best is None else y * Fraction(1, 1 << best)
         return _fixpoint(
-            0, self._edges, lambda idx: y if self.term.nodes[idx] == at_x else Fraction(0)
+            0,
+            self._edges(self.metric.components),
+            lambda idx: y if nodes[idx] == at_x else Fraction(0),
         )
 
-    def _edges(self, idx: int) -> list[tuple[Component, int]]:
-        entry = self.term.nodes[idx]
-        return [
-            (self.metric.component(entry[1], i), child)
-            for i, child in enumerate(self.term.children_of(idx), start=1)
-        ]
+    def _edges(self, table: Mapping[str, tuple]):
+        """The edges of the term graph by node number, each under its
+        argument's entry in table (per symbol, one entry per argument)."""
+        nodes = self.term.nodes
+
+        def edges(idx: int) -> list:
+            entry = nodes[idx]
+            return list(zip(table[entry[1]], entry[2])) if entry[0] == APP else []
+
+        return edges
 
 
 def vdepth(m: TermMetric, t: RationalTerm, x: str) -> VariableDepth:

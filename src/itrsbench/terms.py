@@ -22,8 +22,9 @@ the instance of the right-hand side and the spine above its position,
 O(|p| + |rhs|) for a finite one, and visits nothing else.
 
 RationalTerm.nodes is a cached flat view for the code that reads a graph
-by index (metrics, layers, to_text, the CLI): the nodes reachable from
-the root, numbered from the root 0.  One cached walk of it answers
+by index (membership, epsilon-positions and variable depths, layers,
+to_text, the CLI; distance walks nodes): the nodes reachable from the
+root, numbered from the root 0.  One cached walk of it answers
 term_depth and places to_text's binders.
 """
 
@@ -121,9 +122,14 @@ class RationalTerm:
     """A node of the store, and the term it roots: immutable, and no other
     live node is bisimilar to it, so == is identity.  symbol is a function
     symbol or a variable's name; args holds the argument nodes, None for
-    a variable.  Built only by this module's constructors."""
+    a variable.  Built only by this module's constructors.  Two marks are
+    kept on a node for other layers: _hits, its redexes per system
+    (rewriting.redexes), and _checked, the last signature found to cover
+    every node below it (metrics.TermMetric.covers)."""
 
-    __slots__ = ("symbol", "args", "_finite", "_loop", "_hits", "__weakref__", "__dict__")
+    __slots__ = (
+        "symbol", "args", "_finite", "_loop", "_hits", "_checked", "__weakref__", "__dict__"
+    )
 
     def __reduce__(self):  # copy, deepcopy and pickle give the stored term
         return from_nodes, (self.nodes, 0)
@@ -296,7 +302,7 @@ def _cons(symbol: str, args: Optional[tuple]) -> RationalTerm:
     node.args = args
     node._finite = finite
     node._loop = None
-    node._hits = None
+    node._hits = node._checked = None
     ref = _TABLE[key] = _Ref(node, _drop)
     ref.key = key
     return node
@@ -442,7 +448,7 @@ def _new_loop(fingerprint: int, symbols: list, kids: list) -> list[RationalTerm]
         node.args = tuple([members[c] if c.__class__ is int else c for c in ks])
         node._finite = False
         node._loop = table
-        node._hits = None
+        node._hits = node._checked = None
         table[(symbol, node.args) if node.args in table else node.args] = node
     ref = _Ref(members[0], _drop_loop)
     ref.key = fingerprint

@@ -75,6 +75,17 @@ def mutate(rng: random.Random, t, sig: Signature, max_depth: int = 3):
     return replace(t, p, random_finite_term(rng, sig, max_depth))
 
 
+def store_nodes(t) -> set:
+    """Every store node below t, t included."""
+    seen, stack = {t}, [t]
+    while stack:
+        for c in stack.pop().args or ():
+            if c not in seen:
+                seen.add(c)
+                stack.append(c)
+    return seen
+
+
 def common_position(rng: random.Random, t, u, bound: int = 4):
     ps = sorted(term_positions(t, bound) & term_positions(u, bound))
     return rng.choice(ps)

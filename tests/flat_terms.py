@@ -7,7 +7,8 @@ from_nodes hash-conses the nodes that reach no cycle and refines the
 rest with Hopcroft's algorithm over the one graph; replace copies the
 whole term, hash-conses the nodes it adds against the term's own and
 renumbers the result; redexes matches each node of one flat tuple once.
-Bindings name node numbers of the matched tuple."""
+Bindings name node numbers of the matched tuple.  product is the graph
+that distance solved on index pairs of two flat terms."""
 
 from __future__ import annotations
 
@@ -229,3 +230,29 @@ def redexes(system, t: tuple, depth_bound: int) -> list[tuple]:
             for i, c in enumerate(entry[2], 1):
                 queue.append((p + (i,), c))
     return out
+
+
+def product(m, t: tuple, u: tuple):
+    """The product graph of the flat terms t and u under the metric m,
+    rooted at (0, 0), as distance walked it before it walked pairs of
+    store nodes: the clash test on index pairs, and the edges of a pair to
+    its paired children (none from a clash), each under the component of
+    its argument.  A pair of one node twice is entered too."""
+
+    def label(nodes: tuple, k: int):
+        entry = nodes[k]
+        return (VAR, entry[1]) if entry[0] == VAR else (entry[1], len(entry[2]))
+
+    def clash(pair) -> bool:
+        return label(t, pair[0]) != label(u, pair[1])
+
+    def edges(pair):
+        a, b = pair
+        if clash(pair) or t[a][0] == VAR:
+            return ()
+        return [
+            (m.component(t[a][1], i), nxt)
+            for i, nxt in enumerate(zip(t[a][2], u[b][2]), start=1)
+        ]
+
+    return clash, edges

@@ -18,6 +18,7 @@ from itrsbench import (
     Kt,
     LoopWitness,
     NonMemberLimitWitness,
+    RationalTerm,
     Rule,
     Segment,
     Signature,
@@ -542,6 +543,31 @@ def test_a_loop_found_at_one_budget_is_found_at_every_larger_one(name):
         found.append(w is not None)
     assert found == sorted(found)
     assert found[-1] == (name != "exa")
+
+
+def test_the_loop_through_the_start_term_wins_unprinted(monkeypatch):
+    """B -> A, B -> D, B -> C, A <-> D and C -> B: the layer that closes
+    B -> C -> B has closed A <-> D first, whose least term text is
+    smaller.  The component holding the start term still gives the
+    witness, the one of the whole graph's old rule, and no term is
+    printed to choose it."""
+    sig = Signature({"A": 0, "B": 0, "C": 0, "D": 0})
+    rules = [Rule(a + b, app(a), app(b)) for a, b in ["BA", "BD", "BC", "AD", "DA", "CB"]]
+    system = ITRS(sig, metric_id(sig), rules)
+    t0 = app("B")
+    want = loop_in(system, full_reduction_graph(system, t0))
+    components = []
+    real = convergence.ReductionGraph.components
+    monkeypatch.setattr(convergence.ReductionGraph, "components",
+                        lambda graph: components.append(real(graph)) or components[-1])
+
+    def unprintable(t):
+        raise AssertionError("a term was printed")
+
+    monkeypatch.setattr(RationalTerm, "__str__", unprintable)
+    w = find_loop(system, t0)
+    assert w == want and w.base == t0 and [step.rule.name for step in w.cycle] == ["BC", "CB"]
+    assert sorted(map(len, components[-1])) == [2, 2]  # A <-> D and B <-> C
 
 
 def test_diamond_joins_run_no_witness_search(monkeypatch):

@@ -21,6 +21,7 @@ from itrsbench import (
     Signature,
     TermError,
     TermMetric,
+    app,
     bisimilar,
     compose,
     distance,
@@ -41,8 +42,9 @@ from itrsbench import (
 )
 from itrsbench.metrics import (
     TOL,
+    SignatureMismatch,
+    _exponent_map,
     _fixpoint,
-    _product,
     component_problems,
     cycle_component,
     lazy_weight,
@@ -52,6 +54,7 @@ from itrsbench.metrics import (
 from itrsbench.corpus import load, load_union
 from itrsbench.terms import VAR, subterm_at_node
 from fixpoint_sweep import sweep_fixpoint
+from flat_terms import product as flat_product
 from fraction_member import at_tol_edge, fraction_member
 from conftest import (
     GENERIC_SIG,
@@ -59,6 +62,7 @@ from conftest import (
     random_finite_term,
     random_rational_term,
     rng_for,
+    store_nodes,
 )
 
 HALF = Fraction(1, 2)
@@ -158,6 +162,68 @@ def test_granularity_is_decided_once_per_metric(ltree_metric, monkeypatch):
     assert 0 < len(scanned) <= sum(map(len, m.components.values()))
 
 
+class CountingArities(dict):
+    """A signature's symbol table that counts its arity lookups."""
+
+    looked = 0
+
+    def get(self, name, default=None):
+        self.looked += 1
+        return super().get(name, default)
+
+
+def test_check_term_walks_only_unchecked_nodes():
+    """A node found covered is marked with the signature and not walked
+    again; a foreign symbol, or a known one at another arity, beside an
+    already-checked argument still raises, and marks nothing."""
+    arities = CountingArities(GENERIC_SIG.symbols)
+    m = metric_infty(Signature(arities))
+    wider = Signature({**GENERIC_SIG.symbols, "K": 1, "J": 2})
+    s = parse("F(G(H(c)), mu X. F(X, G(d)))", GENERIC_SIG)
+    m.check_term(s)
+    assert arities.looked == 7  # one per application node
+    m.check_term(s)
+    t = parse("F(F(G(H(c)), mu X. F(X, G(d))), c)", GENERIC_SIG)
+    m.check_term(t)
+    assert arities.looked == 8
+    assert distance(m, s, t) == HALF and arities.looked == 8
+    for text in ["F(F(G(H(c)), mu X. F(X, G(d))), H(K(c)))",
+                 "F(H(J(c, c)), F(G(H(c)), mu X. F(X, G(d))))",
+                 "mu Y. F(Y, F(G(H(c)), mu X. F(X, K(G(d)))))"]:
+        foreign = parse(text, wider)
+        for _ in range(2):
+            with pytest.raises(SignatureMismatch):
+                m.check_term(foreign)
+            assert not m.covers(foreign)
+        assert {n for n in store_nodes(foreign) if n._checked} <= store_nodes(t)
+    c, d = parse("c", GENERIC_SIG), parse("d", GENERIC_SIG)
+    with pytest.raises(SignatureMismatch):
+        m.check_term(app("F", [t, app("G", [c, d])]))
+
+
+def test_a_term_checked_under_a_union_is_walked_again_under_a_constituent():
+    """The mark names the signature it was found under: a term covered by
+    the exa-layers union is walked again under each constituent, which
+    rejects the other constituent's symbol."""
+    union, _ = load_union("exa-layers-r", "exa-layers-s")
+    left, right = load("exa-layers-r").system.metric, load("exa-layers-s").system.metric
+    mixed = parse("mu X. F(F(H(X)))", union.sig)
+    plain = parse("F(G(F(x)))", union.sig)
+    for t in (mixed, plain):
+        union.metric.check_term(t)
+        assert t._checked is union.sig
+    for m in (left, right):
+        with pytest.raises(SignatureMismatch):
+            m.check_term(mixed)
+        assert mixed._checked is union.sig
+    with pytest.raises(SignatureMismatch):
+        right.check_term(plain)
+    left.check_term(plain)
+    assert plain._checked is left.sig and plain.args[0]._checked is left.sig
+    union.metric.check_term(plain)
+    assert plain._checked is union.sig
+
+
 def test_ltree_left_spine_contracts(ltree_metric):
     sig = ltree_metric.sig
     a = parse("Bin(Bin(N, Null, Null), Null, Null)", sig)
@@ -186,20 +252,45 @@ def non_granular_metric(name: str) -> TermMetric:
     return system.metric
 
 
+def entered_pairs(monkeypatch) -> list:
+    """The pairs whose edges distance asks for from now on, in order."""
+    from itrsbench import metrics
+
+    entered = []
+    real = metrics._product
+
+    def recording(table):
+        edges = real(table)
+
+        def record(pair):
+            entered.append(pair)
+            return edges(pair)
+
+        return record
+
+    monkeypatch.setattr(metrics, "_product", recording)
+    return entered
+
+
 @pytest.mark.parametrize("name", ["exa-layers", "exa-layers2", "binary"])
-def test_distance_pins_exactly_the_bisimilar_pairs(name):
-    """Cyclic pairs under non-granular metrics: the product pairs the
-    solver fixes at 0 are the bisimilar ones, and d = 0 iff the terms are
-    bisimilar."""
+def test_distance_pins_exactly_the_bisimilar_pairs(name, monkeypatch):
+    """Cyclic pairs under non-granular metrics: d = 0 iff the terms are
+    bisimilar, every pair of store nodes the solver enters is a pair of
+    non-bisimilar terms, and on the flat product graph (tests/flat_terms.py)
+    the pairs the solver fixes at 0 are the bisimilar ones."""
     m = non_granular_metric(name)
     sig = m.sig
     assert not m.is_granular
     rng = rng_for(f"metrics-pinning-{name}")
+    entered = entered_pairs(monkeypatch)
     for _ in range(60):
         t = random_rational_term(rng, sig, rng.randint(2, 6))
         u = mutate(rng, t, sig) if rng.random() < 0.5 else random_rational_term(rng, sig, 4)
+        entered.clear()
         assert (distance(m, t, u) == 0) == bisimilar(t, u)
-        clash, edges = _product(m, t, u)
+        assert bool(entered) == (t != u)
+        assert not any(bisimilar(a, b) for a, b in entered)
+        clash, edges = flat_product(m, t.nodes, u.nodes)
         pairs, stack = {(0, 0)}, [(0, 0)]
         while stack:
             for _comp, pair in edges(stack.pop()):
@@ -218,11 +309,13 @@ def test_distance_pins_exactly_the_bisimilar_pairs(name):
 
 @pytest.mark.parametrize("name", ["exa-layers", "exa-layers2", "binary", "non-dyadic", "pow-half"])
 def test_fixpoint_matches_the_whole_graph_sweep(name):
-    """Distances and variable depths solved one component at a time
-    against the whole-graph sweep (tests/fixpoint_sweep.py).  Power-of-two
-    constants and integer pows: the same value of the same type.  Other
-    constants and square roots: the same Fraction wherever the sweep gives
-    one, and within TOL of each float it gives."""
+    """Distances, from distance on pairs of store nodes and from the solver
+    on the flat product graph (tests/flat_terms.py), and variable depths,
+    solved one component at a time, against the whole-graph sweep over the
+    flat graphs (tests/fixpoint_sweep.py).  Power-of-two constants and
+    integer pows: the same value of the same type.  Other constants and
+    square roots: the same Fraction wherever the sweep gives one, and
+    within TOL of each float it gives."""
     m = non_granular_metric(name)
     rng = rng_for(f"metrics-fixpoint-oracle-{name}")
     exact = name in ("exa-layers", "exa-layers2", "binary")
@@ -234,13 +327,16 @@ def test_fixpoint_matches_the_whole_graph_sweep(name):
             t = random_finite_term(rng, m.sig, 5)
         u = mutate(rng, t, m.sig) if rng.random() < 0.5 else random_rational_term(rng, m.sig, 4)
         y = rng.choice([Fraction(1), HALF, Fraction(1, 3)])
-        clash, edges = _product(m, t, u)
-        for root, e, leaf in [
-            ((0, 0), edges, lambda q: Fraction(clash(q))),
-            (0, vdepth(m, t, "x")._edges,
-             lambda idx: y if t.nodes[idx] == (VAR, "x") else Fraction(0)),
+        clash, edges = flat_product(m, t.nodes, u.nodes)
+        at_clash = lambda q: Fraction(clash(q))
+        at_x = lambda idx: y if t.nodes[idx] == (VAR, "x") else Fraction(0)
+        below = vdepth(m, t, "x")._edges(m.components)
+        d = sweep_fixpoint((0, 0), edges, at_clash)
+        for got, want in [
+            (distance(m, t, u), d),
+            (_fixpoint((0, 0), edges, at_clash), d),
+            (_fixpoint(0, below, at_x), sweep_fixpoint(0, below, at_x)),
         ]:
-            got, want = _fixpoint(root, e, leaf), sweep_fixpoint(root, e, leaf)
             if exact or isinstance(want, Fraction):
                 assert (type(got), got) == (type(want), want), (t, u)
             else:
@@ -498,8 +594,30 @@ def test_exponent_map_matches_values():
         e = Fraction(rng.randrange(6))
         image, slope = comp.on_exponent(e)
         assert comp(Fraction(1, 2**e)) == Fraction(1, 2**image)
+        as_int = _exponent_map(comp)(int(e))
+        assert type(as_int) is int and as_int == image
         if slope:
             assert comp.on_exponent(e + 1) == (image + slope, slope)
+    for inexact in [Pow(HALF), Scale(Fraction(3, 2)), Cap(Fraction(1, 3)),
+                    compose(HALVE, Pow(Fraction(3, 2)))]:
+        assert _exponent_map(inexact) is None
+
+
+def test_the_exponent_sweep_gives_way_where_values_move_to_floats():
+    """On exponents the sweeps are exact, within the limit the sweeps on
+    values have: a halving cycle whose exit is 2^-60 settles at exponent
+    60 within the 68 sweeps of one node with edges, as the values do; an
+    exit at 2^-100 takes more, the solve on exponents answers None, and
+    the values move to floats."""
+    for k in (60, 100):
+        graph = {"a": [(HALVE, "a"), (Scale(Fraction(1, 2**k)), "x")], "x": []}
+        maps = {n: [(_exponent_map(c), m) for c, m in out] for n, out in graph.items()}
+        got = _fixpoint("a", maps.__getitem__, lambda n: 0, on_exponents=True)
+        want = _fixpoint("a", graph.__getitem__, lambda n: Fraction(1))
+        if k == 60:
+            assert (got, want) == (60, Fraction(1, 2**60))
+        else:
+            assert got is None and type(want) is float
 
 
 # --- variable depth --------------------------------------------------------------

@@ -2,8 +2,8 @@
 terms it replaced (tests/flat_terms.py): identical flat views, redex
 occurrences and reducts on seeded graphs and on seeded steps of every
 corpus system; == against bisimilar; the weak tables empty again after
-long runs; a rewrite path that builds no flat view; and loops placed
-whole where they meet a stored one."""
+long runs; a rewrite path and trace diameters that build no flat view;
+and loops placed whole where they meet a stored one."""
 
 from __future__ import annotations
 
@@ -25,10 +25,16 @@ from itrsbench import (
     successors,
     to_text,
 )
-from itrsbench.convergence import _knot, extrapolate_limit
-from itrsbench.corpus import ITRS_SOURCES, load, load_union
+from itrsbench.convergence import _knot, extrapolate_limit, sliding_diameter
+from itrsbench.corpus import ITRS_SOURCES, diverge_exa_trace, load, load_union, string_trace
 from itrsbench.terms import APP, from_nodes, node_at, sccs, subterm_at_node
-from conftest import CORPUS_UNIONS, random_finite_term, random_rational_term, rng_for
+from conftest import (
+    CORPUS_UNIONS,
+    random_finite_term,
+    random_rational_term,
+    rng_for,
+    store_nodes,
+)
 from test_terms import random_mixed_nodes, random_raw_nodes
 
 # start terms of the corpus fixtures, by the system they run under
@@ -206,6 +212,28 @@ def test_the_rewrite_path_builds_no_flat_view(monkeypatch):
                 seen["cyclic reducts"] += not u.is_finite
                 seen["reducts"] += 1
     assert seen["cyclic reducts"] > 50 and seen["reducts"] > 150, seen
+
+
+def test_a_trace_diameter_builds_no_flat_view(monkeypatch):
+    """distance walks pairs of store nodes: with the flat-view walk made
+    to raise, sliding_diameter runs over the string and diverge-exa traces
+    (a granular metric and one solved on exponents) and gives the same
+    diameters as before."""
+    system, _coloring, exa = diverge_exa_trace()
+    traces = [(load("string").system.metric, string_trace()[1]), (system.metric, exa)]
+    want = [sliding_diameter(m, tr, 3) for m, tr in traces]
+    for _m, tr in traces:
+        for t in tr.all_terms():
+            for node in store_nodes(t):
+                node.__dict__.pop("_view", None)
+                node.__dict__.pop("nodes", None)
+
+    def no_view(t):
+        raise AssertionError("distance built a flat view")
+
+    monkeypatch.setattr(terms_module, "_flat_view", no_view)
+    assert [sliding_diameter(m, tr, 3) for m, tr in traces] == want
+    assert all(want) and any(d < 1 for d in want[0]) and set(want[1]) == {1}
 
 
 # --- loops placed whole -------------------------------------------------------
