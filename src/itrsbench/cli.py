@@ -107,6 +107,18 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
+def _count(text: str) -> int:
+    """argparse type of the count options (budgets, steps, depths): an
+    integer, 0 or more; argparse names the option in the error."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, not {n}")
+    return n
+
+
 def _field(data, key: str, kind):
     """data[key] of decoded JSON; InputError unless data is an object
     whose key holds a kind (a type or a tuple of types)."""
@@ -568,10 +580,10 @@ def cmd_corpus(args) -> int:
 # --- dispatcher -------------------------------------------------------------------
 
 KNOBS = {
-    "budget": dict(type=int, default=DEFAULT_BUDGETS.loop_states),
-    "max-steps": dict(type=int, default=DEFAULT_BUDGETS.max_steps),
-    "depth-bound": dict(type=int, default=DEFAULT_BUDGETS.depth_bound),
-    "depth-guard": dict(type=int, default=DEFAULT_DEPTH_GUARD),
+    "budget": dict(type=_count, default=DEFAULT_BUDGETS.loop_states),
+    "max-steps": dict(type=_count, default=DEFAULT_BUDGETS.max_steps),
+    "depth-bound": dict(type=_count, default=DEFAULT_BUDGETS.depth_bound),
+    "depth-guard": dict(type=_count, default=DEFAULT_DEPTH_GUARD),
 }
 
 
@@ -664,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("xi", help="predicate-guided top-layer simulation")
     common(p)
-    p.add_argument("--budget", type=int, default=DEFAULT_WEAK_BUDGET,
+    p.add_argument("--budget", type=_count, default=DEFAULT_WEAK_BUDGET,
                    help="states per weak-reachability search of the predicate")
     p.add_argument("--trace", required=True)
     p.add_argument("--rule", required=True)

@@ -20,6 +20,7 @@ from .metrics import (
     TermMetric,
     distance,
     is_member,
+    shared_distance,
 )
 from .rewriting import (
     DEFAULT_WEAK_BUDGET,
@@ -443,8 +444,13 @@ def sliding_diameter(m: TermMetric, tr: Trace, window: int) -> list:
     terms = tr.all_terms()
     if len(terms) < window:
         return []
-    # near[j][k] = d(terms[j], terms[j + 1 + k]): each pair within a window once
-    near = [[distance(m, a, b) for b in terms[j + 1 : j + window]] for j, a in enumerate(terms)]
+    # near[j][k] = d(terms[j], terms[j + 1 + k]): each pair within a window
+    # once, and the pairs of their product graphs solved once for all
+    solved: dict = {}
+    near = [
+        [shared_distance(m, a, b, solved) for b in terms[j + 1 : j + window]]
+        for j, a in enumerate(terms)
+    ]
     return [
         max(d for j in range(i, i + window - 1) for d in near[j][: i + window - 1 - j])
         for i in range(len(terms) - window + 1)
@@ -627,6 +633,19 @@ def focussed_probe(
 # --- predicate sequences and the simulated top layer ------------------------------
 
 
+def _reach(system: ITRS, t, u, budget: int, reducts: dict, answers: dict) -> bool:
+    """weak_reach(system, t, u) at REACH_DEPTH, through the successors
+    memo reducts, each question answered once per budget: answers maps
+    (budget, t, u) to the answer."""
+    key = (budget, t, u)
+    found = answers.get(key)
+    if found is None:
+        found = answers[key] = weak_reach(
+            system, t, u, budget=budget, depth_bound=REACH_DEPTH, reducts=reducts
+        )
+    return found
+
+
 @dataclass
 class Fp:
     """True of terms that weakly reduce to a later principal-p subterm."""
@@ -638,26 +657,23 @@ class Fp:
     budget: int = DEFAULT_WEAK_BUDGET
 
     def __post_init__(self):
-        self.reducts: dict = {}  # successors memo, alive as long as this probe
+        # successors memo and reach answers, alive as long as this probe
+        self.reducts: dict = {}
+        self.answers: dict = {}
+        p = self.position
+        # (gamma, subterm at p) for each trace term in which p is principal
+        self.targets = [
+            (gamma, subterm(t, p))
+            for gamma, t in self.trace.indexed_terms()
+            if p in cut_positions(t, self.coloring, len(p))
+        ]
 
     def __call__(self, beta: tuple, term: RationalTerm) -> bool:
-        for gamma, t in self.trace.indexed_terms():
-            if gamma < beta:
-                continue
-            if self.position not in cut_positions(
-                t, self.coloring, len(self.position)
-            ):
-                continue
-            if weak_reach(
-                self.system,
-                term,
-                subterm(t, self.position),
-                budget=self.budget,
-                depth_bound=REACH_DEPTH,
-                reducts=self.reducts,
-            ):
-                return True
-        return False
+        return any(
+            gamma >= beta
+            and _reach(self.system, term, target, self.budget, self.reducts, self.answers)
+            for gamma, target in self.targets
+        )
 
 
 @dataclass
@@ -669,16 +685,13 @@ class Kt:
     budget: int = DEFAULT_WEAK_BUDGET
 
     def __post_init__(self):
-        self.reducts: dict = {}  # successors memo, alive as long as this probe
+        # successors memo and reach answers, alive as long as this probe
+        self.reducts: dict = {}
+        self.answers: dict = {}
 
     def __call__(self, beta: tuple, term: RationalTerm) -> bool:
-        return not weak_reach(
-            self.system,
-            self.anchor,
-            term,
-            budget=self.budget,
-            depth_bound=REACH_DEPTH,
-            reducts=self.reducts,
+        return not _reach(
+            self.system, self.anchor, term, self.budget, self.reducts, self.answers
         )
 
 
@@ -721,21 +734,26 @@ def xi_trace(
 
     evaluated: dict = {}  # (beta, subterm) -> verdict, for the monotone-law check
 
-    def fills(t: RationalTerm, beta: tuple):
-        """The fill choice per cut edge at time beta."""
+    def behind(t: RationalTerm):
+        """The principal cut of t, and its edges with the subterm behind each."""
         cut = ppos(t, coloring)
-        choices = {}
-        for edge in sorted(cut.edges):
-            child = t.nodes[edge[0]][2][edge[1]]
-            sub = subterm_at_node(t, child)
+        nodes = t.nodes
+        return cut, [
+            (edge, subterm_at_node(t, nodes[edge[0]][2][edge[1]])) for edge in sorted(cut.edges)
+        ]
+
+    def choices(subs, beta: tuple) -> dict:
+        """The fill choice per cut edge at time beta."""
+        out = {}
+        for edge, sub in subs:
             key = (beta, sub)
             if key not in evaluated:
                 evaluated[key] = s(beta, sub)
-            choices[edge] = evaluated[key]
-        return cut, choices
+            out[edge] = evaluated[key]
+        return out
 
-    def filled(t, cut, choices):
-        return toplayer_fill(t, cut, {e: (l if keep else r) for e, keep in choices.items()})
+    def filled(t, cut, chosen):
+        return toplayer_fill(t, cut, {e: (l if keep else r) for e, keep in chosen.items()})
 
     out_segments = []
     flip_counts = []
@@ -744,8 +762,8 @@ def xi_trace(
         sim_terms: list[RationalTerm] = []
         for i, t in enumerate(seg.terms):
             beta = (k, i)
-            cut, now = fills(t, beta)
-            _, nxt = fills(t, _next_index(beta))
+            cut, subs = behind(t)
+            now, nxt = choices(subs, beta), choices(subs, _next_index(beta))
             flips = sum(1 for e in now if now[e] and not nxt[e])
             if any(nxt[e] and not now[e] for e in now):
                 violations.append(
@@ -764,15 +782,16 @@ def xi_trace(
                 )
         sim_limit = None
         if seg.limit is not None:
-            lim_cut, lim_choices = fills(seg.limit, (k + 1, 0))
-            sim_limit = filled(seg.limit, lim_cut, lim_choices)
+            lim_cut, lim_subs = behind(seg.limit)
+            sim_limit = filled(seg.limit, lim_cut, choices(lim_subs, (k + 1, 0)))
         out_segments.append(_sim_segment(sim_terms, sim_limit))
 
     violations.extend(_monotone_violations(system, s, evaluated))
     sim_trace = Trace(out_segments)
     diams = sliding_diameter(system.metric, sim_trace, WINDOW)
-    # Cauchy-ness is a tail property: measure the floor on the last segment
-    tail = sliding_diameter(system.metric, Trace(out_segments[-1:]), WINDOW)
+    # Cauchy-ness is a tail property: measure the floor on the last segment,
+    # whose windows are the last ones of the whole trace
+    tail = diams[len(sim_trace.all_terms()) - len(out_segments[-1].terms) :]
     floor = min((float(d) for d in tail), default=0.0)
     return XiReport(sim_trace, flip_counts, violations, diams, floor <= TOL)
 
@@ -797,16 +816,18 @@ def _monotone_violations(system: ITRS, s, evaluated: dict, budget: int = 2_000) 
     beta <= gamma and t ->>_w u and s(gamma)(u) imply s(beta)(t).
 
     Reaches at REACH_DEPTH, as Fp and Kt do, and through the predicate's
-    own successors memo when it keeps one for this system."""
+    own successors memo and answer table when it keeps them for this
+    system: the answers are keyed by budget, so none found under the
+    predicate's own budget is read here."""
     out = []
-    reducts = getattr(s, "reducts", {}) if getattr(s, "system", None) is system else {}
+    own = getattr(s, "system", None) is system
+    reducts = getattr(s, "reducts", {}) if own else {}
+    answers = getattr(s, "answers", {}) if own else {}
     for (beta, t), vt in evaluated.items():
         if vt:
             continue
         for (gamma, u), vu in evaluated.items():
-            if beta <= gamma and vu and weak_reach(
-                system, t, u, budget=budget, depth_bound=REACH_DEPTH, reducts=reducts
-            ):
+            if beta <= gamma and vu and _reach(system, t, u, budget, reducts, answers):
                 out.append(("monotone-law", beta, gamma, str(t), str(u)))
     return out
 

@@ -219,9 +219,10 @@ def diverge_exa_trace(steps: int = 20):
 
 
 def string_trace(steps: int = 18):
-    system = load("string").system
-    start = load("string").terms["start"]
-    return system, simulate(system, start, "leftmost-outermost", max_steps=steps, depth_bound=steps + 6)
+    f = load("string")
+    return f.system, simulate(
+        f.system, f.terms["start"], "leftmost-outermost", max_steps=steps, depth_bound=steps + 6
+    )
 
 
 def union_traces():
@@ -404,10 +405,7 @@ def fixture_exa_layers() -> FixtureReport:
     u = parse("mu X. G(H(X))", sig)
     verdict = classify_convergence(system, t0)
     _, _, tr = diverge_exa_trace()
-    terms = tr.all_terms()
-    dists = [
-        distance(system.metric, terms[i], terms[i + 1]) for i in range(len(terms) - 1)
-    ]
+    dists = sliding_diameter(system.metric, tr, 2)  # d(t_i, t_i+1) for each step
     return FixtureReport(
         "exa-layers",
         [

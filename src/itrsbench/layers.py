@@ -197,31 +197,37 @@ def cutoff(
 ) -> RationalTerm:
     """Keep the outermost n layers of t, replacing everything deeper by u.
 
-    One graph over the states (node of t, layers left), canonicalised
-    once.  The root starts with n layers left; an edge into an
-    application node of the other color leaves one layer, any other edge
-    keeps the count, and u stands wherever no layer is left.
+    One graph over the states (store node of t, layers left), walked on
+    the nodes and canonicalised once.  The root starts with n layers
+    left; an edge into an application node of the other color leaves one
+    layer, any other edge keeps the count, a variable stays as it is, and
+    u stands wherever no layer is left.
     """
     if n < 0:
         raise TermError("a negative number of layers")
     if n == 0:
         return u
+    if t.args is None:
+        return t
     nodes: list = []  # nodes[i] is states[i]
-    states = [(0, n)]
-    number = {(0, n): 0}
-    for idx, left in states:  # states grows while it is walked
-        entry = t.nodes[idx]
-        if entry[0] == APP:
-            color = coloring[entry[1]]
-            children = []
-            for child in entry[2]:
-                key = (child, left - (_node_color(t, child, coloring) not in (None, color)))
-                if key[1] and key not in number:
-                    number[key] = len(states)
-                    states.append(key)
-                children.append(number.get(key, u))
-            entry = (APP, entry[1], tuple(children))
-        nodes.append(entry)
+    states = [(t, n)]
+    number = {(t, n): 0}
+    for node, left in states:  # states grows while it is walked
+        color = coloring[node.symbol]
+        children: list = []
+        for child in node.args:
+            if child.args is None:
+                children.append(child)
+                continue
+            key = (child, left - (coloring[child.symbol] != color))
+            if not key[1]:
+                children.append(u)
+                continue
+            if key not in number:
+                number[key] = len(states)
+                states.append(key)
+            children.append(number[key])
+        nodes.append((APP, node.symbol, tuple(children)))
     return from_nodes(nodes, 0)
 
 

@@ -17,7 +17,8 @@ step, any other cycle is swept down from 1 on its own, and the answer is
 exact whenever every exact sweep settles.  A distance under a metric
 whose scale factors and cap bounds are powers of two and whose pows are
 integers is swept on integer exponents, v = 2^-e; values stay for other
-constants and for variable depths.
+constants and for variable depths.  The distances along one trace share
+one table of solved pairs (shared_distance), so each pair is solved once.
 """
 
 from __future__ import annotations
@@ -395,6 +396,19 @@ def metric_granular(sig: Signature, laziness: Mapping[str, Sequence[str]]) -> Te
 
 
 def distance(m: TermMetric, t: RationalTerm, u: RationalTerm) -> Number:
+    return shared_distance(m, t, u, {})
+
+
+def shared_distance(m: TermMetric, t: RationalTerm, u: RationalTerm, solved: dict) -> Number:
+    """distance(m, t, u), reading and adding to solved: the pairs of the
+    product graph solved exactly so far under m, each with its value in
+    the domain its solver works in (fewest lazy edges to a clash, the
+    exponent, or the value).  The distances along one trace share one
+    table, so each pair is solved at most once per trace: a pair in the
+    table is a goal of _lightest_path at its known weight and a leaf of
+    _fixpoint with its value.  Only exact values enter it, and a solve
+    that read the table gives way where it would move to floats, so every
+    answer is the one an empty table gives."""
     m.check_term(t)
     m.check_term(u)
     if t is u:
@@ -405,14 +419,22 @@ def distance(m: TermMetric, t: RationalTerm, u: RationalTerm) -> Number:
     if m.is_granular:
         # distance = 2^(-w) for w = the fewest lazy edges on a product-graph
         # path to a root-symbol clash
-        best = _lightest_path(root, _clash, _product(m._weights))
+        best = _lightest_path(
+            root,
+            lambda pair: solved.get(pair, 0 if _clash(pair) else None),
+            _product(m._weights),
+            solved,
+        )
         return Fraction(0) if best is None else Fraction(1, 1 << best)
     maps = m._exponent_maps
     if maps is not None:
-        e = _fixpoint(root, _product(maps), lambda pair: 0, on_exponents=True)
+        e = _fixpoint(root, _product(maps), lambda pair: 0, on_exponents=True, solved=solved)
         if e is not None:
             return Fraction(1, 1 << e)  # 2**e squares its way up: seconds at e = 2^30
-    return _fixpoint(root, _product(m.components), lambda pair: Fraction(1))
+        solved = None  # exponents gave way: the values move to floats, without the table
+    values = _product(m.components)
+    v = _fixpoint(root, values, lambda pair: Fraction(1), solved=solved)
+    return _fixpoint(root, values, lambda pair: Fraction(1)) if v is None else v
 
 
 def _clash(pair: tuple[RationalTerm, RationalTerm]) -> bool:
@@ -441,29 +463,48 @@ def _product(table: Mapping[str, tuple]):
 
 def _lightest_path(
     start: Hashable,
-    is_goal: Callable[[Hashable], bool],
+    goal: Callable[[Hashable], Optional[int]],
     edges: Callable[[Hashable], Iterable[tuple[int, Hashable]]],
+    solved: Optional[dict] = None,
 ) -> Optional[int]:
-    """Least total weight of a path from start to a goal node.
+    """Least total weight of a path from start to a goal node, plus that
+    goal's own weight.
 
-    edges(node) yields (weight, next) pairs; every weight is 0 or more, so
-    Dijkstra applies.  None when no goal node is reachable.  A counter
-    breaks ties on the heap, so nodes need not be ordered.
+    goal(node) is the node's own weight, None off the goals; edges(node)
+    yields (weight, next) pairs.  Every weight is 0 or more, so Dijkstra
+    applies: a goal is not expanded, and its path weight plus its own is
+    pushed as a finish, whose pop is the answer.  None when no goal is
+    reachable.  A counter breaks ties on the heap, so nodes need not be
+    ordered.  solved, when given, gets every node of the lightest path,
+    each with its own least weight to a goal: the answer less its
+    distance from start.
     """
     dist = {start: 0}
+    parent: dict = {}
     tie = itertools.count(1)
-    heap = [(0, 0, start)]
+    heap = [(0, 0, start, False)]
     while heap:
-        w, _, node = heapq.heappop(heap)
+        w, _, node, finish = heapq.heappop(heap)
+        if finish:
+            if solved is not None:
+                while True:
+                    solved[node] = w - dist[node]
+                    if node == start:
+                        break
+                    node = parent[node]
+            return w
         if w > dist[node]:
             continue
-        if is_goal(node):
-            return w
+        own = goal(node)
+        if own is not None:
+            heapq.heappush(heap, (w + own, next(tie), node, True))
+            continue
         for weight, nxt in edges(node):
             nw = w + weight
             if nw < dist.get(nxt, nw + 1):
                 dist[nxt] = nw
-                heapq.heappush(heap, (nw, next(tie), nxt))
+                parent[nxt] = node
+                heapq.heappush(heap, (nw, next(tie), nxt, False))
     return None
 
 
@@ -472,6 +513,7 @@ def _fixpoint(
     edges: Callable[[Hashable], Sequence[tuple[Callable, Hashable]]],
     leaf: Callable[[Hashable], Number],
     on_exponents: bool = False,
+    solved: Optional[dict] = None,
 ) -> Optional[Number]:
     """Value at root of the greatest solution of v(n) = leaf(n) at nodes
     without edges and v(n) = max(c(v(k)) for c, k in edges(n)) elsewhere.
@@ -483,8 +525,9 @@ def _fixpoint(
     and is swept alone until a sweep changes nothing, and its values are
     then exact.  A value that changes while its float image does not (the
     values have underflowed a float), or 4 sweeps of one component per
-    node with edges plus 64, move every value to floats, and from then on
-    each component is swept until the largest change is below TOL.
+    node of it plus 64, move every value to floats, and from then on each
+    component is swept until the largest change is below TOL.  Both
+    depend only on the component and the exact values below it.
 
     on_exponents sweeps the same equations on integer exponents, v = 2^-e:
     each c is then a component's _exponent_map, leaf(n) an exponent
@@ -492,29 +535,36 @@ def _fixpoint(
     and a cycle climbs from 0.  The answer is the exponent at root, exact,
     or None where the sweeps on values would move to floats: the caller
     then solves on values.
+
+    solved, when given, maps nodes to their known exact values (in the
+    domain swept): each is a leaf with that value, and its edges are not
+    asked for.  A solve that ends exact adds every value it found to it.
+    A solve that read a known value answers None where it would move to
+    floats, since without the table it would sweep that node's part of
+    the graph in floats too.
     """
+    known = {} if solved is None else solved
     succ: dict = {}
 
     def kids(node):
-        succ[node] = edges(node)
-        return [k for _c, k in succ[node]]
+        out = succ[node] = () if node in known else edges(node)
+        return [k for _c, k in out]
 
     comps = sccs([root], kids)
-    # exact sweeps per component; None once the values are floats
-    limit: Optional[int] = 4 * sum(1 for out in succ.values() if out) + 64
     if on_exponents:
         zero, one, best = math.inf, 0, min
     else:
         zero, one, best = Fraction(0), Fraction(1), max
+    exact = True  # False once the values are floats
     value: dict = {}
     live: set = set()  # the nodes that reach a nonzero leaf; the others are 0
     for comp in comps:
         head = comp[0]
         if not succ[head]:
-            x = leaf(head)
+            x = known[head] if head in known else leaf(head)
             if x != zero:
                 live.add(head)
-                value[head] = x if limit is not None else float(x)
+                value[head] = x if exact else float(x)
             continue
         if not any(k in live for n in comp for _c, k in succ[n]):
             continue
@@ -524,6 +574,7 @@ def _fixpoint(
             value[head] = one if new == one else new  # as a sweep from 1: 1.0 stays exact
             continue
         value.update(dict.fromkeys(comp, one))
+        limit = 4 * len(comp) + 64  # exact sweeps of this component
         sweeps = 0
         while True:
             sweeps += 1
@@ -537,13 +588,15 @@ def _fixpoint(
                         step = abs(float(new) - float(value[n]))
                         blurred, delta = blurred or not step, max(delta, step)
                     value[n] = new
-            if not changed or (limit is None and (delta < TOL or sweeps >= ITER_BUDGET)):
+            if not changed or (not exact and (delta < TOL or sweeps >= ITER_BUDGET)):
                 break
-            if limit is not None and (blurred or sweeps >= limit):
-                if on_exponents:
+            if exact and (blurred or sweeps >= limit):
+                if on_exponents or any(n in known for n in succ):
                     return None
                 value = {n: float(v) for n, v in value.items()}
-                one, limit, sweeps = 1.0, None, 0
+                one, exact, sweeps = 1.0, False, 0
+    if exact and solved is not None:
+        solved.update(value)
     return value[root] if root in live else zero
 
 
@@ -769,7 +822,7 @@ class VariableDepth:
         nodes = self.term.nodes
         if self.metric.is_granular:
             best = _lightest_path(
-                0, lambda idx: nodes[idx] == at_x, self._edges(self.metric._weights)
+                0, lambda idx: 0 if nodes[idx] == at_x else None, self._edges(self.metric._weights)
             )
             return Fraction(0) if best is None else y * Fraction(1, 1 << best)
         return _fixpoint(

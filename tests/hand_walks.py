@@ -4,15 +4,20 @@ spine node by node, the principal cut found by walking the top layer
 twice, principal positions found by re-walking every position up to the
 bound from the root, the cutoff that recurses once per layer (so it
 raises RecursionError past about 1000 layers), the sliding diameter
-that measures every pair of every window afresh, and the two walks of a
-term that RationalTerm._walk replaced: a Tarjan pass for the children-
-first order of a finite term, and a second depth-first walk for the
-nodes that to_text binds."""
+that measures every pair of every window afresh, the predicates Fp and
+Kt that walk the principal cuts and search again on every call, and the
+two walks of a term that RationalTerm._walk replaced: a Tarjan pass for
+the children-first order of a finite term, and a second depth-first walk
+for the nodes that to_text binds."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
+from itrsbench.convergence import REACH_DEPTH
 from itrsbench.layers import PrincipalCut, toplayer_fill
 from itrsbench.metrics import distance
+from itrsbench.rewriting import DEFAULT_WEAK_BUDGET, weak_reach
 from flat_terms import node_at
 from itrsbench.terms import (
     _MU_NAMES,
@@ -21,6 +26,7 @@ from itrsbench.terms import (
     from_nodes,
     iter_positions,
     sccs,
+    subterm,
     subterm_at_node,
     variables,
 )
@@ -131,6 +137,50 @@ def sliding_diameter(m, tr, window):
         chunk = terms[i : i + window]
         out.append(max(distance(m, a, b) for j, a in enumerate(chunk) for b in chunk[j + 1 :]))
     return out
+
+
+@dataclass
+class Fp:
+    """True of terms that weakly reduce to a later principal-p subterm:
+    every call walks the principal cut of each later trace term and
+    searches again."""
+
+    position: tuple
+    trace: object
+    system: object
+    coloring: dict
+    budget: int = DEFAULT_WEAK_BUDGET
+
+    def __post_init__(self):
+        self.reducts: dict = {}
+
+    def __call__(self, beta, term):
+        for gamma, t in self.trace.indexed_terms():
+            if gamma < beta:
+                continue
+            if self.position not in cut_positions(ppos(t, self.coloring), len(self.position)):
+                continue
+            if weak_reach(self.system, term, subterm(t, self.position), budget=self.budget,
+                          depth_bound=REACH_DEPTH, reducts=self.reducts):
+                return True
+        return False
+
+
+@dataclass
+class Kt:
+    """True of terms that are not weak reducts of the anchor term; every
+    call searches again."""
+
+    anchor: object
+    system: object
+    budget: int = DEFAULT_WEAK_BUDGET
+
+    def __post_init__(self):
+        self.reducts: dict = {}
+
+    def __call__(self, beta, term):
+        return not weak_reach(self.system, self.anchor, term, budget=self.budget,
+                              depth_bound=REACH_DEPTH, reducts=self.reducts)
 
 
 def postorder(t):

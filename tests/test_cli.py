@@ -177,6 +177,16 @@ CUTOFF = ["cutoff", "--metric", "exnonlin-r", "exnonlin-s", "--layers", "1", "--
           "--trace", "INPUT"]
 XI = ["xi", "--metric", "exnonlin-r", "exnonlin-s", "--rule", "succ", "--trace", "INPUT",
       "--predicate"]
+TOYAMA = ["--metric", "toyama-r", "toyama-s", "--term", "F(0, 1, G(0, 1))"]
+# each count option with a negative value, and the input its command reads
+NEGATIVE_COUNTS = {
+    "--budget": (["analyze", *TOYAMA, "--budget", "-1"], ""),
+    "--max-steps": (["simulate", *TOYAMA, "--max-steps", "-4"], ""),
+    "--depth-bound": (["simulate", *TOYAMA, "--depth-bound", "-1"], ""),
+    "--depth-guard": (["epos", "--metric", "ltree", "--term", "x", "--epsilon", "1",
+                       "--depth-guard", "-1"], ""),
+    "xi --budget": (XI + ["fp:1", "--budget", "-1"], '{"term": "F(0, 0, 0)"}\n'),
+}
 
 
 @pytest.mark.parametrize(
@@ -194,10 +204,12 @@ XI = ["xi", "--metric", "exnonlin-r", "exnonlin-s", "--rule", "succ", "--trace",
      (XI + ["fp:a"], '{"term": "F(0, 0, 0)"}\n'),
      (XI + ["fp:1.0"], '{"term": "F(0, 0, 0)"}\n'),
      (["vdepth", "--metric", "ltree", "--term", "x", "--var", "x", "--at", "3"], ""),
-     (["vdepth", "--metric", "ltree", "--term", "x", "--var", "x", "--at", "-1"], "")],
+     (["vdepth", "--metric", "ltree", "--term", "x", "--var", "x", "--at", "-1"], ""),
+     *NEGATIVE_COUNTS.values()],
     ids=["number", "zero-denominator", "witness-list", "witness-fields", "trace-json",
          "trace-step-first", "trace-dangling-step", "trace-step-mismatch", "fp-not-a-number",
-         "fp-zero", "vdepth-above-1", "vdepth-below-0"],
+         "fp-zero", "vdepth-above-1", "vdepth-below-0",
+         *(f"negative {flag}" for flag in NEGATIVE_COUNTS)],
 )
 def test_malformed_input_exits_2(files, tmp_path, argv, text):
     """Bad input is exit code 2, never a traceback (exit code 1)."""
@@ -209,6 +221,23 @@ def test_malformed_input_exits_2(files, tmp_path, argv, text):
     except SystemExit as exc:  # argparse rejects bad option values itself
         code = exc.code
     assert code == 2
+
+
+@pytest.mark.parametrize("flag", NEGATIVE_COUNTS)
+def test_a_negative_count_names_its_flag_and_zero_stays_valid(files, tmp_path, capsys, flag):
+    """A negative budget, step count or depth is rejected with the option's
+    name (before, analyze --budget -1 answered converging and simulate
+    --max-steps -4 ran 0 steps, both with exit 0); 0 is a count."""
+    path = tmp_path / "input"
+    argv, text = NEGATIVE_COUNTS[flag]
+    path.write_text(text)
+    argv = [str(path) if a == "INPUT" else files.get(a, a) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        run_command(argv)
+    assert exc.value.code == 2
+    assert flag.split()[-1] in capsys.readouterr().err
+    argv[argv.index(flag.split()[-1]) + 1] = "0"
+    assert run_command(argv) in (0, 1)
 
 
 def test_knob_defaults_are_the_library_defaults():

@@ -311,8 +311,12 @@ def test_sliding_diameter_measures_each_pair_once(monkeypatch):
     traces = [(s, tr) for _name, s, _c, tr, _fill in union_traces()]
     traces.append(string_trace())
     calls = []
-    measure = convergence.distance
-    monkeypatch.setattr(convergence, "distance", lambda m, a, b: calls.append(1) or measure(m, a, b))
+    measure = convergence.shared_distance
+    monkeypatch.setattr(
+        convergence,
+        "shared_distance",
+        lambda m, a, b, solved: calls.append(1) or measure(m, a, b, solved),
+    )
     for system, tr in traces:
         n = len(tr.all_terms())
         for window in (2, 3, 4, 5):
@@ -606,6 +610,84 @@ def test_fp_computes_each_reduct_once(monkeypatch):
     xi_trace(system, tr, system.rule("jk"), probe, coloring)
     assert len(calls) > 10
     assert set(calls.values()) == {1}
+
+
+def test_xi_asks_each_question_once(monkeypatch):
+    """On the rearrangement run's xi simulation, weak_reach runs once per
+    distinct (term, target, budget): 29 questions at Fp's budget 400 and
+    6 at the monotone check's 2000, where the table-free Fp of
+    tests/hand_walks.py searches 165 times.  cut_positions runs once per
+    trace term, when Fp is built (hand_walks: 165 times), and xi_trace
+    takes one principal cut per term and one for the limit."""
+    system, coloring, tr = rearrange_trace()
+    asked, cuts, tops = Counter(), Counter(), Counter()
+    reach, cut_positions, ppos = convergence.weak_reach, convergence.cut_positions, convergence.ppos
+
+    def counting_reach(s, t, u, budget, depth_bound, reducts):
+        asked[(t, u, budget)] += 1
+        return reach(s, t, u, budget=budget, depth_bound=depth_bound, reducts=reducts)
+
+    monkeypatch.setattr(convergence, "weak_reach", counting_reach)
+    monkeypatch.setattr(convergence, "cut_positions",
+                        lambda t, c, d: cuts.update([t]) or cut_positions(t, c, d))
+    monkeypatch.setattr(convergence, "ppos", lambda t, c: tops.update([t]) or ppos(t, c))
+    probe = Fp((1, 1), tr, system, coloring, budget=400)
+    assert sum(cuts.values()) == len(tr.all_terms()) == 14
+    xi_trace(system, tr, system.rule("jk"), probe, coloring)
+    assert set(asked.values()) == {1}
+    assert Counter(budget for _t, _u, budget in asked) == {400: 29, 2000: 6}
+    assert sum(cuts.values()) == 14
+    limits = [seg.limit for seg in tr.segments if seg.limit is not None]
+    assert tops == Counter(tr.all_terms() + limits)
+
+
+def xi_cases():
+    """(name, system, coloring, trace, rule, predicate factory) of every xi
+    run the suites make, and a few more: the factory takes the module
+    whose Fp or Kt it builds."""
+
+    def exnonlin():
+        system, coloring, tr = exnonlin_trace()
+        lo = simulate(system, parse("F(0, 0, 0)", system.sig), max_steps=4)
+        anchor = parse("S(S(S(0)))", system.sig)
+        yield "exnonlin-kt", system, coloring, tr, "succ", lambda m: m.Kt(anchor, system, 500)
+        yield ("exnonlin-lo-fp", system, coloring, lo, "succ",
+               lambda m: m.Fp((1,), lo, system, coloring, 500))
+        for p in [(1,), (2,), (3,)]:
+            yield (f"exnonlin-fp{p}", system, coloring, tr, "succ",
+                   lambda m, p=p: m.Fp(p, tr, system, coloring, 200))
+
+    def rearrange():
+        system, coloring, tr = rearrange_trace()
+        anchor = parse("J(mu X. K(Z, X))", system.sig)
+        yield ("rearrange-fp", system, coloring, tr, "jk",
+               lambda m: m.Fp((1, 1), tr, system, coloring, 400))
+        yield "rearrange-kt", system, coloring, tr, "jk", lambda m: m.Kt(anchor, system, 400)
+        # a budget of 2 misses reductions: stage and monotone-law violations
+        yield ("rearrange-fp-budget-2", system, coloring, tr, "jk",
+               lambda m: m.Fp((1, 1), tr, system, coloring, 2))
+
+    return [*exnonlin(), *rearrange()]
+
+
+@pytest.mark.parametrize("case", xi_cases(), ids=lambda case: case[0])
+def test_xi_reports_match_the_table_free_predicates(case):
+    """Fp and Kt answer each question once; with the predicates of
+    tests/hand_walks.py, which search again on every call, xi_trace gives
+    the same report: terms, flips, violations, and diameters of the same
+    types and values, and the same Cauchy flag."""
+    _name, system, coloring, tr, rule, predicate = case
+    got, want = (
+        xi_trace(system, tr, system.rule(rule), predicate(module), coloring)
+        for module in (convergence, hand_walks)
+    )
+    assert got.trace.all_terms() == want.trace.all_terms()
+    assert [seg.limit for seg in got.trace.segments] == [seg.limit for seg in want.trace.segments]
+    assert got.flip_counts == want.flip_counts
+    assert got.violations == want.violations
+    assert [(type(d), d) for d in got.diameters] == [(type(d), d) for d in want.diameters]
+    assert got.cauchy == want.cauchy
+    assert bool(got.violations) == (case[0] == "rearrange-fp-budget-2")
 
 
 def test_monotone_check_reaches_as_deep_as_the_predicates():

@@ -49,9 +49,10 @@ from itrsbench.metrics import (
     cycle_component,
     lazy_weight,
     position_umm,
+    shared_distance,
     simple_cycles,
 )
-from itrsbench.corpus import load, load_union
+from itrsbench.corpus import diverge_exa_trace, load, load_union
 from itrsbench.terms import VAR, subterm_at_node
 from fixpoint_sweep import sweep_fixpoint
 from flat_terms import product as flat_product
@@ -606,18 +607,112 @@ def test_exponent_map_matches_values():
 def test_the_exponent_sweep_gives_way_where_values_move_to_floats():
     """On exponents the sweeps are exact, within the limit the sweeps on
     values have: a halving cycle whose exit is 2^-60 settles at exponent
-    60 within the 68 sweeps of one node with edges, as the values do; an
+    60 within the 68 sweeps of a one-node component, as the values do; an
     exit at 2^-100 takes more, the solve on exponents answers None, and
-    the values move to floats."""
+    the values move to floats.  The limit counts the component alone, so
+    its answer does not depend on how much graph lies above it, which a
+    table of solved pairs cuts away: behind a chain of 30 nodes each cycle
+    does as it does alone."""
+    chain = {f"c{i}": [(IDENTITY, f"c{i + 1}")] for i in range(30)}
+    chain["c30"] = [(IDENTITY, "a")]
     for k in (60, 100):
-        graph = {"a": [(HALVE, "a"), (Scale(Fraction(1, 2**k)), "x")], "x": []}
-        maps = {n: [(_exponent_map(c), m) for c, m in out] for n, out in graph.items()}
-        got = _fixpoint("a", maps.__getitem__, lambda n: 0, on_exponents=True)
-        want = _fixpoint("a", graph.__getitem__, lambda n: Fraction(1))
-        if k == 60:
-            assert (got, want) == (60, Fraction(1, 2**60))
-        else:
-            assert got is None and type(want) is float
+        cycle = {"a": [(HALVE, "a"), (Scale(Fraction(1, 2**k)), "x")], "x": []}
+        for root, graph in (("a", cycle), ("c0", {**cycle, **chain})):
+            maps = {n: [(_exponent_map(c), m) for c, m in out] for n, out in graph.items()}
+            got = _fixpoint(root, maps.__getitem__, lambda n: 0, on_exponents=True)
+            want = _fixpoint(root, graph.__getitem__, lambda n: Fraction(1))
+            if k == 60:
+                assert (got, want) == (60, Fraction(1, 2**60))
+            else:
+                assert got is None and type(want) is float
+
+
+def test_a_known_pair_is_a_leaf_with_its_value():
+    """A node in the table of solved values is a leaf with its value, its
+    edges not asked for; an exact solve adds every value it found, and a
+    solve that read the table gives way (None) where it would move to
+    floats, while one that read nothing from it moves to floats."""
+    graph = {"r": [(HALVE, "a")], "a": [(HALVE, "a"), (IDENTITY, "b")],
+             "b": [(Scale(Fraction(1, 2**100)), "x")], "x": []}
+    asked = []
+
+    def edges(n):
+        asked.append(n)
+        return graph[n]
+
+    one = lambda n: Fraction(1)
+    solved = {"a": Fraction(1, 8)}
+    assert _fixpoint("r", edges, one, solved=solved) == Fraction(1, 16)
+    assert asked == ["r"] and solved == {"a": Fraction(1, 8), "r": Fraction(1, 16)}
+    asked.clear()
+    solved = {"b": Fraction(1, 2**100)}
+    assert _fixpoint("r", edges, one, solved=solved) is None
+    assert "b" not in asked and solved == {"b": Fraction(1, 2**100)}
+    solved = {}
+    assert type(_fixpoint("r", edges, one, solved=solved)) is float and not solved
+
+
+def test_the_diverge_exa_steps_share_their_pairs(monkeypatch):
+    """The 20 step distances of the diverge-exa head reduction, through one
+    table of solved pairs, enter 40 pairs of the product graph, each once:
+    every d(t_i, t_i+1) reaches the pair of the step before and reads it
+    from the table.  A fresh table per distance enters 420.  The answers
+    are distance's, in type and value."""
+    system, _coloring, tr = diverge_exa_trace()
+    m = system.metric
+    terms = tr.all_terms()
+    steps = list(zip(terms, terms[1:]))
+    assert len(steps) == 20
+    entered = entered_pairs(monkeypatch)
+    solved: dict = {}
+    got = [shared_distance(m, a, b, solved) for a, b in steps]
+    assert len(entered) == len(set(entered)) == 40
+    entered.clear()
+    want = [distance(m, a, b) for a, b in steps]
+    assert len(entered) == 420
+    assert [(type(d), d) for d in got] == [(type(d), d) for d in want]
+
+
+SHARED_METRICS = ["infty", "lazy-first", "exa-layers", "exa-layers2", "binary", "non-dyadic",
+                  "pow-half"]
+
+
+@pytest.mark.parametrize("name", SHARED_METRICS)
+def test_a_shared_table_changes_no_distance(name, monkeypatch):
+    """Seeded runs of terms, each the last one mutated or wrapped in a new
+    root, measured within windows of 4 through one table per run: every
+    answer is a fresh distance's, in type and value, floats included, and
+    the table saves pairs."""
+    if name == "infty":
+        m = metric_infty(GENERIC_SIG)
+    elif name == "lazy-first":
+        m = metric_granular(GENERIC_SIG, {"F": ["lazy", "strict"], "G": ["strict"],
+                                          "H": ["lazy"], "c": [], "d": []})
+    else:
+        m = non_granular_metric(name)
+    sig = m.sig
+    unary = sorted(s for s in sig.symbols if sig.arity(s) == 1)
+    rng = rng_for(f"metrics-shared-{name}")
+    entered = entered_pairs(monkeypatch)
+    saved = kinds = 0
+    for _ in range(12):
+        run = [random_rational_term(rng, sig, rng.randint(2, 6))]
+        for _ in range(8):
+            last = run[-1]
+            run.append(mutate(rng, last, sig) if rng.random() < 0.5
+                       else app(rng.choice(unary), [last]))
+        pairs = [(a, b) for j, a in enumerate(run) for b in run[j + 1 : j + 4]]
+        entered.clear()
+        solved: dict = {}
+        got = [shared_distance(m, a, b, solved) for a, b in pairs]
+        shared = len(entered)
+        entered.clear()
+        want = [distance(m, a, b) for a, b in pairs]
+        assert [(type(d), d) for d in got] == [(type(d), d) for d in want]
+        saved += len(entered) - shared
+        kinds |= {float: 1, Fraction: 2}[type(max(want))]
+    assert saved > 0
+    assert kinds == (3 if name == "pow-half" else 2)
 
 
 # --- variable depth --------------------------------------------------------------

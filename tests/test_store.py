@@ -2,8 +2,8 @@
 terms it replaced (tests/flat_terms.py): identical flat views, redex
 occurrences and reducts on seeded graphs and on seeded steps of every
 corpus system; == against bisimilar; the weak tables empty again after
-long runs; a rewrite path and trace diameters that build no flat view;
-and loops placed whole where they meet a stored one."""
+long runs; a rewrite path, trace diameters and a cut trace that build
+no flat view; and loops placed whole where they meet a stored one."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ from collections import Counter
 from itertools import combinations
 
 import flat_terms
+import hand_walks
 import itrsbench.terms as terms_module
 from itrsbench import (
     app,
@@ -24,8 +25,9 @@ from itrsbench import (
     simulate,
     successors,
     to_text,
+    var,
 )
-from itrsbench.convergence import _knot, extrapolate_limit, sliding_diameter
+from itrsbench.convergence import _knot, cutoff_trace, extrapolate_limit, sliding_diameter
 from itrsbench.corpus import ITRS_SOURCES, diverge_exa_trace, load, load_union, string_trace
 from itrsbench.terms import APP, from_nodes, node_at, sccs, subterm_at_node
 from conftest import (
@@ -234,6 +236,33 @@ def test_a_trace_diameter_builds_no_flat_view(monkeypatch):
     monkeypatch.setattr(terms_module, "_flat_view", no_view)
     assert [sliding_diameter(m, tr, 3) for m, tr in traces] == want
     assert all(want) and any(d < 1 for d in want[0]) and set(want[1]) == {1}
+
+
+def test_cutting_a_trace_builds_no_flat_view(monkeypatch):
+    """cutoff walks the states (store node, layers left): with the flat-view
+    walk made to raise, cutoff_trace cuts the diverge-exa trace at 1 to 3
+    layers into the terms of the cutoff that recurses once per layer
+    (tests/hand_walks.py), and its steps still validate at 2."""
+    system, coloring, tr = diverge_exa_trace()
+    u = var("x")
+    terms = tr.all_terms()
+    want = {n: [hand_walks.cutoff(t, n, u, coloring) for t in terms] for n in (1, 2, 3)}
+    for t in terms + [t for cut in want.values() for t in cut]:
+        for node in store_nodes(t):
+            node.__dict__.pop("_view", None)
+            node.__dict__.pop("nodes", None)
+    for rule in system.rules:  # the patterns, which may share a node with a cut term
+        rule.lhs._pattern, rule.lhs.nodes
+
+    def no_view(t):
+        raise AssertionError("cutoff built a flat view")
+
+    monkeypatch.setattr(terms_module, "_flat_view", no_view)
+    for n, cut in want.items():
+        rep = cutoff_trace(system, tr, n, u, coloring)
+        assert rep.trace.all_terms() == cut
+    assert not cutoff_trace(system, tr, 2, u, coloring).violations
+    assert len(set(want[2][1:])) == 1 and want[3] != want[2] != want[1]
 
 
 # --- loops placed whole -------------------------------------------------------
