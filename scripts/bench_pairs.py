@@ -2,7 +2,7 @@
 """Run the benchmark on a parent commit and on this tree, in alternating
 pairs, and write the before/after row as BENCH_<n>.json.
 
-    python3 scripts/bench_pairs.py N [--parent REV]
+    python3 scripts/bench_pairs.py N [--parent REV] [--holdout SEED]
 
 The parent's committed files are exported with `git archive` into a
 temporary directory, so the repository's own metadata is left as it was.
@@ -14,14 +14,23 @@ change.
 Each run's last output line (its JSON record) is kept, and every
 end-to-end metric of BENCHMARK.json is summarised: each side's quartiles,
 the number of pairs the change wins (ties count for neither), the ratio
-of the medians and the parent's interquartile distance.  The row also
-records src_lines, the `wc -l` total of src/itrsbench/*.py on each side.
+of the medians and the parent's interquartile distance.  Two rules are
+evaluated per metric and printed as a table on standard error: gain, the
+change wins at least nine tenths of the pairs and its median beats the
+parent's by more than the parent's interquartile distance; and
+within_bound, the change's median is no worse than the parent's by more
+than the metric's bound in BENCHMARK.json, relative to the parent's
+median (absolute where that median is 0).  --holdout SEED runs one more
+pair at a seed outside 1..10, recorded apart from the summary.  The row
+also records src_lines, the `wc -l` total of src/itrsbench/*.py on each
+side.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -71,22 +80,40 @@ def summarise(pairs: list, metrics: list) -> dict:
         sign = 1 if better == "higher" else -1
         pq = statistics.quantiles(parent, n=4, method="inclusive")
         cq = statistics.quantiles(change, n=4, method="inclusive")
+        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        gain = sign * (cq[1] - pq[1])  # how far the change's median is better
         out[name] = {
             "better": better,
             "parent_q1_median_q3": pq,
             "change_q1_median_q3": cq,
-            "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+            "change_wins": wins,
             "pairs": len(pairs),
             "median_ratio": cq[1] / pq[1] if pq[1] else None,
             "parent_iqr": pq[2] - pq[0],
+            "gain": wins >= math.ceil(0.9 * len(pairs)) and gain > pq[2] - pq[0],
+            "within_bound": -gain <= m["bound"] * (abs(pq[1]) or 1),
         }
     return out
+
+
+def print_rules(workloads: dict):
+    """The summary's medians and both rules, one line per workload and metric."""
+    print(f"{'workload':9} {'metric':14} {'parent':>10} {'change':>10} {'ratio':>6} "
+          f"{'wins':>5} {'gain':>5} {'bound':>5}", file=sys.stderr)
+    for workload, row in workloads.items():
+        for name, s in row["summary"].items():
+            ratio = "-" if s["median_ratio"] is None else f"{s['median_ratio']:.3f}"
+            print(f"{workload:9} {name:14} {s['parent_q1_median_q3'][1]:10.4g} "
+                  f"{s['change_q1_median_q3'][1]:10.4g} {ratio:>6} "
+                  f"{s['change_wins']:>2}/{s['pairs']:<2} {'yes' if s['gain'] else 'no':>5} "
+                  f"{'ok' if s['within_bound'] else 'WORSE':>5}", file=sys.stderr)
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("n", type=int, help="the number in the output name BENCH_<n>.json")
     ap.add_argument("--parent", default="HEAD", help="the parent revision (default HEAD)")
+    ap.add_argument("--holdout", type=int, help="one more pair at this seed, kept apart")
     args = ap.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
@@ -97,6 +124,8 @@ def main():
         check=True,
     ).stdout.strip()
     seeds = list(range(1, PAIRS + 1))
+    if args.holdout in seeds:
+        ap.error(f"--holdout must lie outside {seeds[0]}..{seeds[-1]}")
     report = {
         "what": f"bench/run.py --trace 0 --seconds {seconds:g}, {PAIRS} alternating "
                 "parent/change pairs per workload (odd seeds run the parent first, even "
@@ -113,7 +142,7 @@ def main():
         report["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
         for workload in (w["name"] for w in contract["workloads"]):
             pairs = []
-            for seed in seeds:
+            for seed in seeds + ([args.holdout] if args.holdout is not None else []):
                 order = ("parent", "change") if seed % 2 else ("change", "parent")
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
@@ -121,10 +150,13 @@ def main():
                     ops = pair[side]["metrics"]["ops_per_s"]["value"]
                     print(f"{workload} seed {seed} {side}: {ops:.3f} ops/s", file=sys.stderr)
                 pairs.append(pair)
-            report["workloads"][workload] = {
-                "summary": summarise(pairs, contract["end_to_end"]),
-                "pairs": pairs,
+            row = report["workloads"][workload] = {
+                "summary": summarise(pairs[:PAIRS], contract["end_to_end"]),
+                "pairs": pairs[:PAIRS],
             }
+            if args.holdout is not None:
+                row["holdout"] = pairs[PAIRS]
+    print_rules(report["workloads"])
     out = os.path.join(ROOT, f"BENCH_{args.n}.json")
     with open(out, "w") as f:
         json.dump(report, f, indent=1)

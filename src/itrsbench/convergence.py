@@ -226,8 +226,14 @@ def simulate(
     max_steps: int = DEFAULT_BUDGETS.max_steps,
     depth_bound: int = DEFAULT_BUDGETS.depth_bound,
     script: Optional[Sequence[tuple[Position, str]]] = None,
+    reducts: Optional[Mapping] = None,
 ) -> Trace:
-    """Run one reduction path."""
+    """Run one reduction path.
+
+    reducts, when given, maps terms to their successors under this system
+    and depth bound (as ReductionGraph.edges does): a term in it takes its
+    step and reduct from there, and only the others are searched.
+    """
     terms = [t0]
     steps: list[RedexOccurrence] = []
     stuck = False
@@ -243,13 +249,17 @@ def simulate(
             terms.append(replace(terms[-1], p, rule.rhs, sigma))
     else:
         for _ in range(max_steps):
-            occs = redexes(system, terms[-1], depth_bound)
+            out = reducts.get(terms[-1]) if reducts is not None else None
+            occs = redexes(system, terms[-1], depth_bound) if out is None else [o for o, _u in out]
             if not occs:
                 stuck = True
                 break
             occ = _pick(occs, strategy)
             steps.append(occ)
-            terms.append(replace(terms[-1], occ.position, occ.rule.rhs, occ.binding))
+            if out is None:
+                terms.append(replace(terms[-1], occ.position, occ.rule.rhs, occ.binding))
+            else:
+                terms.append(next(u for o, u in out if o is occ))
     return Trace([Segment(terms, steps)], stuck=stuck)
 
 
@@ -478,7 +488,14 @@ def extrapolate_limit(seg: Segment) -> Optional[RationalTerm]:
     Detects redex positions descending along one spine with a fixed
     period and a constant written context, builds the mu-term limit, and
     verifies prefix agreement (agreement outside the active position) on
-    every recorded term of the pumping suffix.
+    every recorded term of the pumping suffix.  The redex subterm must
+    repeat exactly one period on, shifted down by the pumped context q:
+    the subterm at the anchor's redex position is the one at the start's.
+
+    These checks are necessary, not yet a proof that the run pumps for
+    ever.  The lemma still to prove: no later pump grows a redex at a
+    proper prefix of p.q (p the start's redex position).  It needs a bound
+    on the depth of the left-hand sides, checked on the limit's context.
     """
     if not seg.steps:
         return seg.terms[0]
@@ -488,6 +505,10 @@ def extrapolate_limit(seg: Segment) -> Optional[RationalTerm]:
         for start in range(0, n - 2 * period + 1):
             q = pos[start + period][len(pos[start]) :]
             if not q or pos[start + period][: len(pos[start])] != pos[start]:
+                continue
+            if subterm(seg.terms[start + period], pos[start + period]) is not subterm(
+                seg.terms[start], pos[start]
+            ):
                 continue
             ok = True
             for i in range(start, n - period):
@@ -520,13 +541,19 @@ def classify_convergence(
 ) -> Verdict:
     """Loop search, then limit extrapolation of the leftmost-outermost run
     plus membership, then a sliding-diameter floor; honest Unknown
-    otherwise."""
-    loop = find_loop(system, t0, budget=budgets.loop_states, depth_bound=budgets.depth_bound)
-    if loop is not None:
-        return diverging(loop)
+    otherwise, whose note names what bound it.  The run reads the steps of
+    the terms the loop search expanded from its graph."""
+    graph = reduction_graph(
+        system, t0, budgets.loop_states, budgets.depth_bound,
+        lambda g: _loop_witness(system, g),
+    )
+    if graph.found is not None:
+        return diverging(graph.found)
 
-    tr = simulate(system, t0, max_steps=budgets.max_steps, depth_bound=budgets.depth_bound)
+    tr = simulate(system, t0, max_steps=budgets.max_steps, depth_bound=budgets.depth_bound,
+                  reducts=graph.edges)
     limit = extrapolate_limit(tr.segments[-1])
+    membership = None
     if limit is not None and tr.segments[-1].steps:
         membership = is_member(system.metric, limit)
         if membership.kind == "non_member":
@@ -537,14 +564,22 @@ def classify_convergence(
         return converging(tr.all_terms()[-1], note="normal form reached")
 
     diams = sliding_diameter(system.metric, tr, WINDOW)
-    if diams:
-        floor = min(float(d) for d in diams)
-        if floor > TOL:
-            return diverging(
-                DiameterFloorWitness(floor, WINDOW, tuple(diams)),
-                note="desk-scale evidence, not a proof",
-            )
-    return unknown(budgets)
+    floor = min(float(d) for d in diams) if diams else None
+    if floor is not None and floor > TOL:
+        return diverging(
+            DiameterFloorWitness(floor, WINDOW, tuple(diams)),
+            note="desk-scale evidence, not a proof",
+        )
+    bounds = []
+    if graph.exhausted:
+        bounds.append(f"loop search stopped at loop_states={budgets.loop_states}")
+    if membership is not None:
+        bounds.append(f"membership of the extrapolated limit undecided: {membership.detail}")
+    else:
+        bounds.append(f"the run neither got stuck nor pumped in max_steps={budgets.max_steps}")
+    if floor is not None:
+        bounds.append(f"diameter floor {floor:g} at or below TOL={TOL:g}")
+    return unknown(budgets, note="; ".join(bounds))
 
 
 @dataclass(frozen=True)

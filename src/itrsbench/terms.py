@@ -14,12 +14,13 @@ exact since the arguments are unique.  A strongly connected component
 of new nodes with a cycle, a loop, is refined by Hopcroft's algorithm
 and placed whole: it meets a stored loop that it points into or that
 has its multiset of node labels, if the two are bisimilar.
-from_nodes builds a term from a raw graph this way, and graph_term,
-parse (for the part of a text under a `mu` name), a cyclic substitute
-and the layer constructions go through it; a graph without a cycle runs
-no refinement.  replace and subterm work on nodes: a rewrite step conses
-the instance of the right-hand side and the spine above its position,
-O(|p| + |rhs|) for a finite one, and visits nothing else.
+from_nodes builds a term from a raw graph this way, and graph_term, a
+cyclic substitute and the layer constructions go through it; a graph
+without a cycle runs no refinement.  parse places each loop as its `mu`
+binder closes, since the text's scoping marks the loop, and hash-conses
+the rest at each `)`.  replace and subterm work on nodes: a rewrite step
+conses the instance of the right-hand side and the spine above its
+position, O(|p| + |rhs|) for a finite one, and visits nothing else.
 
 RationalTerm.nodes is a cached flat view for the code that reads a graph
 by index (membership, epsilon-positions and variable depths, layers,
@@ -822,26 +823,46 @@ def _error(text: str, k: int, message: str, after: bool = False) -> ParseError:
 
 
 def parse(text: str, sig: Optional[Signature] = None) -> RationalTerm:
-    """The term of a mu-text, in one pass over its tokens.  A term is
-    hash-consed at its `)` once its arguments are terms; one that reaches
-    a `mu` name still open is a raw node instead, and the raw graph goes
-    through from_nodes at the end.  A `mu` name waits in pending until its
-    body's head is read, then names a raw slot that the body fills if it
-    is raw.  A body that is a pending name is no body, raised after any
-    other error."""
+    """The term of a mu-text, in one pass over its tokens.
+
+    A term is hash-consed at its `)` once its arguments are terms; one
+    that reaches a `mu` name still open is a raw node (symbol, args)
+    instead, numbered in nodes.  A `mu` name waits in pending until its
+    body's head is read, then names a raw slot, which that head fills if
+    it is raw; a head that is a leaf, another name or a term leaves the
+    slot empty, and it is dropped.  A body that is a pending name is no
+    body, raised after any other error.
+
+    Each loop is placed as its binder closes, with Tarjan's low-link
+    (SIAM J. Comput. 1972) read off the text's scoping: low[k] is the
+    least open slot that raw node k reaches, an empty slot's own number,
+    and a node's low is the least low of its raw children.  A name is
+    used only inside its binder's body, while its slot is empty, so a raw
+    node reaches no slot of a binder closed before it, and a node made
+    inside a body lies above its slot in nodes.  So when the head filling
+    slot s closes with low s, every raw node from s on was made in the
+    body, the head reaches it, and it reaches s: they are exactly one
+    strongly connected component, a loop.  _place_loop stores it then,
+    and its nodes leave nodes, so the context around it (a lasso's
+    prefix, say) is hash-consed like finite text.  No raw node is left at
+    the end, where no slot is open.  Once a binder with no body is seen,
+    nothing is placed: its slot stays empty, and the text is refused.
+    """
     tokens: list = _TOKEN.findall(text)
     bad = "" in tokens  # the tokens end at the first bad character
     if bad:
         del tokens[tokens.index(""):]
     tokens.append(None)  # the end, read as often as asked
     i = 0  # the next token
-    nodes: list = []  # raw entries for from_nodes; a raw node is its number here
+    nodes: list = []  # raw nodes (symbol, args), None for an empty slot
+    low: list[int] = []  # the least open slot each raw node reaches
     pending: list[tuple[str, int]] = []  # (name, token number of its `mu`)
     bodiless: Optional[int] = None  # the `mu` of the first binder with no body
+    symbols = sig.symbols if sig is not None else None
 
     def is_symbol(name: str) -> bool:
         if sig is not None:
-            return name in sig
+            return name in symbols
         return name[0].isupper() or name[0].isdigit()
 
     def close_app(frame: tuple, k: int):
@@ -849,18 +870,36 @@ def parse(text: str, sig: Optional[Signature] = None) -> RationalTerm:
         tok, slot, args, _bound = frame
         if tokens[k] != ")":
             raise _error(text, k, f"expected ')', got {tokens[k]!r}", after=True)
-        if sig is not None:
-            if tok not in sig:
+        if symbols is not None and symbols.get(tok) != len(args):
+            if tok not in symbols:
                 raise _error(text, k, f"unknown symbol {tok}", after=True)
-            if sig.arity(tok) != len(args):
-                raise _error(text, k, f"{tok} expects {sig.arity(tok)} arguments", after=True)
-        if nodes and int in map(type, args):  # it reaches an open `mu` name
-            if slot is None:
-                slot = len(nodes)
-                nodes.append(None)
-            nodes[slot] = (APP, tok, tuple(args))
+            raise _error(text, k, f"{tok} expects {symbols[tok]} arguments", after=True)
+        lo = -1
+        if nodes:
+            for c in args:
+                if c.__class__ is int:
+                    c = low[c]
+                    if lo < 0 or c < lo:
+                        lo = c
+        if lo < 0:  # it reaches no open `mu` name
+            if slot is not None:
+                del nodes[slot:], low[slot:]
+            return _cons(tok, tuple(args))
+        if slot is None:
+            slot = len(nodes)
+            nodes.append((tok, args))
+            low.append(lo)
             return slot
-        return _cons(tok, tuple(args))
+        nodes[slot] = (tok, args)
+        low[slot] = lo
+        if lo < slot or bodiless is not None:
+            return slot
+        body = nodes[slot:]
+        del nodes[slot:], low[slot:]
+        return _place_loop(
+            [symbol for symbol, _args in body],
+            [[c - slot if c.__class__ is int else c for c in kids] for _symbol, kids in body],
+        )[0]
 
     # Open applications wait on a stack as (symbol, slot or None, args so
     # far, bound inside); each pass of the outer loop reads the head of
@@ -891,6 +930,7 @@ def parse(text: str, sig: Optional[Signature] = None) -> RationalTerm:
                 bodiless = names[tok]  # raised once the rest has parsed
             slot = len(nodes)  # the body's head's, if it is raw
             nodes.append(None)
+            low.append(slot)
             bound = {**bound, **dict.fromkeys(names, slot)}
         if tok in bound:
             node = bound[tok]
@@ -903,13 +943,15 @@ def parse(text: str, sig: Optional[Signature] = None) -> RationalTerm:
             i += 1
             node = close_app(frame, i - 1)
         elif is_symbol(tok):
-            if sig is not None and sig.arity(tok) != 0:
+            if sig is not None and symbols[tok] != 0:
                 raise _error(text, i, f"{tok} is not nullary")
             node = _cons(tok, ())
         else:
             if tok == FALLBACK_VAR_NAME:
                 raise _error(text, i, "reserved variable name")
             node = _cons(tok, None)
+        if slot is not None and node != slot:  # a head that fills no slot
+            del nodes[slot:], low[slot:]
         while stack:
             frame = stack[-1]
             frame[2].append(node)
@@ -924,7 +966,7 @@ def parse(text: str, sig: Optional[Signature] = None) -> RationalTerm:
         raise _error(text, i, f"trailing input {tokens[i]!r}")
     if bodiless is not None:
         raise _error(text, bodiless, "mu binder with no body")
-    return from_nodes(nodes, node) if node.__class__ is int else node
+    return node
 
 
 _MU_NAMES = "XYZWVU"

@@ -297,6 +297,81 @@ def test_classify_stuck_is_converging():
     assert verdict.kind == "converging"
 
 
+def _corpus_start(name: str):
+    if name == "toyama union":
+        system, _ = load_union("toyama-r", "toyama-s")
+        return system, parse("F(0, 1, G(0, 1))", system.sig)
+    f = load({"toyama": "toyama-r"}.get(name, name))
+    return f.system, f.terms["start"]
+
+
+CORPUS_STARTS = ("string", "zantema", "toyama", "toyama union")
+BUDGET_GRID = [Budgets(loop_states=2_000, max_steps=steps, depth_bound=depth)
+               for steps in (8, 12, 16, 20, 24, 32) for depth in (8, 16)]
+
+
+@pytest.mark.parametrize("name", CORPUS_STARTS)
+def test_verdicts_do_not_flip_with_the_budget(name):
+    """A corpus start term is never converging at one budget of the grid
+    and diverging at another, and every loop witness replays."""
+    system, t0 = _corpus_start(name)
+    kinds = set()
+    for budgets in BUDGET_GRID:
+        verdict = classify_convergence(system, t0, budgets)
+        kinds.add(verdict.kind)
+        if isinstance(verdict.witness, LoopWitness):
+            assert replay_loop(system, verdict.witness), budgets
+    assert not {"converging", "diverging"} <= kinds, kinds
+
+
+def test_the_string_run_pumps_no_period_whose_redex_does_not_repeat():
+    """The string run returns to the root ever later, so its `bs` tail is
+    no pumping period: at every budget of the grid the verdict rests on
+    the diameter floor, not on an extrapolated limit."""
+    system, t0 = _corpus_start("string")
+    for budgets in BUDGET_GRID:
+        verdict = classify_convergence(system, t0, budgets)
+        assert verdict.kind == "diverging", budgets
+        assert isinstance(verdict.witness, DiameterFloorWitness), budgets
+
+
+@pytest.mark.parametrize("name", CORPUS_STARTS)
+def test_the_run_reads_the_loop_search_graph(monkeypatch, name):
+    """classify_convergence hands the loop search's graph to the run as a
+    successors memo; every verdict and witness is the one computed
+    without it."""
+    system, t0 = _corpus_start(name)
+    with_memo = [classify_convergence(system, t0, b) for b in BUDGET_GRID]
+    plain = convergence.simulate
+    monkeypatch.setattr(convergence, "simulate",
+                        lambda *args, **kw: plain(*args, **{**kw, "reducts": None}))
+    assert [classify_convergence(system, t0, b) for b in BUDGET_GRID] == with_memo
+
+
+def test_a_memoised_run_searches_no_expanded_term(monkeypatch):
+    system, t0 = _corpus_start("string")
+    graph = convergence.reduction_graph(system, t0, 2_000, 24, lambda g: None)
+    assert not graph.exhausted
+    searched = []
+    find = convergence.redexes
+    monkeypatch.setattr(convergence, "redexes",
+                        lambda s, t, d: searched.append(t) or find(s, t, d))
+    tr = simulate(system, t0, max_steps=18, depth_bound=24, reducts=graph.edges)
+    assert searched == []
+    monkeypatch.undo()
+    assert tr.segments[0].steps == simulate(system, t0, max_steps=18, depth_bound=24).segments[0].steps
+
+
+def test_an_unknown_verdict_names_the_budgets_that_bound_it():
+    system, t0 = _corpus_start("string")
+    verdict = classify_convergence(system, t0, Budgets(loop_states=3, max_steps=2))
+    assert verdict.kind == "unknown"
+    assert "loop_states=3" in verdict.note and "max_steps=2" in verdict.note
+    closed = classify_convergence(system, t0, Budgets(loop_states=2_000, max_steps=2))
+    assert closed.kind == "unknown"
+    assert "loop_states" not in closed.note and "max_steps=2" in closed.note
+
+
 def test_sliding_diameter_of_constant_trace():
     system = load("exnonlin-s").system
     t = parse("0", system.sig)

@@ -10,6 +10,7 @@ import pickle
 import sys
 from collections import Counter
 from itertools import combinations
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -389,6 +390,35 @@ def test_mu_free_parse_runs_no_refinement(monkeypatch):
     assert calls == [2]
 
 
+@pytest.mark.parametrize("n", [1, 7, 300])
+def test_parse_places_each_loop_as_its_binder_closes(monkeypatch, n):
+    """A fresh n-node ring under a lasso prefix: parse runs no from_nodes,
+    places the ring once and refines it once, on its n nodes, and
+    hash-conses the prefix like finite text."""
+    calls = Counter()
+    refined = []
+    place, refine = terms_module._place_loop, terms_module._refine
+
+    def placing(symbols, kids):
+        calls["_place_loop"] += 1
+        return place(symbols, kids)
+
+    def refining(labels, preds):
+        refined.append(len(labels))
+        return refine(labels, preds)
+
+    monkeypatch.setattr(terms_module, "from_nodes", lambda *a: calls.update(["from_nodes"]))
+    monkeypatch.setattr(terms_module, "_place_loop", placing)
+    monkeypatch.setattr(terms_module, "_refine", refining)
+    ring = "mu X. " + "".join(f"Ring{n}_{k}(" for k in range(n)) + "X" + ")" * n
+    t = parse(f"Lasso{n}(Prefix{n}(c, {ring}))")
+    assert calls == Counter({"_place_loop": 1}) and refined == [n]
+    assert len(t.nodes) == n + 3 and not t.is_finite
+    for node in (t, t.args[0]):
+        assert terms_module._TABLE[(node.symbol, node.args)]() is node
+    assert t.args[0].args[1]._loop is not None
+
+
 def test_intern_table_is_weak():
     text = "F(Interned, mu X. G(Interned(X)))"
     t = parse(text)
@@ -708,22 +738,49 @@ def test_parse_error_locations(text, message, line, column):
         f"{line}:{column}: {message}", line, column)
 
 
-def _mu_tokens(rng, budget: int, bound: tuple = ()) -> list[str]:
+def _mu_tokens(rng, budget: int, bound: tuple = (), shapes: Optional[Counter] = None,
+               body: bool = False) -> list[str]:
     """Tokens of a random mu-term over GENERIC_SIG's names: binders nest
     and shadow (three names only), and a bound name may be used under
-    several binders, or be a binder's whole body."""
+    several binders, or be a binder's whole body.  Inside a loop it also
+    draws binders whose head fills no slot (a leaf, an outer name, or the
+    binder's own name: no body) and sibling loops under one binder; out
+    of one, loops under a lasso prefix.  A binder's body is mostly an
+    application.  shapes, when given, counts the shapes drawn."""
     roll = rng.random()
-    if budget > 0 and roll < 0.25:
+    if body and rng.random() < 0.6:
+        roll = 0.52 + 0.48 * roll
+    if budget > 0 and roll < 0.22:
         name = rng.choice("XYZ")
-        return ["mu", name, "."] + _mu_tokens(rng, budget - 1, bound + (name,))
-    if bound and roll < 0.4:
-        return [rng.choice(bound)]
-    if budget <= 0 or roll < 0.5:
+        if shapes is not None and bound:
+            shapes["nested binder"] += 1
+        return ["mu", name, "."] + _mu_tokens(rng, budget - 1, bound + (name,), shapes, True)
+    if bound and roll < 0.28:
+        name = rng.choice("XYZ")
+        head = name if rng.random() < 0.15 else rng.choice(["c", "x", rng.choice(bound)])
+        if shapes is not None:
+            shapes["bodiless" if head == name else "alias head" if head in bound else "leaf head"] += 1
+        return ["mu", name, ".", head]
+    if bound and roll < 0.38:
+        name = rng.choice(bound + bound[:1])
+        if shapes is not None and name != bound[-1]:
+            shapes["outer reference"] += 1
+        return [name]
+    if budget > 0 and roll < 0.45:
+        if shapes is not None:
+            shapes["sibling loops" if bound else "lasso prefix"] += 1
+        out = ["F", "("]
+        for k in range(2):
+            name = rng.choice("XYZ")
+            out += ([","] if k else []) + ["mu", name, "."]
+            out += _mu_tokens(rng, budget - 1, bound + (name,), shapes, True)
+        return out + [")"]
+    if budget <= 0 or roll < 0.52:
         return [rng.choice(["c", "d", "x", "y"])]
     symbol = rng.choice("FGH")
     out = [symbol, "("]
     for k in range(GENERIC_SIG.arity(symbol)):
-        out += ([","] if k else []) + _mu_tokens(rng, budget - 1, bound)
+        out += ([","] if k else []) + _mu_tokens(rng, budget - 1, bound, shapes)
     return out + [")"]
 
 
@@ -762,8 +819,12 @@ def test_parse_equals_the_named_spec_parser():
     seen = Counter()
     for k in range(600):
         sig = GENERIC_SIG if k % 2 else None
-        tokens = _mu_tokens(rng, rng.randrange(1, 8))
-        seen[_assert_same_parse(_spaced(rng, tokens), sig)] += 1
+        shapes = Counter()
+        tokens = _mu_tokens(rng, rng.randrange(1, 8), shapes=shapes)
+        outcome = _assert_same_parse(_spaced(rng, tokens), sig)
+        seen[outcome] += 1
+        for shape in shapes:
+            seen[f"{outcome} with {shape}"] += 1
         # malformed: drop, repeat, swap or insert a token, or cut the text
         bad = list(tokens)
         i = rng.randrange(len(bad))
@@ -780,6 +841,10 @@ def test_parse_equals_the_named_spec_parser():
             bad = bad[:i]
         seen["malformed " + _assert_same_parse(_spaced(rng, bad), sig)] += 1
     assert seen["term"] > 200 and seen["bodiless"] > 10, seen
+    for shape in ("nested binder", "outer reference", "sibling loops", "lasso prefix",
+                  "leaf head", "alias head"):
+        assert seen[f"term with {shape}"] > 20, (shape, seen)
+    assert seen["bodiless with bodiless"] > 10, seen
     assert seen["malformed error"] > 300, seen
     deep = 5000
     assert sys.getrecursionlimit() < deep
