@@ -17,13 +17,15 @@ the number of pairs the change wins (ties count for neither), the ratio
 of the medians and the parent's interquartile distance.  Two rules are
 evaluated per metric and printed as a table on standard error: gain, the
 change wins at least nine tenths of the pairs and its median beats the
-parent's by more than the parent's interquartile distance; and
-within_bound, the change's median is no worse than the parent's by more
-than the metric's bound in BENCHMARK.json, relative to the parent's
-median (absolute where that median is 0).  --holdout SEED runs one more
-pair at a seed outside 1..10, recorded apart from the summary.  The row
-also records src_lines, the `wc -l` total of src/itrsbench/*.py on each
-side.
+parent's by more than the parent's interquartile distance; and bound,
+which reads "worse" when the change's median is worse than the parent's
+by more than the metric's bound in BENCHMARK.json (relative to the
+parent's median, absolute where that median is 0), else "unresolved"
+when the parent's interquartile distance is wider than that bound and
+some change run is no better than some parent run, else "within".
+--holdout SEED runs one more pair at a seed outside 1..10, recorded
+apart from the summary.  The row also records src_lines, the `wc -l`
+total of src/itrsbench/*.py on each side.
 """
 
 from __future__ import annotations
@@ -82,6 +84,15 @@ def summarise(pairs: list, metrics: list) -> dict:
         cq = statistics.quantiles(change, n=4, method="inclusive")
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         gain = sign * (cq[1] - pq[1])  # how far the change's median is better
+        bound = m["bound"] * (abs(pq[1]) or 1)
+        if -gain > bound:
+            verdict = "worse"
+        elif pq[2] - pq[0] > bound and not min(sign * c for c in change) > max(
+            sign * p for p in parent
+        ):
+            verdict = "unresolved"  # too spread to tell, and not a clean sweep
+        else:
+            verdict = "within"
         out[name] = {
             "better": better,
             "parent_q1_median_q3": pq,
@@ -91,7 +102,7 @@ def summarise(pairs: list, metrics: list) -> dict:
             "median_ratio": cq[1] / pq[1] if pq[1] else None,
             "parent_iqr": pq[2] - pq[0],
             "gain": wins >= math.ceil(0.9 * len(pairs)) and gain > pq[2] - pq[0],
-            "within_bound": -gain <= m["bound"] * (abs(pq[1]) or 1),
+            "bound": verdict,
         }
     return out
 
@@ -99,14 +110,14 @@ def summarise(pairs: list, metrics: list) -> dict:
 def print_rules(workloads: dict):
     """The summary's medians and both rules, one line per workload and metric."""
     print(f"{'workload':9} {'metric':14} {'parent':>10} {'change':>10} {'ratio':>6} "
-          f"{'wins':>5} {'gain':>5} {'bound':>5}", file=sys.stderr)
+          f"{'wins':>5} {'gain':>5} {'bound':>10}", file=sys.stderr)
     for workload, row in workloads.items():
         for name, s in row["summary"].items():
             ratio = "-" if s["median_ratio"] is None else f"{s['median_ratio']:.3f}"
             print(f"{workload:9} {name:14} {s['parent_q1_median_q3'][1]:10.4g} "
                   f"{s['change_q1_median_q3'][1]:10.4g} {ratio:>6} "
                   f"{s['change_wins']:>2}/{s['pairs']:<2} {'yes' if s['gain'] else 'no':>5} "
-                  f"{'ok' if s['within_bound'] else 'WORSE':>5}", file=sys.stderr)
+                  f"{s['bound']:>10}", file=sys.stderr)
 
 
 def main():

@@ -40,6 +40,7 @@ from .terms import (
     Position,
     RationalTerm,
     TermError,
+    app,
     bfs_path,
     from_nodes,
     replace,
@@ -47,6 +48,7 @@ from .terms import (
     subterm,
     subterm_at_node,
     topequ,
+    var,
 )
 
 
@@ -482,20 +484,80 @@ def _knot(t: RationalTerm, p: Position, q: Position) -> RationalTerm:
     return from_nodes(nodes, 0)
 
 
+def _generalise(t: RationalTerm, depth: int) -> RationalTerm:
+    """t cut at depth: each subterm met there becomes a variable named for
+    its node, so equal cut subterms share one name and t is an instance of
+    the result."""
+    names: dict = {}
+    made: dict = {}
+
+    def cut(node: RationalTerm, d: int) -> RationalTerm:
+        if node.args is None:
+            return node
+        if d == 0:
+            return var(names.setdefault(node, f"?{len(names)}"))
+        key = (node, d)
+        if key not in made:
+            made[key] = app(node.symbol, [cut(c, d - 1) for c in node.args])
+        return made[key]
+
+    return cut(t, depth)
+
+
+def _repeats(seg: Segment, start: int, period: int) -> bool:
+    """Does the period from start pump its redex subterm s for ever?
+
+    Yes if the redex subterm one period on is s itself.  Yes also if the
+    period's steps, replayed at their positions relative to s on P, the
+    shallowest generalisation of s (s cut into variables at a depth) on
+    which they all apply, rewrite P to a term holding an instance P.mu at
+    q: rewriting is closed under substitution and context, so P.mu^k
+    pumps again for every k, and s is an instance of P.  A depth past the
+    summed lengths of the period's positions and sizes of its left-hand
+    sides reads all that the steps read, so no deeper cut is tried.
+    """
+    p = seg.steps[start].position
+    s = subterm(seg.terms[start], p)
+    q = seg.steps[start + period].position[len(p) :]
+    if subterm(seg.terms[start + period], p + q) is s:
+        return True
+    steps = []
+    for occ in seg.steps[start : start + period]:
+        if occ.position[: len(p)] != p:
+            return False
+        steps.append((occ.position[len(p) :], occ.rule))
+    for depth in range(1, sum(len(r) + len(rule.lhs.nodes) for r, rule in steps) + 1):
+        pattern = _generalise(s, depth)
+        u = pattern
+        for r, rule in steps:
+            sigma = match(rule.lhs, u, r)
+            if sigma is None:
+                break
+            u = replace(u, r, rule.rhs, sigma)
+        else:
+            return match(pattern, u, q) is not None
+        if pattern is s:
+            return False
+    return False
+
+
 def extrapolate_limit(seg: Segment) -> Optional[RationalTerm]:
     """Rational limit of a context-pumping segment.
 
     Detects redex positions descending along one spine with a fixed
     period and a constant written context, builds the mu-term limit, and
     verifies prefix agreement (agreement outside the active position) on
-    every recorded term of the pumping suffix.  The redex subterm must
-    repeat exactly one period on, shifted down by the pumped context q:
-    the subterm at the anchor's redex position is the one at the start's.
+    every recorded term of the pumping suffix.  The period must also
+    repeat (see _repeats): its steps turn the start's redex subterm into a
+    context holding, at q, the subterm itself or an instance of a
+    generalisation of it.  So the rules of the period apply again at p.q,
+    p.q.q, ... for ever, whether the pumped argument stays put or grows,
+    while a tail that only consumes a finite argument is refused.
 
-    These checks are necessary, not yet a proof that the run pumps for
-    ever.  The lemma still to prove: no later pump grows a redex at a
-    proper prefix of p.q (p the start's redex position).  It needs a bound
-    on the depth of the left-hand sides, checked on the limit's context.
+    Not yet proved: that leftmost-outermost keeps choosing these redexes.
+    The lemma still to prove is that no later pump makes a redex above or
+    left of p.q (p the start's redex position).  It needs a bound on the
+    depth of the left-hand sides, checked on the limit's context.
     """
     if not seg.steps:
         return seg.terms[0]
@@ -506,10 +568,6 @@ def extrapolate_limit(seg: Segment) -> Optional[RationalTerm]:
             q = pos[start + period][len(pos[start]) :]
             if not q or pos[start + period][: len(pos[start])] != pos[start]:
                 continue
-            if subterm(seg.terms[start + period], pos[start + period]) is not subterm(
-                seg.terms[start], pos[start]
-            ):
-                continue
             ok = True
             for i in range(start, n - period):
                 if (
@@ -518,7 +576,7 @@ def extrapolate_limit(seg: Segment) -> Optional[RationalTerm]:
                 ):
                     ok = False
                     break
-            if not ok:
+            if not ok or not _repeats(seg, start, period):
                 continue
             anchor = start + period
             limit = replace(

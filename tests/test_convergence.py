@@ -45,6 +45,7 @@ from itrsbench import (
     xi_trace,
 )
 from itrsbench import convergence, rewriting
+from itrsbench.itrsfile import parse_itrs
 from itrsbench.corpus import (
     diverge_exa_trace,
     exnonlin_trace,
@@ -297,11 +298,24 @@ def test_classify_stuck_is_converging():
     assert verdict.kind == "converging"
 
 
+# runs that pump a redex whose argument grows, so that no redex subterm
+# of the run repeats
+GROWING = {
+    "growing": "sig F/1\nsig G/1\nsig H/1\nsig a/0\n"
+               "rule grow: F(x) -> G(F(H(x)))\nterm start = F(a)",
+    "growing pair": "sig F/2\nsig G/1\nsig H/1\nsig a/0\n"
+                    "rule grow: F(x, x) -> G(F(H(x), H(x)))\nterm start = F(a, a)",
+}
+
+
 def _corpus_start(name: str):
     if name == "toyama union":
         system, _ = load_union("toyama-r", "toyama-s")
         return system, parse("F(0, 1, G(0, 1))", system.sig)
-    f = load({"toyama": "toyama-r"}.get(name, name))
+    if name in GROWING:
+        f = parse_itrs("metric infty\n" + GROWING[name])
+    else:
+        f = load({"toyama": "toyama-r"}.get(name, name))
     return f.system, f.terms["start"]
 
 
@@ -310,7 +324,7 @@ BUDGET_GRID = [Budgets(loop_states=2_000, max_steps=steps, depth_bound=depth)
                for steps in (8, 12, 16, 20, 24, 32) for depth in (8, 16)]
 
 
-@pytest.mark.parametrize("name", CORPUS_STARTS)
+@pytest.mark.parametrize("name", CORPUS_STARTS + tuple(GROWING))
 def test_verdicts_do_not_flip_with_the_budget(name):
     """A corpus start term is never converging at one budget of the grid
     and diverging at another, and every loop witness replays."""
@@ -333,6 +347,16 @@ def test_the_string_run_pumps_no_period_whose_redex_does_not_repeat():
         verdict = classify_convergence(system, t0, budgets)
         assert verdict.kind == "diverging", budgets
         assert isinstance(verdict.witness, DiameterFloorWitness), budgets
+
+
+@pytest.mark.parametrize("name", GROWING)
+def test_extrapolate_pumping_with_a_growing_argument(name):
+    """No redex subterm of the run repeats, but the rule pumps an instance
+    of a generalisation of it, so the limit is G(G(...)) at every length."""
+    system, t0 = _corpus_start(name)
+    for steps in (3, 8, 16):
+        tr = simulate(system, t0, max_steps=steps, depth_bound=16)
+        assert extrapolate_limit(tr.segments[0]) is parse("mu X. G(X)", system.sig)
 
 
 @pytest.mark.parametrize("name", CORPUS_STARTS)
