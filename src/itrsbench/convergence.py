@@ -54,6 +54,21 @@ from .terms import (
 
 @dataclass(frozen=True)
 class Budgets:
+    """The resource caps of classify_convergence (and of
+    strong_convergence_probe, which runs it on the indirected system).
+    When no verdict is reached within them the answer is unknown, and its
+    note names the caps that bound it.
+
+    loop_states: how many terms the loop search (reduction_graph over every
+    redex, breadth first) expands before it stops; also the root-recurrence
+    search's budget in strong_convergence_probe.
+    max_steps: how many steps the leftmost-outermost run takes, the run
+    whose terms feed limit extrapolation and the sliding diameters.
+    depth_bound: the longest redex position both searches look at: the
+    loop search and the run see no deeper redex, and a term whose redexes
+    all lie deeper ends the run as if it were a normal form.
+    """
+
     loop_states: int = 50_000
     max_steps: int = 24
     depth_bound: int = 8
@@ -148,6 +163,15 @@ def _parallel_step(system: ITRS, a: RationalTerm, b: RationalTerm) -> bool:
 
 @dataclass(frozen=True)
 class LoopWitness:
+    """Evidence that some reduction from start diverges: the prefix steps
+    lead from start to base, and the cycle steps lead from base back to
+    itself through distinct, a term at distance separation > 0 from base.
+    Repeating the cycle forever gives a reduction whose terms never get
+    closer than separation, so it has no limit.  The cycle may use any
+    redex (the loop search explores them all), so the witnessed reduction
+    need not be the leftmost-outermost one.  replay_loop checks it.
+    """
+
     start: RationalTerm
     prefix: tuple  # steps from start to the loop base
     cycle: tuple  # steps from the base back to itself
@@ -158,12 +182,26 @@ class LoopWitness:
 
 @dataclass(frozen=True)
 class NonMemberLimitWitness:
+    """Evidence that the leftmost-outermost run diverges: the run pumps a
+    repeating period towards limit (extrapolate_limit), and membership
+    shows that limit is not in the metric completion, so the run's terms
+    have no limit there.
+    """
+
     limit: RationalTerm
     membership: MemberVerdict
 
 
 @dataclass(frozen=True)
 class DiameterFloorWitness:
+    """Evidence, not proof, that the leftmost-outermost run diverges:
+    every window of that many consecutive terms of the recorded run has
+    diameter above epsilon (the least of diameters, which lists each
+    window's diameter in order).  A run observed for max_steps steps may
+    still settle later, so a verdict resting on this witness says so in
+    its note.
+    """
+
     epsilon: float
     window: int
     diameters: tuple
@@ -174,6 +212,20 @@ Witness = Union[LoopWitness, NonMemberLimitWitness, DiameterFloorWitness]
 
 @dataclass(frozen=True)
 class Verdict:
+    """The answer of classify_convergence for one start term.
+
+    "converging" is a claim about the leftmost-outermost run only: it got
+    stuck in a normal form, or it pumps towards limit and limit is a
+    member of the metric completion; other reductions of the start term
+    may still diverge.  "diverging" claims that some reduction from the
+    start term diverges, and witness says which and why: a LoopWitness
+    (any reduction, replayable), a NonMemberLimitWitness or a
+    DiameterFloorWitness (both about the leftmost-outermost run; the
+    latter is evidence, not proof).  "unknown" means the budget ran out
+    first: budget holds the caps and note names the ones that bound the
+    answer.
+    """
+
     kind: str  # "converging" | "diverging" | "unknown"
     limit: Optional[RationalTerm] = None
     witness: Optional[Witness] = None
@@ -845,8 +897,18 @@ def xi_trace(
             out[edge] = evaluated[key]
         return out
 
+    fills: dict = {}  # (term, choices in cut-edge order) -> filled term
+
     def filled(t, cut, chosen):
-        return toplayer_fill(t, cut, {e: (l if keep else r) for e, keep in chosen.items()})
+        """t filled at its cut as chosen, built once per term and choices:
+        equal choices at beta and its successor (no flip) or at a limit
+        and the next segment's first term reuse the term built first."""
+        key = (t, tuple(chosen.values()))
+        if key not in fills:
+            fills[key] = toplayer_fill(
+                t, cut, {e: (l if keep else r) for e, keep in chosen.items()}
+            )
+        return fills[key]
 
     out_segments = []
     flip_counts = []

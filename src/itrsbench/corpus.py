@@ -1,5 +1,10 @@
 """The example corpus: every fixture builds its systems, runs its expected
-checks, and reports pass/fail.  Test suites and the CLI both drive these."""
+checks, and reports pass/fail.  Test suites and the CLI both drive these.
+
+Reading the sources (`ITRS_SOURCES`, `load`, `load_union`) loads neither
+`convergence` nor `layers`: the trace builders and fixtures that run
+convergence code import it where they run, so a process that only reads
+the sources does not pay for it at start-up."""
 
 from __future__ import annotations
 
@@ -7,20 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .convergence import (
-    Budgets,
-    Trace,
-    classify_convergence,
-    cutoff_trace,
-    extrapolate_limit,
-    find_loop,
-    focussed_probe,
-    replay_loop,
-    simulate,
-    sliding_diameter,
-    xi_trace,
-    Fp,
-)
 from .itrsfile import ItrsFile, parse_itrs
 from .metrics import TOL, distance, is_member
 from .rewriting import (
@@ -174,6 +165,8 @@ def load_union(left: str, right: str):
 
 
 def exnonlin_trace():
+    from .convergence import simulate
+
     system, coloring = load_union("exnonlin-r", "exnonlin-s")
     start = parse("F(0, 0, 0)", system.sig)
     script = [
@@ -190,6 +183,8 @@ def exnonlin_trace():
 def rearrange_trace():
     """The two-segment rearrangement run: pump successor values into the
     infinite spine, then strip it from the root."""
+    from .convergence import Trace, simulate
+
     system, coloring = load_union("rearrange-r", "rearrange-s")
     t0 = parse("J(mu X. K(E, X))", system.sig)
     script1 = [
@@ -212,6 +207,8 @@ def rearrange_trace():
 
 def diverge_exa_trace(steps: int = 20):
     """Head reduction of t = H(F(F(t))) in the exa-layers union."""
+    from .convergence import simulate
+
     system, coloring = load_union("exa-layers-r", "exa-layers-s")
     t0 = parse("mu X. H(F(F(X)))", system.sig)
     tr = simulate(system, t0, "leftmost-outermost", max_steps=steps, depth_bound=3 * steps + 4)
@@ -219,6 +216,8 @@ def diverge_exa_trace(steps: int = 20):
 
 
 def string_trace(steps: int = 18):
+    from .convergence import simulate
+
     f = load("string")
     return f.system, simulate(
         f.system, f.terms["start"], "leftmost-outermost", max_steps=steps, depth_bound=steps + 6
@@ -267,6 +266,8 @@ def fixture_ltree() -> FixtureReport:
 
 
 def fixture_toyama() -> FixtureReport:
+    from .convergence import classify_convergence, find_loop, replay_loop
+
     system, _ = load_union("toyama-r", "toyama-s")
     start = parse("F(0, 1, G(0, 1))", system.sig)
     w = find_loop(system, start, budget=5_000)
@@ -281,6 +282,8 @@ def fixture_toyama() -> FixtureReport:
 
 
 def fixture_exnonlin() -> FixtureReport:
+    from .convergence import focussed_probe
+
     system, _coloring, tr = exnonlin_trace()
     terms = tr.all_terms()
     one = parse("S(0)", system.sig)
@@ -301,6 +304,8 @@ def fixture_exnonlin() -> FixtureReport:
 
 
 def fixture_string() -> FixtureReport:
+    from .convergence import Budgets, classify_convergence, sliding_diameter
+
     system, tr = string_trace()
     verdict = classify_convergence(
         system,
@@ -328,6 +333,8 @@ def fixture_string() -> FixtureReport:
 
 
 def fixture_zantema() -> FixtureReport:
+    from .convergence import extrapolate_limit, simulate
+
     f = load("zantema")
     system = f.system
     sig = system.sig
@@ -359,6 +366,8 @@ def fixture_zantema() -> FixtureReport:
 
 
 def fixture_rearrange() -> FixtureReport:
+    from .convergence import Fp, xi_trace
+
     system, coloring, tr = rearrange_trace()
     rule = system.rule("jk")
     s = Fp((1, 1), tr, system, coloring, budget=400)
@@ -384,6 +393,8 @@ def fixture_rearrange() -> FixtureReport:
 
 
 def fixture_collapsing() -> FixtureReport:
+    from .convergence import find_loop, replay_loop
+
     system, _ = load_union("collapsing-r", "collapsing-s")
     t = parse("mu X. F(H(X))", system.sig)
     start = app("G", [t])
@@ -399,6 +410,8 @@ def fixture_collapsing() -> FixtureReport:
 
 
 def fixture_exa_layers() -> FixtureReport:
+    from .convergence import classify_convergence, sliding_diameter
+
     system, coloring = load_union("exa-layers-r", "exa-layers-s")
     sig = system.sig
     t0 = parse("mu X. F(F(H(X)))", sig)
@@ -459,6 +472,8 @@ def fixture_exa_layers2() -> FixtureReport:
 
 
 def fixture_diverge_exa() -> FixtureReport:
+    from .convergence import cutoff_trace, sliding_diameter
+
     system, coloring, tr = diverge_exa_trace()
     u = var("x")
     rep = cutoff_trace(system, tr, 2, u, coloring)

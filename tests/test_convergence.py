@@ -46,6 +46,8 @@ from itrsbench import (
 )
 from itrsbench import convergence, rewriting
 from itrsbench.itrsfile import parse_itrs
+from itrsbench.layers import ppos, toplayer_fill
+from itrsbench.terms import subterm_at_node
 from itrsbench.corpus import (
     diverge_exa_trace,
     exnonlin_trace,
@@ -740,6 +742,22 @@ def test_xi_asks_each_question_once(monkeypatch):
     assert tops == Counter(tr.all_terms() + limits)
 
 
+def test_xi_fills_each_term_and_choice_once(monkeypatch):
+    """On the rearrangement run's xi simulation, toplayer_fill runs once
+    per distinct (term, fill choices): 16 times for the 29 simulated
+    terms and limit, since 10 of the 14 terms flip no edge and the first
+    segment's limit is filled as the second segment's first term is."""
+    system, coloring, tr = rearrange_trace()
+    calls = []
+    fill = convergence.toplayer_fill
+    monkeypatch.setattr(convergence, "toplayer_fill",
+                        lambda t, cut, xi: calls.append((t, tuple(xi.items()))) or fill(t, cut, xi))
+    probe = Fp((1, 1), tr, system, coloring, budget=400)
+    rep = xi_trace(system, tr, system.rule("jk"), probe, coloring)
+    assert rep.flip_counts.count(0) == 10
+    assert len(calls) == len(set(calls)) == 16
+
+
 def xi_cases():
     """(name, system, coloring, trace, rule, predicate factory) of every xi
     run the suites make, and a few more: the factory takes the module
@@ -787,6 +805,31 @@ def test_xi_reports_match_the_table_free_predicates(case):
     assert [(type(d), d) for d in got.diameters] == [(type(d), d) for d in want.diameters]
     assert got.cauchy == want.cauchy
     assert bool(got.violations) == (case[0] == "rearrange-fp-budget-2")
+
+
+@pytest.mark.parametrize("case", xi_cases(), ids=lambda case: case[0])
+def test_xi_terms_are_fresh_fills(case):
+    """Each simulated term is its trace term filled afresh at its
+    principal cut with the predicate's choices at beta, then at beta's
+    successor; each limit with the choices at the next segment's start."""
+    _name, system, coloring, tr, rule, predicate = case
+    rule = system.rule(rule)
+    probe = predicate(convergence)
+    rep = xi_trace(system, tr, rule, probe, coloring)
+
+    def fresh(t, beta):
+        cut = ppos(t, coloring)
+        behind = {e: subterm_at_node(t, t.nodes[e[0]][2][e[1]]) for e in cut.edges}
+        return toplayer_fill(t, cut, {e: rule.lhs if probe(beta, u) else rule.rhs
+                                      for e, u in behind.items()})
+
+    assert rep.trace.all_terms() == [
+        fresh(t, (k, i + j)) for (k, i), t in tr.indexed_terms() for j in (0, 1)
+    ]
+    assert [seg.limit for seg in rep.trace.segments] == [
+        None if seg.limit is None else fresh(seg.limit, (k + 1, 0))
+        for k, seg in enumerate(tr.segments)
+    ]
 
 
 def test_monotone_check_reaches_as_deep_as_the_predicates():
