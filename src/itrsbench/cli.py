@@ -48,7 +48,7 @@ from .rewriting import (
     indirect,
     match,
 )
-from .terms import ParseError, TermError, parse, replace, to_text
+from .terms import ParseError, TermError, node_numbers, parse, replace, to_text
 
 
 class InputError(Exception):
@@ -379,8 +379,9 @@ def cmd_layers(args) -> int:
     t = _term(f, args.term)
     cut = ppos(t, coloring)
     cycles = principal_cycles(t, coloring, system.metric)
+    number = node_numbers(t)
     report = {
-        "cut_edges": sorted(list(e) for e in cut.edges),
+        "cut_edges": sorted([number[node], arg] for node, arg in cut.edges),
         "principal_positions": sorted(list(p) for p in cut.positions(8)),
         "rank": str(rank(t, coloring)),
         "cycles": [
@@ -391,10 +392,10 @@ def cmd_layers(args) -> int:
     }
     if system.metric.is_granular:
         path = []
-        idx = 0
-        while len(path) < 8 and not t.is_var and t.children_of(idx):
+        node = t
+        while len(path) < 8 and node.args:
             path.append(tuple(path[-1]) + (1,) if path else (1,))
-            idx = t.children_of(idx)[0]
+            node = node.args[0]
         chain = [()] + path
         report["step_table"] = [
             step_fn(system.metric, t, chain, n) for n in range(len(chain) - 1)

@@ -28,6 +28,7 @@ from .rewriting import (
     RedexOccurrence,
     Rule,
     indirect,
+    is_normal_form,
     match,
     redexes,
     rewrite_step,
@@ -46,7 +47,6 @@ from .terms import (
     replace,
     sccs,
     subterm,
-    subterm_at_node,
     topequ,
     var,
 )
@@ -65,8 +65,9 @@ class Budgets:
     max_steps: how many steps the leftmost-outermost run takes, the run
     whose terms feed limit extrapolation and the sliding diameters.
     depth_bound: the longest redex position both searches look at: the
-    loop search and the run see no deeper redex, and a term whose redexes
-    all lie deeper ends the run as if it were a normal form.
+    loop search and the run see no deeper redex.  A term whose redexes all
+    lie deeper ends the run, and the answer is unknown, since it is no
+    normal form.
     """
 
     loop_states: int = 50_000
@@ -103,7 +104,7 @@ class Segment:
 @dataclass
 class Trace:
     segments: list[Segment]
-    stuck: bool = False  # last segment ended in a normal form
+    stuck: bool = False  # the run ended with no redex within its depth bound
 
     def all_terms(self) -> list[RationalTerm]:
         return [t for seg in self.segments for t in seg.terms]
@@ -214,16 +215,16 @@ Witness = Union[LoopWitness, NonMemberLimitWitness, DiameterFloorWitness]
 class Verdict:
     """The answer of classify_convergence for one start term.
 
-    "converging" is a claim about the leftmost-outermost run only: it got
-    stuck in a normal form, or it pumps towards limit and limit is a
-    member of the metric completion; other reductions of the start term
-    may still diverge.  "diverging" claims that some reduction from the
-    start term diverges, and witness says which and why: a LoopWitness
-    (any reduction, replayable), a NonMemberLimitWitness or a
-    DiameterFloorWitness (both about the leftmost-outermost run; the
-    latter is evidence, not proof).  "unknown" means the budget ran out
-    first: budget holds the caps and note names the ones that bound the
-    answer.
+    "converging" is a claim about the leftmost-outermost run only: it
+    reached a normal form, no node of which is a redex, or it pumps
+    towards limit and limit is a member of the metric completion; other
+    reductions of the start term may still diverge.  "diverging" claims
+    that some reduction from the start term diverges, and witness says
+    which and why: a LoopWitness (any reduction, replayable), a
+    NonMemberLimitWitness or a DiameterFloorWitness (both about the
+    leftmost-outermost run; the latter is evidence, not proof).
+    "unknown" means the budget ran out first: budget holds the caps and
+    note names the ones that bound the answer.
     """
 
     kind: str  # "converging" | "diverging" | "unknown"
@@ -578,7 +579,7 @@ def _repeats(seg: Segment, start: int, period: int) -> bool:
         if occ.position[: len(p)] != p:
             return False
         steps.append((occ.position[len(p) :], occ.rule))
-    for depth in range(1, sum(len(r) + len(rule.lhs.nodes) for r, rule in steps) + 1):
+    for depth in range(1, sum(len(r) + rule.lhs._pattern[0] for r, rule in steps) + 1):
         pattern = _generalise(s, depth)
         u = pattern
         for r, rule in steps:
@@ -670,10 +671,10 @@ def classify_convergence(
             return diverging(NonMemberLimitWitness(limit, membership))
         if membership.kind == "member":
             return converging(limit, note="strategy leftmost-outermost")
-    if tr.stuck:
+    if tr.stuck and is_normal_form(system, tr.all_terms()[-1]):
         return converging(tr.all_terms()[-1], note="normal form reached")
 
-    diams = sliding_diameter(system.metric, tr, WINDOW)
+    diams = [] if tr.stuck else sliding_diameter(system.metric, tr, WINDOW)
     floor = min(float(d) for d in diams) if diams else None
     if floor is not None and floor > TOL:
         return diverging(
@@ -685,7 +686,9 @@ def classify_convergence(
         bounds.append(f"loop search stopped at loop_states={budgets.loop_states}")
     if membership is not None:
         bounds.append(f"membership of the extrapolated limit undecided: {membership.detail}")
-    else:
+    if tr.stuck:
+        bounds.append(f"the run stopped at redexes below depth_bound={budgets.depth_bound}")
+    elif membership is None:
         bounds.append(f"the run neither got stuck nor pumped in max_steps={budgets.max_steps}")
     if floor is not None:
         bounds.append(f"diameter floor {floor:g} at or below TOL={TOL:g}")
@@ -882,10 +885,7 @@ def xi_trace(
     def behind(t: RationalTerm):
         """The principal cut of t, and its edges with the subterm behind each."""
         cut = ppos(t, coloring)
-        nodes = t.nodes
-        return cut, [
-            (edge, subterm_at_node(t, nodes[edge[0]][2][edge[1]])) for edge in sorted(cut.edges)
-        ]
+        return cut, [((node, arg), node.args[arg]) for node, arg in cut.edges]
 
     def choices(subs, beta: tuple) -> dict:
         """The fill choice per cut edge at time beta."""

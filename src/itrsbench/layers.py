@@ -18,12 +18,12 @@ from .metrics import (
 )
 from .terms import (
     APP,
-    VAR,
     Position,
     RationalTerm,
     TermError,
     from_nodes,
     node_at,
+    node_numbers,
     sccs,
     var,
     variables,
@@ -32,26 +32,18 @@ from .terms import (
 Coloring = Mapping[str, int]
 
 
-def _node_color(t: RationalTerm, idx: int, coloring: Coloring) -> Optional[int]:
-    """Color of a graph node; variables are colorless (None)."""
-    entry = t.nodes[idx]
-    if entry[0] == VAR:
-        return None
-    return coloring[entry[1]]
-
-
 @dataclass(frozen=True)
 class PrincipalCut:
     """The first color-crossing edges of a term graph.
 
-    Edges are (node index, argument index); the node is in the top layer
-    (same color as the root) and the child is an application node of the
-    other color.
+    Edges are (node, argument index), in the order of ppos's walk; the
+    node is in the top layer (same color as the root) and the child is an
+    application node of the other color.
     """
 
     term: RationalTerm
     root_color: int
-    edges: frozenset  # of (node_idx, arg_idx)
+    edges: tuple  # of (node, arg_idx)
 
     @property
     def is_empty(self) -> bool:
@@ -64,14 +56,15 @@ class PrincipalCut:
         earlier edge along it is (the first crossing along any branch is
         always a cut edge).
         """
+        cut = set(self.edges)
         out = set()
-        stack: list[tuple[Position, int]] = [((), 0)]
+        stack: list[tuple[Position, RationalTerm]] = [((), self.term)]
         while stack:
-            p, idx = stack.pop()
+            p, node = stack.pop()
             if len(p) >= depth_bound:
                 continue
-            for arg, child in enumerate(self.term.children_of(idx)):
-                if (idx, arg) in self.edges:
+            for arg, child in enumerate(node.args or ()):
+                if (node, arg) in cut:
                     out.add(p + (arg + 1,))
                 else:
                     stack.append((p + (arg + 1,), child))
@@ -85,19 +78,20 @@ def ppos(t: RationalTerm, coloring: Coloring) -> PrincipalCut:
     if t.is_var:
         raise TermError("a variable has no layers")
     root_color = coloring[t.root_symbol]
-    edges = set()
-    top = {0}
-    stack = [0]
+    edges = []
+    top = {t}
+    stack = [t]
     while stack:
-        idx = stack.pop()
-        for arg, child in enumerate(t.nodes[idx][2]):
-            color = _node_color(t, child, coloring)
-            if color == root_color and child not in top:
+        node = stack.pop()
+        for arg, child in enumerate(node.args):
+            if child.args is None:
+                continue
+            if coloring[child.symbol] != root_color:
+                edges.append((node, arg))
+            elif child not in top:
                 top.add(child)
                 stack.append(child)
-            elif color not in (None, root_color):
-                edges.add((idx, arg))
-    return PrincipalCut(t, root_color, frozenset(edges))
+    return PrincipalCut(t, root_color, tuple(edges))
 
 
 def cut_positions(t: RationalTerm, coloring: Coloring, depth_bound: int) -> set[Position]:
@@ -122,12 +116,19 @@ def toplayer_fill(t: RationalTerm, cut: PrincipalCut, xi: Fill) -> RationalTerm:
     if set(xi) != set(cut.edges):
         raise TermError("fill map must cover the cut exactly")
 
-    nodes = list(t.nodes)
-    for idx, arg in cut.edges:
-        entry = nodes[idx]
-        children = list(entry[2])
-        children[arg] = xi[(idx, arg)]
-        nodes[idx] = (APP, entry[1], tuple(children))
+    nodes: list = []  # the top layer as a raw graph, nodes[i] is top[i]
+    top = [t]
+    number = {t: 0}
+    for node in top:  # top grows while it is walked
+        children: list = []
+        for arg, child in enumerate(node.args):
+            fill = xi.get((node, arg))
+            if fill is None and child.args is not None:  # a node of the top layer
+                fill = number.setdefault(child, len(top))
+                if fill == len(top):
+                    top.append(child)
+            children.append(child if fill is None else fill)
+        nodes.append((APP, node.symbol, tuple(children)))
     return from_nodes(nodes, 0)
 
 
@@ -160,11 +161,11 @@ def principal_cycles(
     result's truncated field says when that cut the list short."""
     cycles = simple_cycles(t)
     out = Cycles(truncated=cycles.truncated)
+    number = node_numbers(t)
     for cycle in cycles:
-        colors = {_node_color(t, idx, coloring) for idx, _arg in cycle}
-        if len(colors) == 1:
+        if len({coloring[node.symbol] for node, _arg in cycle}) == 1:
             continue
-        entry = {"cycle": cycle, "length": len(cycle)}
+        entry = {"cycle": [(number[node], arg) for node, arg in cycle], "length": len(cycle)}
         if m is not None:
             entry["component"] = cycle_component(m, t, cycle)
         out.append(entry)
@@ -175,21 +176,21 @@ def rank(t: RationalTerm, coloring: Coloring):
     """Nesting depth of alternating layers: the most color changes between
     application nodes along a path; math.inf when a cycle crosses colors.
     A component with no crossing edge inside takes the best edge out."""
-    value: dict[int, int] = {}
-    for comp in sccs([0], t.children_of):
+    value: dict = {}
+    for comp in sccs([t], lambda node: node.args or ()):
         members = set(comp)
         best = 0
-        for idx in comp:
-            color = _node_color(t, idx, coloring)
-            for child in t.children_of(idx):
-                changes = _node_color(t, child, coloring) not in (None, color)
+        for node in comp:
+            color = None if node.args is None else coloring[node.symbol]
+            for child in node.args or ():
+                changes = child.args is not None and coloring[child.symbol] != color
                 if child not in members:
                     best = max(best, value[child] + changes)
                 elif changes:
                     return math.inf
-        for idx in comp:
-            value[idx] = best
-    return value[0]
+        for node in comp:
+            value[node] = best
+    return value[t]
 
 
 def cutoff(

@@ -4,8 +4,8 @@ A term metric assigns each function symbol one monotone component per
 argument; the induced n-ary map is the max of the components applied
 argument-wise.  Distances between rational terms are read off the
 product graph on pairs of store nodes, which never enters a pair of one
-node twice (that pair is 0), and variable depths off the flat view of the
-term graph; both are split the same way.  On granular metrics each is a
+node twice (that pair is 0), and variable depths off the nodes of the
+term; both are split the same way.  On granular metrics each is a
 lightest path, 2^-k times the value at its end, k the fewest lazy edges
 on a path to a clash pair (at 1) or to an occurrence of the variable (at
 y); that holds off the completion too.  Other metrics take the greatest
@@ -32,14 +32,14 @@ from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, Union
 
 from .terms import (
-    APP,
-    VAR,
     Position,
     RationalTerm,
     Signature,
     TermError,
     bfs_path,
+    node_numbers,
     sccs,
+    var,
 )
 
 Number = Union[Fraction, float]
@@ -606,13 +606,12 @@ def _fixpoint(
 def position_umm(m: TermMetric, t: RationalTerm, p: Position) -> Component:
     m.check_term(t)
     parts: list[Component] = []
-    idx = 0
+    node = t
     for i in p:
-        entry = t.nodes[idx]
-        if entry[0] != APP or not (1 <= i <= len(entry[2])):
+        if node.args is None or not (1 <= i <= len(node.args)):
             raise TermError(f"invalid position {p} in {t}")
-        parts.append(m.component(entry[1], i))
-        idx = entry[2][i - 1]
+        parts.append(m.component(node.symbol, i))
+        node = node.args[i - 1]
     return compose(*parts)
 
 
@@ -640,16 +639,15 @@ def epos(
     m.check_term(t)
     out: set[Position] = set()
     root = _log2(1 / Fraction(epsilon))
-    stack: list[tuple[Position, int, Number]] = [((), 0, root)] if root >= 0 else []
+    stack: list[tuple[Position, RationalTerm, Number]] = [((), t, root)] if root >= 0 else []
     while stack:
-        p, idx, b = stack.pop()
+        p, node, b = stack.pop()
         if len(p) > depth_guard:
             raise GuardExceeded(p)
         out.add(p)
-        entry = t.nodes[idx]
-        if entry[0] == APP:
-            for i, child in enumerate(entry[2], start=1):
-                below = m.component(entry[1], i).exponent_below(b)
+        if node.args is not None:
+            for i, child in enumerate(node.args, start=1):
+                below = m.component(node.symbol, i).exponent_below(b)
                 if below is not None:
                     stack.append((p + (i,), child, below))
     return out
@@ -661,7 +659,7 @@ def epos(
 @dataclass(frozen=True)
 class MemberVerdict:
     kind: str  # "member" | "non_member" | "unknown"
-    witness_cycle: Optional[tuple] = None  # edges (node, arg_index)
+    witness_cycle: Optional[tuple] = None  # edges (node number, arg_index)
     detail: str = ""
 
     def __bool__(self) -> bool:
@@ -679,18 +677,20 @@ class Cycles(list):
 
 def simple_cycles(t: RationalTerm) -> Cycles:
     """The simple cycles of the term graph, up to ITER_BUDGET of them;
-    past the cap the enumeration stops and the list says so."""
+    past the cap the enumeration stops and the list says so.  Each is
+    found from its least node by node_numbers, in that order."""
     cycles = Cycles()
-    seen_keys: set[tuple] = set()
-    for start in range(len(t.nodes)):
+    seen_keys: set[frozenset] = set()
+    number = node_numbers(t)
+    for start, k in number.items():
         on_path = {start}
-        path: list[tuple[int, int]] = []  # the edges down to the top of stack
-        stack = [(start, enumerate(t.children_of(start), start=1))]
+        path: list[tuple[RationalTerm, int]] = []  # the edges down to the top of stack
+        stack = [(start, enumerate(start.args or (), start=1))]
         while stack:
-            idx, kids = stack[-1]
+            node, kids = stack[-1]
             for i, child in kids:
-                if child == start:
-                    cycle = path + [(idx, i)]
+                if child is start:
+                    cycle = path + [(node, i)]
                     nodes_key = frozenset(cycle)
                     if nodes_key not in seen_keys:
                         if len(cycles) == ITER_BUDGET:
@@ -700,24 +700,21 @@ def simple_cycles(t: RationalTerm) -> Cycles:
                             return cycles
                         seen_keys.add(nodes_key)
                         cycles.append(cycle)
-                elif child > start and child not in on_path:
+                elif number[child] > k and child not in on_path:
                     on_path.add(child)
-                    path.append((idx, i))
-                    stack.append((child, enumerate(t.children_of(child), start=1)))
+                    path.append((node, i))
+                    stack.append((child, enumerate(child.args or (), start=1)))
                     break
             else:
                 stack.pop()
-                on_path.discard(idx)
+                on_path.discard(node)
                 if path:
                     path.pop()
     return cycles
 
 
 def cycle_component(m: TermMetric, t: RationalTerm, cycle) -> Component:
-    parts = []
-    for node, i in cycle:
-        parts.append(m.component(t.nodes[node][1], i))
-    return compose(*parts)
+    return compose(*[m.component(node.symbol, i) for node, i in cycle])
 
 
 def is_member(m: TermMetric, t: RationalTerm) -> MemberVerdict:
@@ -738,27 +735,30 @@ def is_member(m: TermMetric, t: RationalTerm) -> MemberVerdict:
     which tends to infinity iff K >= 1 and the last step was positive.
     The exponents, hence the verdict and the stall value in its detail,
     are exact when every scale factor and cap bound is a power of two;
-    other constants enter as float logarithms.
+    other constants enter as float logarithms.  A witness names its nodes
+    by node_numbers.
     """
     m.check_term(t)
     if t.is_finite:
         return MemberVerdict("member", detail="finite term")
     if m.is_granular:
 
-        def strict(idx: int) -> list[tuple[tuple[int, int], int]]:
+        def strict(node: RationalTerm) -> list[tuple[tuple[RationalTerm, int], RationalTerm]]:
             return [
-                ((idx, i), child)
-                for i, child in enumerate(t.children_of(idx), start=1)
-                if lazy_weight(m.component(t.nodes[idx][1], i)) == 0
+                ((node, i), child)
+                for i, child in enumerate(node.args or (), start=1)
+                if lazy_weight(m.component(node.symbol, i)) == 0
             ]
 
-        for comp in sccs(range(len(t.nodes)), lambda idx: [k for _e, k in strict(idx)]):
+        number = node_numbers(t)
+        for comp in sccs(number, lambda node: [k for _e, k in strict(node)]):
             members = set(comp)
             cycle = bfs_path(
-                comp[0], comp[0], lambda idx: [(e, k) for e, k in strict(idx) if k in members]
+                comp[0], comp[0], lambda node: [(e, k) for e, k in strict(node) if k in members]
             )
             if cycle:
-                return MemberVerdict("non_member", tuple(cycle), "cycle with no lazy edge")
+                witness = tuple((number[node], i) for node, i in cycle)
+                return MemberVerdict("non_member", witness, "cycle with no lazy edge")
         return MemberVerdict("member", detail="every cycle has a lazy edge")
     cycles = simple_cycles(t)
     if cycles.truncated:
@@ -766,7 +766,8 @@ def is_member(m: TermMetric, t: RationalTerm) -> MemberVerdict:
     for cycle in cycles:
         limit = _positive_limit(cycle_component(m, t, cycle))
         if limit:
-            return MemberVerdict("non_member", tuple(cycle), limit)
+            number = node_numbers(t)
+            return MemberVerdict("non_member", tuple((number[n], i) for n, i in cycle), limit)
     return MemberVerdict("member", detail=f"{len(cycles)} contracting cycles")
 
 
@@ -818,27 +819,21 @@ class VariableDepth:
     def __call__(self, y: Number) -> Number:
         if not 0 <= y <= 1:
             raise TermError(f"variable depth is defined on [0, 1], not at {y}")
-        at_x = (VAR, self.variable)
-        nodes = self.term.nodes
+        x = var(self.variable)  # the one stored node of the variable
         if self.metric.is_granular:
             best = _lightest_path(
-                0, lambda idx: 0 if nodes[idx] == at_x else None, self._edges(self.metric._weights)
+                self.term, lambda node: 0 if node is x else None, self._edges(self.metric._weights)
             )
             return Fraction(0) if best is None else y * Fraction(1, 1 << best)
-        return _fixpoint(
-            0,
-            self._edges(self.metric.components),
-            lambda idx: y if nodes[idx] == at_x else Fraction(0),
-        )
+        return _fixpoint(self.term, self._edges(self.metric.components),
+                         lambda node: y if node is x else Fraction(0))
 
     def _edges(self, table: Mapping[str, tuple]):
-        """The edges of the term graph by node number, each under its
-        argument's entry in table (per symbol, one entry per argument)."""
-        nodes = self.term.nodes
+        """The edges of the term graph, each under its argument's entry in
+        table (per symbol, one entry per argument)."""
 
-        def edges(idx: int) -> list:
-            entry = nodes[idx]
-            return list(zip(table[entry[1]], entry[2])) if entry[0] == APP else []
+        def edges(node: RationalTerm) -> list:
+            return [] if node.args is None else list(zip(table[node.symbol], node.args))
 
         return edges
 

@@ -26,7 +26,7 @@ from .terms import (
     from_nodes,
     node_at,
     replace,
-    subterm_at_node,
+    sccs,
     var,
     variables,
 )
@@ -63,12 +63,17 @@ class Rule:
     def is_left_linear(self) -> bool:
         # Canonical sharing merges the occurrences of a variable into one
         # leaf, so the lhs is linear iff no node that a second edge or a
-        # cycle enters (PLACED in RationalTerm._pattern) reaches a variable.
-        edges, _leaves = self.lhs._pattern
-        return not any(
-            label is PLACED and variables(subterm_at_node(self.lhs, b))
-            for _a, _i, b, label in edges
-        )
+        # cycle enters reaches a variable.
+        seen = {self.lhs}
+        stack = [self.lhs]
+        while stack:
+            for c in stack.pop().args or ():
+                if c not in seen:
+                    seen.add(c)
+                    stack.append(c)
+                elif variables(c):
+                    return False
+        return True
 
 
 @dataclass
@@ -149,8 +154,8 @@ def match(lhs: RationalTerm, t: RationalTerm, p: Position) -> Optional[dict[str,
 
 def _match_at(lhs: RationalTerm, t: RationalTerm, root: RationalTerm) -> Optional[dict]:
     """match at root, a node of t whose label the caller has checked."""
-    image = [root] * len(lhs.nodes)  # lhs node -> node of t, once placed
-    edges, leaves = lhs._pattern
+    size, edges, leaves = lhs._pattern
+    image = [root] * size  # lhs node -> node of t, once placed
     for a, i, b, label in edges:
         c = image[a].args[i]
         if label is PLACED:
@@ -163,6 +168,20 @@ def _match_at(lhs: RationalTerm, t: RationalTerm, root: RationalTerm) -> Optiona
             return None
         image[b] = c
     return {x: image[b] for b, x in leaves}
+
+
+def _node_hits(by_label: dict, t: RationalTerm, node: RationalTerm) -> tuple:
+    """The memo kept on node, an application node of t, for the system of
+    by_label (its rules by the label of their lhs root): (by_label, the
+    (rule, binding) of each rule that matches at node), made once."""
+    hits = node._hits
+    if hits is None or hits[0] is not by_label:
+        hits = node._hits = by_label, [
+            (rule, sigma)
+            for rule in by_label.get((node.symbol, len(node.args)), ())
+            if (sigma := _match_at(rule.lhs, t, node)) is not None
+        ]
+    return hits
 
 
 class RedexOccurrence(NamedTuple):
@@ -180,11 +199,9 @@ def redexes(
     """All redex occurrences with position length <= depth_bound, ordered
     outermost-first, then left-to-right, then by rule order.
 
-    One breadth-first pass over (position, node) pairs.  A node's subterm
-    never changes, so its matches against the system's rules whose lhs
-    root has its label are made once and kept on the node, keyed by the
-    system: a reduct shares every node off its spine with its term, and
-    only the new nodes are matched.
+    One breadth-first pass over (position, node) pairs, reading each
+    node's matches from its memo (_node_hits): a reduct shares every node
+    off its spine with its term, and only the new nodes are matched.
     """
     out = []
     by_label = system._by_root_label
@@ -194,18 +211,21 @@ def redexes(
         if args is None:
             continue  # a variable: no lhs root has its label, no children
         hits = node._hits
-        if hits is None or hits[0] is not by_label:
-            hits = node._hits = by_label, [
-                (rule, sigma)
-                for rule in by_label.get((node.symbol, len(args)), ())
-                if (sigma := _match_at(rule.lhs, t, node)) is not None
-            ]
+        if hits is None or hits[0] is not by_label:  # checked inline on the hot path
+            hits = _node_hits(by_label, t, node)
         for rule, sigma in hits[1]:
             out.append(RedexOccurrence(p, rule, sigma))
         if len(p) < depth_bound:
             for i, c in enumerate(args, 1):
                 queue.append((p + (i,), c))
     return out
+
+
+def is_normal_form(system: ITRS, t: RationalTerm) -> bool:
+    """No node of t's graph is a redex: exact on a rational term, whose
+    every subterm is a node."""
+    nodes = [n for comp in sccs([t], lambda n: n.args or ()) for n in comp]
+    return not any(_node_hits(system._by_root_label, t, n)[1] for n in nodes if n.args is not None)
 
 
 def rewrite_step(system: ITRS, t: RationalTerm, occ: RedexOccurrence) -> RationalTerm:

@@ -22,11 +22,12 @@ the rest at each `)`.  replace and subterm work on nodes: a rewrite step
 conses the instance of the right-hand side and the spine above its
 position, O(|p| + |rhs|) for a finite one, and visits nothing else.
 
-RationalTerm.nodes is a cached flat view for the code that reads a graph
-by index (membership, epsilon-positions and variable depths, layers,
-to_text, the CLI; distance walks nodes): the nodes reachable from the
-root, numbered from the root 0.  One cached walk of it answers
-term_depth and places to_text's binders.
+Every algorithm walks nodes and keys its tables by node.  RationalTerm.nodes
+is the raw-graph export, numbers and names only, numbered by node_numbers
+from the root 0: it hands a graph to from_nodes (pickling, renaming and
+erasing symbols) and to callers outside the package.  Numbers appear
+otherwise only where an output names a node: a membership witness, a
+principal cycle, the order of to_text's binders.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 Position = tuple[int, ...]  # 1-based child indices; () is the root
 ROOT: Position = ()
@@ -125,7 +126,7 @@ class RationalTerm:
     symbol or a variable's name; args holds the argument nodes, None for
     a variable.  Built only by this module's constructors.  Two marks are
     kept on a node for other layers: _hits, its redexes per system
-    (rewriting.redexes), and _checked, the last signature found to cover
+    (rewriting._node_hits), and _checked, the last signature found to cover
     every node below it (metrics.TermMetric.covers)."""
 
     __slots__ = (
@@ -153,66 +154,31 @@ class RationalTerm:
         return self._finite
 
     @cached_property
-    def _view(self) -> tuple:
+    def nodes(self) -> tuple:
+        """The raw-graph export: entry i ("var", name) or ("app", sym,
+        (child, ...)) for the node numbered i by node_numbers."""
         return _flat_view(self)
 
     @cached_property
-    def nodes(self) -> tuple:
-        """The flat view: entry i ("var", name) or ("app", sym, (child, ...))
-        for the i-th node reachable from the root (the root is 0)."""
-        return self._view[0]
-
-    def children_of(self, idx: int) -> tuple[int, ...]:
-        entry = self.nodes[idx]
-        return entry[2] if entry[0] == APP else ()
-
-    def label_of(self, idx: int):
-        """The label of node idx of the flat view."""
-        entry = self.nodes[idx]
-        if entry[0] == VAR:
-            return (VAR, entry[1])
-        return (entry[1], len(entry[2]))
-
-    @cached_property
-    def _walk(self):
-        """One depth-first walk of the flat view from the root, children in
-        order: the finish order of a finite term (children first), or else
-        the targets of the back edges, where to_text puts its binders."""
-        nodes = self.nodes
-        state = [0] * len(nodes)  # 0 unseen, 1 on the path, 2 finished
-        order: list[int] = []
-        loops: set[int] = set()
-        stack = [0]  # a node to enter, or ~node to finish
-        while stack:
-            k = stack.pop()
-            if k < 0:
-                state[~k] = 2
-                order.append(~k)
-            elif state[k] == 1:
-                loops.add(k)
-            elif state[k] == 0:
-                state[k] = 1
-                stack.append(~k)
-                if nodes[k][0] == APP:
-                    stack.extend(reversed(nodes[k][2]))
-        return frozenset(loops) if loops else tuple(order)
-
-    @cached_property
     def _pattern(self) -> tuple:
-        """This term as a pattern for rewriting.match: its edges (parent,
-        child index, child, label) in node order, a preorder, and its
-        variable leaves (node, name).  The first edge into a node carries
-        its label, (symbol, arity), or None for a variable; a later one
-        carries PLACED: it must meet the node already placed there."""
-        labels = [None if e[0] == VAR else (e[1], len(e[2])) for e in self.nodes]
-        placed = {0}
+        """This term as a pattern for rewriting.match: its number of nodes,
+        its edges (parent, child index, child, label) breadth first from
+        the root 0, and its variable leaves (node, name).  The first edge
+        into a node carries its label, (symbol, arity), or None for a
+        variable; a later one carries PLACED: it meets the node placed."""
+        number = {self: 0}
+        order = [self]
         edges = []
-        for a in range(len(self.nodes)):
-            for i, b in enumerate(self.children_of(a)):
-                edges.append((a, i, b, PLACED if b in placed else labels[b]))
-                placed.add(b)
-        leaves = tuple((b, e[1]) for b, e in enumerate(self.nodes) if e[0] == VAR)
-        return tuple(edges), leaves
+        for a, node in enumerate(order):  # order grows while it is walked
+            for i, c in enumerate(node.args or ()):
+                b = number.setdefault(c, len(order))
+                if b < len(order):
+                    edges.append((a, i, b, PLACED))
+                else:
+                    order.append(c)
+                    edges.append((a, i, b, None if c.args is None else (c.symbol, len(c.args))))
+        leaves = tuple((b, node.symbol) for b, node in enumerate(order) if node.args is None)
+        return len(order), tuple(edges), leaves
 
     @cached_property
     def _open(self) -> tuple:
@@ -246,33 +212,29 @@ class RationalTerm:
         return f"RationalTerm({to_text(self)!r})"
 
 
-def _flat_view(t: RationalTerm) -> tuple:
-    """The entries of t.nodes, and the node of each number but the root's
-    (None there, so that a view holds no reference back to t).  Children
-    are numbered when their parent is entered, in order, and entered
-    first to last."""
+def node_numbers(t: RationalTerm) -> dict:
+    """Each node reachable from t with its number in t.nodes, in the
+    order of the numbers: the root is 0, a node's children are numbered
+    in order when it is entered, and entered first to last."""
     number = {t: 0}
-    entries: list = [None]
-    order: list = [None]
     stack = [t]
     while stack:
-        node = stack.pop()
-        if node.args is None:
-            entries[number[node]] = (VAR, node.symbol)
-            continue
         pending = []
-        children = []
-        for c in node.args:
-            k = number.get(c)
-            if k is None:
-                k = number[c] = len(entries)
-                entries.append(None)
-                order.append(c)
+        for c in stack.pop().args or ():
+            if c not in number:
+                number[c] = len(number)
                 pending.append(c)
-            children.append(k)
-        entries[number[node]] = (APP, node.symbol, tuple(children))
         stack.extend(reversed(pending))
-    return tuple(entries), tuple(order)
+    return number
+
+
+def _flat_view(t: RationalTerm) -> tuple:
+    """The entries of t.nodes."""
+    number = node_numbers(t)
+    return tuple([
+        (VAR, n.symbol) if n.args is None else (APP, n.symbol, tuple([number[c] for c in n.args]))
+        for n in number
+    ])
 
 
 def _cons(symbol: str, args: Optional[tuple]) -> RationalTerm:
@@ -560,11 +522,6 @@ def node_at(t: RationalTerm, p: Position) -> Optional[RationalTerm]:
     return t
 
 
-def subterm_at_node(t: RationalTerm, idx: int) -> RationalTerm:
-    """The subterm rooted at node idx of t's flat view."""
-    return t if idx == 0 else t._view[1][idx]
-
-
 def subterm(t: RationalTerm, p: Position) -> RationalTerm:
     """Subterm at p; the reserved fallback variable when p is not a position."""
     node = node_at(t, p)
@@ -598,17 +555,11 @@ def replace(
 
 def positions(t: RationalTerm, depth_bound: int) -> set[Position]:
     """All positions of length <= depth_bound (by bounded unfolding)."""
-    return {p for p, _idx in iter_positions(t, depth_bound)}
-
-
-def iter_positions(t: RationalTerm, depth_bound: int) -> Iterator[tuple[Position, int]]:
-    """Breadth-first (position, node number of the flat view) pairs up to
-    the depth bound."""
-    queue: list[tuple[Position, int]] = [(ROOT, 0)]
-    for p, idx in queue:  # queue grows while it is walked
-        yield p, idx
-        if len(p) < depth_bound:
-            queue.extend((p + (i,), c) for i, c in enumerate(t.children_of(idx), 1))
+    queue = [(ROOT, t)]
+    for p, node in queue:  # queue grows while it is walked
+        if node.args and len(p) < depth_bound:
+            queue.extend((p + (i,), c) for i, c in enumerate(node.args, 1))
+    return {p for p, _node in queue}
 
 
 def topequ(t: RationalTerm, p: Position, u: RationalTerm) -> bool:
@@ -625,20 +576,20 @@ def topequ(t: RationalTerm, p: Position, u: RationalTerm) -> bool:
 def bisimilar(t: RationalTerm, u: RationalTerm) -> bool:
     """Do t and u denote the same infinite tree?
 
-    Decided by a coinductive product-graph search over the flat views.
-    The store makes `t == u` equivalent, so no library code calls this:
-    it is the test oracle that `==` is checked against.
+    Decided by a coinductive search over pairs of nodes.  The store makes
+    `t == u` equivalent, so no library code calls this: it is the test
+    oracle that `==` is checked against.
     """
-    assumed: set[tuple[int, int]] = set()
-    stack = [(0, 0)]
+    assumed: set = set()
+    stack = [(t, u)]
     while stack:
         a, b = stack.pop()
         if (a, b) in assumed:
             continue
-        if t.label_of(a) != u.label_of(b):
+        if a.label != b.label:
             return False
         assumed.add((a, b))
-        stack.extend(zip(t.children_of(a), u.children_of(b)))
+        stack.extend(zip(a.args or (), b.args or ()))
     return True
 
 
@@ -770,17 +721,44 @@ def substitute(sigma: Substitution, t: RationalTerm) -> RationalTerm:
 
 
 def variables(t: RationalTerm) -> set[str]:
-    return {entry[1] for entry in t.nodes if entry[0] == VAR}
+    seen = {t}
+    stack = [t]
+    while stack:
+        for c in stack.pop().args or ():
+            if c not in seen:
+                seen.add(c)
+                stack.append(c)
+    return {node.symbol for node in seen if node.args is None}
+
+
+def _binders(t: RationalTerm) -> set:
+    """The nodes that an edge enters while they are on the path of one
+    depth-first walk from t, children in order: where to_text puts its
+    binders."""
+    loops: set = set()
+    state: dict = {}  # True on the path, False finished
+    stack = [(t, True)]  # a node to enter, or (node, False) to finish
+    while stack:
+        node, enter = stack.pop()
+        if not enter:
+            state[node] = False
+        elif state.get(node):
+            loops.add(node)
+        elif node not in state:
+            state[node] = True
+            stack.append((node, False))
+            stack.extend([(c, True) for c in reversed(node.args or ())])
+    return loops
 
 
 def term_depth(t: RationalTerm) -> int:
     """Depth of a finite term (root = depth 0)."""
     if not t.is_finite:
         raise TermError("depth of an infinite term")
-    depth = [0] * len(t.nodes)
-    for idx in t._walk:
-        depth[idx] = max((depth[c] + 1 for c in t.children_of(idx)), default=0)
-    return depth[0]
+    depth: dict = {}
+    for (node,) in sccs([t], lambda n: n.args or ()):  # children first
+        depth[node] = max([depth[c] + 1 for c in node.args or ()], default=0)
+    return depth[t]
 
 
 def prefix_of(p: Position, q: Position) -> bool:
@@ -973,37 +951,39 @@ _MU_NAMES = "XYZWVU"
 
 
 def to_text(t: RationalTerm) -> str:
-    """Canonical mu-binder syntax; inverse of parse up to bisimilarity."""
+    """Canonical mu-binder syntax; inverse of parse up to bisimilarity.
+    Binders are named in the order of node_numbers."""
     used = variables(t)
-    names: dict[int, str] = {}
-    for idx in () if t.is_finite else sorted(t._walk):
-        k = len(names)
-        base = _MU_NAMES[k % len(_MU_NAMES)] + ("" if k < len(_MU_NAMES) else str(k))
-        while base in used:
-            base += "'"
-        names[idx] = base
-        used.add(base)
+    names: dict = {}
+    if not t.is_finite:
+        loops = _binders(t)
+        for node in [n for n in node_numbers(t) if n in loops]:
+            k = len(names)
+            base = _MU_NAMES[k % len(_MU_NAMES)] + ("" if k < len(_MU_NAMES) else str(k))
+            while base in used:
+                base += "'"
+            names[node] = base
+            used.add(base)
 
     pieces: list[str] = []
-    stack: list = [(0, frozenset())]  # pending (node, enclosing binders) or text
+    stack: list = [(t, frozenset())]  # pending (node, enclosing binders) or text
     while stack:
         item = stack.pop()
         if isinstance(item, str):
             pieces.append(item)
             continue
-        idx, active = item
-        entry = t.nodes[idx]
-        if idx in active:
-            pieces.append(names[idx])
+        node, active = item
+        if node in active:
+            pieces.append(names[node])
             continue
-        if entry[0] == VAR:
-            pieces.append(entry[1])
+        if node.args is None:
+            pieces.append(node.symbol)
             continue
-        if idx in names:
-            pieces.append(f"mu {names[idx]}. ")
-            active = active | {idx}
-        pieces.append(entry[1])
-        children = entry[2]
+        if node in names:
+            pieces.append(f"mu {names[node]}. ")
+            active = active | {node}
+        pieces.append(node.symbol)
+        children = node.args
         if children:
             pieces.append("(")
             stack.append(")")
@@ -1012,4 +992,3 @@ def to_text(t: RationalTerm) -> str:
                 if k:
                     stack.append(", ")
     return "".join(pieces)
-

@@ -8,13 +8,41 @@ rest with Hopcroft's algorithm over the one graph; replace copies the
 whole term, hash-conses the nodes it adds against the term's own and
 renumbers the result; redexes matches each node of one flat tuple once.
 Bindings name node numbers of the matched tuple.  product is the graph
-that distance solved on index pairs of two flat terms."""
+that distance solved on index pairs of two flat terms.
+
+The readers of a store term by node number (children_of, label_of,
+subterm_at_node, iter_positions) and the index versions of membership,
+simple cycles, principal cycles, the principal cut, the depth-first walk
+and to_text that itrsbench ran on RationalTerm.nodes before it walked
+nodes are kept too: the readers for the tests, the rest as oracles of the
+numbered outputs."""
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
-from itrsbench.terms import APP, PLACED, ROOT, VAR, _refine
+from itrsbench.layers import PrincipalCut
+from itrsbench.metrics import (
+    ITER_BUDGET,
+    Cycles,
+    MemberVerdict,
+    _positive_limit,
+    compose,
+    lazy_weight,
+)
+from itrsbench.terms import (
+    _MU_NAMES,
+    APP,
+    PLACED,
+    ROOT,
+    VAR,
+    TermError,
+    _refine,
+    bfs_path,
+    node_numbers,
+    sccs,
+    variables,
+)
 
 
 def renumbered(nodes: Sequence, root: int) -> tuple:
@@ -191,8 +219,8 @@ def replace(t: tuple, p, u: tuple, binding: Mapping[str, int] = {}) -> tuple:
 def match_at(lhs, t: tuple, root: int) -> Optional[dict[str, int]]:
     """The compiled match of the rule term lhs at node root of t, whose
     label the caller has checked."""
-    image = [root] * len(lhs.nodes)
-    edges, leaves = lhs._pattern
+    size, edges, leaves = lhs._pattern
+    image = [root] * size
     for a, i, b, label in edges:
         c = t[image[a]][2][i]
         if label is PLACED:
@@ -256,3 +284,215 @@ def product(m, t: tuple, u: tuple):
         ]
 
     return clash, edges
+
+
+# --- a store term read by node number --------------------------------------
+
+
+def children_of(t, idx: int) -> tuple:
+    """The children of node idx of t.nodes."""
+    entry = t.nodes[idx]
+    return entry[2] if entry[0] == APP else ()
+
+
+def label_of(t, idx: int):
+    """The label of node idx of t.nodes."""
+    entry = t.nodes[idx]
+    return (VAR, entry[1]) if entry[0] == VAR else (entry[1], len(entry[2]))
+
+
+def subterm_at_node(t, idx: int):
+    """The store node numbered idx in t.nodes."""
+    return list(node_numbers(t))[idx]
+
+
+def iter_positions(t, depth_bound: int) -> Iterator[tuple]:
+    """Breadth-first (position, node number) pairs up to the depth bound."""
+    queue = [(ROOT, 0)]
+    for p, idx in queue:  # queue grows while it is walked
+        yield p, idx
+        if len(p) < depth_bound:
+            queue.extend((p + (i,), c) for i, c in enumerate(children_of(t, idx), 1))
+
+
+def walk(t):
+    """One depth-first walk of t.nodes from the root, children in order:
+    the finish order of a finite term, or else the targets of the back
+    edges, as a frozenset."""
+    nodes = t.nodes
+    state = [0] * len(nodes)  # 0 unseen, 1 on the path, 2 finished
+    order: list[int] = []
+    loops: set[int] = set()
+    stack = [0]  # a node to enter, or ~node to finish
+    while stack:
+        k = stack.pop()
+        if k < 0:
+            state[~k] = 2
+            order.append(~k)
+        elif state[k] == 1:
+            loops.add(k)
+        elif state[k] == 0:
+            state[k] = 1
+            stack.append(~k)
+            if nodes[k][0] == APP:
+                stack.extend(reversed(nodes[k][2]))
+    return frozenset(loops) if loops else tuple(order)
+
+
+# --- the numbered outputs, by node number -----------------------------------
+
+
+def simple_cycles(t) -> Cycles:
+    """The simple cycles of t.nodes as edge lists (node number, arg)."""
+    cycles = Cycles()
+    seen_keys: set = set()
+    for start in range(len(t.nodes)):
+        on_path = {start}
+        path: list = []
+        stack = [(start, enumerate(children_of(t, start), start=1))]
+        while stack:
+            idx, kids = stack[-1]
+            for i, child in kids:
+                if child == start:
+                    cycle = path + [(idx, i)]
+                    nodes_key = frozenset(cycle)
+                    if nodes_key not in seen_keys:
+                        if len(cycles) == ITER_BUDGET:
+                            cycles.truncated = (
+                                f"cycle enumeration cap of {ITER_BUDGET} cycles exceeded"
+                            )
+                            return cycles
+                        seen_keys.add(nodes_key)
+                        cycles.append(cycle)
+                elif child > start and child not in on_path:
+                    on_path.add(child)
+                    path.append((idx, i))
+                    stack.append((child, enumerate(children_of(t, child), start=1)))
+                    break
+            else:
+                stack.pop()
+                on_path.discard(idx)
+                if path:
+                    path.pop()
+    return cycles
+
+
+def cycle_component(m, t, cycle):
+    return compose(*[m.component(t.nodes[idx][1], i) for idx, i in cycle])
+
+
+def is_member(m, t) -> MemberVerdict:
+    """itrsbench.metrics.is_member over node numbers."""
+    m.check_term(t)
+    if t.is_finite:
+        return MemberVerdict("member", detail="finite term")
+    if m.is_granular:
+
+        def strict(idx):
+            return [
+                ((idx, i), child)
+                for i, child in enumerate(children_of(t, idx), start=1)
+                if lazy_weight(m.component(t.nodes[idx][1], i)) == 0
+            ]
+
+        for comp in sccs(range(len(t.nodes)), lambda idx: [k for _e, k in strict(idx)]):
+            members = set(comp)
+            cycle = bfs_path(
+                comp[0], comp[0], lambda idx: [(e, k) for e, k in strict(idx) if k in members]
+            )
+            if cycle:
+                return MemberVerdict("non_member", tuple(cycle), "cycle with no lazy edge")
+        return MemberVerdict("member", detail="every cycle has a lazy edge")
+    cycles = simple_cycles(t)
+    if cycles.truncated:
+        return MemberVerdict("unknown", detail=cycles.truncated)
+    for cycle in cycles:
+        limit = _positive_limit(cycle_component(m, t, cycle))
+        if limit:
+            return MemberVerdict("non_member", tuple(cycle), limit)
+    return MemberVerdict("member", detail=f"{len(cycles)} contracting cycles")
+
+
+def node_color(t, idx: int, coloring) -> Optional[int]:
+    """The color of node idx; variables are colorless (None)."""
+    entry = t.nodes[idx]
+    return None if entry[0] == VAR else coloring[entry[1]]
+
+
+def principal_cycles(t, coloring, m=None) -> Cycles:
+    """itrsbench.layers.principal_cycles over node numbers."""
+    cycles = simple_cycles(t)
+    out = Cycles(truncated=cycles.truncated)
+    for cycle in cycles:
+        if len({node_color(t, idx, coloring) for idx, _arg in cycle}) == 1:
+            continue
+        entry = {"cycle": cycle, "length": len(cycle)}
+        if m is not None:
+            entry["component"] = cycle_component(m, t, cycle)
+        out.append(entry)
+    return out
+
+
+def ppos(t, coloring) -> PrincipalCut:
+    """The principal cut in one walk of the top layer, its edges a
+    frozenset of (node number, arg)."""
+    if t.is_var:
+        raise TermError("a variable has no layers")
+    root_color = coloring[t.root_symbol]
+    edges = set()
+    top = {0}
+    stack = [0]
+    while stack:
+        idx = stack.pop()
+        for arg, child in enumerate(t.nodes[idx][2]):
+            color = node_color(t, child, coloring)
+            if color == root_color and child not in top:
+                top.add(child)
+                stack.append(child)
+            elif color not in (None, root_color):
+                edges.add((idx, arg))
+    return PrincipalCut(t, root_color, frozenset(edges))
+
+
+def to_text(t, loops=None) -> str:
+    """Canonical mu-binder syntax, the binders at loops, by default the
+    back-edge targets of walk."""
+    used = variables(t)
+    names: dict[int, str] = {}
+    if loops is None and not t.is_finite:
+        loops = walk(t)
+    for idx in sorted(loops or ()):
+        k = len(names)
+        base = _MU_NAMES[k % len(_MU_NAMES)] + ("" if k < len(_MU_NAMES) else str(k))
+        while base in used:
+            base += "'"
+        names[idx] = base
+        used.add(base)
+    pieces: list[str] = []
+    stack: list = [(0, frozenset())]  # pending (node, enclosing binders) or text
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            pieces.append(item)
+            continue
+        idx, active = item
+        entry = t.nodes[idx]
+        if idx in active:
+            pieces.append(names[idx])
+            continue
+        if entry[0] == VAR:
+            pieces.append(entry[1])
+            continue
+        if idx in names:
+            pieces.append(f"mu {names[idx]}. ")
+            active = active | {idx}
+        pieces.append(entry[1])
+        children = entry[2]
+        if children:
+            pieces.append("(")
+            stack.append(")")
+            for k in range(len(children) - 1, -1, -1):
+                stack.append((children[k], active))
+                if k:
+                    stack.append(", ")
+    return "".join(pieces)

@@ -5,20 +5,15 @@ values themselves, and call a cycle contracting once an iterate is below
 tol, stalled once two iterates are closer than tol / 1000.  Exact
 Fractions for scale, cap and integer pow; floats for the other pows.  An
 iterate of pow(2) doubles its bits each step, which is why is_member no
-longer works this way."""
+longer works this way.  Cycles are numbered as in RationalTerm.nodes
+(tests/flat_terms.py), as is_member's witnesses are."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from itrsbench.metrics import (
-    ITER_BUDGET,
-    TOL,
-    MemberVerdict,
-    Number,
-    cycle_component,
-    simple_cycles,
-)
+from itrsbench.metrics import ITER_BUDGET, TOL, MemberVerdict, Number
+from flat_terms import cycle_component, simple_cycles
 
 
 def fraction_member(m, t, tol: float = TOL) -> MemberVerdict:

@@ -11,7 +11,8 @@ from typing import Optional
 from itrsbench.convergence import LoopWitness
 from itrsbench.metrics import distance
 from itrsbench.rewriting import RedexOccurrence, match, rewrite_step, successors
-from itrsbench.terms import bfs_path, iter_positions, sccs
+from itrsbench.terms import bfs_path, sccs
+from flat_terms import iter_positions
 
 
 class FullGraph:

@@ -6,7 +6,7 @@ bound from the root, the cutoff that recurses once per layer (so it
 raises RecursionError past about 1000 layers), the sliding diameter
 that measures every pair of every window afresh, the predicates Fp and
 Kt that walk the principal cuts and search again on every call, and the
-two walks of a term that RationalTerm._walk replaced: a Tarjan pass for
+two walks of a term that one depth-first walk replaced: a Tarjan pass for
 the children-first order of a finite term, and a second depth-first walk
 for the nodes that to_text binds."""
 
@@ -14,22 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from itrsbench import layers
 from itrsbench.convergence import REACH_DEPTH
 from itrsbench.layers import PrincipalCut, toplayer_fill
 from itrsbench.metrics import distance
 from itrsbench.rewriting import DEFAULT_WEAK_BUDGET, weak_reach
-from flat_terms import node_at
-from itrsbench.terms import (
-    _MU_NAMES,
-    VAR,
-    TermError,
-    from_nodes,
-    iter_positions,
-    sccs,
-    subterm,
-    subterm_at_node,
-    variables,
-)
+import flat_terms
+from flat_terms import children_of, iter_positions, node_at, node_color
+from itrsbench.terms import TermError, from_nodes, sccs, subterm
 
 
 def knot(t, p, q):
@@ -56,19 +48,14 @@ def knot(t, p, q):
     return from_nodes(tuple(nodes), fresh[0])
 
 
-def _node_color(t, idx, coloring):
-    entry = t.nodes[idx]
-    return None if entry[0] == VAR else coloring[entry[1]]
-
-
 def top_layer_nodes(t, coloring):
     """Root-color application nodes reachable without crossing a boundary."""
-    root_color = _node_color(t, 0, coloring)
+    root_color = node_color(t, 0, coloring)
     top = set()
     stack = [0]
     while stack:
         idx = stack.pop()
-        if idx in top or _node_color(t, idx, coloring) != root_color:
+        if idx in top or node_color(t, idx, coloring) != root_color:
             continue
         top.add(idx)
         stack.extend(t.nodes[idx][2])
@@ -82,7 +69,7 @@ def ppos(t, coloring):
     edges = set()
     for idx in top_layer_nodes(t, coloring):
         for arg, child in enumerate(t.nodes[idx][2]):
-            color = _node_color(t, child, coloring)
+            color = node_color(t, child, coloring)
             if color is not None and color != root_color:
                 edges.add((idx, arg))
     return PrincipalCut(t, root_color, frozenset(edges))
@@ -117,11 +104,8 @@ def cutoff(t, n, u, coloring):
         key = (term, depth)
         if key in memo:
             return memo[key]
-        cut = ppos(term, coloring)
-        xi = {
-            edge: go(subterm_at_node(term, term.nodes[edge[0]][2][edge[1]]), depth - 1)
-            for edge in cut.edges
-        }
+        cut = layers.ppos(term, coloring)
+        xi = {edge: go(edge[0].args[edge[1]], depth - 1) for edge in cut.edges}
         result = toplayer_fill(term, cut, xi)
         memo[key] = result
         return result
@@ -185,8 +169,8 @@ class Kt:
 
 def postorder(t):
     """The nodes of t, each after its children; None when t is cyclic."""
-    comps = sccs([0], t.children_of)
-    if any(len(comp) > 1 or comp[0] in t.children_of(comp[0]) for comp in comps):
+    comps = sccs([0], lambda idx: children_of(t, idx))
+    if any(len(comp) > 1 or comp[0] in children_of(t, comp[0]) for comp in comps):
         return None
     return tuple(comp[0] for comp in comps)
 
@@ -196,7 +180,7 @@ def loop_nodes(t):
     loops = set()
     on_path = {0}
     done = set()
-    work = [(0, iter(t.children_of(0)))]
+    work = [(0, iter(children_of(t, 0)))]
     while work:
         idx, it = work[-1]
         for child in it:
@@ -204,7 +188,7 @@ def loop_nodes(t):
                 loops.add(child)
             elif child not in done:
                 on_path.add(child)
-                work.append((child, iter(t.children_of(child))))
+                work.append((child, iter(children_of(t, child))))
                 break
         else:
             work.pop()
@@ -215,40 +199,4 @@ def loop_nodes(t):
 
 def to_text(t):
     """Canonical mu-binder syntax, with the binders at loop_nodes."""
-    used = variables(t)
-    names = {}
-    for idx in sorted(loop_nodes(t)):
-        k = len(names)
-        base = _MU_NAMES[k % len(_MU_NAMES)] + ("" if k < len(_MU_NAMES) else str(k))
-        while base in used:
-            base += "'"
-        names[idx] = base
-        used.add(base)
-    pieces = []
-    stack = [(0, frozenset())]  # pending (node, enclosing binders) or text
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            pieces.append(item)
-            continue
-        idx, active = item
-        entry = t.nodes[idx]
-        if idx in active:
-            pieces.append(names[idx])
-            continue
-        if entry[0] == VAR:
-            pieces.append(entry[1])
-            continue
-        if idx in names:
-            pieces.append(f"mu {names[idx]}. ")
-            active = active | {idx}
-        pieces.append(entry[1])
-        children = entry[2]
-        if children:
-            pieces.append("(")
-            stack.append(")")
-            for k in range(len(children) - 1, -1, -1):
-                stack.append((children[k], active))
-                if k:
-                    stack.append(", ")
-    return "".join(pieces)
+    return flat_terms.to_text(t, loop_nodes(t))

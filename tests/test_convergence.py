@@ -47,7 +47,6 @@ from itrsbench import (
 from itrsbench import convergence, rewriting
 from itrsbench.itrsfile import parse_itrs
 from itrsbench.layers import ppos, toplayer_fill
-from itrsbench.terms import subterm_at_node
 from itrsbench.corpus import (
     diverge_exa_trace,
     exnonlin_trace,
@@ -396,6 +395,24 @@ def test_an_unknown_verdict_names_the_budgets_that_bound_it():
     closed = classify_convergence(system, t0, Budgets(loop_states=2_000, max_steps=2))
     assert closed.kind == "unknown"
     assert "loop_states" not in closed.note and "max_steps=2" in closed.note
+
+
+@pytest.mark.parametrize("redex, reduct", [("F(Z)", "Z"), ("A", "Z")])
+def test_a_run_stuck_above_a_deep_redex_claims_no_normal_form(redex, reduct):
+    """Under F(x) -> x and A -> Z, S^10(F(Z)) and S^10(A) have their one
+    redex at depth 10.  At depth_bound 8 the run stops at once, at no
+    normal form: unknown, and the note names depth_bound.  At 16 it
+    reaches S^10(Z)."""
+    sig = Signature({"S": 1, "F": 1, "Z": 0, "A": 0})
+    rules = [Rule("drop", parse("F(x)", sig), parse("x", sig)), Rule("a", app("A"), app("Z"))]
+    system = ITRS(sig, metric_infty(sig), rules)
+    t0 = parse("S(" * 10 + redex + ")" * 10, sig)
+    stopped = classify_convergence(system, t0, Budgets(depth_bound=8))
+    assert stopped.kind == "unknown" and stopped.limit is None
+    assert "depth_bound=8" in stopped.note and "max_steps" not in stopped.note
+    reached = classify_convergence(system, t0, Budgets(depth_bound=16))
+    assert reached.kind == "converging" and reached.note == "normal form reached"
+    assert reached.limit is parse("S(" * 10 + reduct + ")" * 10, sig)
 
 
 def test_sliding_diameter_of_constant_trace():
@@ -819,7 +836,7 @@ def test_xi_terms_are_fresh_fills(case):
 
     def fresh(t, beta):
         cut = ppos(t, coloring)
-        behind = {e: subterm_at_node(t, t.nodes[e[0]][2][e[1]]) for e in cut.edges}
+        behind = {(node, arg): node.args[arg] for node, arg in cut.edges}
         return toplayer_fill(t, cut, {e: rule.lhs if probe(beta, u) else rule.rhs
                                       for e, u in behind.items()})
 

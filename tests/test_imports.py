@@ -109,3 +109,41 @@ def test_every_public_name_is_referenced():
         and not any(stmt.name in names for _p, other, names in statements if other is not stmt)
     ]
     assert not dead, f"defined but never referenced: {dead}"
+
+
+# The functions of src/ that may read a term's raw-graph export (.nodes)
+# or its node numbering (node_numbers): the export itself, the places
+# that hand a raw graph to from_nodes, and the outputs that name nodes by
+# number.  Every other reader walks store nodes.
+NUMBERED = {
+    "terms.py": {"RationalTerm.__reduce__", "_flat_view", "to_text"},
+    "metrics.py": {"simple_cycles", "is_member"},
+    "layers.py": {"principal_cycles"},
+    "rewriting.py": {"erase_indirection", "rename_symbols"},
+    "cli.py": {"cmd_layers"},
+}
+
+
+def numbered_readers(tree: ast.Module) -> set[str]:
+    """The top-level functions and methods (Class.method) whose code reads
+    an attribute .nodes or the name node_numbers."""
+    scopes = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            scopes += [(f"{stmt.name}.{f.name}", f) for f in stmt.body
+                       if isinstance(f, ast.FunctionDef)]
+        elif isinstance(stmt, ast.FunctionDef):
+            scopes.append((stmt.name, stmt))
+    return {
+        name for name, scope in scopes for node in ast.walk(scope)
+        if (isinstance(node, ast.Attribute) and node.attr == "nodes")
+        or (isinstance(node, ast.Name) and node.id == "node_numbers")
+    }
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_boundary_reads_node_numbers(path):
+    """No second, index-numbered model of a term grows back in src/."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    extra = numbered_readers(tree) - NUMBERED.get(path.name, set())
+    assert not extra, f"{path.name}: read .nodes or node_numbers: {sorted(extra)}"

@@ -53,8 +53,8 @@ from itrsbench.metrics import (
     simple_cycles,
 )
 from itrsbench.corpus import diverge_exa_trace, load, load_union
-from itrsbench.terms import VAR, subterm_at_node
 from fixpoint_sweep import sweep_fixpoint
+from flat_terms import children_of, subterm_at_node
 from flat_terms import product as flat_product
 from fraction_member import at_tol_edge, fraction_member
 from conftest import (
@@ -330,13 +330,13 @@ def test_fixpoint_matches_the_whole_graph_sweep(name):
         y = rng.choice([Fraction(1), HALF, Fraction(1, 3)])
         clash, edges = flat_product(m, t.nodes, u.nodes)
         at_clash = lambda q: Fraction(clash(q))
-        at_x = lambda idx: y if t.nodes[idx] == (VAR, "x") else Fraction(0)
+        at_x = lambda node: y if node.args is None and node.symbol == "x" else Fraction(0)
         below = vdepth(m, t, "x")._edges(m.components)
         d = sweep_fixpoint((0, 0), edges, at_clash)
         for got, want in [
             (distance(m, t, u), d),
             (_fixpoint((0, 0), edges, at_clash), d),
-            (_fixpoint(0, below, at_x), sweep_fixpoint(0, below, at_x)),
+            (_fixpoint(t, below, at_x), sweep_fixpoint(t, below, at_x)),
         ]:
             if exact or isinstance(want, Fraction):
                 assert (type(got), got) == (type(want), want), (t, u)
@@ -476,7 +476,7 @@ def assert_strict_cycle(m, t, cycle):
     """cycle is a closed walk of (node, arg index) edges, each of lazy weight 0."""
     assert cycle
     for (node, i), (nxt, _j) in zip(cycle, cycle[1:] + cycle[:1]):
-        assert t.children_of(node)[i - 1] == nxt
+        assert children_of(t, node)[i - 1] == nxt
         assert lazy_weight(m.component(t.nodes[node][1], i)) == 0
 
 
@@ -498,7 +498,7 @@ def test_granular_member_matches_cycle_enumeration(ltree_metric):
             t = random_rational_term(rng, m.sig, rng.randint(2, 7))
             verdict = is_member(m, t)
             strict = any(
-                all(lazy_weight(m.component(t.nodes[node][1], i)) == 0 for node, i in cycle)
+                all(lazy_weight(m.component(node.symbol, i)) == 0 for node, i in cycle)
                 for cycle in simple_cycles(t)
             )
             assert verdict.kind == ("non_member" if strict else "member"), t
@@ -871,7 +871,7 @@ def test_deep_finite_terms_need_no_recursion():
 def test_simple_cycles():
     assert simple_cycles(parse("F(c, d)", GENERIC_SIG)) == []
     spine = parse("mu X. S(X)", Signature({"S": 1}))
-    assert simple_cycles(spine) == [[(0, 1)]]
+    assert simple_cycles(spine) == [[(spine, 1)]]
 
 
 def test_cycle_component_lazy_weight(ltree_metric):

@@ -45,7 +45,8 @@ from itrsbench import metrics, rewriting
 from itrsbench.corpus import ITRS_SOURCES, load, load_union
 from itrsbench.metrics import SignatureMismatch
 from itrsbench.rewriting import DepthVerdict, RedexOccurrence, rename_symbols
-from itrsbench.terms import bfs_path, iter_positions, node_at, sccs, subterm_at_node
+from itrsbench.terms import bfs_path, node_at, sccs
+from flat_terms import children_of, iter_positions, label_of, subterm_at_node
 from conftest import GENERIC_SIG, random_finite_term, random_rational_term, rng_for
 from coinductive_match import coinductive_match
 from full_graph_search import naive_redexes
@@ -147,7 +148,7 @@ def match_by_subterms(lhs, t, p):
             sub = subterm_at_node(t, node)
             if sigma.setdefault(lhs.nodes[idx][1], sub) != sub:
                 return None
-        elif t.label_of(node) != lhs.label_of(idx):
+        elif label_of(t, node) != label_of(lhs, idx):
             return None
     return sigma
 
@@ -589,7 +590,7 @@ def test_redexes_match_once_per_node_and_rule(monkeypatch):
     assert got == want
     assert len(want) > 1000  # positions far outnumber nodes on the branching cycle
     by_label = system._by_root_label
-    assert 0 < len(calls) <= sum(len(by_label.get(t.label_of(n), ())) for n in range(len(t.nodes)))
+    assert 0 < len(calls) <= sum(len(by_label.get(label_of(t, n), ())) for n in range(len(t.nodes)))
 
 
 # --- the compiled matcher against the coinductive one ---------------------------------
@@ -635,7 +636,7 @@ def pattern_kinds(lhs):
         kinds.add("cyclic")
     if not Rule("lhs", lhs, lhs).is_left_linear:
         kinds.add("non-linear")
-    into = Counter(c for n in range(len(lhs.nodes)) for c in lhs.children_of(n))
+    into = Counter(c for n in range(len(lhs.nodes)) for c in children_of(lhs, n))
     if any(k > 1 and not variables(subterm_at_node(lhs, c)) for c, k in into.items()):
         kinds.add("shared-ground")
     return kinds
@@ -659,7 +660,7 @@ def test_compiled_match_equals_the_coinductive_match():
         for _ in range(4):
             lhs = pattern_from(rng, t, rng.choice(sources), unfold=rng.random() < 0.5)
             for n in range(len(t.nodes)):
-                if t.label_of(n) != lhs.label_of(0):
+                if label_of(t, n) != label_of(lhs, 0):
                     continue
                 want = coinductive_match(lhs, t, n)
                 got = rewriting._match_at(lhs, t, subterm_at_node(t, n))

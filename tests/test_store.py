@@ -2,41 +2,70 @@
 terms it replaced (tests/flat_terms.py): identical flat views, redex
 occurrences and reducts on seeded graphs and on seeded steps of every
 corpus system; == against bisimilar; the weak tables empty again after
-long runs; a rewrite path, trace diameters and a cut trace that build
-no flat view; and loops placed whole where they meet a stored one."""
+long runs; readers that build no flat view, and a flat view that holds
+no node; and loops placed whole where they meet a stored one."""
 
 from __future__ import annotations
 
 import gc
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
+
+import pytest
 
 import flat_terms
 import hand_walks
 import itrsbench.terms as terms_module
 from itrsbench import (
+    Fp,
+    GuardExceeded,
+    RationalTerm,
     app,
     bisimilar,
+    cut_positions,
+    epos,
     find_loop,
+    is_member,
+    metric_id,
     parse,
+    ppos,
+    rank,
     redexes,
     replace,
     simulate,
     successors,
+    term_depth,
     to_text,
+    toplayer_fill,
     var,
+    variables,
+    vdepth,
+    xi_trace,
 )
 from itrsbench.convergence import _knot, cutoff_trace, extrapolate_limit, sliding_diameter
-from itrsbench.corpus import ITRS_SOURCES, diverge_exa_trace, load, load_union, string_trace
-from itrsbench.terms import APP, from_nodes, node_at, sccs, subterm_at_node
+from itrsbench.corpus import (
+    ITRS_SOURCES,
+    diverge_exa_trace,
+    load,
+    load_union,
+    rearrange_trace,
+    string_trace,
+)
+from itrsbench.layers import principal_cycles
+from itrsbench.metrics import simple_cycles
+from itrsbench.terms import APP, from_nodes, node_at, node_numbers, sccs
 from conftest import (
     CORPUS_UNIONS,
+    GENERIC_SIG,
     random_finite_term,
     random_rational_term,
     rng_for,
+    seeded_union_terms,
     store_nodes,
 )
+from flat_terms import children_of, subterm_at_node
 from test_terms import random_mixed_nodes, random_raw_nodes
 
 # start terms of the corpus fixtures, by the system they run under
@@ -84,8 +113,8 @@ def seeded_terms(name, system, starts, count=24):
 
 def on_cycles(t) -> set:
     """The flat node numbers of t that lie on a cycle."""
-    return {k for comp in sccs([0], t.children_of) for k in comp
-            if len(comp) > 1 or k in t.children_of(k)}
+    return {k for comp in sccs([0], lambda k: children_of(t, k)) for k in comp
+            if len(comp) > 1 or k in children_of(t, k)}
 
 
 def test_flat_views_equal_the_flat_canonical_forms():
@@ -191,78 +220,215 @@ def test_the_tables_empty_again_after_long_runs():
         tracemalloc.stop()
 
 
-def test_the_rewrite_path_builds_no_flat_view(monkeypatch):
-    """redexes and successors run on nodes: with the flat-view walk made
-    to raise, they still run on every corpus start term and on seeded
-    reducts, cyclic ones included."""
+def _rewrite_path():
+    """redexes and successors run on every corpus start term and on
+    seeded reducts, cyclic ones included."""
     runs = []
     for name, system, starts in corpus_systems():
         rng = rng_for(f"store-no-view:{name}")
         cyclic = [random_rational_term(rng, system.sig, rng.randint(2, 6)) for _ in range(4)]
         runs.append((system, starts + cyclic))
 
-    def no_view(t):
-        raise AssertionError("the rewrite path built a flat view")
+    def run():
+        seen = Counter()
+        for system, terms in runs:
+            for t in terms:
+                reducts = [u for _o, u in successors(system, t, 8)]
+                for u in reducts[:8]:
+                    redexes(system, u, 8)
+                    seen["cyclic reducts"] += not u.is_finite
+                    seen["reducts"] += 1
+        assert seen["cyclic reducts"] > 50 and seen["reducts"] > 150, seen
 
-    monkeypatch.setattr(terms_module, "_flat_view", no_view)
-    seen = Counter()
-    for system, terms in runs:
-        for t in terms:
-            reducts = [u for _o, u in successors(system, t, 8)]
-            for u in reducts[:8]:
-                redexes(system, u, 8)
-                seen["cyclic reducts"] += not u.is_finite
-                seen["reducts"] += 1
-    assert seen["cyclic reducts"] > 50 and seen["reducts"] > 150, seen
+    return [t for _system, terms in runs for t in terms], run
 
 
-def test_a_trace_diameter_builds_no_flat_view(monkeypatch):
-    """distance walks pairs of store nodes: with the flat-view walk made
-    to raise, sliding_diameter runs over the string and diverge-exa traces
-    (a granular metric and one solved on exponents) and gives the same
-    diameters as before."""
+def _trace_diameter():
+    """sliding_diameter over the string and diverge-exa traces (a granular
+    metric and one solved on exponents) gives the same diameters."""
     system, _coloring, exa = diverge_exa_trace()
     traces = [(load("string").system.metric, string_trace()[1]), (system.metric, exa)]
     want = [sliding_diameter(m, tr, 3) for m, tr in traces]
-    for _m, tr in traces:
-        for t in tr.all_terms():
-            for node in store_nodes(t):
-                node.__dict__.pop("_view", None)
-                node.__dict__.pop("nodes", None)
 
-    def no_view(t):
-        raise AssertionError("distance built a flat view")
+    def run():
+        assert [sliding_diameter(m, tr, 3) for m, tr in traces] == want
+        assert all(want) and any(d < 1 for d in want[0]) and set(want[1]) == {1}
 
-    monkeypatch.setattr(terms_module, "_flat_view", no_view)
-    assert [sliding_diameter(m, tr, 3) for m, tr in traces] == want
-    assert all(want) and any(d < 1 for d in want[0]) and set(want[1]) == {1}
+    return [t for _m, tr in traces for t in tr.all_terms()], run
 
 
-def test_cutting_a_trace_builds_no_flat_view(monkeypatch):
-    """cutoff walks the states (store node, layers left): with the flat-view
-    walk made to raise, cutoff_trace cuts the diverge-exa trace at 1 to 3
-    layers into the terms of the cutoff that recurses once per layer
-    (tests/hand_walks.py), and its steps still validate at 2."""
+def _cut_trace():
+    """cutoff_trace cuts the diverge-exa trace at 1 to 3 layers into the
+    terms of the cutoff that recurses once per layer (tests/hand_walks.py),
+    and its steps still validate at 2."""
     system, coloring, tr = diverge_exa_trace()
     u = var("x")
     terms = tr.all_terms()
     want = {n: [hand_walks.cutoff(t, n, u, coloring) for t in terms] for n in (1, 2, 3)}
-    for t in terms + [t for cut in want.values() for t in cut]:
+
+    def run():
+        for n, cut in want.items():
+            assert cutoff_trace(system, tr, n, u, coloring).trace.all_terms() == cut
+        assert not cutoff_trace(system, tr, 2, u, coloring).violations
+        assert len(set(want[2][1:])) == 1 and want[3] != want[2] != want[1]
+
+    return terms + [t for cut in want.values() for t in cut], run
+
+
+def _seeded_cyclic(name, sig, count=40):
+    rng = rng_for(f"store-no-view:{name}")
+    return [random_rational_term(rng, sig, rng.randint(2, 7)) for _ in range(count)]
+
+
+def _membership(metric, name):
+    """is_member gives the verdicts and witnesses it gave before the
+    flat-view walk was made to raise, non-members among them."""
+    terms = _seeded_cyclic(name, metric.sig)
+    want = [is_member(metric, t) for t in terms]
+    assert {v.kind for v in want} == {"member", "non_member"}
+
+    def run():
+        assert [is_member(metric, t) for t in terms] == want
+
+    return terms, run
+
+
+def _epos(m, t):
+    """epos at 1/8 with a guard of 16, or where the guard stopped it."""
+    try:
+        return epos(m, t, 0.125, depth_guard=16)
+    except GuardExceeded as e:
+        return e.args
+
+
+def _readers():
+    """epos, vdepth, rank, ppos, positions, toplayer_fill, term_depth,
+    variables and bisimilar, each on seeded union terms, finite and
+    cyclic, with the answers they gave before the flat-view walk was made
+    to raise."""
+    system, coloring, terms = seeded_union_terms("exa-layers2", 40)
+    m = system.metric
+    finite = [t for t in terms if t.is_finite]
+    apps = [t for t in terms if not t.is_var]
+    cases = {
+        "epos": lambda: [_epos(m, t) for t in terms],
+        "vdepth": lambda: [vdepth(m, t, "x")(Fraction(1, 2)) for t in terms],
+        "rank": lambda: [rank(t, coloring) for t in apps],
+        "ppos": lambda: [(ppos(t, coloring).edges, cut_positions(t, coloring, 5)) for t in apps],
+        "toplayer_fill": lambda: [toplayer_fill(t, ppos(t, coloring), var("hole")) for t in apps],
+        "term_depth": lambda: [term_depth(t) for t in finite],
+        "variables": lambda: [variables(t) for t in terms],
+        "bisimilar": lambda: [bisimilar(a, b) for a in terms[:12] for b in terms[:12]],
+    }
+    return cases, terms
+
+
+def _reader(name):
+    def case():
+        cases, terms = _readers()
+        want = cases[name]()
+
+        def run():
+            assert cases[name]() == want
+
+        return terms, run
+
+    return case
+
+
+def _xi_rearrange():
+    """xi_trace on the rearrange fixture gives the same report."""
+    system, coloring, tr = rearrange_trace()
+    rule = system.rule("jk")
+
+    def report():
+        rep = xi_trace(system, tr, rule, Fp((1, 1), tr, system, coloring, budget=400), coloring)
+        return rep.trace.all_terms(), rep.flip_counts, rep.violations, rep.cauchy
+
+    want = report()
+
+    def run():
+        assert report() == want
+
+    return tr.all_terms(), run
+
+
+NO_VIEW_CASES = {
+    "rewrite-path": _rewrite_path,
+    "trace-diameter": _trace_diameter,
+    "cut-trace": _cut_trace,
+    "member-granular": lambda: _membership(metric_id(GENERIC_SIG), "granular"),
+    "member-cycles": lambda: _membership(
+        load_union("exa-layers2-r", "exa-layers2-s")[0].metric, "cycles"),
+    **{name: _reader(name) for name in (
+        "epos", "vdepth", "rank", "ppos", "toplayer_fill", "term_depth", "variables",
+        "bisimilar")},
+    "xi_trace": _xi_rearrange,
+}
+
+
+@pytest.mark.parametrize("case", NO_VIEW_CASES)
+def test_no_reader_builds_a_flat_view(case, monkeypatch):
+    """Each reader walks store nodes: with the cached flat views of its
+    terms dropped and the flat-view walk made to raise, it still runs and
+    gives the answers it gave before."""
+    terms, run = NO_VIEW_CASES[case]()
+    for t in terms:
         for node in store_nodes(t):
-            node.__dict__.pop("_view", None)
             node.__dict__.pop("nodes", None)
-    for rule in system.rules:  # the patterns, which may share a node with a cut term
-        rule.lhs._pattern, rule.lhs.nodes
 
     def no_view(t):
-        raise AssertionError("cutoff built a flat view")
+        raise AssertionError(f"{case} built a flat view")
 
     monkeypatch.setattr(terms_module, "_flat_view", no_view)
-    for n, cut in want.items():
-        rep = cutoff_trace(system, tr, n, u, coloring)
-        assert rep.trace.all_terms() == cut
-    assert not cutoff_trace(system, tr, 2, u, coloring).violations
-    assert len(set(want[2][1:])) == 1 and want[3] != want[2] != want[1]
+    run()
+
+
+def test_the_export_holds_no_node():
+    """A term's cached nodes holds numbers and names only, so it keeps no
+    node of a loop alive."""
+    for t in _seeded_cyclic("export", GENERIC_SIG, 20) + [parse("F(G(c), H(mu X. G(X)))")]:
+        stack, seen = [t.nodes], set()
+        while stack:
+            obj = stack.pop()
+            assert not isinstance(obj, RationalTerm), t
+            if isinstance(obj, tuple) and id(obj) not in seen:
+                seen.add(id(obj))
+                stack.extend(gc.get_referents(obj))
+
+
+@pytest.mark.parametrize("union", CORPUS_UNIONS)
+def test_numbered_outputs_equal_the_flat_readers(union):
+    """Read on nodes and numbered by node_numbers, membership verdicts and
+    witnesses, simple cycles in their order, principal cycles, the cut
+    edges and to_text equal those of the readers of the flat view
+    (tests/flat_terms.py), on seeded union terms and seeded cyclic terms,
+    under the union's metric and a granular one."""
+    system, coloring, terms = seeded_union_terms(union, 40)
+    rng = rng_for(f"store-numbered:{union}")
+    terms += [random_rational_term(rng, system.sig, rng.randint(2, 7)) for _ in range(100)]
+    seen = Counter()
+    for t in terms:
+        number = node_numbers(t)
+        cycles = simple_cycles(t)
+        want = flat_terms.simple_cycles(t)
+        assert [[(number[n], i) for n, i in c] for c in cycles] == want, t
+        assert cycles.truncated == want.truncated
+        for m in (system.metric, metric_id(system.sig)):
+            got = is_member(m, t)
+            assert got == flat_terms.is_member(m, t), t
+            seen[got.kind] += 1
+        assert to_text(t) == flat_terms.to_text(t)
+        if t.is_var:
+            continue
+        got = principal_cycles(t, coloring, system.metric)
+        assert got == flat_terms.principal_cycles(t, coloring, system.metric), t
+        seen["principal cycles"] += len(got)
+        edges = [(number[node], arg) for node, arg in ppos(t, coloring).edges]
+        assert sorted(edges) == sorted(flat_terms.ppos(t, coloring).edges), t
+        seen["cut edges"] += len(edges)
+    assert seen["non_member"] > 50 and seen["member"] > 40, seen
+    assert seen["principal cycles"] > 20 and seen["cut edges"] > 50, seen
 
 
 # --- loops placed whole -------------------------------------------------------

@@ -39,14 +39,14 @@ from itrsbench.terms import (
     APP,
     VAR,
     from_nodes,
-    iter_positions,
     node_at,
+    node_numbers,
     sccs,
-    subterm_at_node,
 )
 import itrsbench.terms as terms_module
 from conftest import GENERIC_SIG, random_finite_term, random_rational_term, rng_for
 import flat_terms
+from flat_terms import children_of, iter_positions, subterm_at_node
 import hand_walks
 from named_spec_parse import named_spec_parse
 from refined_parse import lazy_parse, refined_from_nodes
@@ -358,8 +358,8 @@ def test_from_nodes_equals_the_refined_canonicaliser():
             continue
         shapes["cyclic"] += 1
         finite_below = any(subterm_at_node(got, i).is_finite for i in range(len(got.nodes)))
-        top = sccs([0], got.children_of)[-1]  # the root's component comes last
-        spine_above = len(top) == 1 and 0 not in got.children_of(0)
+        top = sccs([0], lambda k: children_of(got, k))[-1]  # the root's component comes last
+        spine_above = len(top) == 1 and 0 not in children_of(got, 0)
         shapes["finite below a cycle"] += finite_below
         shapes["cycle below a spine"] += spine_above
         shapes["both"] += finite_below and spine_above
@@ -560,7 +560,8 @@ def test_hash_consed_replace_is_the_refined_term():
         got = replace(t, p, u, {x: subterm_at_node(t, i) for x, i in binding.items()})
         assert got is refined_replace(t, p, u, binding), (t, p, u, binding)
         assert subterm_at_node(t, idx) is from_nodes(t.nodes, idx)
-        on_cycle = any(idx in comp and len(comp) > 1 for comp in sccs([0], t.children_of))
+        comps = sccs([0], lambda k: children_of(t, k))
+        on_cycle = any(idx in comp and len(comp) > 1 for comp in comps)
         shapes["cyclic t" if not t.is_finite else "finite t"] += 1
         shapes["cyclic u" if not u.is_finite else "finite u"] += 1
         shapes["p on a cycle"] += on_cycle
@@ -664,10 +665,11 @@ def _shared_term(rng, n):
 
 
 def test_one_walk_equals_the_two_hand_walks():
-    """RationalTerm._walk gives the Tarjan postorder of a finite term and
-    the re-entered nodes of a cyclic one, and to_text prints what the
-    printer over the second walk printed, on seeded finite, cyclic and
-    shared terms."""
+    """term_depth is the depth over the Tarjan postorder of a finite term,
+    the walk for to_text's binders finds the re-entered nodes of a cyclic
+    one (read through node_numbers), the walk of the flat view gives both,
+    and to_text prints what the printers over the second walk and over
+    the flat view printed, on seeded finite, cyclic and shared terms."""
     rng = rng_for("terms-one-walk")
     seen = Counter()
     for k in range(300):
@@ -684,12 +686,19 @@ def test_one_walk_equals_the_two_hand_walks():
             t = graph_term(spec, "n0")
         order = hand_walks.postorder(t)
         assert t.is_finite == (order is not None), t
+        loops = terms_module._binders(t)
         if order is not None:
-            assert t._walk == order
+            assert order == flat_terms.walk(t)
+            depth = {}
+            for idx in order:
+                depth[idx] = max((depth[c] + 1 for c in children_of(t, idx)), default=0)
+            assert term_depth(t) == depth[0]
         else:
-            assert t._walk == hand_walks.loop_nodes(t)
-        assert not t.is_finite or not hand_walks.loop_nodes(t)
-        assert to_text(t) == hand_walks.to_text(t)
+            number = node_numbers(t)
+            assert {number[node] for node in loops} == hand_walks.loop_nodes(t)
+            assert hand_walks.loop_nodes(t) == flat_terms.walk(t)
+        assert not t.is_finite or not hand_walks.loop_nodes(t) and not loops
+        assert to_text(t) == hand_walks.to_text(t) == flat_terms.to_text(t)
         seen[t.is_finite] += 1
     assert seen[True] > 100 and seen[False] > 60, seen
 
