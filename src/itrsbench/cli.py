@@ -172,6 +172,8 @@ def write_trace(path: str, tr: Trace):
 
 
 def read_trace(path: str, system) -> Trace:
+    """The trace of a JSON-lines file; a segment without step lines is
+    simulated, as xi --out writes it."""
     segments = []
     terms: list = []
     steps: list = []
@@ -202,21 +204,15 @@ def read_trace(path: str, system) -> Trace:
         elif "omega" in entry:
             omega = _field(entry, "omega", (str, type(None)))
             limit = parse(omega, system.sig) if omega else None
-            segments.append(_segment(terms, steps, limit))
+            segments.append(Segment(terms, steps or None, limit))
             terms, steps = [], []
     if pending_step is not None:
         raise InputError(f"{path}: a step that no term follows")
     if terms:
-        segments.append(_segment(terms, steps, None))
+        segments.append(Segment(terms, steps or None))
     if not segments:
         raise InputError(f"{path}: empty trace")
     return Trace(segments)
-
-
-def _segment(terms, steps, limit) -> Segment:
-    """A read segment; one without step lines is simulated, as xi writes
-    it, and its steps are None."""
-    return Segment(terms, steps or [None] * (len(terms) - 1), limit)
 
 
 def _witness_json(witness) -> dict:
@@ -688,7 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cutoff", help="pointwise cutoff of a recorded trace")
     common(p)
     p.add_argument("--trace", required=True)
-    p.add_argument("--layers", type=int, required=True)
+    p.add_argument("--layers", type=_count, required=True)
     p.add_argument("--fill", required=True)
     p.set_defaults(fn=cmd_cutoff)
 

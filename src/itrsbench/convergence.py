@@ -89,14 +89,17 @@ class Segment:
     """A finite run of single steps; terms[i+1] = step i applied to terms[i].
 
     The optional limit is the recorded omega-marker: the term the segment
-    is deemed to approach.
+    is deemed to approach.  A simulated segment records no step objects:
+    its steps default to None each.
     """
 
     terms: list[RationalTerm]
-    steps: list[RedexOccurrence]
+    steps: Optional[list[Optional[RedexOccurrence]]] = None
     limit: Optional[RationalTerm] = None
 
     def __post_init__(self):
+        if self.steps is None:
+            self.steps = [None] * (len(self.terms) - 1)
         if len(self.terms) != len(self.steps) + 1:
             raise TermError("segment needs one more term than steps")
 
@@ -939,7 +942,7 @@ def xi_trace(
         if seg.limit is not None:
             lim_cut, lim_subs = behind(seg.limit)
             sim_limit = filled(seg.limit, lim_cut, choices(lim_subs, (k + 1, 0)))
-        out_segments.append(_sim_segment(sim_terms, sim_limit))
+        out_segments.append(Segment(sim_terms, limit=sim_limit))
 
     violations.extend(_monotone_violations(system, s, evaluated))
     sim_trace = Trace(out_segments)
@@ -959,11 +962,6 @@ def _steps_between(
     REACH_DEPTH alone for a simulated step, which is None)."""
     bound = REACH_DEPTH if step is None else max(REACH_DEPTH, len(step.position) + 2)
     return [occ for occ, res in successors(system, a, depth_bound=bound) if res == b]
-
-
-def _sim_segment(terms, limit):
-    """A segment carrying simulated terms; step objects are not recorded."""
-    return Segment(list(terms), [None] * (len(terms) - 1), limit)
 
 
 def _monotone_violations(system: ITRS, s, evaluated: dict, budget: int = 2_000) -> list:
@@ -1030,6 +1028,6 @@ def cutoff_trace(
                     root_only = False
             index += 1
         out_segments.append(
-            _sim_segment(cut_terms, seg.limit and cutoff(seg.limit, n, u, coloring))
+            Segment(cut_terms, limit=seg.limit and cutoff(seg.limit, n, u, coloring))
         )
     return CutoffReport(Trace(out_segments), stutters, violations, root_only)

@@ -149,13 +149,13 @@ def match(lhs: RationalTerm, t: RationalTerm, p: Position) -> Optional[dict[str,
     root = node_at(t, p)
     if root is None or not (lhs.is_var or root.label == lhs.label):
         return None
-    return _match_at(lhs, t, root)
+    return _match_at(lhs, root)
 
 
-def _match_at(lhs: RationalTerm, t: RationalTerm, root: RationalTerm) -> Optional[dict]:
-    """match at root, a node of t whose label the caller has checked."""
+def _match_at(lhs: RationalTerm, root: RationalTerm) -> Optional[dict]:
+    """match at the node root, whose label the caller has checked."""
     size, edges, leaves = lhs._pattern
-    image = [root] * size  # lhs node -> node of t, once placed
+    image = [root] * size  # lhs node -> the node it meets, once placed
     for a, i, b, label in edges:
         c = image[a].args[i]
         if label is PLACED:
@@ -170,8 +170,8 @@ def _match_at(lhs: RationalTerm, t: RationalTerm, root: RationalTerm) -> Optiona
     return {x: image[b] for b, x in leaves}
 
 
-def _node_hits(by_label: dict, t: RationalTerm, node: RationalTerm) -> tuple:
-    """The memo kept on node, an application node of t, for the system of
+def _node_hits(by_label: dict, node: RationalTerm) -> tuple:
+    """The memo kept on node, an application node, for the system of
     by_label (its rules by the label of their lhs root): (by_label, the
     (rule, binding) of each rule that matches at node), made once."""
     hits = node._hits
@@ -179,7 +179,7 @@ def _node_hits(by_label: dict, t: RationalTerm, node: RationalTerm) -> tuple:
         hits = node._hits = by_label, [
             (rule, sigma)
             for rule in by_label.get((node.symbol, len(node.args)), ())
-            if (sigma := _match_at(rule.lhs, t, node)) is not None
+            if (sigma := _match_at(rule.lhs, node)) is not None
         ]
     return hits
 
@@ -212,7 +212,7 @@ def redexes(
             continue  # a variable: no lhs root has its label, no children
         hits = node._hits
         if hits is None or hits[0] is not by_label:  # checked inline on the hot path
-            hits = _node_hits(by_label, t, node)
+            hits = _node_hits(by_label, node)
         for rule, sigma in hits[1]:
             out.append(RedexOccurrence(p, rule, sigma))
         if len(p) < depth_bound:
@@ -225,7 +225,7 @@ def is_normal_form(system: ITRS, t: RationalTerm) -> bool:
     """No node of t's graph is a redex: exact on a rational term, whose
     every subterm is a node."""
     nodes = [n for comp in sccs([t], lambda n: n.args or ()) for n in comp]
-    return not any(_node_hits(system._by_root_label, t, n)[1] for n in nodes if n.args is not None)
+    return not any(_node_hits(system._by_root_label, n)[1] for n in nodes if n.args is not None)
 
 
 def rewrite_step(system: ITRS, t: RationalTerm, occ: RedexOccurrence) -> RationalTerm:

@@ -14,13 +14,15 @@ exact since the arguments are unique.  A strongly connected component
 of new nodes with a cycle, a loop, is refined by Hopcroft's algorithm
 and placed whole: it meets a stored loop that it points into or that
 has its multiset of node labels, if the two are bisimilar.
-from_nodes builds a term from a raw graph this way, and graph_term, a
-cyclic substitute and the layer constructions go through it; a graph
+from_nodes builds a term from a raw graph this way, placing the
+components that sccs yields, children first; graph_term, a cyclic
+substitute and the layer constructions go through it, and a graph
 without a cycle runs no refinement.  parse places each loop as its `mu`
 binder closes, since the text's scoping marks the loop, and hash-conses
-the rest at each `)`.  replace and subterm work on nodes: a rewrite step
-conses the instance of the right-hand side and the spine above its
-position, O(|p| + |rhs|) for a finite one, and visits nothing else.
+the rest at each `)`: its low-link is the one kept outside sccs.
+replace and subterm work on nodes: a rewrite step conses the instance
+of the right-hand side and the spine above its position, O(|p| + |rhs|)
+for a finite one, and visits nothing else.
 
 Every algorithm walks nodes and keys its tables by node.  RationalTerm.nodes
 is the raw-graph export, numbers and names only, numbered by node_numbers
@@ -184,26 +186,11 @@ class RationalTerm:
     def _open(self) -> tuple:
         """For a finite term: the nodes below the root that reach a
         variable, children first, each once; what an instance rebuilds."""
-        reaches: dict = {}
-        order = []
-        stack = list(self.args or ())
-        while stack:
-            node = stack[-1]
-            if node in reaches:
-                stack.pop()
-                continue
-            if node.args is None:
-                reaches[node] = True
-            else:
-                todo = [c for c in node.args if c not in reaches]
-                if todo:
-                    stack.extend(todo)
-                    continue
-                reaches[node] = any([reaches[c] for c in node.args])
-            stack.pop()
-            if reaches[node]:
-                order.append(node)
-        return tuple(order)
+        reach: dict = {}  # a node reaches a variable if it is one or a child does
+        for (node,) in sccs(self.args or (), lambda n: n.args or ()):
+            if node.args is None or any([c in reach for c in node.args]):
+                reach[node] = None
+        return tuple(reach)
 
     def __str__(self) -> str:
         return to_text(self)
@@ -276,49 +263,28 @@ def from_nodes(nodes: Sequence, root: int) -> RationalTerm:
     as in RationalTerm.nodes, except that a child may also be a term
     instead of a number; any entry may be unreachable.
 
-    One depth-first pass from the root, Tarjan's (SIAM J. Comput. 1972),
-    finishes each strongly connected component after the ones it reaches,
-    whose nodes are stored by then.  A component of one node off every
-    cycle is hash-consed (_cons), and a loop is placed whole
-    (_place_loop).  A graph without a cycle runs no refinement.
+    The store places the strongly connected components that sccs yields,
+    children first, so each component's children outside it are stored
+    by then.  A component of one node off every cycle is hash-consed
+    (_cons), and a loop is placed whole (_place_loop).  A graph without a
+    cycle runs no refinement.
     """
+    inner: list = [()] * len(nodes)  # each entered node's numbered children
+
+    def succ(k: int):
+        entry = nodes[k]
+        if entry[0] != VAR:
+            inner[k] = [c for c in entry[2] if c.__class__ is int]
+        return inner[k]
+
     term: list = [None] * len(nodes)  # each node's term, once stored
-    number = [0] * len(nodes)  # the order of entry; 0 unseen
-    low = [0] * len(nodes)  # the least number a node reaches on the path
-    path: list = []  # the entered nodes not stored yet
-    count = 0
-    stack = [root]  # a node to enter, or ~node to finish
-    while stack:
-        k = stack.pop()
-        if k >= 0:
-            if number[k]:
-                continue
-            count += 1
-            number[k] = low[k] = count
+    for comp in sccs([root], succ):
+        k = comp[0]
+        if len(comp) == 1 and k not in inner[k]:
             entry = nodes[k]
-            if entry[0] == VAR or not entry[2]:
-                term[k] = _cons(entry[1], None if entry[0] == VAR else ())
-                continue
-            path.append(k)
-            stack.append(~k)
-            stack.extend([c for c in entry[2] if c.__class__ is int])
+            term[k] = _cons(entry[1], None if entry[0] == VAR else tuple(
+                [term[c] if c.__class__ is int else c for c in entry[2]]))
             continue
-        k = ~k
-        kids = nodes[k][2]
-        lo = low[k]
-        for c in kids:
-            if c.__class__ is int and term[c] is None and low[c] < lo:
-                lo = low[c]
-        low[k] = lo
-        if lo < number[k]:
-            continue  # k waits on the path for the first node of its component
-        if path[-1] == k and k not in kids:
-            path.pop()
-            term[k] = _cons(nodes[k][1], tuple([term[c] if c.__class__ is int else c for c in kids]))
-            continue
-        comp = [path.pop()]
-        while comp[-1] != k:
-            comp.append(path.pop())
         index = {c: j for j, c in enumerate(comp)}
         loop = _place_loop(
             [nodes[j][1] for j in comp],
@@ -606,40 +572,41 @@ def sccs(
     in the order given.  A component is cyclic iff it has two or more
     nodes or its one node is its own successor.
     """
-    index: dict = {}
-    low: dict = {}
+    done = float("inf")  # the index of a node once its component is out
+    index: dict = {}  # a node's order of entry, then done
+    low: dict = {}  # the least index a node reaches on the stack
     stack: list = []
-    on_stack: set = set()
-    work: list = []
     out = []
-
-    def push(node):
-        index[node] = low[node] = len(index)
-        stack.append(node)
-        on_stack.add(node)
-        work.append((node, iter(succ(node))))
-
     for root in roots:
-        if root not in index:
-            push(root)
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(succ(root)))]
         while work:
             node, it = work[-1]
             for child in it:
-                if child not in index:
-                    push(child)
+                k = index.get(child)
+                if k is None:
+                    index[child] = low[child] = len(index)
+                    stack.append(child)
+                    work.append((child, iter(succ(child))))
                     break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
+                if k < low[node]:  # never for a done child
+                    low[node] = k
             else:
                 work.pop()
+                lo = low[node]
                 if work:
                     parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    comp = []
-                    while not comp or comp[-1] != node:
+                    if lo < low[parent]:
+                        low[parent] = lo
+                if lo == index[node]:
+                    comp = [stack.pop()]
+                    while comp[-1] != node:
                         comp.append(stack.pop())
-                    on_stack.difference_update(comp)
+                    for n in comp:
+                        index[n] = done
                     out.append(comp)
     return out
 

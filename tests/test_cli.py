@@ -186,6 +186,8 @@ NEGATIVE_COUNTS = {
     "--depth-guard": (["epos", "--metric", "ltree", "--term", "x", "--epsilon", "1",
                        "--depth-guard", "-1"], ""),
     "xi --budget": (XI + ["fp:1", "--budget", "-1"], '{"term": "F(0, 0, 0)"}\n'),
+    "--layers": (["cutoff", "--metric", "exnonlin-r", "exnonlin-s", "--layers", "-1",
+                  "--fill", "x", "--trace", "INPUT"], '{"term": "F(0, 0, 0)"}\n'),
 }
 
 

@@ -148,9 +148,9 @@ def test_simulate_script_matches_once_per_step(monkeypatch):
     calls = Counter()
     match_at = rewriting._match_at
 
-    def counted(lhs, t, root):
+    def counted(lhs, root):
         calls[None] += 1
-        return match_at(lhs, t, root)
+        return match_at(lhs, root)
 
     monkeypatch.setattr(rewriting, "_match_at", counted)
     again = simulate(system, tr.all_terms()[0], "script", script=script)

@@ -124,18 +124,24 @@ NUMBERED = {
 }
 
 
+def scopes(tree: ast.Module) -> list[tuple[str, ast.FunctionDef]]:
+    """The top-level functions and methods of a module, by name
+    (Class.method for a method)."""
+    out = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            out += [(f"{stmt.name}.{f.name}", f) for f in stmt.body
+                    if isinstance(f, ast.FunctionDef)]
+        elif isinstance(stmt, ast.FunctionDef):
+            out.append((stmt.name, stmt))
+    return out
+
+
 def numbered_readers(tree: ast.Module) -> set[str]:
     """The top-level functions and methods (Class.method) whose code reads
     an attribute .nodes or the name node_numbers."""
-    scopes = []
-    for stmt in tree.body:
-        if isinstance(stmt, ast.ClassDef):
-            scopes += [(f"{stmt.name}.{f.name}", f) for f in stmt.body
-                       if isinstance(f, ast.FunctionDef)]
-        elif isinstance(stmt, ast.FunctionDef):
-            scopes.append((stmt.name, stmt))
     return {
-        name for name, scope in scopes for node in ast.walk(scope)
+        name for name, scope in scopes(tree) for node in ast.walk(scope)
         if (isinstance(node, ast.Attribute) and node.attr == "nodes")
         or (isinstance(node, ast.Name) and node.id == "node_numbers")
     }
@@ -147,3 +153,23 @@ def test_only_the_boundary_reads_node_numbers(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     extra = numbered_readers(tree) - NUMBERED.get(path.name, set())
     assert not extra, f"{path.name}: read .nodes or node_numbers: {sorted(extra)}"
+
+
+# The functions of src/ that may bind a Tarjan low-link table: sccs, the
+# one search for strongly connected components, and parse, which reads
+# the low-link off the text's scoping instead of searching.
+LOW_LINKS = {("terms.py", "sccs"), ("terms.py", "parse")}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_sccs_and_parse_keep_a_low_link(path):
+    """No second Tarjan grows back in src/: a name low is bound only in
+    terms.sccs and terms.parse."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    binders = {
+        name for name, scope in scopes(tree) for node in ast.walk(scope)
+        if (isinstance(node, ast.Name) and node.id == "low" and isinstance(node.ctx, ast.Store))
+        or (isinstance(node, ast.arg) and node.arg == "low")
+    }
+    extra = {(path.name, name) for name in binders} - LOW_LINKS
+    assert not extra, f"{path.name}: binds a low-link table: {sorted(extra)}"

@@ -44,7 +44,7 @@ from itrsbench.terms import (
     sccs,
 )
 import itrsbench.terms as terms_module
-from conftest import GENERIC_SIG, random_finite_term, random_rational_term, rng_for
+from conftest import GENERIC_SIG, random_finite_term, random_rational_term, rng_for, store_nodes
 import flat_terms
 from flat_terms import children_of, iter_positions, subterm_at_node
 import hand_walks
@@ -620,6 +620,31 @@ def test_substitute_into_cycle():
     t = parse("mu X. F(X, y)")
     got = substitute({"y": app("c")}, t)
     assert got == parse("mu X. F(X, c)", GENERIC_SIG)
+
+
+def test_open_lists_the_nodes_below_the_root_that_reach_a_variable():
+    """What substitute rebuilds of a finite term: each node strictly below
+    the root that reaches a variable, once, after its children."""
+    rng = rng_for("terms-open")
+    for _ in range(300):
+        s = random_finite_term(rng, GENERIC_SIG, 3)
+        t = app("F", [s, app("F", [app("G", [s]), random_finite_term(rng, GENERIC_SIG, 4)])])
+        got = t._open
+        assert len(set(got)) == len(got)
+        assert set(got) == {n for n in store_nodes(t) - {t} if variables(n)}
+        place = {n: k for k, n in enumerate(got)}
+        assert all(place[c] < place[n] for n in got for c in n.args or () if c in place)
+
+
+def test_open_of_a_chain_deeper_than_the_recursion_limit():
+    n = 5000
+    assert sys.getrecursionlimit() < n
+    t = var("x")
+    for _ in range(n):
+        t = app("G", [t])
+    got = t._open
+    assert len(got) == n and got[0] is var("x") and got[-1] is t.args[0]
+    assert substitute({"x": app("c")}, t) is parse("G(" * n + "c" + ")" * n, GENERIC_SIG)
 
 
 # --- parser and printer --------------------------------------------------------------
