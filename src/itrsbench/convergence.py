@@ -79,6 +79,7 @@ DEFAULT_BUDGETS = Budgets()
 WINDOW = 4  # terms per sliding diameter
 MAX_PERIOD = 8  # longest pumping period extrapolate_limit tries
 REACH_DEPTH = 8  # redex depth of the weak-reachability and step checks
+MONOTONE_BUDGET = 2_000  # weak_reach budget of the predicate-sequence law check
 
 
 # --- traces ------------------------------------------------------------------
@@ -674,7 +675,7 @@ def classify_convergence(
             return diverging(NonMemberLimitWitness(limit, membership))
         if membership.kind == "member":
             return converging(limit, note="strategy leftmost-outermost")
-    if tr.stuck and is_normal_form(system, tr.all_terms()[-1]):
+    if is_normal_form(system, tr.all_terms()[-1]):  # stuck, or at its last step
         return converging(tr.all_terms()[-1], note="normal form reached")
 
     diams = [] if tr.stuck else sliding_diameter(system.metric, tr, WINDOW)
@@ -964,14 +965,14 @@ def _steps_between(
     return [occ for occ, res in successors(system, a, depth_bound=bound) if res == b]
 
 
-def _monotone_violations(system: ITRS, s, evaluated: dict, budget: int = 2_000) -> list:
+def _monotone_violations(system: ITRS, s, evaluated: dict) -> list:
     """Check the predicate-sequence law on the evaluated triples:
     beta <= gamma and t ->>_w u and s(gamma)(u) imply s(beta)(t).
 
-    Reaches at REACH_DEPTH, as Fp and Kt do, and through the predicate's
-    own successors memo and answer table when it keeps them for this
-    system: the answers are keyed by budget, so none found under the
-    predicate's own budget is read here."""
+    Reaches at REACH_DEPTH, as Fp and Kt do, under MONOTONE_BUDGET, and
+    through the predicate's own successors memo and answer table when it
+    keeps them for this system: the answers are keyed by budget, so none
+    found under the predicate's own budget is read here."""
     out = []
     own = getattr(s, "system", None) is system
     reducts = getattr(s, "reducts", {}) if own else {}
@@ -980,7 +981,7 @@ def _monotone_violations(system: ITRS, s, evaluated: dict, budget: int = 2_000) 
         if vt:
             continue
         for (gamma, u), vu in evaluated.items():
-            if beta <= gamma and vu and _reach(system, t, u, budget, reducts, answers):
+            if beta <= gamma and vu and _reach(system, t, u, MONOTONE_BUDGET, reducts, answers):
                 out.append(("monotone-law", beta, gamma, str(t), str(u)))
     return out
 

@@ -61,18 +61,39 @@ class GuardExceeded(TermError):
 
 # --- components ------------------------------------------------------------
 #
-# Each component is a map on values x in [0, 1] (__call__) and the same map
-# on exponents e in [0, inf), for x = 2^-e (on_exponent).  on_exponent
-# returns the image exponent and the slope of the exponent map there: 0
-# where a clamp binds (the image is a constant), else the product of the
-# pow exponents passed.  exponent_below(b), for b >= 0, inverts it: the
-# largest e >= 0 whose image is at most b, None when there is none.  The
-# exponents are exact Fractions while every scale factor and cap bound is a
-# power of two, floats otherwise.
+# Each component is a map on values x in [0, 1] (__call__) and, for x =
+# 2^-e, a map on exponents e in [0, inf).  On exponents every component,
+# composed or not, is e -> max(floor, slope*e + shift), and its _affine is
+# that triple: scale(a) is (0, 1, -log2 a), pow(k) is (0, k, 0), cap(c) is
+# (-log2 c, 1, 0), and a composition folds its parts from the inside out.
+# The entries are exact (ints and Fractions) while every scale factor and
+# cap bound is a power of two, floats otherwise.  Everything on the
+# exponent side (on_exponent, exponent_below, _exponent_map, lazy_weight,
+# _positive_limit) reads the triple alone.
+
+
+class _Affine:
+    """The exponent side of a component, read off its _affine triple."""
+
+    def on_exponent(self, e: Number) -> tuple[Number, Number]:
+        """The image of e, and the slope of the map there: 0 where the
+        floor binds (the image is a constant)."""
+        floor, slope, shift = self._affine
+        image = slope * e + shift
+        return (image, slope) if image > floor else (floor, 0)
+
+    def exponent_below(self, b: Number) -> Optional[Number]:
+        """For b >= 0, the largest e >= 0 whose image is at most b; None
+        when there is none."""
+        floor, slope, shift = self._affine
+        if b < floor:
+            return None
+        e = b - shift if slope == 1 else (b - shift) / slope
+        return e if e >= 0 else None
 
 
 @dataclass(frozen=True)
-class Scale:
+class Scale(_Affine):
     """x -> min(1, a*x); Scale(1) is the identity, Scale(1/2) halving."""
 
     factor: Fraction
@@ -80,13 +101,9 @@ class Scale:
     def __call__(self, x: Number) -> Number:
         return min(_one_like(x), self.factor * x)
 
-    def on_exponent(self, e: Number) -> tuple[Number, Number]:
-        shifted = e - _log2(self.factor)
-        return (shifted, 1) if shifted > 0 else (0, 0)
-
-    def exponent_below(self, b: Number) -> Optional[Number]:
-        e = b + _log2(self.factor)
-        return e if e >= 0 else None
+    @cached_property
+    def _affine(self) -> tuple:
+        return 0, 1, -_log2(self.factor)
 
     def __str__(self):
         if self.factor == 1:
@@ -97,7 +114,7 @@ class Scale:
 
 
 @dataclass(frozen=True)
-class Pow:
+class Pow(_Affine):
     """x -> x**k for positive rational k."""
 
     exponent: Fraction
@@ -107,18 +124,16 @@ class Pow:
             return x ** self.exponent.numerator
         return float(x) ** float(self.exponent)
 
-    def on_exponent(self, e: Number) -> tuple[Number, Number]:
-        return self.exponent * e, self.exponent
-
-    def exponent_below(self, b: Number) -> Optional[Number]:
-        return b / self.exponent
+    @cached_property
+    def _affine(self) -> tuple:
+        return 0, self.exponent, 0
 
     def __str__(self):
         return f"pow({self.exponent})"
 
 
 @dataclass(frozen=True)
-class Cap:
+class Cap(_Affine):
     """x -> min(x, c)."""
 
     bound: Fraction
@@ -126,19 +141,16 @@ class Cap:
     def __call__(self, x: Number) -> Number:
         return min(x, self.bound if isinstance(x, Fraction) else float(self.bound))
 
-    def on_exponent(self, e: Number) -> tuple[Number, Number]:
-        floor = -_log2(self.bound)
-        return (e, 1) if e > floor else (floor, 0)
-
-    def exponent_below(self, b: Number) -> Optional[Number]:
-        return b if -_log2(self.bound) <= b else None
+    @cached_property
+    def _affine(self) -> tuple:
+        return -_log2(self.bound), 1, 0
 
     def __str__(self):
         return f"cap({self.bound})"
 
 
 @dataclass(frozen=True)
-class Compose:
+class Compose(_Affine):
     """Composition, outermost part first: Compose(f, g)(x) = f(g(x))."""
 
     parts: tuple
@@ -148,19 +160,14 @@ class Compose:
             x = part(x)
         return x
 
-    def on_exponent(self, e: Number) -> tuple[Number, Number]:
-        slope: Number = 1
+    @cached_property
+    def _affine(self) -> tuple:
+        # (f, k, c) after (F, K, C): max(f, k*max(F, K*e + C) + c), as k > 0
+        floor, slope, shift = 0, 1, 0  # the identity
         for part in reversed(self.parts):
-            e, part_slope = part.on_exponent(e)
-            slope *= part_slope
-        return e, slope
-
-    def exponent_below(self, b: Number) -> Optional[Number]:
-        for part in self.parts:
-            b = part.exponent_below(b)
-            if b is None:
-                return None
-        return b
+            f, k, c = part._affine
+            floor, slope, shift = max(f, k * floor + c), k * slope, k * shift + c
+        return floor, slope, shift
 
     def __str__(self):
         return "comp(" + ",".join(str(p) for p in self.parts) + ")"
@@ -227,18 +234,11 @@ def is_granular_component(comp: Component) -> bool:
 
 
 def lazy_weight(comp: Component) -> int:
-    """Number of halvings in a granular component (0 for the identity)."""
-    if comp == IDENTITY:
-        return 0
-    if comp == HALVE:
-        return 1
-    if isinstance(comp, Scale) and comp.factor <= 1:
-        # power-of-two contracting scale, e.g. from composing halvings
-        num, den = comp.factor.numerator, comp.factor.denominator
-        if num == 1 and den & (den - 1) == 0:
-            return den.bit_length() - 1
-    if isinstance(comp, Compose):
-        return sum(lazy_weight(p) for p in comp.parts)
+    """Number of halvings in a granular component (0 for the identity): the
+    whole k >= 0 with comp mapping every exponent e to e + k."""
+    floor, slope, shift = comp._affine
+    if slope == 1 and max(floor, 0) <= shift and _whole(shift):
+        return int(shift)
     raise TermError(f"not a granular component: {comp}")
 
 
@@ -261,33 +261,18 @@ def _power_of_half(e: Number) -> str:
     return f"2^-{e}" if e.denominator == 1 else f"2^-({e})"
 
 
+def _whole(x: Number) -> bool:
+    return not isinstance(x, float) and x.denominator == 1
+
+
 def _exponent_map(comp: Component) -> Optional[Callable[[int], int]]:
-    """comp.on_exponent's image as a map of ints, when comp keeps integer
-    exponents integers: every scale factor and cap bound a power of two,
-    every pow exponent an integer.  None otherwise."""
-    if isinstance(comp, Compose):
-        maps = [_exponent_map(part) for part in reversed(comp.parts)]
-        if None in maps:
-            return None
-
-        def composed(e: int) -> int:
-            for f in maps:
-                e = f(e)
-            return e
-
-        return composed
-    if isinstance(comp, Pow):
-        if comp.exponent.denominator != 1:
-            return None
-        k = comp.exponent.numerator
-        return lambda e: k * e
-    log = _log2(comp.factor if isinstance(comp, Scale) else comp.bound)
-    if isinstance(log, float):
+    """comp's map of exponents, e -> max(floor, slope*e + shift), as a map
+    of ints, when its triple is integral: every scale factor and cap bound
+    a power of two, and the slope a whole number.  None otherwise."""
+    if not all(map(_whole, comp._affine)):
         return None
-    log = int(log)
-    if isinstance(comp, Scale):
-        return lambda e: e - log if e > log else 0
-    return lambda e: e if e > -log else -log
+    floor, slope, shift = map(int, comp._affine)
+    return lambda e: image if (image := slope * e + shift) > floor else floor
 
 
 # --- term metrics ----------------------------------------------------------
@@ -728,11 +713,10 @@ def is_member(m: TermMetric, t: RationalTerm) -> MemberVerdict:
     enumeration cap.  The term is a member iff iterating each cycle's
     composed component from 1 drives the value to 0; the witness is the
     first cycle whose iterates stall or tend to a positive limit.  The
-    test runs on exponents, x = 2^-e: scale(a) maps e to max(0, e - log2 a),
-    pow(k) to k*e and cap(c) to max(e, -log2 c).  It takes at most two
-    steps of the cycle's map: the iterates then either repeat (a stall) or
-    follow e -> K*e + C, with K the product of the cycle's pow exponents,
-    which tends to infinity iff K >= 1 and the last step was positive.
+    test runs on exponents, x = 2^-e, where the cycle's composed component
+    is e -> max(floor, slope*e + shift) (its _affine triple): the iterates
+    from 0 stall at the first when the second equals it, and else tend to
+    infinity iff slope >= 1 (_positive_limit).
     The exponents, hence the verdict and the stall value in its detail,
     are exact when every scale factor and cap bound is a power of two;
     other constants enter as float logarithms.  A witness names its nodes
@@ -744,10 +728,13 @@ def is_member(m: TermMetric, t: RationalTerm) -> MemberVerdict:
     if m.is_granular:
 
         def strict(node: RationalTerm) -> list[tuple[tuple[RationalTerm, int], RationalTerm]]:
+            if node.args is None:
+                return []
+            weights = m._weights[node.symbol]
             return [
                 ((node, i), child)
-                for i, child in enumerate(node.args or (), start=1)
-                if lazy_weight(m.component(node.symbol, i)) == 0
+                for i, (child, w) in enumerate(zip(node.args, weights), start=1)
+                if w == 0
             ]
 
         number = node_numbers(t)
@@ -775,25 +762,20 @@ def _positive_limit(comp: Component) -> str:
     """Where the iterates of comp from 1 stop short of 0, as text; empty
     when they tend to 0.
 
-    On exponents the iterates e_0 = 0 <= e_1 <= ... only climb, so the
-    input of every part only climbs, and a clamp that does not bind at one
-    iterate binds at no later one.  A clamp that binds at e_n and at
-    e_(n+1) makes e_(n+2) = e_(n+1), a stall.  So from e_1 on, either the
-    iterates stall or no clamp binds and the map is e -> K*e + C, K its
-    slope: for K >= 1 every further step repeats or grows the last, and
-    for K < 1 the iterates tend to C / (1 - K).
+    On exponents comp is e -> max(floor, slope*e + shift), and its iterates
+    from e_0 = 0 only climb.  The first is e_1 = max(floor, shift); if e_2
+    equals it they stall there.  Otherwise e_2 > e_1 >= floor, so the floor
+    binds at no iterate from e_1 on, and they follow the line: for slope >=
+    1 each step is at least the last, and for slope < 1 they tend to its
+    fixed point shift / (1 - slope).
     """
-    e: Number = 0
-    while True:
-        nxt, slope = comp.on_exponent(e)
-        if nxt == e:
-            return f"cycle iterates stall at {_power_of_half(e)}"
-        if slope:
-            break
-        e = nxt
+    floor, slope, shift = comp._affine
+    first = max(floor, shift)
+    if max(floor, slope * first + shift) == first:
+        return f"cycle iterates stall at {_power_of_half(first)}"
     if slope >= 1:
         return ""
-    return f"cycle iterates tend to {_power_of_half((nxt - slope * e) / (1 - slope))}"
+    return f"cycle iterates tend to {_power_of_half(shift / (1 - slope))}"
 
 
 # --- variable depth --------------------------------------------------------

@@ -173,3 +173,31 @@ def test_only_sccs_and_parse_keep_a_low_link(path):
     }
     extra = {(path.name, name) for name in binders} - LOW_LINKS
     assert not extra, f"{path.name}: binds a low-link table: {sorted(extra)}"
+
+
+COMPONENTS = {"Scale", "Pow", "Cap", "Compose"}
+TRIPLE_READERS = {"_exponent_map", "lazy_weight", "_positive_limit"}
+
+
+def test_the_exponent_side_reads_one_triple():
+    """In metrics.py, each component class adds only its _affine triple
+    on the exponent side, besides its value map and its text:
+    on_exponent and exponent_below are each defined once, on the shared
+    base, and the readers of the triple test no component class with
+    isinstance."""
+    tree = ast.parse((PACKAGE / "metrics.py").read_text())
+    defined = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    assert defined.count("on_exponent") == defined.count("exponent_below") == 1
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name in COMPONENTS:
+            methods = {d.name for d in node.body if isinstance(d, ast.FunctionDef)}
+            assert methods == {"__call__", "__str__", "_affine"}, node.name
+        elif isinstance(node, ast.FunctionDef) and node.name in TRIPLE_READERS:
+            tested = {
+                name.id
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call) and getattr(call.func, "id", "") == "isinstance"
+                for name in ast.walk(call.args[1])
+                if isinstance(name, ast.Name)
+            }
+            assert not tested & COMPONENTS, (node.name, tested)

@@ -45,6 +45,7 @@ from itrsbench.metrics import (
     SignatureMismatch,
     _exponent_map,
     _fixpoint,
+    _positive_limit,
     component_problems,
     cycle_component,
     lazy_weight,
@@ -602,6 +603,52 @@ def test_exponent_map_matches_values():
     for inexact in [Pow(HALF), Scale(Fraction(3, 2)), Cap(Fraction(1, 3)),
                     compose(HALVE, Pow(Fraction(3, 2)))]:
         assert _exponent_map(inexact) is None
+
+
+def test_the_affine_triple_matches_the_value_maps():
+    """The exponent side, read off each component's (floor, slope, shift)
+    triple, against the value maps: exponent_below(b) bounds exactly the
+    e with comp(2^-e) >= 2^-b, and _positive_limit reports a stall exactly
+    where the iterates of comp from 1 repeat, at the value they repeat."""
+    rng = rng_for("metrics-affine-triple")
+    dyadic = [Scale(Fraction(2) ** k) for k in range(-3, 4)]
+    dyadic += [Cap(Fraction(1, 2**k)) for k in range(4)] + [Pow(Fraction(k)) for k in (1, 2, 3)]
+    for _ in range(300):
+        comp = compose(*rng.sample(dyadic, rng.randint(1, 4)))
+        for b in range(9):
+            below = comp.exponent_below(b)
+            assert below is None or below < 20
+            for e in range(20):
+                reached = comp(Fraction(1, 2**e)) >= Fraction(1, 2**b)
+                assert reached == (below is not None and e <= below), (comp, b, e)
+        x, stall = Fraction(1), ""
+        while x.denominator.bit_length() <= 64:
+            x, last = comp(x), x
+            if x == last:
+                stall = f"cycle iterates stall at 2^-{x.denominator.bit_length() - 1}"
+                break
+        assert _positive_limit(comp) == stall, comp
+
+
+def test_lazy_weight_counts_the_halvings_of_a_pure_scale():
+    """lazy_weight of a composition of contracting power-of-two scales and
+    identities is log2(1/comp(1)), composed by compose or kept as one
+    Compose; it raises once a pow(k > 1) joins, or a cap(c < 1) that binds
+    at 1 (c below the image of 1 under the parts applied before it)."""
+    rng = rng_for("metrics-lazy-weight")
+    scales = [IDENTITY, HALVE, Scale(Fraction(1, 4)), Scale(Fraction(1, 8))]
+    for _ in range(200):
+        parts = [rng.choice(scales) for _ in range(rng.randint(1, 4))]
+        for comp in (compose(*parts), Compose(tuple(parts))):
+            assert 2 ** lazy_weight(comp) == 1 / comp(Fraction(1)), comp
+        i = rng.randrange(len(parts) + 1)
+        joined = rng.choice([Pow(Fraction(rng.randint(2, 3))), Cap(Fraction(1, 2**rng.randint(1, 5)))])
+        comp = Compose(tuple(parts[:i] + [joined] + parts[i:]))
+        if isinstance(joined, Cap) and joined.bound >= compose(*parts[i:])(Fraction(1)):
+            assert 2 ** lazy_weight(comp) == 1 / comp(Fraction(1)), comp
+        else:
+            with pytest.raises(TermError):
+                lazy_weight(comp)
 
 
 def test_the_exponent_sweep_gives_way_where_values_move_to_floats():
