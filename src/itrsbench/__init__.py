@@ -23,9 +23,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "terms": (
         "ParseError", "Position", "RationalTerm", "Signature", "TermError", "app",
-        "bisimilar", "graph_term", "parallel", "parse", "positions", "prefix_of",
-        "replace", "substitute", "subterm", "term_depth", "to_text", "topequ", "var",
-        "variables",
+        "graph_term", "parallel", "parse", "positions", "prefix_of", "replace",
+        "substitute", "subterm", "term_depth", "to_text", "topequ", "var", "variables",
     ),
     "metrics": (
         "Cap", "Compose", "GuardExceeded", "HALVE", "IDENTITY", "MemberVerdict", "Pow",
@@ -38,7 +37,7 @@ _EXPORTS = {
         "RedexOccurrence", "Rule", "StaleOccurrence", "UnionResult", "classify_itrs",
         "disjoint_union", "erase_indirection", "indirect", "is_depth_preserving",
         "is_pseudo_collapsing", "match", "redexes", "rewrite_step", "successors",
-        "weak_reach", "weak_reach_path",
+        "weak_reach_path",
     ),
     "layers": (
         "Coloring", "PrincipalCut", "cut_positions", "cutoff", "ppos",

@@ -25,6 +25,7 @@ from .metrics import (
 from .rewriting import (
     DEFAULT_WEAK_BUDGET,
     ITRS,
+    Reach,
     RedexOccurrence,
     Rule,
     indirect,
@@ -33,8 +34,6 @@ from .rewriting import (
     redexes,
     rewrite_step,
     successors,
-    weak_reach,
-    weak_reach_path,
 )
 from .terms import (
     APP,
@@ -79,7 +78,7 @@ DEFAULT_BUDGETS = Budgets()
 WINDOW = 4  # terms per sliding diameter
 MAX_PERIOD = 8  # longest pumping period extrapolate_limit tries
 REACH_DEPTH = 8  # redex depth of the weak-reachability and step checks
-MONOTONE_BUDGET = 2_000  # weak_reach budget of the predicate-sequence law check
+MONOTONE_BUDGET = 2_000  # Reach.path budget of the predicate-sequence law check
 
 
 # --- traces ------------------------------------------------------------------
@@ -743,26 +742,20 @@ def focussed_probe(
     budget: int = DEFAULT_WEAK_BUDGET,
 ) -> FocussedReport:
     """Evaluate the focussed-sequence predicate on the recorded subterm
-    sequence at p, with bounded reachability as the weak-reduction oracle."""
+    sequence at p, with bounded reachability as the weak-reduction oracle:
+    one Reach at REACH_DEPTH for the whole probe, so each (a, b) is
+    searched once and each term expanded once."""
     seq = [subterm(t, p) for t in tr.all_terms()]
     n = len(seq)
-    reach_cache: dict = {}
-    reducts: dict = {}  # one memo of successors for the whole probe
-
-    def reaches(a, b):
-        key = (a, b)
-        if key not in reach_cache:
-            reach_cache[key] = weak_reach_path(
-                system, a, b, budget=budget, depth_bound=REACH_DEPTH, reducts=reducts
-            )
-        return reach_cache[key]
+    reach = Reach(system, REACH_DEPTH)
 
     zetas = {}
     failures = []
     for gamma in range(n):
         found = None
         for zeta in range(n):
-            if all(reaches(seq[gamma], seq[kappa]) is not None for kappa in range(zeta, n)):
+            if all(reach.path(seq[gamma], seq[kappa], budget) is not None
+                   for kappa in range(zeta, n)):
                 found = zeta
                 break
         if found is None:
@@ -778,29 +771,19 @@ def focussed_probe(
     if beta is not None:
         for gamma in range(beta, n):
             for kappa in range(zetas[gamma], n):
-                witnesses[(gamma, kappa)] = tuple(reaches(seq[gamma], seq[kappa]))
+                witnesses[(gamma, kappa)] = tuple(reach.path(seq[gamma], seq[kappa], budget))
     return FocussedReport(beta is not None, beta, zetas, witnesses, tuple(failures))
 
 
 # --- predicate sequences and the simulated top layer ------------------------------
 
 
-def _reach(system: ITRS, t, u, budget: int, reducts: dict, answers: dict) -> bool:
-    """weak_reach(system, t, u) at REACH_DEPTH, through the successors
-    memo reducts, each question answered once per budget: answers maps
-    (budget, t, u) to the answer."""
-    key = (budget, t, u)
-    found = answers.get(key)
-    if found is None:
-        found = answers[key] = weak_reach(
-            system, t, u, budget=budget, depth_bound=REACH_DEPTH, reducts=reducts
-        )
-    return found
-
-
 @dataclass
 class Fp:
-    """True of terms that weakly reduce to a later principal-p subterm."""
+    """True of terms that weakly reduce to a later principal-p subterm.
+
+    Asks its one Reach at REACH_DEPTH, alive as long as this probe, so
+    each (term, target) is searched once per budget."""
 
     position: Position
     trace: Trace
@@ -809,9 +792,7 @@ class Fp:
     budget: int = DEFAULT_WEAK_BUDGET
 
     def __post_init__(self):
-        # successors memo and reach answers, alive as long as this probe
-        self.reducts: dict = {}
-        self.answers: dict = {}
+        self.reach = Reach(self.system, REACH_DEPTH)
         p = self.position
         # (gamma, subterm at p) for each trace term in which p is principal
         self.targets = [
@@ -822,29 +803,27 @@ class Fp:
 
     def __call__(self, beta: tuple, term: RationalTerm) -> bool:
         return any(
-            gamma >= beta
-            and _reach(self.system, term, target, self.budget, self.reducts, self.answers)
+            gamma >= beta and self.reach.path(term, target, self.budget) is not None
             for gamma, target in self.targets
         )
 
 
 @dataclass
 class Kt:
-    """True of terms that are not weak reducts of the anchor term."""
+    """True of terms that are not weak reducts of the anchor term.
+
+    Asks its one Reach at REACH_DEPTH, alive as long as this probe, so
+    each term is searched for once per budget."""
 
     anchor: RationalTerm
     system: ITRS
     budget: int = DEFAULT_WEAK_BUDGET
 
     def __post_init__(self):
-        # successors memo and reach answers, alive as long as this probe
-        self.reducts: dict = {}
-        self.answers: dict = {}
+        self.reach = Reach(self.system, REACH_DEPTH)
 
     def __call__(self, beta: tuple, term: RationalTerm) -> bool:
-        return not _reach(
-            self.system, self.anchor, term, self.budget, self.reducts, self.answers
-        )
+        return self.reach.path(self.anchor, term, self.budget) is None
 
 
 @dataclass
@@ -969,19 +948,20 @@ def _monotone_violations(system: ITRS, s, evaluated: dict) -> list:
     """Check the predicate-sequence law on the evaluated triples:
     beta <= gamma and t ->>_w u and s(gamma)(u) imply s(beta)(t).
 
-    Reaches at REACH_DEPTH, as Fp and Kt do, under MONOTONE_BUDGET, and
-    through the predicate's own successors memo and answer table when it
-    keeps them for this system: the answers are keyed by budget, so none
-    found under the predicate's own budget is read here."""
+    Asks, under MONOTONE_BUDGET, the predicate's own Reach when it has
+    one for this system (as Fp and Kt do), else a fresh one at
+    REACH_DEPTH: its answers are keyed by budget, so none found under the
+    predicate's own budget is read here, while the terms it expanded are
+    not expanded again."""
     out = []
-    own = getattr(s, "system", None) is system
-    reducts = getattr(s, "reducts", {}) if own else {}
-    answers = getattr(s, "answers", {}) if own else {}
+    reach = getattr(s, "reach", None)
+    if not isinstance(reach, Reach) or reach.system is not system:
+        reach = Reach(system, REACH_DEPTH)
     for (beta, t), vt in evaluated.items():
         if vt:
             continue
         for (gamma, u), vu in evaluated.items():
-            if beta <= gamma and vu and _reach(system, t, u, MONOTONE_BUDGET, reducts, answers):
+            if beta <= gamma and vu and reach.path(t, u, MONOTONE_BUDGET) is not None:
                 out.append(("monotone-law", beta, gamma, str(t), str(u)))
     return out
 

@@ -21,12 +21,12 @@ from typing import Optional
 from .metrics import (
     Cap,
     Component,
-    Compose,
     HALVE,
     IDENTITY,
     Pow,
     Scale,
     TermMetric,
+    compose,
     validate_metric,
 )
 from .rewriting import ITRS, Rule
@@ -66,7 +66,7 @@ def _parse_component(text: str, lineno: int) -> Component:
         ]
         if not parts:
             raise ParseError("empty comp()", lineno, 0)
-        return Compose(tuple(parts))
+        return compose(*parts)
     raise ParseError(f"bad metric component {text!r}", lineno, 0)
 
 

@@ -187,15 +187,16 @@ def compose(*parts: Component) -> Component:
         else:
             flat.append(part)
     flat = [p for p in flat if p != IDENTITY]
-    # adjacent contracting scales compose exactly (a*b*x <= a <= 1)
+    # adjacent contracting scales compose exactly (a*b*x <= a <= 1); a
+    # factor <= 0 is left for component_problems to report
     merged: list[Component] = []
     for part in flat:
         if (
             merged
             and isinstance(part, Scale)
             and isinstance(merged[-1], Scale)
-            and part.factor <= 1
-            and merged[-1].factor <= 1
+            and 0 < part.factor <= 1
+            and 0 < merged[-1].factor <= 1
         ):
             merged[-1] = Scale(merged[-1].factor * part.factor)
         else:
@@ -230,7 +231,12 @@ def component_problems(comp: Component) -> list[str]:
 
 
 def is_granular_component(comp: Component) -> bool:
-    return comp == IDENTITY or comp == HALVE
+    """Is comp the map of strict (e -> e) or of lazy (e -> e + 1), however
+    it is spelled: pow(1), cap(1), comp(strict, lazy), ...?  Its triple is
+    compared with theirs once the floor is raised to the shift, the least
+    value of slope*e + shift on e >= 0, so that equal maps compare equal."""
+    floor, slope, shift = comp._affine
+    return (max(floor, shift), slope, shift) in ((0, 1, 0), (1, 1, 1))
 
 
 def lazy_weight(comp: Component) -> int:
@@ -248,6 +254,8 @@ def _one_like(x: Number) -> Number:
 
 def _log2(q: Fraction) -> Number:
     """log2 q, as a Fraction when q is a power of two, else a float."""
+    if q <= 0:
+        raise TermError(f"log2 of {q}: not positive")
     num, den = q.numerator, q.denominator
     if num & (num - 1) == 0 and den & (den - 1) == 0:
         return Fraction(num.bit_length() - den.bit_length())

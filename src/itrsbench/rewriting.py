@@ -246,19 +246,37 @@ def successors(
     ]
 
 
-def weak_reach(
-    system: ITRS,
-    t: RationalTerm,
-    u: RationalTerm,
-    budget: int = DEFAULT_WEAK_BUDGET,
-    depth_bound: int = DEFAULT_REDEX_DEPTH,
-    reducts: Optional[dict] = None,
-) -> bool:
-    """Finite-step reachability t ->* u up to bisimilarity.
+class Reach:
+    """Bounded weak reachability t ->* u under one system, through redexes
+    of depth <= depth_bound, each question searched once.
 
-    False means "not found within the budget", never a refutation.
+    reducts maps each term a search expanded to its successors, and
+    answers maps each question (budget, t, u) to its answer: a shortest
+    step list, [] when t == u (no search), or None when bfs_path found no
+    path within budget expanded terms, which refutes nothing.  A caller
+    that asks many questions about the same terms keeps one Reach and
+    drops it when done.
     """
-    return weak_reach_path(system, t, u, budget, depth_bound, reducts) is not None
+
+    def __init__(self, system: ITRS, depth_bound: int = DEFAULT_REDEX_DEPTH):
+        self.system = system
+        self.depth_bound = depth_bound
+        self.reducts: dict = {}
+        self.answers: dict = {}
+
+    def _step(self, t: RationalTerm) -> list[tuple[RedexOccurrence, RationalTerm]]:
+        out = self.reducts.get(t)
+        if out is None:
+            out = self.reducts[t] = successors(self.system, t, self.depth_bound)
+        return out
+
+    def path(
+        self, t: RationalTerm, u: RationalTerm, budget: int = DEFAULT_WEAK_BUDGET
+    ) -> Optional[list[RedexOccurrence]]:
+        key = (budget, t, u)
+        if key not in self.answers:
+            self.answers[key] = [] if t == u else bfs_path(t, u, self._step, budget)
+        return self.answers[key]
 
 
 def weak_reach_path(
@@ -267,27 +285,11 @@ def weak_reach_path(
     u: RationalTerm,
     budget: int = DEFAULT_WEAK_BUDGET,
     depth_bound: int = DEFAULT_REDEX_DEPTH,
-    reducts: Optional[dict] = None,
 ) -> Optional[list[RedexOccurrence]]:
-    """Like weak_reach but returns the step list when found.
-
-    reducts, when given, maps terms to their successors under this system
-    and depth bound, and the search adds every term it expands: a caller
-    that asks many questions about the same terms passes one dict to all
-    of them and drops it when done.
-    """
-    if t == u:
-        return []
-    if reducts is None:
-        reducts = {}
-
-    def step(s):
-        out = reducts.get(s)
-        if out is None:
-            out = reducts[s] = successors(system, s, depth_bound)
-        return out
-
-    return bfs_path(t, u, step, budget)
+    """One question to a fresh Reach: a step list t ->* u up to
+    bisimilarity, or None, meaning "not found within the budget", never a
+    refutation."""
+    return Reach(system, depth_bound).path(t, u, budget)
 
 
 # --- rule-level metric checks ------------------------------------------------

@@ -539,26 +539,6 @@ def topequ(t: RationalTerm, p: Position, u: RationalTerm) -> bool:
     return True
 
 
-def bisimilar(t: RationalTerm, u: RationalTerm) -> bool:
-    """Do t and u denote the same infinite tree?
-
-    Decided by a coinductive search over pairs of nodes.  The store makes
-    `t == u` equivalent, so no library code calls this: it is the test
-    oracle that `==` is checked against.
-    """
-    assumed: set = set()
-    stack = [(t, u)]
-    while stack:
-        a, b = stack.pop()
-        if (a, b) in assumed:
-            continue
-        if a.label != b.label:
-            return False
-        assumed.add((a, b))
-        stack.extend(zip(a.args or (), b.args or ()))
-    return True
-
-
 # --- graph search ----------------------------------------------------------
 
 

@@ -1,7 +1,8 @@
-"""The coinductive matcher that itrsbench.rewriting's compiled one
-replaced, kept as its test oracle: a product search over (pattern node,
-term node) pairs from the root pair, skipping pairs already checked, so a
-cyclic pattern is matched coinductively instead of looping."""
+"""Coinductive product searches over pairs of nodes, from the root pair,
+skipping pairs already checked, so cycles are followed instead of looping:
+the matcher that itrsbench.rewriting's compiled one replaced, and the
+bisimilarity check that `==` on canonical terms replaced, each kept as
+its test oracle."""
 
 from __future__ import annotations
 
@@ -34,3 +35,22 @@ def coinductive_match(lhs: RationalTerm, t: RationalTerm, root: int) -> Optional
             return None
         stack.extend(zip(entry[2], sub_entry[2]))
     return binding
+
+
+def bisimilar(t: RationalTerm, u: RationalTerm) -> bool:
+    """Do t and u denote the same infinite tree?
+
+    Decided by a coinductive search over pairs of nodes.  The store makes
+    `t == u` equivalent: this is the oracle `==` is checked against.
+    """
+    assumed: set = set()
+    stack = [(t, u)]
+    while stack:
+        a, b = stack.pop()
+        if (a, b) in assumed:
+            continue
+        if a.label != b.label:
+            return False
+        assumed.add((a, b))
+        stack.extend(zip(a.args or (), b.args or ()))
+    return True

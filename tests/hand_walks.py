@@ -18,7 +18,7 @@ from itrsbench import layers
 from itrsbench.convergence import REACH_DEPTH
 from itrsbench.layers import PrincipalCut, toplayer_fill
 from itrsbench.metrics import distance
-from itrsbench.rewriting import DEFAULT_WEAK_BUDGET, weak_reach
+from itrsbench.rewriting import DEFAULT_WEAK_BUDGET, weak_reach_path
 import flat_terms
 from flat_terms import children_of, iter_positions, node_at, node_color
 from itrsbench.terms import TermError, from_nodes, sccs, subterm
@@ -135,17 +135,14 @@ class Fp:
     coloring: dict
     budget: int = DEFAULT_WEAK_BUDGET
 
-    def __post_init__(self):
-        self.reducts: dict = {}
-
     def __call__(self, beta, term):
         for gamma, t in self.trace.indexed_terms():
             if gamma < beta:
                 continue
             if self.position not in cut_positions(ppos(t, self.coloring), len(self.position)):
                 continue
-            if weak_reach(self.system, term, subterm(t, self.position), budget=self.budget,
-                          depth_bound=REACH_DEPTH, reducts=self.reducts):
+            if weak_reach_path(self.system, term, subterm(t, self.position),
+                               budget=self.budget, depth_bound=REACH_DEPTH) is not None:
                 return True
         return False
 
@@ -159,12 +156,9 @@ class Kt:
     system: object
     budget: int = DEFAULT_WEAK_BUDGET
 
-    def __post_init__(self):
-        self.reducts: dict = {}
-
     def __call__(self, beta, term):
-        return not weak_reach(self.system, self.anchor, term, budget=self.budget,
-                              depth_bound=REACH_DEPTH, reducts=self.reducts)
+        return weak_reach_path(self.system, self.anchor, term, budget=self.budget,
+                               depth_bound=REACH_DEPTH) is None
 
 
 def postorder(t):

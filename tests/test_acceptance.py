@@ -19,7 +19,6 @@ from itrsbench import (
     Rule,
     Signature,
     app,
-    bisimilar,
     classify_convergence,
     classify_itrs,
     cut_positions,
@@ -58,6 +57,7 @@ from itrsbench.corpus import (
 )
 from itrsbench.metrics import lazy_weight, position_umm
 from itrsbench.terms import positions
+from coinductive_match import bisimilar
 from conftest import (
     GENERIC_SIG,
     mutate,

@@ -521,6 +521,25 @@ def test_focussed_probe_skips_non_reaching_prefix():
     assert 0 in report.failures
 
 
+def test_focussed_probe_asks_each_question_once(monkeypatch):
+    """On the exnonlin run, each probe searches each (a, b) of its subterm
+    sequence at most once, never one with a == b, and expands each term
+    once, however many zetas and witnesses ask for it."""
+    system, _coloring, tr = exnonlin_trace()
+    search, expand = rewriting.bfs_path, rewriting.successors
+    for p in [(1,), (2,), (3,)]:
+        asked, expanded = Counter(), Counter()
+        monkeypatch.setattr(rewriting, "bfs_path", lambda a, b, step, budget: (
+            asked.update([(a, b)]) or search(a, b, step, budget)))
+        monkeypatch.setattr(rewriting, "successors", lambda s, t, depth_bound: (
+            expanded.update([t]) or expand(s, t, depth_bound)))
+        rep = focussed_probe(system, tr, p, budget=200)
+        assert rep.ok and rep.witnesses
+        assert asked and set(asked.values()) == {1}
+        assert not any(a == b for a, b in asked)
+        assert expanded and set(expanded.values()) == {1}
+
+
 # --- guided top-layer simulation ---------------------------------------------------
 
 
@@ -760,29 +779,36 @@ def test_fp_computes_each_reduct_once(monkeypatch):
 
 
 def test_xi_asks_each_question_once(monkeypatch):
-    """On the rearrangement run's xi simulation, weak_reach runs once per
-    distinct (term, target, budget): 29 questions at Fp's budget 400 and
-    6 at the monotone check's 2000, where the table-free Fp of
+    """On the rearrangement run's xi simulation, the predicate's Reach is
+    asked 29 distinct (budget, term, target) questions at Fp's budget 400
+    and 6 at the monotone check's 2000, and searches each once (the 4 at
+    400 with term == target not at all), where the table-free Fp of
     tests/hand_walks.py searches 165 times.  cut_positions runs once per
     trace term, when Fp is built (hand_walks: 165 times), and xi_trace
     takes one principal cut per term and one for the limit."""
     system, coloring, tr = rearrange_trace()
-    asked, cuts, tops = Counter(), Counter(), Counter()
-    reach, cut_positions, ppos = convergence.weak_reach, convergence.cut_positions, convergence.ppos
+    asked, searched, cuts, tops = Counter(), Counter(), Counter(), Counter()
+    path, search = rewriting.Reach.path, rewriting.bfs_path
+    cut_positions, ppos = convergence.cut_positions, convergence.ppos
 
-    def counting_reach(s, t, u, budget, depth_bound, reducts):
-        asked[(t, u, budget)] += 1
-        return reach(s, t, u, budget=budget, depth_bound=depth_bound, reducts=reducts)
+    def counting_path(reach, t, u, budget):
+        asked[(budget, t, u)] += 1
+        return path(reach, t, u, budget)
 
-    monkeypatch.setattr(convergence, "weak_reach", counting_reach)
+    monkeypatch.setattr(rewriting.Reach, "path", counting_path)
+    monkeypatch.setattr(rewriting, "bfs_path", lambda t, u, step, budget: (
+        searched.update([(budget, t, u)]) or search(t, u, step, budget)))
     monkeypatch.setattr(convergence, "cut_positions",
                         lambda t, c, d: cuts.update([t]) or cut_positions(t, c, d))
     monkeypatch.setattr(convergence, "ppos", lambda t, c: tops.update([t]) or ppos(t, c))
     probe = Fp((1, 1), tr, system, coloring, budget=400)
     assert sum(cuts.values()) == len(tr.all_terms()) == 14
     xi_trace(system, tr, system.rule("jk"), probe, coloring)
-    assert set(asked.values()) == {1}
-    assert Counter(budget for _t, _u, budget in asked) == {400: 29, 2000: 6}
+    assert set(probe.reach.answers) == set(asked)
+    assert Counter(budget for budget, _t, _u in asked) == {400: 29, 2000: 6}
+    assert set(searched.values()) == {1}
+    assert set(asked) - set(searched) == {(400, t, t) for _b, t, u in asked if t == u}
+    assert Counter(budget for budget, _t, _u in searched) == {400: 25, 2000: 6}
     assert sum(cuts.values()) == 14
     limits = [seg.limit for seg in tr.segments if seg.limit is not None]
     assert tops == Counter(tr.all_terms() + limits)
@@ -881,7 +907,7 @@ def test_xi_terms_are_fresh_fills(case):
 def test_monotone_check_reaches_as_deep_as_the_predicates():
     """F^7(A) -> F^7(B) rewrites at depth 7: past the default redex depth
     6, within REACH_DEPTH 8, the depth Fp and Kt reach at.  The check sees
-    the violation, and expands F^7(A) into the predicate's own memo."""
+    the violation, and expands F^7(A) into the predicate's own Reach."""
     assert rewriting.DEFAULT_REDEX_DEPTH < 7 <= convergence.REACH_DEPTH
     sig = Signature({"F": 1, "A": 0, "B": 0})
     system = ITRS(sig, metric_id(sig), [Rule("ab", app("A"), app("B"))])
@@ -892,4 +918,4 @@ def test_monotone_check_reaches_as_deep_as_the_predicates():
     assert convergence._monotone_violations(system, probe, evaluated) == [
         ("monotone-law", (0, 0), (0, 1), str(t), str(u))
     ]
-    assert t in probe.reducts
+    assert t in probe.reach.reducts

@@ -175,6 +175,31 @@ def test_only_sccs_and_parse_keep_a_low_link(path):
     assert not extra, f"{path.name}: binds a low-link table: {sorted(extra)}"
 
 
+# The functions of src/ that may expand a term's successors: Reach, the
+# one memo of the successor relation that weak reachability reads,
+# reduction_graph, which keeps each expanded term's successors as its
+# edges, and the two one-step checks of a pair of terms.
+SUCCESSOR_CALLERS = {
+    ("rewriting.py", "Reach._step"), ("convergence.py", "reduction_graph"),
+    ("convergence.py", "_steps_between"), ("convergence.py", "_parallel_step"),
+}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_reach_and_the_graph_expand_successors(path):
+    """No second memo of the successor relation grows back in src/: the
+    name successors is read only in Reach, reduction_graph,
+    _steps_between and _parallel_step."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    readers = {
+        name for name, scope in scopes(tree) for node in ast.walk(scope)
+        if (isinstance(node, ast.Name) and node.id == "successors")
+        or (isinstance(node, ast.Attribute) and node.attr == "successors")
+    }
+    extra = {(path.name, name) for name in readers} - SUCCESSOR_CALLERS
+    assert not extra, f"{path.name}: expands successors: {sorted(extra)}"
+
+
 COMPONENTS = {"Scale", "Pow", "Cap", "Compose"}
 TRIPLE_READERS = {"_exponent_map", "lazy_weight", "_positive_limit"}
 

@@ -22,7 +22,6 @@ from itrsbench import (
     TermError,
     TermMetric,
     app,
-    bisimilar,
     compose,
     distance,
     epos,
@@ -48,12 +47,15 @@ from itrsbench.metrics import (
     _positive_limit,
     component_problems,
     cycle_component,
+    is_granular_component,
     lazy_weight,
     position_umm,
     shared_distance,
     simple_cycles,
 )
 from itrsbench.corpus import diverge_exa_trace, load, load_union
+from itrsbench.itrsfile import parse_itrs
+from coinductive_match import bisimilar
 from fixpoint_sweep import sweep_fixpoint
 from flat_terms import children_of, subterm_at_node
 from flat_terms import product as flat_product
@@ -949,6 +951,56 @@ def test_component_problems():
     assert component_problems(Cap(Fraction(0)))
     assert component_problems(Cap(Fraction(3, 2)))
     assert component_problems(Compose(()))
+    # compose merges contracting scales only: two negative factors stay wrong
+    assert component_problems(compose(Scale(Fraction(-1)), Scale(Fraction(-1))))
+
+
+def test_granularity_is_decided_by_the_map_not_its_spelling():
+    """comp(lazy) is lazy: beside G's lazy, F's comp(lazy) keeps the metric
+    granular, so mu X. G(X) is decided by the lazy-edge test, not by
+    enumerating simple cycles."""
+    m = parse_itrs("metric custom\nsig F/1 [comp(lazy)]\nsig G/1 [lazy]\n").system.metric
+    assert m.is_granular
+    verdict = is_member(m, parse("mu X. G(X)", m.sig))
+    assert (verdict.kind, verdict.detail) == ("member", "every cycle has a lazy edge")
+
+
+def test_other_spellings_of_strict_and_lazy_are_the_same_metric():
+    """comp(strict, lazy) is lazy, and pow(1) and cap(1) are strict, built
+    directly or read from text: each metric is as granular as its
+    strict/lazy original, and gives the same membership verdicts and
+    details and the same distances on seeded terms."""
+    lazy_like = [Compose((IDENTITY, HALVE)), compose(IDENTITY, HALVE)]
+    strict_like = [Pow(Fraction(1)), Cap(Fraction(1)), Compose((Pow(Fraction(1)), Cap(Fraction(1))))]
+    assert all(map(is_granular_component, lazy_like + strict_like))
+    sig = GENERIC_SIG
+    original = metric_granular(sig, {"F": ("lazy", "strict"), "G": ("strict",),
+                                     "H": ("lazy",), "c": (), "d": ()})
+    built = TermMetric(sig, {"F": (lazy_like[0], strict_like[0]), "G": (strict_like[1],),
+                             "H": (lazy_like[1],), "c": (), "d": ()})
+    read = parse_itrs("metric custom\nsig F/2 [comp(strict, lazy), pow(1)]\n"
+                      "sig G/1 [cap(1)]\nsig H/1 [comp(lazy)]\nsig c/0\nsig d/0\n").system.metric
+    assert original.is_granular and built.is_granular and read.is_granular
+    rng = rng_for("other-spellings")
+    terms = [random_rational_term(rng, sig, rng.randint(1, 7)) for _ in range(40)]
+    for m in (built, read):
+        for t in terms:
+            got, want = is_member(m, t), is_member(original, t)
+            assert (got.kind, got.detail) == (want.kind, want.detail), t
+        for t, u in zip(terms, terms[1:]):
+            assert distance(m, t, u) == distance(original, t, u), (t, u)
+
+
+def test_log2_of_a_non_positive_constant_raises():
+    """cap(0) and scale(0) have no exponent triple: an unvalidated metric
+    that holds cap(0) raises TermError instead of measuring as cap(1/2)."""
+    sig = Signature({"F": 1, "a": 0, "b": 0})
+    m = TermMetric(sig, {"F": (Cap(Fraction(0)),), "a": (), "b": ()})
+    with pytest.raises(TermError):
+        distance(m, parse("F(a)", sig), parse("F(b)", sig))
+    for comp in (Cap(Fraction(0)), Cap(Fraction(-1, 2)), Scale(Fraction(0)), Scale(Fraction(-2))):
+        with pytest.raises(TermError):
+            comp.on_exponent(1)
 
 
 def test_component_printing_round_trip():

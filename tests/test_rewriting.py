@@ -38,13 +38,12 @@ from itrsbench import (
     successors,
     var,
     variables,
-    weak_reach,
     weak_reach_path,
 )
 from itrsbench import metrics, rewriting
 from itrsbench.corpus import ITRS_SOURCES, load, load_union
 from itrsbench.metrics import SignatureMismatch
-from itrsbench.rewriting import DepthVerdict, RedexOccurrence, rename_symbols
+from itrsbench.rewriting import DepthVerdict, Reach, RedexOccurrence, rename_symbols
 from itrsbench.terms import bfs_path, node_at, sccs
 from flat_terms import children_of, iter_positions, label_of, subterm_at_node
 from conftest import GENERIC_SIG, random_finite_term, random_rational_term, rng_for
@@ -476,16 +475,42 @@ def test_union_injections_preserve_distances():
 
 
 def test_weak_reach_and_path_agree():
+    """weak_reach_path is one question to a fresh Reach: the same steps,
+    which replay."""
     system = load("exnonlin-s").system
     t = parse("0", system.sig)
     u = parse("S(S(S(0)))", system.sig)
-    assert weak_reach(system, t, u)
+    assert Reach(system).path(t, u) is not None
     path = weak_reach_path(system, t, u)
     assert path is not None and len(path) == 3
+    assert Reach(system).path(t, u) == path
     current = t
     for occ in path:
         current = rewrite_step(system, current, occ)
     assert current == u
+
+
+def test_reach_searches_each_question_once_per_budget(monkeypatch):
+    """A Reach keeps one answer per (budget, t, u) and one successor list
+    per term: asking again searches nothing, t == u needs no search, and
+    a new budget searches again through the terms already expanded."""
+    system = load("exnonlin-s").system
+    t, u = parse("0", system.sig), parse("S(S(S(0)))", system.sig)
+    searched, expanded = [], Counter()
+    search, expand = rewriting.bfs_path, rewriting.successors
+    monkeypatch.setattr(rewriting, "bfs_path", lambda a, b, step, budget: (
+        searched.append((budget, a, b)) or search(a, b, step, budget)))
+    monkeypatch.setattr(rewriting, "successors", lambda s, a, depth_bound: (
+        expanded.update([a]) or expand(s, a, depth_bound)))
+    reach = Reach(system, 8)
+    first = reach.path(t, u, 100)
+    assert reach.path(t, u, 100) is first and len(first) == 3
+    assert reach.path(u, u, 100) == [] and reach.path(t, t, 5) == []
+    assert reach.path(u, t, 100) is None  # nothing rewrites S back to 0
+    assert reach.path(t, u, 1) is None  # within budget only
+    assert searched == [(100, t, u), (100, u, t), (1, t, u)]
+    assert set(reach.answers) == {(100, t, u), (100, u, u), (5, t, t), (100, u, t), (1, t, u)}
+    assert set(expanded.values()) == {1} and set(expanded) == set(reach.reducts)
 
 
 # --- the shared graph searches: breadth-first paths and SCCs -------------------------

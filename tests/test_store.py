@@ -23,7 +23,6 @@ from itrsbench import (
     GuardExceeded,
     RationalTerm,
     app,
-    bisimilar,
     cut_positions,
     epos,
     find_loop,
@@ -56,6 +55,7 @@ from itrsbench.corpus import (
 from itrsbench.layers import principal_cycles
 from itrsbench.metrics import simple_cycles
 from itrsbench.terms import APP, from_nodes, node_at, node_numbers, sccs
+from coinductive_match import bisimilar
 from conftest import (
     CORPUS_UNIONS,
     GENERIC_SIG,

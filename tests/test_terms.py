@@ -20,7 +20,6 @@ from itrsbench import (
     Signature,
     TermError,
     app,
-    bisimilar,
     graph_term,
     parallel,
     parse,
@@ -45,6 +44,7 @@ from itrsbench.terms import (
 )
 import itrsbench.terms as terms_module
 from conftest import GENERIC_SIG, random_finite_term, random_rational_term, rng_for, store_nodes
+from coinductive_match import bisimilar
 import flat_terms
 from flat_terms import children_of, iter_positions, subterm_at_node
 import hand_walks
