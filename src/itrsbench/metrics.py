@@ -68,7 +68,7 @@ class GuardExceeded(TermError):
 # (-log2 c, 1, 0), and a composition folds its parts from the inside out.
 # The entries are exact (ints and Fractions) while every scale factor and
 # cap bound is a power of two, floats otherwise.  Everything on the
-# exponent side (on_exponent, exponent_below, _exponent_map, lazy_weight,
+# exponent side (on_exponent, exponent_below, _exponent_map, _pure_shift,
 # _positive_limit) reads the triple alone.
 
 
@@ -230,22 +230,30 @@ def component_problems(comp: Component) -> list[str]:
     return [f"unknown component {comp!r}"]
 
 
+def _pure_shift(comp: Component) -> Optional[int]:
+    """The whole k >= 0 with comp mapping every exponent e >= 0 to e + k,
+    read off its exact triple; None for any other map, or when the shift
+    is a float (as for comp(scale(3), scale(1/3)), whose logs cancel only
+    up to rounding)."""
+    floor, slope, shift = comp._affine
+    if slope == 1 and max(floor, 0) <= shift and _whole(shift):
+        return int(shift)
+    return None
+
+
 def is_granular_component(comp: Component) -> bool:
     """Is comp the map of strict (e -> e) or of lazy (e -> e + 1), however
-    it is spelled: pow(1), cap(1), comp(strict, lazy), ...?  Its triple is
-    compared with theirs once the floor is raised to the shift, the least
-    value of slope*e + shift on e >= 0, so that equal maps compare equal."""
-    floor, slope, shift = comp._affine
-    return (max(floor, shift), slope, shift) in ((0, 1, 0), (1, 1, 1))
+    it is spelled: pow(1), cap(1), comp(strict, lazy), ...?"""
+    return _pure_shift(comp) in (0, 1)
 
 
 def lazy_weight(comp: Component) -> int:
     """Number of halvings in a granular component (0 for the identity): the
     whole k >= 0 with comp mapping every exponent e to e + k."""
-    floor, slope, shift = comp._affine
-    if slope == 1 and max(floor, 0) <= shift and _whole(shift):
-        return int(shift)
-    raise TermError(f"not a granular component: {comp}")
+    k = _pure_shift(comp)
+    if k is None:
+        raise TermError(f"not a granular component: {comp}")
+    return k
 
 
 def _one_like(x: Number) -> Number:

@@ -201,7 +201,7 @@ def test_only_reach_and_the_graph_expand_successors(path):
 
 
 COMPONENTS = {"Scale", "Pow", "Cap", "Compose"}
-TRIPLE_READERS = {"_exponent_map", "lazy_weight", "_positive_limit"}
+TRIPLE_READERS = {"_exponent_map", "_pure_shift", "_positive_limit"}
 
 
 def test_the_exponent_side_reads_one_triple():

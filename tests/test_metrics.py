@@ -55,6 +55,7 @@ from itrsbench.metrics import (
 )
 from itrsbench.corpus import diverge_exa_trace, load, load_union
 from itrsbench.itrsfile import parse_itrs
+from itrsbench.layers import step_fn
 from coinductive_match import bisimilar
 from fixpoint_sweep import sweep_fixpoint
 from flat_terms import children_of, subterm_at_node
@@ -963,6 +964,27 @@ def test_granularity_is_decided_by_the_map_not_its_spelling():
     assert m.is_granular
     verdict = is_member(m, parse("mu X. G(X)", m.sig))
     assert (verdict.kind, verdict.detail) == ("member", "every cycle has a lazy edge")
+
+
+def test_a_float_triple_is_never_granular():
+    """comp(scale(3), scale(1/3)) is the identity on values, but its shift
+    is log2 3 - log2 3 = 0.0, a float: the metric is not granular, so
+    distance and is_member answer through the general path (as strict
+    would, with the general path's details) and step_fn refuses it."""
+    m = parse_itrs("metric custom\nsig F/1 [comp(scale(3), scale(1/3))]\n"
+                   "sig G/1 [lazy]\nsig a/0\nsig b/0\n").system.metric
+    assert m.components["F"][0]._affine == (0, 1, 0.0)
+    assert not is_granular_component(m.components["F"][0]) and not m.is_granular
+    with pytest.raises(TermError):
+        lazy_weight(m.components["F"][0])
+    for s, u, want in [("F(a)", "F(b)", 1), ("G(F(a))", "G(F(b))", Fraction(1, 2)),
+                       ("F(G(a))", "F(G(b))", Fraction(1, 2)),
+                       ("mu X. F(G(X))", "mu X. G(F(X))", 1)]:
+        assert distance(m, parse(s, m.sig), parse(u, m.sig)) == want, (s, u)
+    for s, kind in [("mu X. F(X)", "non_member"), ("mu X. F(G(X))", "member"), ("F(a)", "member")]:
+        assert is_member(m, parse(s, m.sig)).kind == kind, s
+    with pytest.raises(TermError, match="granular metrics"):
+        step_fn(m, parse("F(G(a))", m.sig), [(), (1,)], 1)
 
 
 def test_other_spellings_of_strict_and_lazy_are_the_same_metric():
