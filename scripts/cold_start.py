@@ -12,6 +12,8 @@ alone.  The rows:
 - interpreter alone: `pass`;
 - bare import: `import itrsbench`;
 - guard child: the import lines of bench/guard_child.py;
+- guard child, whole: those lines and the child's body at n = 36, the
+  two parse_itrs, the union, the ring and is_member;
 - cli: `import itrsbench.cli`, which loads every module.
 
 The package is imported from DIR (default: this checkout's src/), so a
@@ -31,11 +33,20 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GUARD_IMPORTS = ("from itrsbench import disjoint_union, is_member, parse, parse_itrs\n"
+                 "from itrsbench.corpus import ITRS_SOURCES\n")
+GUARD_BODY = (  # bench/guard_child.py's body at n = 36, without its print
+    "left = parse_itrs(ITRS_SOURCES['exa-layers2-r']).system\n"
+    "right = parse_itrs(ITRS_SOURCES['exa-layers2-s']).system\n"
+    "system = disjoint_union(left, right).system\n"
+    "ring = parse('mu X. ' + 'F(' * 35 + 'H(X)' + ')' * 35, system.sig)\n"
+    "is_member(system.metric, ring)\n"
+)
 ROWS = {
     "interpreter alone": "pass",
     "import itrsbench": "import itrsbench",
-    "guard child": "from itrsbench import disjoint_union, is_member, parse, parse_itrs\n"
-                   "from itrsbench.corpus import ITRS_SOURCES",
+    "guard child": GUARD_IMPORTS,
+    "guard child, whole": GUARD_IMPORTS + GUARD_BODY,
     "import itrsbench.cli": "import itrsbench.cli",
 }
 

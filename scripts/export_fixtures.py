@@ -31,7 +31,7 @@ def main(argv: list[str]) -> int:
         print(f"wrote {outdir / f'{name}.itrs'}")
     for name, (left, right) in UNIONS.items():
         result = disjoint_union(load(left).system, load(right).system)
-        (outdir / f"{name}.itrs").write_text(print_itrs(ItrsFile("custom", result.system)))
+        (outdir / f"{name}.itrs").write_text(print_itrs(ItrsFile("custom", result.system, {})))
         report = {
             "left": dict(result.rename_left),
             "right": dict(result.rename_right),

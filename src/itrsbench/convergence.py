@@ -4,7 +4,6 @@ probes, and the predicate-guided top-layer simulation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .layers import (
@@ -43,6 +42,7 @@ from .terms import (
     app,
     bfs_path,
     from_nodes,
+    record,
     replace,
     sccs,
     subterm,
@@ -51,7 +51,7 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Budgets:
     """The resource caps of classify_convergence (and of
     strong_convergence_probe, which runs it on the indirected system).
@@ -84,7 +84,7 @@ MONOTONE_BUDGET = 2_000  # Reach.path budget of the predicate-sequence law check
 # --- traces ------------------------------------------------------------------
 
 
-@dataclass
+@record
 class Segment:
     """A finite run of single steps; terms[i+1] = step i applied to terms[i].
 
@@ -104,7 +104,7 @@ class Segment:
             raise TermError("segment needs one more term than steps")
 
 
-@dataclass
+@record
 class Trace:
     segments: list[Segment]
     stuck: bool = False  # the run ended with no redex within its depth bound
@@ -165,7 +165,7 @@ def _parallel_step(system: ITRS, a: RationalTerm, b: RationalTerm) -> bool:
 # --- verdicts ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LoopWitness:
     """Evidence that some reduction from start diverges: the prefix steps
     lead from start to base, and the cycle steps lead from base back to
@@ -184,7 +184,7 @@ class LoopWitness:
     separation: object  # d(base, distinct)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NonMemberLimitWitness:
     """Evidence that the leftmost-outermost run diverges: the run pumps a
     repeating period towards limit (extrapolate_limit), and membership
@@ -196,7 +196,7 @@ class NonMemberLimitWitness:
     membership: MemberVerdict
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DiameterFloorWitness:
     """Evidence, not proof, that the leftmost-outermost run diverges:
     every window of that many consecutive terms of the recorded run has
@@ -214,7 +214,7 @@ class DiameterFloorWitness:
 Witness = Union[LoopWitness, NonMemberLimitWitness, DiameterFloorWitness]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Verdict:
     """The answer of classify_convergence for one start term.
 
@@ -321,7 +321,7 @@ def simulate(
     return Trace([Segment(terms, steps)], stuck=stuck)
 
 
-@dataclass
+@record
 class ReductionGraph:
     start: RationalTerm
     edges: dict  # expanded term -> list of (RedexOccurrence, term)
@@ -698,7 +698,7 @@ def classify_convergence(
     return unknown(budgets, note="; ".join(bounds))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StrongReport:
     indirected: Verdict
     root_recurrence: Optional[LoopWitness]
@@ -725,7 +725,7 @@ def strong_convergence_probe(
 # --- focussed sequences ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FocussedReport:
     ok: bool
     beta: Optional[int]
@@ -778,7 +778,7 @@ def focussed_probe(
 # --- predicate sequences and the simulated top layer ------------------------------
 
 
-@dataclass
+@record
 class Fp:
     """True of terms that weakly reduce to a later principal-p subterm.
 
@@ -808,7 +808,7 @@ class Fp:
         )
 
 
-@dataclass
+@record
 class Kt:
     """True of terms that are not weak reducts of the anchor term.
 
@@ -826,7 +826,7 @@ class Kt:
         return self.reach.path(self.anchor, term, self.budget) is None
 
 
-@dataclass
+@record
 class XiReport:
     trace: Trace
     flip_counts: list  # per even->odd stage, number of l-to-r flips
@@ -969,7 +969,7 @@ def _monotone_violations(system: ITRS, s, evaluated: dict) -> list:
 # --- the cutoff of a whole trace ---------------------------------------------------
 
 
-@dataclass
+@record
 class CutoffReport:
     trace: Trace
     stutters: list  # indices of stutter steps

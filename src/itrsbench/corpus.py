@@ -8,7 +8,6 @@ the sources does not pay for it at start-up."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -21,17 +20,17 @@ from .rewriting import (
     rewrite_step,
     weak_reach_path,
 )
-from .terms import app, parse, var
+from .terms import app, parse, record, var
 
 
-@dataclass
+@record
 class Check:
     label: str
     passed: bool
     detail: str = ""
 
 
-@dataclass
+@record
 class FixtureReport:
     name: str
     checks: list

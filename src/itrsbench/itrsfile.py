@@ -14,7 +14,6 @@ The `metric` header picks the default annotation (`infty` = all lazy,
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -30,16 +29,16 @@ from .metrics import (
     validate_metric,
 )
 from .rewriting import ITRS, Rule
-from .terms import ParseError, Signature, parse, to_text
+from .terms import ParseError, Signature, parse, record, to_text
 
 HEADERS = ("infty", "id", "custom")
 
 
-@dataclass
+@record
 class ItrsFile:
     metric_header: str
     system: ITRS
-    terms: dict = field(default_factory=dict)  # name -> RationalTerm
+    terms: dict  # name -> RationalTerm
 
 
 def _parse_fraction(text: str, lineno: int) -> Fraction:

@@ -5,7 +5,6 @@ construction, principal cycles, and the granular step function."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
 from .metrics import (
@@ -24,6 +23,7 @@ from .terms import (
     from_nodes,
     node_at,
     node_numbers,
+    record,
     sccs,
     var,
     variables,
@@ -32,7 +32,7 @@ from .terms import (
 Coloring = Mapping[str, int]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PrincipalCut:
     """The first color-crossing edges of a term graph.
 

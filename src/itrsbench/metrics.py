@@ -26,7 +26,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, Union
@@ -38,6 +37,7 @@ from .terms import (
     TermError,
     bfs_path,
     node_numbers,
+    record,
     sccs,
     var,
 )
@@ -92,7 +92,7 @@ class _Affine:
         return e if e >= 0 else None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Scale(_Affine):
     """x -> min(1, a*x); Scale(1) is the identity, Scale(1/2) halving."""
 
@@ -113,7 +113,7 @@ class Scale(_Affine):
         return f"scale({self.factor})"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Pow(_Affine):
     """x -> x**k for positive rational k."""
 
@@ -132,7 +132,7 @@ class Pow(_Affine):
         return f"pow({self.exponent})"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Cap(_Affine):
     """x -> min(x, c)."""
 
@@ -149,7 +149,7 @@ class Cap(_Affine):
         return f"cap({self.bound})"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Compose(_Affine):
     """Composition, outermost part first: Compose(f, g)(x) = f(g(x))."""
 
@@ -294,7 +294,7 @@ def _exponent_map(comp: Component) -> Optional[Callable[[int], int]]:
 # --- term metrics ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TermMetric:
     sig: Signature
     components: Mapping[str, tuple[Component, ...]]
@@ -359,7 +359,7 @@ class TermMetric:
             raise SignatureMismatch(f"term {t} not over the metric's signature")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ValidationReport:
     ok: bool
     problems: tuple[str, ...]
@@ -657,7 +657,7 @@ def epos(
 # --- membership in the metric completion -----------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MemberVerdict:
     kind: str  # "member" | "non_member" | "unknown"
     witness_cycle: Optional[tuple] = None  # edges (node number, arg_index)
@@ -797,7 +797,7 @@ def _positive_limit(comp: Component) -> str:
 # --- variable depth --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VariableDepth:
     """The map y -> [[t]] under the valuation sending x to y, others to 0.
 

@@ -3,7 +3,6 @@ terms, rule classification, the indirection transform, and disjoint union."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional
 
@@ -25,6 +24,7 @@ from .terms import (
     bfs_path,
     from_nodes,
     node_at,
+    record,
     replace,
     sccs,
     var,
@@ -41,7 +41,7 @@ class StaleOccurrence(TermError):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Rule:
     name: str
     lhs: RationalTerm
@@ -76,7 +76,7 @@ class Rule:
         return True
 
 
-@dataclass
+@record
 class ITRS:
     sig: Signature
     metric: TermMetric
@@ -106,7 +106,7 @@ class ITRS:
         raise TermError(f"no rule named {name}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ClassificationReport:
     per_rule: Mapping[str, tuple[str, ...]]
     rhs_membership: Mapping[str, str]
@@ -305,7 +305,7 @@ def is_pseudo_collapsing(m: TermMetric, rule: Rule) -> bool:
     return False
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DepthVerdict:
     kind: str  # "exact-pass" | "sampled-pass" | "fail"
     witness: Optional[tuple] = None  # (variable, sample point, lhs value, rhs value)
@@ -336,7 +336,7 @@ def is_depth_preserving(m: TermMetric, rule: Rule) -> DepthVerdict:
 # --- indirection and disjoint union -----------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IndirectResult:
     system: ITRS
     symbol: str  # the indirection symbol actually used
@@ -390,7 +390,7 @@ def erase_indirection(t: RationalTerm, symbol: str = INDIRECTION_SYMBOL) -> Rati
     return from_nodes(nodes, resolve(0))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class UnionResult:
     system: ITRS
     rename_left: Mapping[str, str]

@@ -37,9 +37,9 @@ from __future__ import annotations
 import re
 import weakref
 from collections import Counter, deque
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
+from operator import attrgetter
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 Position = tuple[int, ...]  # 1-based child indices; () is the root
@@ -66,7 +66,79 @@ class ParseError(TermError):
         self.column = column
 
 
-@dataclass(frozen=True)
+def record(cls=None, /, *, frozen=False):
+    """Class decorator: a record of the fields the class annotates, in
+    order, each defaulting to the class attribute of its name if there is
+    one.  It adds __init__, __repr__, __eq__ and __hash__, those of a
+    standard-library data class with the same frozen flag, made from
+    closures over the field names: creating a class compiles no code, and
+    nothing beyond operator is imported for it, so a cold start pays for
+    neither code generation nor the inspect module.
+
+    __init__ takes the fields positionally or by keyword, fills the
+    instance's __dict__ and then runs __post_init__ if the class has one;
+    a missing, unknown or repeated argument is a TypeError.  __repr__
+    prints Name(field=value, ...).  Records are equal only if of the same
+    class, with equal fields; equality and hash read the declared fields
+    alone, not cached_property values kept in __dict__.  A mutable record
+    is unhashable.  A frozen one hashes its field tuple, and assigning to
+    or deleting any attribute raises AttributeError (cached_property
+    still fills __dict__).  An unhashable default, such as a list, dict
+    or set, is a ValueError: every instance would share it.
+    """
+    if cls is None:
+        return lambda cls: record(cls, frozen=frozen)
+    names = tuple(cls.__dict__.get("__annotations__", {}))
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    for name, default in defaults.items():
+        if type(default).__hash__ is None:
+            raise ValueError(f"mutable default {type(default)} for field {name} is not allowed")
+    n = len(names)
+    post_init = getattr(cls, "__post_init__", None)
+    get = attrgetter(*names)
+    key = get if n > 1 else lambda self: (get(self),)
+
+    def __init__(self, *args, **kwargs):
+        if len(args) > n:
+            raise TypeError(f"{cls.__name__}() takes {n} arguments but {len(args)} were given")
+        values = self.__dict__
+        if defaults:
+            values.update(defaults)
+        values.update(zip(names, args))
+        if kwargs:
+            rest = names[len(args):]
+            for name in kwargs:
+                if name not in rest:
+                    raise TypeError(f"{cls.__name__}() got an unknown or repeated argument {name!r}")
+            values.update(kwargs)
+        if len(values) < n:
+            missing = [name for name in names if name not in values]
+            raise TypeError(f"{cls.__name__}() missing arguments {missing}")
+        if post_init is not None:
+            post_init(self)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, key(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def read_only(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    cls.__init__, cls.__repr__, cls.__eq__ = __init__, __repr__, __eq__
+    if frozen:
+        cls.__hash__ = lambda self: hash(key(self))
+        cls.__setattr__ = cls.__delattr__ = read_only
+    else:
+        cls.__hash__ = None
+    return cls
+
+
+@record(frozen=True)
 class Signature:
     """Function symbols with arities, plus reserved-name bookkeeping."""
 

@@ -79,6 +79,18 @@ def test_no_private_name_crosses_modules(path):
     assert not private, f"{path.name}: imports private names {sorted(private)}"
 
 
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    """terms.record makes the package's records: the dataclasses module,
+    and the inspect module it pulls in, cost a cold start about 20 ms.
+    Function-local imports count too."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "dataclasses" not in modules, f"{path.name} imports dataclasses"
+
+
 def referenced_names(node: ast.AST) -> set[str]:
     """Names and attribute names in node's code, plus string constants
     that are identifiers (names looked up with getattr, quoted types)."""

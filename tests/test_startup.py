@@ -1,6 +1,7 @@
 """Cold start: `import itrsbench` loads no submodule, each exported name
-is loaded from its home module on first use, and reading the corpus
-sources loads neither the convergence engine nor the layer code.
+is loaded from its home module on first use, reading the corpus
+sources loads neither the convergence engine nor the layer code, and no
+import loads dataclasses or inspect.
 
 The import checks run in fresh interpreters, since this process has
 long since loaded every module.
@@ -67,14 +68,19 @@ SOURCES_ONLY = {
 }
 
 
-def loaded_after(code: str) -> set[str]:
-    """The itrsbench modules a fresh interpreter holds after running code."""
-    probe = code + "\nimport sys\nprint(*sorted(m for m in sys.modules if 'itrsbench' in m))"
+def modules_after(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running code."""
+    probe = code + "\nimport sys\nprint(*sorted(sys.modules))"
     done = subprocess.run(
         [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=SRC),
         capture_output=True, text=True, check=True,
     )
     return set(done.stdout.split())
+
+
+def loaded_after(code: str) -> set[str]:
+    """The itrsbench modules a fresh interpreter holds after running code."""
+    return {m for m in modules_after(code) if "itrsbench" in m}
 
 
 def test_the_export_list_is_the_one_of_before():
@@ -95,6 +101,14 @@ def test_bare_import_loads_no_submodule():
 ], ids=["guard-child", "sources", "load"])
 def test_reading_the_sources_loads_no_convergence_or_layers(code):
     assert loaded_after(code) == SOURCES_ONLY
+
+
+@pytest.mark.parametrize("code", [GUARD_CHILD, "import itrsbench.cli"], ids=["guard-child", "cli"])
+def test_no_import_loads_dataclasses_or_inspect(code):
+    """The records are made by terms.record: neither module is loaded,
+    beyond what the interpreter's own start-up (site) loads."""
+    added = modules_after(code) - modules_after("pass")
+    assert not added & {"dataclasses", "inspect"}, sorted(added)
 
 
 def test_a_submodule_name_loads_its_module():

@@ -386,6 +386,7 @@ def test_mu_free_parse_runs_no_refinement(monkeypatch):
     shared = [(APP, "F", (i + 1, i + 1)) for i in range(40)] + [(APP, "a", ())]
     assert len(from_nodes(shared + shared, 0).nodes) == 41
     assert calls == []
+    gc.collect()  # an earlier test's dead G-loop, still stored, would be met and refined
     assert len(parse("F(mu X. G(G(X)), x)", GENERIC_SIG).nodes) == 3
     assert calls == [2]
 
