@@ -25,7 +25,8 @@ when the parent's interquartile distance is wider than that bound and
 some change run is no better than some parent run, else "within".
 --holdout SEED runs one more pair at a seed outside 1..10, recorded
 apart from the summary.  The row also records src_lines, the `wc -l`
-total of src/itrsbench/*.py on each side.
+total of src/itrsbench/*.py on each side, and src_lines_by_module, the
+`wc -l` of each of those files, so that a row shows which module shrank.
 """
 
 from __future__ import annotations
@@ -53,15 +54,16 @@ def export(rev: str, into: str) -> str:
     return into
 
 
-def src_lines(tree: str) -> int:
-    """Newlines in src/itrsbench/*.py under tree: the total of `wc -l`."""
+def src_lines_by_module(tree: str) -> dict:
+    """Newlines in each file of src/itrsbench/*.py under tree, by file
+    name: the per-file counts of `wc -l`."""
     pkg = os.path.join(tree, "src", "itrsbench")
-    total = 0
-    for name in os.listdir(pkg):
+    out = {}
+    for name in sorted(os.listdir(pkg)):
         if name.endswith(".py"):
             with open(os.path.join(pkg, name), "rb") as f:
-                total += f.read().count(b"\n")
-    return total
+                out[name] = f.read().count(b"\n")
+    return out
 
 
 def run_bench(tree: str, workload: str, seed: int, seconds: float) -> dict:
@@ -150,7 +152,9 @@ def main():
     }
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as scratch:
         trees = {"parent": export(parent_sha, scratch), "change": ROOT}
-        report["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
+        by_module = {side: src_lines_by_module(tree) for side, tree in trees.items()}
+        report["src_lines"] = {side: sum(lines.values()) for side, lines in by_module.items()}
+        report["src_lines_by_module"] = by_module
         for workload in (w["name"] for w in contract["workloads"]):
             pairs = []
             for seed in seeds + ([args.holdout] if args.holdout is not None else []):

@@ -175,7 +175,7 @@ def exnonlin_trace():
         ((), "swap"),
         ((2,), "succ"),
     ]
-    tr = simulate(system, start, "script", script=script)
+    tr = simulate(system, start, script=script)
     return system, coloring, tr
 
 
@@ -197,10 +197,10 @@ def rearrange_trace():
         ((1, 2, 2, 1, 1), "hz"),
         ((1, 2, 2, 1), "hs"),
     ]
-    seg1 = simulate(system, t0, "script", script=script1).segments[0]
+    seg1 = simulate(system, t0, script=script1).segments[0]
     seg1.limit = seg1.terms[-1]
     script2 = [((), "jk")] * 3
-    seg2 = simulate(system, seg1.terms[-1], "script", script=script2).segments[0]
+    seg2 = simulate(system, seg1.terms[-1], script=script2).segments[0]
     return system, coloring, Trace([seg1, seg2])
 
 

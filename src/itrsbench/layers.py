@@ -5,7 +5,7 @@ construction, principal cycles, and the granular step function."""
 from __future__ import annotations
 
 import math
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 from .metrics import (
     Cycles,
@@ -98,21 +98,19 @@ def cut_positions(t: RationalTerm, coloring: Coloring, depth_bound: int) -> set[
     return ppos(t, coloring).positions(depth_bound)
 
 
-Fill = Union[RationalTerm, Mapping[tuple, RationalTerm]]
-
-
-def toplayer_fill(t: RationalTerm, cut: PrincipalCut, xi: Fill) -> RationalTerm:
+def toplayer_fill(
+    t: RationalTerm, cut: PrincipalCut, xi: Mapping[tuple, RationalTerm]
+) -> RationalTerm:
     """Replace the subterm behind every cut edge by its fill.
 
-    xi is either one term used everywhere or a map from cut edges to
-    terms.  Positions above and parallel to the cut are untouched.
+    xi maps each cut edge to its term, which may differ from edge to edge;
+    one term behind every edge is cutoff(t, 1, term, coloring).  Positions
+    above and parallel to the cut are untouched.
     """
     if cut.term != t:
         raise TermError("cut was computed for a different term")
     if cut.is_empty:
         return t
-    if isinstance(xi, RationalTerm):
-        xi = {edge: xi for edge in cut.edges}
     if set(xi) != set(cut.edges):
         raise TermError("fill map must cover the cut exactly")
 
@@ -138,15 +136,13 @@ def toplayer_distance(
     t: RationalTerm,
     u: RationalTerm,
 ):
-    """Distance of the two top-layer skeletons, gaps filled with one
-    shared fresh variable."""
+    """Distance of the two top-layer skeletons, the cutoffs at one layer
+    with one shared fresh variable in every gap."""
     if t.is_var or u.is_var or coloring[t.root_symbol] != coloring[u.root_symbol]:
         raise TermError("top-layer distance needs equal root colors")
     # a name longer than every variable of t and u is neither's
     hole = var(max(variables(t) | variables(u), key=len, default="") + "'")
-    skel_t = toplayer_fill(t, ppos(t, coloring), hole)
-    skel_u = toplayer_fill(u, ppos(u, coloring), hole)
-    return distance(m, skel_t, skel_u)
+    return distance(m, cutoff(t, 1, hole, coloring), cutoff(u, 1, hole, coloring))
 
 
 # --- rank, principal cycles, cutoff ------------------------------------------

@@ -68,19 +68,12 @@ class GuardExceeded(TermError):
 # (-log2 c, 1, 0), and a composition folds its parts from the inside out.
 # The entries are exact (ints and Fractions) while every scale factor and
 # cap bound is a power of two, floats otherwise.  Everything on the
-# exponent side (on_exponent, exponent_below, _exponent_map, _pure_shift,
+# exponent side (exponent_below, _exponent_map, _pure_shift,
 # _positive_limit) reads the triple alone.
 
 
 class _Affine:
     """The exponent side of a component, read off its _affine triple."""
-
-    def on_exponent(self, e: Number) -> tuple[Number, Number]:
-        """The image of e, and the slope of the map there: 0 where the
-        floor binds (the image is a constant)."""
-        floor, slope, shift = self._affine
-        image = slope * e + shift
-        return (image, slope) if image > floor else (floor, 0)
 
     def exponent_below(self, b: Number) -> Optional[Number]:
         """For b >= 0, the largest e >= 0 whose image is at most b; None
@@ -522,7 +515,8 @@ def _fixpoint(
     Solved one strongly connected component at a time, children first.
     A node that reaches no nonzero leaf is 0, and its edges are dropped;
     that is decided on the graph, not on values, which can underflow a
-    float to 0.  A node on no cycle takes one step.  A cycle starts at 1
+    float to 0.  A node on no cycle takes one step (pinned by
+    test_a_node_on_no_cycle_takes_one_step).  A cycle starts at 1
     and is swept alone until a sweep changes nothing, and its values are
     then exact.  A value that changes while its float image does not (the
     values have underflowed a float), or 4 sweeps of one component per

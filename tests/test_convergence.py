@@ -46,6 +46,7 @@ from itrsbench import (
 )
 from itrsbench import convergence, rewriting
 from itrsbench.itrsfile import parse_itrs
+from itrsbench.metrics import MemberVerdict
 from itrsbench.layers import ppos, toplayer_fill
 from itrsbench.corpus import (
     diverge_exa_trace,
@@ -112,7 +113,7 @@ def test_simulate_picks_the_leftmost_outermost_or_innermost_redex(strategy):
 
 def test_simulate_script_and_validate():
     system = load("exnonlin-s").system
-    tr = simulate(system, parse("0", system.sig), "script",
+    tr = simulate(system, parse("0", system.sig),
                   script=[((), "succ"), ((1,), "succ")])
     assert [str(t) for t in []] == []
     assert tr.all_terms()[-1] == parse("S(S(0))", system.sig)
@@ -153,11 +154,11 @@ def test_simulate_script_matches_once_per_step(monkeypatch):
         return match_at(lhs, root)
 
     monkeypatch.setattr(rewriting, "_match_at", counted)
-    again = simulate(system, tr.all_terms()[0], "script", script=script)
+    again = simulate(system, tr.all_terms()[0], script=script)
     assert again.all_terms() == tr.all_terms()
     assert calls[None] == len(script)
     with pytest.raises(TermError, match="does not apply"):
-        simulate(system, tr.all_terms()[0], "script", script=[((1, 1), "succ")])
+        simulate(system, tr.all_terms()[0], script=[((1, 1), "succ")])
 
 
 def test_simulate_stuck_on_normal_form():
@@ -389,33 +390,6 @@ def test_extrapolate_pumping_with_a_growing_argument(name):
         assert extrapolate_limit(tr.segments[0]) is parse("mu X. G(X)", system.sig)
 
 
-@pytest.mark.parametrize("name", CORPUS_STARTS)
-def test_the_run_reads_the_loop_search_graph(monkeypatch, name):
-    """classify_convergence hands the loop search's graph to the run as a
-    successors memo; every verdict and witness is the one computed
-    without it."""
-    system, t0 = _corpus_start(name)
-    with_memo = [classify_convergence(system, t0, b) for b in BUDGET_GRID]
-    plain = convergence.simulate
-    monkeypatch.setattr(convergence, "simulate",
-                        lambda *args, **kw: plain(*args, **{**kw, "reducts": None}))
-    assert [classify_convergence(system, t0, b) for b in BUDGET_GRID] == with_memo
-
-
-def test_a_memoised_run_searches_no_expanded_term(monkeypatch):
-    system, t0 = _corpus_start("string")
-    graph = convergence.reduction_graph(system, t0, 2_000, 24, lambda g: None)
-    assert not graph.exhausted
-    searched = []
-    find = convergence.redexes
-    monkeypatch.setattr(convergence, "redexes",
-                        lambda s, t, d: searched.append(t) or find(s, t, d))
-    tr = simulate(system, t0, max_steps=18, depth_bound=24, reducts=graph.edges)
-    assert searched == []
-    monkeypatch.undo()
-    assert tr.segments[0].steps == simulate(system, t0, max_steps=18, depth_bound=24).segments[0].steps
-
-
 def test_an_unknown_verdict_names_the_budgets_that_bound_it():
     system, t0 = _corpus_start("string")
     verdict = classify_convergence(system, t0, Budgets(loop_states=3, max_steps=2))
@@ -424,6 +398,36 @@ def test_an_unknown_verdict_names_the_budgets_that_bound_it():
     closed = classify_convergence(system, t0, Budgets(loop_states=2_000, max_steps=2))
     assert closed.kind == "unknown"
     assert "loop_states" not in closed.note and "max_steps=2" in closed.note
+
+
+def test_an_unknown_verdict_names_a_diameter_floor_at_or_below_tol():
+    """A -> B -> A under S/1 scaled by 2^-40: below S^5 the run flips
+    forever, each window's diameter 2^-200 or so, no floor above TOL, and
+    one expanded state finds no loop."""
+    f = parse_itrs(
+        "metric infty\nsig S/1 [scale(1/1099511627776)]\nsig A/0\nsig B/0\n"
+        "rule ab: A -> B\nrule ba: B -> A\n"
+    )
+    t0 = parse("S(S(S(S(S(A)))))", f.system.sig)
+    verdict = classify_convergence(f.system, t0, Budgets(loop_states=1, max_steps=6))
+    assert verdict.kind == "unknown"
+    assert "diameter floor" in verdict.note and "at or below TOL=1e-09" in verdict.note
+    assert "loop_states=1" in verdict.note and "max_steps=6" in verdict.note
+
+
+def test_an_unknown_verdict_names_an_undecided_limit(monkeypatch):
+    """zantema's E pumps towards mu X. S(X) and stops at depth_bound 8; with
+    membership answering unknown, the note says so and names depth_bound."""
+    system = load("zantema").system
+    t0 = parse("E", system.sig)
+    budgets = Budgets(max_steps=24, depth_bound=8)
+    assert classify_convergence(system, t0, budgets).kind == "converging"
+    monkeypatch.setattr(convergence, "is_member",
+                        lambda m, t: MemberVerdict("unknown", detail="stubbed"))
+    verdict = classify_convergence(system, t0, budgets)
+    assert verdict.kind == "unknown"
+    assert verdict.note == ("membership of the extrapolated limit undecided: stubbed; "
+                            "the run stopped at redexes below depth_bound=8")
 
 
 @pytest.mark.parametrize("redex, reduct", [("F(Z)", "Z"), ("A", "Z")])
@@ -553,6 +557,15 @@ def test_xi_trace_kt_predicate_no_violations():
     assert len(report.trace.all_terms()) >= len(tr.all_terms())
 
 
+def test_xi_trace_reports_a_fill_flipped_back_to_l():
+    """A predicate false at (0, 0) and true at (0, 1) fills the first
+    term's cut with r now and l next: a flip from r back to l, stage 0."""
+    system, coloring, tr = exnonlin_trace()
+    report = xi_trace(system, tr, system.rule("succ"), lambda beta, t: beta == (0, 1), coloring)
+    flip = "a fill flipped from r back to l as time advanced"
+    assert [v for v in report.violations if v[1:] == (flip,)] == [(0, flip)]
+
+
 def test_xi_trace_rejects_trivial_rule():
     system, coloring, tr = exnonlin_trace()
     from itrsbench import Rule, var
@@ -585,6 +598,30 @@ def test_cutoff_trace_diverge_exa_flattens():
     cut = sliding_diameter(system.metric, report.trace, window=4)
     assert min(original) >= 1
     assert min(cut) < min(original)
+
+
+def test_cutoff_trace_reports_a_cut_step_that_is_no_step():
+    """In the collapsing union, G(F(H(x))) -> G(H(x)) by collapse at (1,):
+    cut at one or two layers, G(x) or G(F(x)) does not step to G(H(x))."""
+    system, coloring = load_union("collapsing-r", "collapsing-s")
+    tr = simulate(system, parse("G(F(H(x)))", system.sig), script=[((1,), "collapse")])
+    for n in (1, 2):
+        report = cutoff_trace(system, tr, n, parse("x", system.sig), coloring)
+        assert report.violations == [(0, "cut step is not a reduction step")], n
+    assert cutoff_trace(system, tr, 3, parse("x", system.sig), coloring).violations == []
+
+
+def test_cutoff_trace_at_one_layer_sees_a_step_of_the_other_color():
+    """Cut at one layer with u = F(G(x)), G(F(G(x))) -> G(G(x)) stays the
+    collapse step, whose rule is not of the root's color: root_only is
+    False.  With u = G(x) the step is a stutter, which leaves it True."""
+    system, coloring = load_union("collapsing-r", "collapsing-s")
+    tr = simulate(system, parse("G(F(G(x)))", system.sig), script=[((1,), "collapse")])
+    report = cutoff_trace(system, tr, 1, parse("F(G(x))", system.sig), coloring)
+    assert report.violations == [] and report.stutters == []
+    assert not report.root_only
+    stutter = cutoff_trace(system, tr, 1, parse("G(x)", system.sig), coloring)
+    assert stutter.stutters == [0] and stutter.root_only
 
 
 # --- the layered loop search against the full-graph oracle ---------------------------

@@ -219,12 +219,11 @@ TRIPLE_READERS = {"_exponent_map", "_pure_shift", "_positive_limit"}
 def test_the_exponent_side_reads_one_triple():
     """In metrics.py, each component class adds only its _affine triple
     on the exponent side, besides its value map and its text:
-    on_exponent and exponent_below are each defined once, on the shared
-    base, and the readers of the triple test no component class with
-    isinstance."""
+    exponent_below is defined once, on the shared base, and the readers
+    of the triple test no component class with isinstance."""
     tree = ast.parse((PACKAGE / "metrics.py").read_text())
     defined = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
-    assert defined.count("on_exponent") == defined.count("exponent_below") == 1
+    assert defined.count("exponent_below") == 1
     for node in tree.body:
         if isinstance(node, ast.ClassDef) and node.name in COMPONENTS:
             methods = {d.name for d in node.body if isinstance(d, ast.FunctionDef)}

@@ -107,7 +107,7 @@ def test_fill_cyclic_term_example():
     t = parse("mu X. K(E, X)", system.sig)
     cut = ppos(t, coloring)
     l = parse("Z", system.sig)
-    assert toplayer_fill(t, cut, l) == parse("mu X. K(Z, X)", system.sig)
+    assert toplayer_fill(t, cut, {e: l for e in cut.edges}) == parse("mu X. K(Z, X)", system.sig)
 
 
 def test_fill_leaves_parallel_positions_untouched():
@@ -121,7 +121,7 @@ def test_fill_leaves_parallel_positions_untouched():
         if cut.is_empty:
             continue
         principal = cut.positions(8)
-        filled = toplayer_fill(t, cut, var("hole"))
+        filled = toplayer_fill(t, cut, {e: var("hole") for e in cut.edges})
         for q in positions(t, 6):
             if all(parallel(q, p) for p in principal):
                 assert subterm(filled, q) == subterm(t, q)
@@ -297,6 +297,21 @@ def test_cutoff_matches_the_recursive_cutoff(union):
         u = rng.choice([var("x"), random_finite_term(rng, system.sig, 2)])
         for n in range(7):
             assert cutoff(t, n, u, coloring) is hand_walks.cutoff(t, n, u, coloring), (t, n, u)
+
+
+@pytest.mark.parametrize("union", CORPUS_UNIONS)
+def test_one_layer_of_cutoff_is_the_top_layer_filled_with_one_term(union):
+    """The cutoff at one layer is the top layer with u behind every
+    principal cut edge: the same stored node on every application term."""
+    system, coloring, terms = seeded_union_terms(union, 400)
+    rng = rng_for(f"layers-one-layer-fill:{union}")
+    for t in terms:
+        if t.is_var:
+            continue
+        u = rng.choice([var("x"), random_finite_term(rng, system.sig, 2)])
+        cut = ppos(t, coloring)
+        filled = toplayer_fill(t, cut, {e: u for e in cut.edges})
+        assert cutoff(t, 1, u, coloring) is filled, (t, u)
 
 
 def test_cutoff_returns_past_the_recursion_limit():

@@ -588,21 +588,24 @@ def test_member_exa_layers2_ring_needs_no_big_numbers(n):
 
 
 def test_exponent_map_matches_values():
-    """x = 2^-e goes to 2^-e' under every dyadic component, e' its
-    on_exponent image; where no clamp binds (slope not 0), none binds
-    further up and the map goes on with that slope."""
+    """x = 2^-e goes to 2^-e' under every dyadic component, e' =
+    max(floor, slope*e + shift) for its _affine triple; where the floor
+    does not bind at e, it does not bind at e + 1 either, and the map goes
+    on with that slope."""
     rng = rng_for("metrics-on-exponent")
     dyadic = [Scale(Fraction(2) ** k) for k in range(-3, 4)]
     dyadic += [Cap(Fraction(1, 2**k)) for k in range(4)] + [Pow(Fraction(k)) for k in (1, 2, 3)]
     for _ in range(300):
         comp = compose(*rng.sample(dyadic, rng.randint(1, 4)))
         e = Fraction(rng.randrange(6))
-        image, slope = comp.on_exponent(e)
+        floor, slope, shift = comp._affine
+        image = max(floor, slope * e + shift)
         assert comp(Fraction(1, 2**e)) == Fraction(1, 2**image)
         as_int = _exponent_map(comp)(int(e))
         assert type(as_int) is int and as_int == image
-        if slope:
-            assert comp.on_exponent(e + 1) == (image + slope, slope)
+        if slope * e + shift > floor:
+            assert comp(Fraction(1, 2 ** (e + 1))) == Fraction(1, 2 ** (image + slope))
+            assert _exponent_map(comp)(int(e) + 1) == image + slope
     for inexact in [Pow(HALF), Scale(Fraction(3, 2)), Cap(Fraction(1, 3)),
                     compose(HALVE, Pow(Fraction(3, 2)))]:
         assert _exponent_map(inexact) is None
@@ -1022,7 +1025,7 @@ def test_log2_of_a_non_positive_constant_raises():
         distance(m, parse("F(a)", sig), parse("F(b)", sig))
     for comp in (Cap(Fraction(0)), Cap(Fraction(-1, 2)), Scale(Fraction(0)), Scale(Fraction(-2))):
         with pytest.raises(TermError):
-            comp.on_exponent(1)
+            comp._affine
 
 
 def test_component_printing_round_trip():

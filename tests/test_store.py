@@ -315,7 +315,10 @@ def _readers():
         "vdepth": lambda: [vdepth(m, t, "x")(Fraction(1, 2)) for t in terms],
         "rank": lambda: [rank(t, coloring) for t in apps],
         "ppos": lambda: [(ppos(t, coloring).edges, cut_positions(t, coloring, 5)) for t in apps],
-        "toplayer_fill": lambda: [toplayer_fill(t, ppos(t, coloring), var("hole")) for t in apps],
+        "toplayer_fill": lambda: [
+            toplayer_fill(cut.term, cut, {e: var("hole") for e in cut.edges})
+            for cut in (ppos(t, coloring) for t in apps)
+        ],
         "term_depth": lambda: [term_depth(t) for t in finite],
         "variables": lambda: [variables(t) for t in terms],
         "bisimilar": lambda: [bisimilar(a, b) for a in terms[:12] for b in terms[:12]],
