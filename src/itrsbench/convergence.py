@@ -35,19 +35,16 @@ from .rewriting import (
     successors,
 )
 from .terms import (
-    APP,
     Position,
     RationalTerm,
     TermError,
-    app,
     bfs_path,
-    from_nodes,
     record,
     replace,
     sccs,
     subterm,
     topequ,
-    var,
+    unfold,
 )
 
 
@@ -511,36 +508,32 @@ def sliding_diameter(m: TermMetric, tr: Trace, window: int) -> list:
 def _knot(t: RationalTerm, p: Position, q: Position) -> RationalTerm:
     """The subterm of t at p, with the (relative) position q redirected
     back to its own root: the rational solution of X = C[X] where C is
-    the context between p and p·q.  A raw copy of the spine along q, whose
-    last edge goes back to its first node, placed by from_nodes."""
+    the context between p and p·q.  The unfolding of the spine along q,
+    numbered from 0, whose last edge goes back to its first node."""
     spine = [subterm(t, p)]
     for i in q[:-1]:
         spine.append(spine[-1].args[i - 1])
-    nodes = [
-        (APP, s.symbol, s.args[: i - 1] + ((k + 1) % len(q),) + s.args[i:])
-        for k, (s, i) in enumerate(zip(spine, q))
-    ]
-    return from_nodes(nodes, 0)
+
+    def expand(k: int):
+        s, i = spine[k], q[k]
+        return s.symbol, s.args[: i - 1] + ((k + 1) % len(q),) + s.args[i:]
+
+    return unfold(0, expand)
 
 
 def _generalise(t: RationalTerm, depth: int) -> RationalTerm:
     """t cut at depth: each subterm met there becomes a variable named for
     its node, so equal cut subterms share one name and t is an instance of
-    the result."""
+    the result: the unfolding of the states (node of t, depth left)."""
     names: dict = {}
-    made: dict = {}
 
-    def cut(node: RationalTerm, d: int) -> RationalTerm:
-        if node.args is None:
-            return node
+    def expand(state: tuple):
+        node, d = state
         if d == 0:
-            return var(names.setdefault(node, f"?{len(names)}"))
-        key = (node, d)
-        if key not in made:
-            made[key] = app(node.symbol, [cut(c, d - 1) for c in node.args])
-        return made[key]
+            return names.setdefault(node, f"?{len(names)}"), None
+        return node.symbol, [c if c.args is None else (c, d - 1) for c in node.args]
 
-    return cut(t, depth)
+    return t if t.args is None else unfold((t, depth), expand)
 
 
 def _repeats(seg: Segment, start: int, period: int) -> bool:

@@ -41,54 +41,53 @@ class ItrsFile:
     terms: dict  # name -> RationalTerm
 
 
-def _parse_fraction(text: str, lineno: int) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad number {text!r}", lineno, 0)
+_COMPONENT_TOKEN = re.compile(
+    r"\s*(?:(lazy|strict)|(scale|pow|cap)\(([^()]*)\)|(comp\()|(,)|(\))|\Z)")
+
+
+def _parse_components(text: str, lineno: int) -> list[Component]:
+    """The metric annotations of a comma-separated list, whose comp( may
+    nest to any depth.  Read token by token (_COMPONENT_TOKEN: a leaf, a
+    function with its number, comp(, a comma, a ')' or the end), not by
+    recursion: each open comp( keeps the parts read so far on a stack.
+    An empty part between commas is skipped."""
+    stack: list[list] = [[]]  # the list's parts, then each open comp('s
+    pos = 0
+    after_part = False  # a comma, ')' or the end must come next
+    while True:
+        m = _COMPONENT_TOKEN.match(text, pos)
+        if m is None or (after_part and (m[1] or m[2] or m[4])):
+            raise ParseError(f"bad metric component {text[pos:].strip()!r}", lineno, 0)
+        pos = m.end()
+        after_part = not (m[4] or m[5])
+        if m[1]:
+            stack[-1].append(HALVE if m[1] == "lazy" else IDENTITY)
+        elif m[2]:
+            try:
+                value = Fraction(m[3])
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(f"bad number {m[3]!r}", lineno, 0)
+            stack[-1].append({"scale": Scale, "pow": Pow, "cap": Cap}[m[2]](value))
+        elif m[4]:
+            stack.append([])
+        elif m[5]:
+            continue
+        elif m[6] and len(stack) > 1:
+            parts = stack.pop()
+            if not parts:
+                raise ParseError("empty comp()", lineno, 0)
+            stack[-1].append(compose(*parts))
+        elif m[6] or len(stack) > 1:
+            raise ParseError("unbalanced parentheses", lineno, 0)
+        else:
+            return stack[0]
 
 
 def _parse_component(text: str, lineno: int) -> Component:
-    text = text.strip()
-    if text == "lazy":
-        return HALVE
-    if text == "strict":
-        return IDENTITY
-    m = re.fullmatch(r"(scale|pow|cap)\(([^()]*)\)", text)
-    if m:
-        value = _parse_fraction(m.group(2), lineno)
-        return {"scale": Scale, "pow": Pow, "cap": Cap}[m.group(1)](value)
-    m = re.fullmatch(r"comp\((.*)\)", text)
-    if m:
-        parts = [
-            _parse_component(p, lineno) for p in _split_commas(m.group(1), lineno)
-        ]
-        if not parts:
-            raise ParseError("empty comp()", lineno, 0)
-        return compose(*parts)
-    raise ParseError(f"bad metric component {text!r}", lineno, 0)
-
-
-def _split_commas(text: str, lineno: int) -> list[str]:
-    """Split on commas not nested inside parentheses."""
-    out, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced parentheses", lineno, 0)
-        if ch == "," and depth == 0:
-            out.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if depth:
-        raise ParseError("unbalanced parentheses", lineno, 0)
-    if cur or out:
-        out.append("".join(cur))
-    return [p for p in (s.strip() for s in out) if p]
+    comps = _parse_components(text, lineno)
+    if len(comps) != 1:
+        raise ParseError(f"bad metric component {text.strip()!r}", lineno, 0)
+    return comps[0]
 
 
 _SIG_RE = re.compile(r"sig\s+(\S+)\s*/\s*(\d+)\s*(?:\[(.*)\])?\s*$")
@@ -123,10 +122,7 @@ def parse_itrs(text: str) -> ItrsFile:
                 raise ParseError(f"duplicate symbol {name}", lineno, 0)
             symbols[name] = arity
             if m.group(3) is not None:
-                comps = [
-                    _parse_component(c, lineno)
-                    for c in _split_commas(m.group(3), lineno)
-                ]
+                comps = _parse_components(m.group(3), lineno)
                 if len(comps) != arity:
                     raise ParseError(
                         f"{name} has arity {arity} but {len(comps)} annotations",

@@ -16,15 +16,14 @@ from .metrics import (
     simple_cycles,
 )
 from .terms import (
-    APP,
     Position,
     RationalTerm,
     TermError,
-    from_nodes,
     node_at,
     node_numbers,
     record,
     sccs,
+    unfold,
     var,
     variables,
 )
@@ -114,20 +113,14 @@ def toplayer_fill(
     if set(xi) != set(cut.edges):
         raise TermError("fill map must cover the cut exactly")
 
-    nodes: list = []  # the top layer as a raw graph, nodes[i] is top[i]
-    top = [t]
-    number = {t: 0}
-    for node in top:  # top grows while it is walked
-        children: list = []
-        for arg, child in enumerate(node.args):
-            fill = xi.get((node, arg))
-            if fill is None and child.args is not None:  # a node of the top layer
-                fill = number.setdefault(child, len(top))
-                if fill == len(top):
-                    top.append(child)
-            children.append(child if fill is None else fill)
-        nodes.append((APP, node.symbol, tuple(children)))
-    return from_nodes(nodes, 0)
+    def expand(state: tuple):  # a node of the top layer
+        (node,) = state
+        return node.symbol, [
+            xi.get((node, arg), child if child.args is None else (child,))
+            for arg, child in enumerate(node.args)
+        ]
+
+    return unfold((t,), expand)
 
 
 def toplayer_distance(
@@ -194,11 +187,10 @@ def cutoff(
 ) -> RationalTerm:
     """Keep the outermost n layers of t, replacing everything deeper by u.
 
-    One graph over the states (store node of t, layers left), walked on
-    the nodes and canonicalised once.  The root starts with n layers
-    left; an edge into an application node of the other color leaves one
-    layer, any other edge keeps the count, a variable stays as it is, and
-    u stands wherever no layer is left.
+    The unfolding of the states (store node of t, layers left).  The root
+    starts with n layers left; an edge into an application node of the
+    other color leaves one layer, any other edge keeps the count, a
+    variable stays as it is, and u stands wherever no layer is left.
     """
     if n < 0:
         raise TermError("a negative number of layers")
@@ -206,26 +198,19 @@ def cutoff(
         return u
     if t.args is None:
         return t
-    nodes: list = []  # nodes[i] is states[i]
-    states = [(t, n)]
-    number = {(t, n): 0}
-    for node, left in states:  # states grows while it is walked
+
+    def expand(state: tuple):
+        node, left = state
         color = coloring[node.symbol]
         children: list = []
         for child in node.args:
-            if child.args is None:
-                children.append(child)
-                continue
-            key = (child, left - (coloring[child.symbol] != color))
-            if not key[1]:
-                children.append(u)
-                continue
-            if key not in number:
-                number[key] = len(states)
-                states.append(key)
-            children.append(number[key])
-        nodes.append((APP, node.symbol, tuple(children)))
-    return from_nodes(nodes, 0)
+            if child.args is not None:
+                below = left - (coloring[child.symbol] != color)
+                child = (child, below) if below else u
+            children.append(child)
+        return node.symbol, children
+
+    return unfold((t, n), expand)
 
 
 # --- step function and trace-level principal positions ------------------------

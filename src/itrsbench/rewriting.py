@@ -13,7 +13,6 @@ from .metrics import (
     vdepth,
 )
 from .terms import (
-    APP,
     PLACED,
     ROOT,
     Position,
@@ -22,11 +21,11 @@ from .terms import (
     TermError,
     app,
     bfs_path,
-    from_nodes,
     node_at,
     record,
     replace,
     sccs,
+    unfold,
     var,
     variables,
 )
@@ -367,27 +366,18 @@ def indirect(system: ITRS) -> IndirectResult:
 
 def erase_indirection(t: RationalTerm, symbol: str = INDIRECTION_SYMBOL) -> RationalTerm:
     """Homomorphically drop I(...) wrappers."""
-    redirect = {}
-    for idx, entry in enumerate(t.nodes):
-        if entry[0] == APP and entry[1] == symbol:
-            redirect[idx] = entry[2][0]
 
-    def resolve(idx: int) -> int:
+    def expand(state: tuple):
+        (node,) = state
         seen = set()
-        while idx in redirect:
-            if idx in seen:
+        while node.args and node.symbol == symbol:
+            if node in seen:
                 raise TermError("cyclic tower of indirection symbols")
-            seen.add(idx)
-            idx = redirect[idx]
-        return idx
+            seen.add(node)
+            node = node.args[0]
+        return node.symbol, None if node.args is None else [(c,) for c in node.args]
 
-    nodes = []
-    for entry in t.nodes:
-        if entry[0] == APP:
-            nodes.append((APP, entry[1], tuple(resolve(c) for c in entry[2])))
-        else:
-            nodes.append(entry)
-    return from_nodes(nodes, resolve(0))
+    return unfold((t,), expand)
 
 
 @record(frozen=True)
@@ -446,10 +436,10 @@ def _tag_clashes(names, others, tag: str, given: set[str]) -> dict[str, str]:
 
 
 def rename_symbols(t: RationalTerm, renaming: Mapping[str, str]) -> RationalTerm:
-    nodes = []
-    for entry in t.nodes:
-        if entry[0] == APP:
-            nodes.append((APP, renaming.get(entry[1], entry[1]), entry[2]))
-        else:
-            nodes.append(entry)
-    return from_nodes(nodes, 0)
+    def expand(state: tuple):
+        (node,) = state
+        if node.args is None:
+            return node.symbol, None
+        return renaming.get(node.symbol, node.symbol), [(c,) for c in node.args]
+
+    return unfold((t,), expand)

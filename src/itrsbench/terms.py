@@ -14,22 +14,23 @@ exact since the arguments are unique.  A strongly connected component
 of new nodes with a cycle, a loop, is refined by Hopcroft's algorithm
 and placed whole: it meets a stored loop that it points into or that
 has its multiset of node labels, if the two are bisimilar.
-from_nodes builds a term from a raw graph this way, placing the
-components that sccs yields, children first; graph_term, a cyclic
-substitute and the layer constructions go through it, and a graph
-without a cycle runs no refinement.  parse places each loop as its `mu`
-binder closes, since the text's scoping marks the loop, and hash-conses
-the rest at each `)`: its low-link is the one kept outside sccs.
-replace and subterm work on nodes: a rewrite step conses the instance
-of the right-hand side and the spine above its position, O(|p| + |rhs|)
-for a finite one, and visits nothing else.
+unfold builds the term that a finite state graph unfolds to, a rational
+tree (Courcelle, TCS 1983), this way: it places the components that
+sccs yields, children first, and a graph without a cycle runs no
+refinement.  graph_term, a cyclic substitute, the cutoffs, the knot of
+a limit and the renamings of symbols are each such an unfolding.  parse
+places each loop as its `mu` binder closes, since the text's scoping
+marks the loop, and hash-conses the rest at each `)`: its low-link is
+the one kept outside sccs.  replace and subterm work on nodes: a rewrite
+step conses the instance of the right-hand side and the spine above its
+position, O(|p| + |rhs|) for a finite one, and visits nothing else.
 
 Every algorithm walks nodes and keys its tables by node.  RationalTerm.nodes
 is the raw-graph export, numbers and names only, numbered by node_numbers
-from the root 0: it hands a graph to from_nodes (pickling, renaming and
-erasing symbols) and to callers outside the package.  Numbers appear
-otherwise only where an output names a node: a membership witness, a
-principal cycle, the order of to_text's binders.
+from the root 0: it hands a graph to from_nodes, which reads it back
+(pickling), and to callers outside the package; no other module knows
+its format.  Numbers appear otherwise only where an output names a node:
+a membership witness, a principal cycle, the order of to_text's binders.
 """
 
 from __future__ import annotations
@@ -330,42 +331,48 @@ def _cons(symbol: str, args: Optional[tuple]) -> RationalTerm:
     return node
 
 
-def from_nodes(nodes: Sequence, root: int) -> RationalTerm:
-    """The term rooted at node root of a raw node list, whose entries are
-    as in RationalTerm.nodes, except that a child may also be a term
-    instead of a number; any entry may be unreachable.
+def unfold(root: Hashable, expand: Callable) -> RationalTerm:
+    """The stored term that the state graph from root unfolds to.
 
-    The store places the strongly connected components that sccs yields,
-    children first, so each component's children outside it are stored
-    by then.  A component of one node off every cycle is hash-consed
-    (_cons), and a loop is placed whole (_place_loop).  A graph without a
-    cycle runs no refinement.
+    expand(state) gives a state's symbol and its children, None for a
+    variable; each child is a stored term, kept as it is, or another
+    state: any hashable that is not a RationalTerm.  Each state is
+    expanded once, as sccs enters it.  The store places the strongly
+    connected components that sccs yields, children first, so each
+    component's children outside it are stored by then.  A component of
+    one state off every cycle is hash-consed (_cons), and a loop is placed
+    whole (_place_loop).  A graph without a cycle runs no refinement.
     """
-    inner: list = [()] * len(nodes)  # each entered node's numbered children
+    entry: dict = {}  # each expanded state's (symbol, children)
+    inner: dict = {}  # each expanded state's children that are states
 
-    def succ(k: int):
-        entry = nodes[k]
-        if entry[0] != VAR:
-            inner[k] = [c for c in entry[2] if c.__class__ is int]
-        return inner[k]
+    def succ(state):
+        symbol, kids = entry[state] = expand(state)
+        inner[state] = [c for c in kids if c.__class__ is not RationalTerm] if kids else ()
+        return inner[state]
 
-    term: list = [None] * len(nodes)  # each node's term, once stored
+    term: dict = {}  # each state's term, once stored
     for comp in sccs([root], succ):
-        k = comp[0]
-        if len(comp) == 1 and k not in inner[k]:
-            entry = nodes[k]
-            term[k] = _cons(entry[1], None if entry[0] == VAR else tuple(
-                [term[c] if c.__class__ is int else c for c in entry[2]]))
+        s = comp[0]
+        if len(comp) == 1 and s not in inner[s]:
+            symbol, kids = entry[s]
+            term[s] = _cons(symbol, None if kids is None else tuple([term.get(c, c) for c in kids]))
             continue
         index = {c: j for j, c in enumerate(comp)}
         loop = _place_loop(
-            [nodes[j][1] for j in comp],
-            [[index.get(c, term[c]) if c.__class__ is int else c for c in nodes[j][2]]
-             for j in comp],
+            [entry[s][0] for s in comp],
+            [[index[c] if c in index else term.get(c, c) for c in entry[s][1]] for s in comp],
         )
-        for c, node in zip(comp, loop):
-            term[c] = node
+        term.update(zip(comp, loop))
     return term[root]
+
+
+def from_nodes(nodes: Sequence, root: int) -> RationalTerm:
+    """The term rooted at node root of a raw node list, whose entries are
+    as in RationalTerm.nodes, except that a child may also be a term
+    instead of a number; any entry may be unreachable.  The raw-graph
+    import: unfold over the list's indices."""
+    return unfold(root, lambda k: (nodes[k][1], None if nodes[k][0] == VAR else nodes[k][2]))
 
 
 def _place_loop(symbols: list, kids: list) -> list[RationalTerm]:
@@ -543,15 +550,12 @@ def graph_term(spec: Mapping[str, tuple], root: str) -> RationalTerm:
 
     spec maps a node name to ("var", varname) or (symbol, [child node names]).
     """
-    index = {name: i for i, name in enumerate(spec)}
-    nodes = []
-    for name, entry in spec.items():
-        if entry[0] == VAR and isinstance(entry[1], str):
-            nodes.append((VAR, entry[1]))
-        else:
-            symbol, children = entry
-            nodes.append((APP, symbol, tuple(index[c] for c in children)))
-    return from_nodes(nodes, index[root])
+
+    def expand(name: str):
+        entry = spec[name]
+        return (entry[1], None) if entry[0] == VAR and isinstance(entry[1], str) else entry
+
+    return unfold(root, expand)
 
 
 def node_at(t: RationalTerm, p: Position) -> Optional[RationalTerm]:
@@ -707,9 +711,9 @@ def substitute(sigma: Substitution, t: RationalTerm) -> RationalTerm:
     """Homomorphic application; variables outside dom(sigma) unchanged.
 
     On a finite t only the nodes that reach a variable are rebuilt,
-    children first, each hash-consed.  A t that reaches a cycle is copied
-    as a raw graph down to its finite nodes, which are substituted so,
-    and the copy goes through from_nodes.
+    children first, each hash-consed.  A t that reaches a cycle is
+    unfolded (unfold) from its nodes on or above a cycle, each finite
+    child substituted so.
     """
     if not sigma:
         return t
@@ -723,23 +727,12 @@ def substitute(sigma: Substitution, t: RationalTerm) -> RationalTerm:
             else:
                 made[node] = _cons(node.symbol, tuple([made.get(c, c) for c in node.args]))
         return _cons(t.symbol, tuple([made.get(c, c) for c in t.args])) if made else t
-    number = {t: 0}
-    todo = [t]
-    nodes = []
-    for node in todo:  # todo grows while it is walked
-        kids = []
-        for c in node.args:
-            if c._finite:
-                c = substitute(sigma, c)
-            else:
-                k = number.get(c)
-                if k is None:
-                    k = number[c] = len(todo)
-                    todo.append(c)
-                c = k
-            kids.append(c)
-        nodes.append((APP, node.symbol, tuple(kids)))
-    return from_nodes(nodes, 0)
+
+    def expand(state: tuple):
+        (node,) = state
+        return node.symbol, [substitute(sigma, c) if c._finite else (c,) for c in node.args]
+
+    return unfold((t,), expand)
 
 
 def variables(t: RationalTerm) -> set[str]:

@@ -31,6 +31,7 @@ from itrsbench import (
     find_loop,
     find_root_recurrence,
     focussed_probe,
+    match,
     metric_id,
     metric_infty,
     parse,
@@ -41,7 +42,11 @@ from itrsbench import (
     simulate,
     sliding_diameter,
     strong_convergence_probe,
+    substitute,
     subterm,
+    term_depth,
+    var,
+    variables,
     xi_trace,
 )
 from itrsbench import convergence, rewriting
@@ -243,6 +248,26 @@ def test_knot_matches_the_spine_copy(union):
             qs = sorted(positions(subterm(t, p), 4) - {()})
             for q in rng.sample(qs, min(4, len(qs))):
                 assert convergence._knot(t, p, q) is hand_walks.knot(t, p, q), (t, p, q)
+
+
+def test_generalise_cuts_an_instance():
+    """s is an instance of its cut, whose equal cut subterms share one
+    variable; a cut deeper than a finite s is s itself, where _repeats
+    stops; a cyclic s and a variable cut as well."""
+    s = parse("F(G(A, H(B)), G(A, H(B)), x)")
+    for depth in (1, 2, 3):
+        cut = convergence._generalise(s, depth)
+        sigma = match(cut, s, ())
+        assert sigma is not None and substitute(sigma, cut) is s, depth
+    cut = convergence._generalise(s, 1)
+    assert cut.args[0] is cut.args[1] and len(variables(cut)) == 2
+    assert convergence._generalise(s, term_depth(s)) is not s
+    assert convergence._generalise(s, term_depth(s) + 1) is s
+    assert convergence._generalise(s, 9) is s
+    loop = parse("mu X. F(X, G(X))")
+    cut = convergence._generalise(loop, 3)
+    assert cut.is_finite and match(cut, loop, ()) is not None
+    assert convergence._generalise(var("x"), 2) is var("x")
 
 
 def test_extrapolate_rejects_aperiodic():

@@ -124,14 +124,13 @@ def test_every_public_name_is_referenced():
 
 
 # The functions of src/ that may read a term's raw-graph export (.nodes)
-# or its node numbering (node_numbers): the export itself, the places
-# that hand a raw graph to from_nodes, and the outputs that name nodes by
+# or its node numbering (node_numbers): the export itself, pickling,
+# which hands it back to from_nodes, and the outputs that name nodes by
 # number.  Every other reader walks store nodes.
 NUMBERED = {
     "terms.py": {"RationalTerm.__reduce__", "_flat_view", "to_text"},
     "metrics.py": {"simple_cycles", "is_member"},
     "layers.py": {"principal_cycles"},
-    "rewriting.py": {"erase_indirection", "rename_symbols"},
     "cli.py": {"cmd_layers"},
 }
 
@@ -165,6 +164,24 @@ def test_only_the_boundary_reads_node_numbers(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     extra = numbered_readers(tree) - NUMBERED.get(path.name, set())
     assert not extra, f"{path.name}: read .nodes or node_numbers: {sorted(extra)}"
+
+
+# The raw node-list format: its entry tags and its reader.
+RAW_FORMAT = {"APP", "VAR", "from_nodes"}
+
+
+@pytest.mark.parametrize("path", [p for p in ALL_MODULES if p.name != "terms.py"],
+                         ids=lambda p: p.name)
+def test_only_terms_names_the_raw_node_format(path):
+    """APP, VAR and from_nodes are named only in terms.py, in code, in an
+    import or as a string: every other module builds a derived term
+    through terms.unfold or the constructors."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    named = referenced_names(tree) | {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert not named & RAW_FORMAT, f"{path.name}: names {sorted(named & RAW_FORMAT)}"
 
 
 # The functions of src/ that may bind a Tarjan low-link table: sccs, the

@@ -3,11 +3,14 @@ header defaults, and positioned error reporting."""
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from itrsbench import ParseError, TermError
 from itrsbench.corpus import ITRS_SOURCES
 from itrsbench.itrsfile import ItrsFile, parse_itrs, print_itrs
+from itrsbench.metrics import HALVE, IDENTITY
 
 
 def systems_equal(a, b) -> bool:
@@ -87,6 +90,24 @@ def test_duplicate_symbol():
 def test_invalid_component_rejected():
     with pytest.raises(ParseError):
         parse_itrs("metric custom\nsig F/1 [scale(0)]\n")
+
+
+def test_annotations_nest_to_any_depth():
+    """comp( nested 5000 deep is read without recursion, as is its
+    unbalanced form; an annotation list keeps its errors."""
+    depth = 5000
+    deep = "comp(" * depth + "lazy" + ")" * depth
+    f = parse_itrs(f"metric custom\nsig F/2 [{deep}, comp(strict, {deep})]\n")
+    assert f.system.metric.components["F"] == (HALVE, HALVE)
+    plain = parse_itrs("metric custom\nsig F/2 [, lazy,, strict]\n").system.metric
+    assert plain.components["F"] == (HALVE, IDENTITY)
+    for annotation, error in [
+        (deep[:-1], "unbalanced parentheses"), ("lazy), (strict", "unbalanced parentheses"),
+        ("comp(lazy, comp())", "empty comp()"), ("lazy strict", "bad metric component"),
+        ("scale(1/0)", "bad number"),
+    ]:
+        with pytest.raises(ParseError, match=re.escape(error)):
+            parse_itrs(f"metric custom\nsig F/1 [{annotation}]\n")
 
 
 def test_comment_lines_and_hash_symbols():

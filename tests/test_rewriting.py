@@ -427,6 +427,17 @@ def test_erase_indirection_cycle_error():
         erase_indirection(t)
 
 
+def test_erase_indirection_at_the_root_and_through_a_cycle():
+    """A tower of I at the root goes down to what it wraps, a variable
+    too, and a cycle through I under F keeps its F nodes."""
+    sig = Signature({"I": 1, "F": 1, "G": 2})
+    assert erase_indirection(parse("I(x)", sig)) is var("x")
+    assert erase_indirection(parse("I(I(F(x)))", sig)) is parse("F(x)", sig)
+    assert erase_indirection(parse("mu X. F(I(X))", sig)) is parse("mu X. F(X)", sig)
+    t = parse("I(G(I(mu X. F(I(I(X)))), x))", sig)
+    assert erase_indirection(t) is parse("G(mu X. F(X), x)", sig)
+
+
 # --- disjoint union --------------------------------------------------------------
 
 
@@ -472,6 +483,15 @@ def test_union_injections_preserve_distances():
         assert distance(result.system.metric, ti, ui) == distance(
             right.metric, t, u
         )
+
+
+def test_rename_symbols_at_a_variable_or_nullary_root():
+    """A variable is no symbol: it stays, also under a renaming of its
+    name; a nullary root is renamed."""
+    renaming = {"C": "C#2", "F": "F#2", "x": "F"}
+    assert rename_symbols(var("x"), renaming) is var("x")
+    assert rename_symbols(app("C"), renaming) is app("C#2")
+    assert rename_symbols(parse("mu X. F(X)"), renaming) is parse("mu X. F#2(X)")
 
 
 def test_weak_reach_and_path_agree():

@@ -54,7 +54,7 @@ from itrsbench.corpus import (
 )
 from itrsbench.layers import principal_cycles
 from itrsbench.metrics import simple_cycles
-from itrsbench.terms import APP, from_nodes, node_at, node_numbers, sccs
+from itrsbench.terms import APP, VAR, from_nodes, node_at, node_numbers, sccs, unfold
 from coinductive_match import bisimilar
 from conftest import (
     CORPUS_UNIONS,
@@ -496,3 +496,54 @@ def test_placing_a_loop_is_not_quadratic():
     assert parse(text) is first
     knot = from_nodes([(APP, "G", ((k + 1) % n, first)) for k in range(n)], 0)
     assert knot is from_nodes([(APP, "G", ((k + 1) % n, first)) for k in range(n)], 0)
+
+
+# --- the state-graph builder ---------------------------------------------------
+
+
+def test_unfold_takes_int_tuple_and_str_states():
+    """A node over a ring, with a stored term beside each, from int, tuple
+    and str states: the stored node that parse gives, each state
+    expanded once, and the kept term never expanded."""
+    c = parse("c")
+    want = parse("H(mu X. G(A(X), c), c)")
+    graphs = [
+        {2: ("H", [0, c]), 0: ("G", [1, c]), 1: ("A", (0,))},
+        {("h",): ("H", [("g", 2), c]), ("g", 2): ("G", [("a", 1), c]),
+         ("a", 1): ("A", [("g", 2)])},
+        {"h": ("H", ["g", c]), "g": ("G", ["a", c]), "a": ("A", ["g"])},
+    ]
+    for graph in graphs:
+        calls = Counter()
+
+        def expand(state, graph=graph):
+            calls[state] += 1
+            return graph[state]
+
+        assert unfold(next(iter(graph)), expand) is want
+        assert dict(calls) == dict.fromkeys(graph, 1)
+
+
+def test_unfold_gives_the_node_that_from_nodes_gives():
+    """Named states over seeded raw lists, cyclic ones among them: the
+    very node that from_nodes gives for the list."""
+    rng = rng_for("unfold-states")
+    cyclic = 0
+    for _ in range(300):
+        nodes, root = random_raw_nodes(rng, max_nodes=12)
+
+        def expand(name, nodes=nodes):
+            entry = nodes[int(name[1:])]
+            return entry[1], None if entry[0] == VAR else [f"n{c}" for c in entry[2]]
+
+        t = unfold(f"n{root}", expand)
+        assert t is from_nodes(nodes, root), (nodes, root)
+        cyclic += not t.is_finite
+    assert cyclic > 50
+
+
+def test_unfold_gives_the_stored_variable():
+    """(name, None) is the variable name, at the root or below."""
+    assert unfold("v", lambda state: ("x", None)) is var("x")
+    graph = {0: ("F", [1, 1]), 1: ("x", None)}
+    assert unfold(0, graph.__getitem__) is app("F", [var("x"), var("x")])
